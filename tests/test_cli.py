@@ -143,6 +143,21 @@ def test_simulate_is_byte_deterministic(tmp_path):
     assert meta["flows_written"] == 25
 
 
+def test_simulate_reproduces_golden_dataset(tmp_path):
+    # Bursty and near-total loss under no, Gaussian and gamma jitter: the
+    # dataset has late packets and flows rejected for too few packets.
+    out = tmp_path / "sim.csv"
+    assert run("simulate", "--config", DATA / "sim_golden.ini", "--output", out) == 0
+    assert out.read_bytes() == (DATA / "sim_golden.csv").read_bytes()
+    meta = json.loads((tmp_path / "sim.csv.meta.json").read_text())
+    assert meta["flows_written"] == 30
+    assert meta["flows_rejected"] == 18
+    rejected_ids = (4, 5, 9, 10, 11, 16, 21, 22, 23, 27, 29, 34, 35, 39, 40, 41, 45, 47)
+    assert meta["rejected"] == [
+        {"flow_id": f"flow-{i:06d}", "reason": "NOT_ENOUGH_PACKETS"} for i in rejected_ids
+    ]
+
+
 def test_simulate_seed_flag_overrides_config(tmp_path):
     config = tmp_path / "sim.ini"
     config.write_text(
