@@ -129,8 +129,8 @@ def uniform_edges(bins: int, lo: float, hi: float) -> np.ndarray:
 
 def _bin_index(edges: np.ndarray, x: float) -> int | None:
     """Index of the half-open bin [e_k, e_{k+1}) holding x; the last bin is
-    closed at the top.  None when x is out of range."""
-    if x < edges[0] or x > edges[-1]:
+    closed at the top.  None when x is out of range or NaN."""
+    if not edges[0] <= x <= edges[-1]:
         return None
     idx = int(np.searchsorted(edges, x, side="right")) - 1
     return len(edges) - 2 if idx == len(edges) - 1 else idx

@@ -13,7 +13,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +24,6 @@ from volteqa import __version__
 from volteqa.analytics import (
     BinnedSeries,
     GridSpec,
-    TooFewPointsError,
     bin_series,
     fit_exponential,
     fit_linear,
@@ -210,45 +211,69 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_scored_rows(path: str, required: tuple[str, ...] = ("codec", "p_loss")) -> list[dict[str, str]]:
+def _read_samples(
+    path: str, wanted: Codec | None, columns: tuple[str, ...]
+) -> dict[Codec, list[tuple[float, ...]]]:
+    """Read a scored CSV as per-codec samples in file order: the named
+    columns of each row, then its quality.
+
+    Quality is the measured r_factor when present, otherwise the
+    recomputed r_factor_computed.  Rows of codecs other than ``wanted``
+    are left out.  Rows with an unknown codec or with an empty,
+    non-numeric or non-finite cell are skipped, and one line on stderr
+    counts them by reason.
+    """
     try:
         handle = open(path, encoding="utf-8", newline="")
     except FileNotFoundError:
         raise CliError("INPUT_NOT_FOUND", f"input file not found: {path}") from None
+    groups: dict[Codec, list[tuple[float, ...]]] = {}
+    skipped: Counter[str] = Counter()
     with handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
-        missing = set(required) - set(fields)
+        missing = {"codec", *columns} - set(fields)
         if missing:
             raise CliError(
                 "SCHEMA", f"scored CSV is missing columns: {', '.join(sorted(missing))}"
             )
-        if "r_factor" not in fields and "r_factor_computed" not in fields:
+        quality_columns = [c for c in ("r_factor", "r_factor_computed") if c in fields]
+        if not quality_columns:
             raise CliError("SCHEMA", "scored CSV needs an r_factor or r_factor_computed column")
-        return list(reader)
-
-
-def _row_quality(row: dict[str, str]) -> float | None:
-    """Quality column preference: the measured r_factor when present,
-    otherwise the recomputed one."""
-    for column in ("r_factor", "r_factor_computed"):
-        text = (row.get(column) or "").strip()
-        if text:
-            return float(text)
-    return None
-
-
-def _rows_by_codec(rows: list[dict[str, str]], wanted: Codec | None) -> dict[Codec, list[dict[str, str]]]:
-    groups: dict[Codec, list[dict[str, str]]] = {}
-    for row in rows:
-        try:
-            codec = Codec(row["codec"])
-        except ValueError:
-            continue
-        if wanted is not None and codec is not wanted:
-            continue
-        groups.setdefault(codec, []).append(row)
+        for row in reader:
+            try:
+                codec = Codec(row["codec"])
+            except ValueError:
+                skipped["unknown codec"] += 1
+                continue
+            if wanted is not None and codec is not wanted:
+                continue
+            quality = next(
+                (c for c in quality_columns if (row[c] or "").strip()), quality_columns[-1]
+            )
+            try:
+                sample = tuple(_finite_cell(row, c) for c in (*columns, quality))
+            except ValueError as exc:
+                skipped[str(exc)] += 1
+                continue
+            groups.setdefault(codec, []).append(sample)
+    if skipped:
+        reasons = ", ".join(f"{reason}={n}" for reason, n in sorted(skipped.items()))
+        print(f"warning: {path}: skipped rows: {reasons}", file=sys.stderr)
     return {codec: groups[codec] for codec in Codec if codec in groups}
+
+
+def _finite_cell(row: dict[str, str | None], column: str) -> float:
+    text = (row[column] or "").strip()
+    if not text:
+        raise ValueError(f"{column} empty")
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{column} not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{column} not finite")
+    return value
 
 
 def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> None:
@@ -276,19 +301,11 @@ def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> Non
 
 def cmd_fit(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range, "--range")
-    wanted = _codec_filter(args.codec)
-    rows = _read_scored_rows(args.input)
-    groups = _rows_by_codec(rows, wanted)
+    groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss",))
 
     doc: dict = {"bins": args.bins, "range": [lo, hi], "codecs": {}}
     labelled_series: list[tuple[str, BinnedSeries]] = []
-    for codec, codec_rows in groups.items():
-        points = []
-        for row in codec_rows:
-            quality = _row_quality(row)
-            if quality is None:
-                continue
-            points.append((float(row["p_loss"]), quality))
+    for codec, points in groups.items():
         series = bin_series(points, bins=args.bins, lo=lo, hi=hi)
         labelled_series.append((codec.value, series))
         binned_points = series.points()
@@ -306,12 +323,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 )
             try:
                 fits["exponential"] = _fit_doc(fit_exponential(fit_points, weights=fit_weights))
-            except (TooFewPointsError, ValueError) as exc:
+            except ValueError as exc:
                 raise CliError("FIT", f"exponential fit for {codec.value}: {exc}") from None
         if args.model in ("linear", "both"):
             try:
                 fits["linear"] = _fit_doc(fit_linear(fit_points, weights=fit_weights))
-            except (TooFewPointsError, ValueError) as exc:
+            except ValueError as exc:
                 raise CliError("FIT", f"linear fit for {codec.value}: {exc}") from None
 
         doc["codecs"][codec.value] = {
@@ -337,21 +354,9 @@ def _fit_doc(fit) -> dict:
 
 def cmd_report(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range, "--range")
-    wanted = _codec_filter(args.codec)
-    rows = _read_scored_rows(args.input, required=("codec", "p_loss", "max_jitter_ms"))
-
-    samples = []
-    for row in rows:
-        try:
-            codec = Codec(row["codec"])
-        except ValueError:
-            continue
-        if wanted is not None and codec is not wanted:
-            continue
-        quality = _row_quality(row)
-        if quality is None:
-            continue
-        samples.append((float(row["p_loss"]), float(row["max_jitter_ms"]), quality))
+    groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss", "max_jitter_ms"))
+    # Cells aggregate sorted values, so sample order does not matter.
+    samples = [sample for group in groups.values() for sample in group]
 
     if args.j_range is not None:
         j_lo, j_hi = _parse_range(args.j_range, "--j-range")

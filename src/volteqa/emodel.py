@@ -204,6 +204,14 @@ def load_profiles(source: IO[str] | str, defaults: dict[Codec, CodecProfile] | N
         parser.read_string(source)
     else:
         parser.read_file(source)
+    return profiles_from_parser(parser, defaults)
+
+
+def profiles_from_parser(
+    parser: configparser.ConfigParser, defaults: dict[Codec, CodecProfile] | None = None
+) -> dict[Codec, CodecProfile]:
+    """Codec profiles from the codec sections of an already parsed config
+    (see :func:`load_profiles`); other sections are ignored."""
     profiles = dict(defaults if defaults is not None else DEFAULT_PROFILES)
     for section in parser.sections():
         try:

@@ -12,20 +12,15 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import IO, Iterable
+from typing import IO
 
 SEND_GRID_TOLERANCE_MS = 1e-6
 
 
 class EmptyFlowError(ValueError):
     """Raised when a timeline carries no packets at all."""
-
-
-class NotEnoughPacketsError(ValueError):
-    """Raised when fewer than two received packets exist to compare."""
 
 
 @dataclass(frozen=True)
@@ -67,10 +62,6 @@ class PacketTimeline:
     def tx_count(self) -> int:
         return len(self.packets)
 
-    @property
-    def received(self) -> tuple[PacketEvent, ...]:
-        return tuple(p for p in self.packets if p.arrival_time_ms is not None)
-
 
 @dataclass(frozen=True)
 class JbeConfig:
@@ -104,59 +95,27 @@ class PlayoutEvent:
 
 @dataclass(frozen=True)
 class JbeResult:
-    """Play-out schedule plus loss accounting for one emulated flow."""
+    """Play-out schedule plus the loss, jitter and delay figures of one emulated flow.
+
+    ``effective_lost`` holds one flag per transmitted packet, set when the
+    packet was lost or played late.  ``p_loss`` is the effective loss
+    (lost + late) / received, clamped to [0, 1]; a flow with nothing
+    received counts as fully lost.  Jitter is the instantaneous transit
+    jitter |delta(arrival) - delta(send)| between consecutive received
+    packets, across loss gaps; its mean and maximum are None with fewer
+    than two received packets.  The mean play-out delay is taken over
+    received packets, from send to play-out, and is 0.0 with none.
+    """
 
     playout: tuple[PlayoutEvent, ...]
+    effective_lost: tuple[bool, ...]
     lost_count: int
     late_count: int
     received_count: int
-    p_loss_raw: float
     p_loss: float
-
-
-def iter_transit_jitter(packets: Iterable[PacketEvent]) -> Iterable[tuple[PacketEvent, float | None]]:
-    """Yield each received packet with its instantaneous transit jitter.
-
-    Jitter is |delta(arrival) - delta(send)| between consecutive received
-    packets, computed across loss gaps; the first received packet has no
-    jitter sample and yields None.
-    """
-    prev: PacketEvent | None = None
-    for pkt in packets:
-        if pkt.arrival_time_ms is None:
-            continue
-        if prev is None:
-            yield pkt, None
-        else:
-            delta_arrival = pkt.arrival_time_ms - prev.arrival_time_ms
-            delta_send = pkt.send_time_ms - prev.send_time_ms
-            yield pkt, abs(delta_arrival - delta_send)
-        prev = pkt
-
-
-def compute_transit_jitter(timeline: PacketTimeline) -> tuple[list[float], float, float]:
-    """Per-packet instantaneous jitter plus its mean and maximum.
-
-    Requires at least two received packets; lost packets are skipped, so a
-    sample straddling a loss gap uses the surviving neighbours' deltas.
-    """
-    samples = [j for _, j in iter_transit_jitter(timeline.packets) if j is not None]
-    if not samples:
-        raise NotEnoughPacketsError(
-            f"need >= 2 received packets, got {len(timeline.received)}"
-        )
-    return samples, sum(samples) / len(samples), max(samples)
-
-
-def estimate_ploss(result: JbeResult) -> float:
-    """Effective loss: (lost + late) / received after the buffer, clamped to [0, 1].
-
-    A flow with nothing received counts as fully lost (1.0 by convention).
-    """
-    if result.received_count == 0:
-        return 1.0
-    raw = (result.lost_count + result.late_count) / result.received_count
-    return min(1.0, raw)
+    avg_jitter_ms: float | None
+    max_jitter_ms: float | None
+    mean_playout_delay_ms: float
 
 
 def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeResult:
@@ -179,64 +138,69 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
     lost_count = 0
     late_count = 0
     playout: list[PlayoutEvent] = []
-    window: deque[float] = deque(maxlen=config.window)
+    effective_lost: list[bool] = []
+    playout_delays: list[float] = []
+    jitter_samples: list[float] = []
+    window = config.window
     window_sum = 0.0
     anchor: PacketEvent | None = None
     prev_received: PacketEvent | None = None
     last_held_playout = -math.inf
 
     for pkt in timeline.packets:
-        if pkt.arrival_time_ms is None:
+        arrival, send = pkt.arrival_time_ms, pkt.send_time_ms
+        if arrival is None:
             lost_count += 1
+            effective_lost.append(True)
             continue
         if anchor is None:
             anchor = pkt
-        headroom = config.safety_factor * (window_sum / len(window)) if window else 0.0
+        window_len = min(len(jitter_samples), window)
+        headroom = config.safety_factor * (window_sum / window_len) if window_len else 0.0
         scheduled = (
             anchor.arrival_time_ms
             + config.initial_delay_ms
-            + (pkt.send_time_ms - anchor.send_time_ms)
+            + (send - anchor.send_time_ms)
             + headroom
         )
         scheduled = max(scheduled, last_held_playout)
-        if pkt.arrival_time_ms > scheduled:
+        late = arrival > scheduled
+        if late:
             late_count += 1
-            playout.append(PlayoutEvent(pkt.seq, pkt.arrival_time_ms, PlayoutStatus.LATE))
+            playout_time = arrival
+            status = PlayoutStatus.LATE
         else:
-            status = (
-                PlayoutStatus.ON_TIME
-                if pkt.arrival_time_ms == scheduled
-                else PlayoutStatus.BUFFERED
-            )
-            playout.append(PlayoutEvent(pkt.seq, scheduled, status))
+            playout_time = scheduled
+            status = PlayoutStatus.ON_TIME if arrival == scheduled else PlayoutStatus.BUFFERED
             last_held_playout = scheduled
+        playout.append(PlayoutEvent(pkt.seq, playout_time, status))
+        effective_lost.append(late)
+        playout_delays.append(playout_time - send)
         if prev_received is not None:
             jitter = abs(
-                (pkt.arrival_time_ms - prev_received.arrival_time_ms)
-                - (pkt.send_time_ms - prev_received.send_time_ms)
+                (arrival - prev_received.arrival_time_ms) - (send - prev_received.send_time_ms)
             )
-            if len(window) == window.maxlen:
-                window_sum -= window[0]
-            window.append(jitter)
+            if len(jitter_samples) >= window:
+                window_sum -= jitter_samples[-window]  # leaves the window
+            jitter_samples.append(jitter)
             # Samples are non-negative, so keep the running sum from drifting
             # below zero through float cancellation.
             window_sum = max(window_sum + jitter, 0.0)
         prev_received = pkt
 
     received_count = len(playout)
-    if received_count == 0:
-        p_loss_raw = math.inf
-        p_loss = 1.0
-    else:
-        p_loss_raw = (lost_count + late_count) / received_count
-        p_loss = min(1.0, p_loss_raw)
+    # Means take sum() over the lists, not a running total: sum() of floats
+    # is compensated on Python >= 3.12, and datasets depend on its rounding.
     return JbeResult(
         playout=tuple(playout),
+        effective_lost=tuple(effective_lost),
         lost_count=lost_count,
         late_count=late_count,
         received_count=received_count,
-        p_loss_raw=p_loss_raw,
-        p_loss=p_loss,
+        p_loss=min(1.0, (lost_count + late_count) / received_count) if received_count else 1.0,
+        avg_jitter_ms=sum(jitter_samples) / len(jitter_samples) if jitter_samples else None,
+        max_jitter_ms=max(jitter_samples) if jitter_samples else None,
+        mean_playout_delay_ms=sum(playout_delays) / received_count if received_count else 0.0,
     )
 
 

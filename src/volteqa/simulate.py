@@ -27,19 +27,10 @@ from volteqa.emodel import (
     QualityScore,
     burst_ratio,
     compute_r_factor,
-    load_profiles,
+    profiles_from_parser,
 )
 from volteqa.ingest import Codec, FlowRecord
-from volteqa.jitter_buffer import (
-    JbeConfig,
-    JbeResult,
-    PacketEvent,
-    PacketTimeline,
-    PlayoutStatus,
-    compute_transit_jitter,
-    estimate_ploss,
-    run_jbe,
-)
+from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketEvent, PacketTimeline, run_jbe
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -311,11 +302,12 @@ def iter_flow_outcomes(
 ) -> Iterable[FlowOutcome | RejectedFlow]:
     """Run every flow of the spec through the full measurement pipeline.
 
-    Per flow: synthesize a timeline, replay it through the jitter buffer,
-    estimate the effective loss, characterize loss burstiness over the
-    lost-or-late pattern, and score the flow with its codec profile using
-    the mean play-out delay as the one-way delay.  Flows with fewer than
-    two received packets carry no jitter statistics and are rejected.
+    Per flow: synthesize a timeline, replay it through the jitter buffer
+    (which measures effective loss, jitter and play-out delay in one pass),
+    characterize loss burstiness over the lost-or-late pattern, and score
+    the flow with its codec profile using the mean play-out delay as the
+    one-way delay.  Flows with fewer than two received packets carry no
+    jitter statistics and are rejected.
     """
     profiles = profiles if profiles is not None else DEFAULT_PROFILES
     cells = spec.sweep_cells()
@@ -329,47 +321,32 @@ def iter_flow_outcomes(
             loss_model, jitter_model, spec.packets_per_flow, spec.ptime_ms, rng
         )
         result = run_jbe(timeline, spec.jbe)
-        if result.received_count < 2:
+        if result.avg_jitter_ms is None:
             yield RejectedFlow(flow_id, "NOT_ENOUGH_PACKETS")
             continue
-        _, avg_jitter, max_jitter = compute_transit_jitter(timeline)
-        p_loss = estimate_ploss(result)
-        effective_lost = _effective_loss_flags(timeline, result)
         character = LossCharacter(
-            ppl=100.0 * p_loss,
-            burst_r=burst_ratio(effective_lost).burst_r,
+            ppl=100.0 * result.p_loss,
+            burst_r=burst_ratio(result.effective_lost).burst_r,
         )
-        mean_playout_delay = _mean_playout_delay(timeline, result)
-        score = compute_r_factor(profiles[codec], character, mean_playout_delay)
+        score = compute_r_factor(profiles[codec], character, result.mean_playout_delay_ms)
         record = FlowRecord(
             flow_id=flow_id,
             codec=codec,
             tx_packets=timeline.tx_count,
             rx_packets=result.received_count,
-            avg_jitter_ms=avg_jitter,
-            max_jitter_ms=max_jitter,
+            avg_jitter_ms=result.avg_jitter_ms,
+            max_jitter_ms=result.max_jitter_ms,
             r_factor=score.r_factor,
         )
         yield FlowOutcome(
             record=record,
-            p_loss=p_loss,
+            p_loss=result.p_loss,
             loss_character=character,
             score=score,
             jbe_result=result,
             loss_model=loss_model,
             jitter_model=jitter_model,
         )
-
-
-def _effective_loss_flags(timeline: PacketTimeline, result: JbeResult) -> list[bool]:
-    late_seqs = {e.seq for e in result.playout if e.status is PlayoutStatus.LATE}
-    return [p.arrival_time_ms is None or p.seq in late_seqs for p in timeline.packets]
-
-
-def _mean_playout_delay(timeline: PacketTimeline, result: JbeResult) -> float:
-    sends = {p.seq: p.send_time_ms for p in timeline.packets}
-    delays = [e.playout_time_ms - sends[e.seq] for e in result.playout]
-    return sum(delays) / len(delays) if delays else 0.0
 
 
 def synthesize_dataset(
@@ -520,12 +497,4 @@ def load_sim_config(source: IO[str] | str) -> tuple[SimSpec, dict[Codec, CodecPr
         jitter_models=_build_jitter_models(section.get("jitter_models", "none"), base_delay),
         jbe=jbe,
     )
-
-    profile_text_parts = []
-    for codec in Codec:
-        if parser.has_section(codec.value):
-            profile_text_parts.append(f"[{codec.value}]")
-            for key, value in parser.items(codec.value):
-                profile_text_parts.append(f"{key} = {value}")
-    profiles = load_profiles("\n".join(profile_text_parts)) if profile_text_parts else dict(DEFAULT_PROFILES)
-    return spec, profiles
+    return spec, profiles_from_parser(parser)

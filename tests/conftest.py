@@ -6,7 +6,7 @@ import numpy as np
 
 from volteqa.emodel import CodecProfile
 from volteqa.ingest import Codec
-from volteqa.jitter_buffer import PacketEvent, PacketTimeline
+from volteqa.jitter_buffer import JbeResult, PacketEvent, PacketTimeline, PlayoutStatus
 from volteqa.simulate import GilbertElliottLoss
 
 # Exponential decay targeted by the narrowband quality-versus-loss analysis.
@@ -87,3 +87,32 @@ def timeline_from_delays(delays, ptime_ms: float = 20.0) -> PacketTimeline:
         send = seq * ptime_ms
         rows.append((seq, send, None if delay is None else send + delay))
     return make_timeline(rows, ptime_ms)
+
+
+def reference_jbe_figures(timeline: PacketTimeline, result: JbeResult) -> dict:
+    """Scalar oracle for the per-flow figures ``run_jbe`` measures in its pass.
+
+    Each figure is recomputed by its own plain walk over the timeline or the
+    play-out schedule: transit jitter over consecutive received packets,
+    lost-or-late flags from the play-out statuses, the mean of play-out
+    time minus send time, and (lost + late) / received clamped to 1.
+    """
+    received = [p for p in timeline.packets if p.arrival_time_ms is not None]
+    jitter = [
+        abs((b.arrival_time_ms - a.arrival_time_ms) - (b.send_time_ms - a.send_time_ms))
+        for a, b in zip(received, received[1:])
+    ]
+    late_seqs = {e.seq for e in result.playout if e.status is PlayoutStatus.LATE}
+    sends = {p.seq: p.send_time_ms for p in timeline.packets}
+    delays = [e.playout_time_ms - sends[e.seq] for e in result.playout]
+    lost = timeline.tx_count - len(received)
+    return {
+        "avg_jitter_ms": sum(jitter) / len(jitter) if jitter else None,
+        "max_jitter_ms": max(jitter) if jitter else None,
+        "effective_lost": tuple(
+            p.arrival_time_ms is None or p.seq in late_seqs for p in timeline.packets
+        ),
+        "mean_playout_delay_ms": sum(delays) / len(delays) if delays else 0.0,
+        "p_loss": min(1.0, (lost + len(late_seqs)) / len(received)) if received else 1.0,
+    }
+

@@ -15,6 +15,7 @@ from conftest import (
     burst_sweep,
     exp_curve,
     line_curve,
+    reference_jbe_figures,
     timeline_from_delays,
 )
 from volteqa.analytics import bin_series, fit_exponential, fit_linear
@@ -27,7 +28,7 @@ from volteqa.emodel import (
     ie_eff,
 )
 from volteqa.ingest import Codec
-from volteqa.jitter_buffer import JbeConfig, estimate_ploss, run_jbe
+from volteqa.jitter_buffer import JbeConfig, run_jbe
 from volteqa.simulate import (
     FlowOutcome,
     GilbertElliottLoss,
@@ -140,6 +141,9 @@ def test_criterion_4_jbe_property_suite():
             violations.append((case, "played before arrival"))
         if result != run_jbe(timeline, config):
             violations.append((case, "nondeterministic"))
+        expected = reference_jbe_figures(timeline, result)
+        if {key: getattr(result, key) for key in expected} != expected:
+            violations.append((case, "one-pass figures differ from the scalar oracle"))
         roomier = run_jbe(timeline, JbeConfig(initial_delay_ms=config.initial_delay_ms + 35.0))
         if roomier.late_count > result.late_count:
             violations.append((case, "more delay increased late count"))
@@ -147,7 +151,7 @@ def test_criterion_4_jbe_property_suite():
             if result.late_count != 0:
                 violations.append((case, "late packets under zero jitter"))
             raw = min(1.0, result.lost_count / result.received_count)
-            if abs(estimate_ploss(result) - raw) > 1e-12:
+            if abs(result.p_loss - raw) > 1e-12:
                 violations.append((case, "p_loss != raw loss under zero jitter"))
     ok = not violations
     report(4, "jitter-buffer property suite", ok,

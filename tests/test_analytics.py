@@ -1,5 +1,7 @@
 """Binning, curve fitting, goodness of fit, and surface grid tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,12 @@ def test_bin_series_counts_out_of_range():
     series = bin_series([(-0.01, 1.0), (0.21, 1.0), (0.1, 1.0)])
     assert series.out_of_range == 2
     assert sum(series.counts()) == 1
+
+
+def test_bin_series_counts_nan_out_of_range():
+    series = bin_series([(math.nan, 50.0), (0.01, 60.0)])
+    assert series.out_of_range == 1
+    assert series.counts() == [1] + [0] * 9
 
 
 def test_bin_series_is_permutation_invariant_and_lossless():
@@ -305,6 +313,13 @@ def test_surface_grid_counts_out_of_range():
     grid = surface_grid([(0.3, 5.0, 50.0), (0.1, 50.0, 50.0), (0.1, 5.0, 50.0)], spec)
     assert grid.out_of_range == 2
     assert sum(map(sum, grid.counts)) == 1
+
+
+def test_surface_grid_counts_nan_out_of_range():
+    spec = GridSpec.uniform(2, (0.0, 0.2), 2, (0.0, 10.0))
+    grid = surface_grid([(math.nan, 5.0, 50.0), (0.1, math.nan, 50.0), (0.15, 2.0, 60.0)], spec)
+    assert grid.out_of_range == 2
+    assert grid.counts == ((0, 0), (1, 0))
 
 
 def test_surface_grid_empty_cells_flagged():

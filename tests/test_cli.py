@@ -392,6 +392,74 @@ def test_report_wideband_dominates_narrowband_cellwise(tmp_path):
     assert compared >= 3
 
 
+# ------------------------------------------------------- scored input
+
+
+def _scored_rows():
+    return [
+        {
+            "flow_id": f"f{i}",
+            "codec": "AMR",
+            "tx_packets": "100",
+            "rx_packets": "99",
+            "avg_jitter_ms": "1.0",
+            "max_jitter_ms": repr(float(1 + i % 7)),
+            "r_factor": repr(float(90 - 150 * x)),
+            "p_loss": repr(float(x)),
+            "mos": "",
+            "r_factor_computed": "",
+        }
+        for i, x in enumerate(np.repeat(BIN_MEDIANS, 3))
+    ]
+
+
+def _write_rows(path: Path, rows):
+    with path.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, SCORED_HEADER.split(","), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize(
+    "command,column,value,reason",
+    [
+        ("fit", "p_loss", "", "p_loss empty"),
+        ("fit", "p_loss", "abc", "p_loss not a number"),
+        ("fit", "p_loss", "nan", "p_loss not finite"),
+        ("fit", "r_factor", "abc", "r_factor not a number"),
+        ("fit", "r_factor", "", "r_factor_computed empty"),
+        ("fit", "codec", "EVS", "unknown codec"),
+        ("report", "p_loss", "", "p_loss empty"),
+        ("report", "p_loss", "nan", "p_loss not finite"),
+        ("report", "max_jitter_ms", "abc", "max_jitter_ms not a number"),
+        ("report", "max_jitter_ms", "inf", "max_jitter_ms not finite"),
+        ("report", "r_factor", "-inf", "r_factor not finite"),
+    ],
+)
+def test_malformed_scored_cell_is_a_counted_skip(tmp_path, capsys, command, column, value, reason):
+    good = _scored_rows()
+    bad = dict(good[0], flow_id="bad", **{column: value})
+    _write_rows(tmp_path / "clean.csv", good)
+    _write_rows(tmp_path / "dirty.csv", good[:5] + [bad] + good[5:])
+    _write_rows(tmp_path / "broken.csv", [dict(row, **{column: value}) for row in good])
+    suffixes = (".json", ".bins.csv") if command == "fit" else (".csv",)
+
+    def outputs(stem):
+        return [(tmp_path / f"out_{stem}").with_suffix(s).read_bytes() for s in suffixes]
+
+    for stem in ("clean", "dirty", "broken"):
+        out = (tmp_path / f"out_{stem}").with_suffix(suffixes[0])
+        code = run(command, "--input", tmp_path / f"{stem}.csv", "--output", out)
+        err = capsys.readouterr().err
+        if stem == "dirty":
+            assert code == 0
+            assert f"skipped rows: {reason}=1\n" in err
+        else:
+            assert code in (0, 1)
+    # The skipped row leaves no trace in the outputs.
+    assert outputs("dirty") == outputs("clean")
+
+
 # ------------------------------------------------------------------ misc
 
 

@@ -1,21 +1,16 @@
 """Jitter computation and play-out buffer emulation tests."""
 
 import io
-import math
 
 import numpy as np
 import pytest
 
-from conftest import make_timeline, timeline_from_delays
+from conftest import make_timeline, reference_jbe_figures, timeline_from_delays
 from volteqa.jitter_buffer import (
     EmptyFlowError,
     JbeConfig,
-    JbeResult,
-    NotEnoughPacketsError,
     PacketTimeline,
     PlayoutStatus,
-    compute_transit_jitter,
-    estimate_ploss,
     run_jbe,
     timeline_from_csv,
     timeline_to_csv,
@@ -39,44 +34,31 @@ def test_timeline_allows_seq_gaps_on_grid():
 
 
 def test_jitter_zero_for_constant_delay():
-    timeline = timeline_from_delays([30.0] * 10)
-    per_packet, avg, peak = compute_transit_jitter(timeline)
-    assert per_packet == [0.0] * 9
-    assert avg == 0.0
-    assert peak == 0.0
+    result = run_jbe(timeline_from_delays([30.0] * 10))
+    assert result.avg_jitter_ms == 0.0
+    assert result.max_jitter_ms == 0.0
 
 
 def test_jitter_hand_example():
     # Sends at 0, 20, 40 and arrivals at 10, 35, 50:
     # |(35-10) - 20| = 5 and |(50-35) - 20| = 5.
-    timeline = make_timeline([(0, 0.0, 10.0), (1, 20.0, 35.0), (2, 40.0, 50.0)])
-    per_packet, avg, peak = compute_transit_jitter(timeline)
-    assert per_packet == [5.0, 5.0]
-    assert avg == 5.0
-    assert peak == 5.0
+    result = run_jbe(make_timeline([(0, 0.0, 10.0), (1, 20.0, 35.0), (2, 40.0, 50.0)]))
+    assert result.avg_jitter_ms == 5.0
+    assert result.max_jitter_ms == 5.0
 
 
 def test_jitter_skips_lost_packets():
-    delays = [10.0, None, 12.0, 10.0]
-    timeline = timeline_from_delays(delays)
-    per_packet, avg, peak = compute_transit_jitter(timeline)
-
-    # Independent oracle: recompute over surviving packets only.
-    received = [p for p in timeline.packets if p.arrival_time_ms is not None]
-    expected = [
-        abs(
-            (b.arrival_time_ms - a.arrival_time_ms) - (b.send_time_ms - a.send_time_ms)
-        )
-        for a, b in zip(received, received[1:])
-    ]
-    assert per_packet == expected
-    assert avg == pytest.approx(sum(expected) / len(expected))
-    assert peak == max(expected)
+    # Received seqs 0, 2, 3 arrive at 10, 52, 80; the sample across the
+    # gap compares seq 2 with seq 0: |(52-10) - 40| = 2, then |(80-52) - 20| = 8.
+    result = run_jbe(timeline_from_delays([10.0, None, 12.0, 20.0]))
+    assert result.avg_jitter_ms == 5.0
+    assert result.max_jitter_ms == 8.0
 
 
 def test_jitter_needs_two_received_packets():
-    with pytest.raises(NotEnoughPacketsError):
-        compute_transit_jitter(timeline_from_delays([10.0, None, None]))
+    result = run_jbe(timeline_from_delays([10.0, None, None]))
+    assert result.avg_jitter_ms is None
+    assert result.max_jitter_ms is None
 
 
 def test_jbe_zero_jitter_keeps_initial_delay():
@@ -88,7 +70,8 @@ def test_jbe_zero_jitter_keeps_initial_delay():
     for event, packet in zip(result.playout, timeline.packets):
         assert event.playout_time_ms == packet.arrival_time_ms + 50.0
         assert event.status is PlayoutStatus.BUFFERED
-    assert estimate_ploss(result) == 0.0
+    assert result.p_loss == 0.0
+    assert result.mean_playout_delay_ms == 30.0 + 50.0
 
 
 def test_jbe_all_lost_except_first():
@@ -97,7 +80,8 @@ def test_jbe_all_lost_except_first():
     assert result.lost_count == 9
     assert result.received_count == 1
     assert result.playout[0].playout_time_ms == 15.0 + 50.0
-    assert estimate_ploss(result) == 1.0  # raw 9/1 clamps
+    assert result.p_loss == 1.0  # raw 9/1 clamps
+    assert result.avg_jitter_ms is None
 
 
 def test_jbe_hand_stepped_five_packets():
@@ -124,6 +108,13 @@ def test_jbe_hand_stepped_five_packets():
     ]
     assert result.late_count == 1
     assert result.lost_count == 0
+    assert result.effective_lost == (False, False, False, True, False)
+    assert result.p_loss == 1 / 5
+    # Jitter samples 0, 0, |(250-50) - 20| = 180 and |(90-250) - 20| = 180.
+    assert result.avg_jitter_ms == 90.0
+    assert result.max_jitter_ms == 180.0
+    # Play-out minus send: 60, 60, 60, 190 and 240.
+    assert result.mean_playout_delay_ms == 122.0
 
 
 def test_jbe_on_time_status_at_exact_schedule():
@@ -144,8 +135,10 @@ def test_jbe_fully_lost_flow():
     assert result.received_count == 0
     assert result.lost_count == 5
     assert result.playout == ()
+    assert result.effective_lost == (True,) * 5
     assert result.p_loss == 1.0
-    assert math.isinf(result.p_loss_raw)
+    assert result.avg_jitter_ms is None
+    assert result.mean_playout_delay_ms == 0.0
 
 
 def test_jbe_anchors_on_first_received_packet():
@@ -154,17 +147,6 @@ def test_jbe_anchors_on_first_received_packet():
     first = result.playout[0]
     assert first.seq == 1
     assert first.playout_time_ms == 50.0 + 50.0  # arrival of seq 1, plus initial delay
-
-
-def test_estimate_ploss_arithmetic():
-    def result_with(lost, late, received):
-        return JbeResult((), lost, late, received, 0.0, 0.0)
-
-    assert estimate_ploss(result_with(5, 2, 95)) == pytest.approx(7 / 95)
-    assert estimate_ploss(result_with(0, 0, 100)) == 0.0
-    # 10 tx, 2 rx, 1 late: raw 9/2 = 4.5 clamps to 1.
-    assert estimate_ploss(result_with(8, 1, 2)) == 1.0
-    assert estimate_ploss(result_with(0, 0, 0)) == 1.0
 
 
 def test_config_validation():
@@ -211,13 +193,15 @@ def test_jbe_randomized_property_sweep():
         assert result.late_count <= result.received_count
         # Determinism.
         assert run_jbe(timeline, config) == result
+        # The one-pass figures equal their plain re-walks exactly.
+        expected = reference_jbe_figures(timeline, result)
+        assert {key: getattr(result, key) for key in expected} == expected
         # More initial delay never creates more late packets.
         roomier = run_jbe(timeline, JbeConfig(initial_delay_ms=config.initial_delay_ms + 40.0))
         assert roomier.late_count <= result.late_count
         if zero_jitter and result.received_count:
             assert result.late_count == 0
-            expected = min(1.0, result.lost_count / result.received_count)
-            assert estimate_ploss(result) == pytest.approx(expected)
+            assert result.p_loss == pytest.approx(min(1.0, result.lost_count / result.received_count))
 
 
 def test_timeline_csv_round_trip():
