@@ -6,7 +6,7 @@ simulation, and binned quality-versus-loss regression.
 """
 
 from volteqa.ingest import Codec, Bandwidth, FlowRecord, DatasetSummary, RejectReason
-from volteqa.jitter_buffer import PacketTimeline, PacketEvent, JbeConfig, JbeResult
+from volteqa.jitter_buffer import PacketTimeline, JbeConfig, JbeResult
 from volteqa.emodel import CodecProfile, LossCharacter, QualityScore
 from volteqa.analytics import FitResult, BinnedSeries, SurfaceGrid
 
@@ -19,7 +19,6 @@ __all__ = [
     "DatasetSummary",
     "RejectReason",
     "PacketTimeline",
-    "PacketEvent",
     "JbeConfig",
     "JbeResult",
     "CodecProfile",

@@ -302,6 +302,9 @@ def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> Non
 def cmd_fit(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range, "--range")
     groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss",))
+    if args.weighted and args.raw_points:
+        print("warning: --weighted is ignored with --raw-points: raw points are fitted unweighted",
+              file=sys.stderr)
 
     doc: dict = {"bins": args.bins, "range": [lo, hi], "codecs": {}}
     labelled_series: list[tuple[str, BinnedSeries]] = []

@@ -1,6 +1,6 @@
 """Receiver-side adaptive jitter buffer emulation over packet timelines.
 
-The emulator replays a flow's per-packet send/arrival events through an
+The emulator replays a flow's per-packet send/arrival times through an
 adaptive play-out buffer: packets arriving early are held until their
 scheduled play-out instant, packets arriving after it are forwarded
 immediately and counted as late.  Late and lost packets together define
@@ -10,11 +10,11 @@ the effective packet-loss rate of the flow.
 from __future__ import annotations
 
 import csv
-import enum
 import math
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import IO
+
+import numpy as np
 
 SEND_GRID_TOLERANCE_MS = 1e-6
 
@@ -23,44 +23,53 @@ class EmptyFlowError(ValueError):
     """Raised when a timeline carries no packets at all."""
 
 
-@dataclass(frozen=True)
-class PacketEvent:
-    """One packet of a flow; ``arrival_time_ms`` is None for a lost packet."""
-
-    seq: int
-    send_time_ms: float
-    arrival_time_ms: float | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PacketTimeline:
-    """Ordered per-packet send/arrival events on a fixed packetization grid."""
+    """One flow's packets as columns on a fixed packetization grid.
+
+    ``seq``, ``send_ms`` and ``arrival_ms`` hold one entry per transmitted
+    packet, in send order; a NaN arrival marks a lost packet.  The columns
+    are stored as read-only int64/float64 copies.
+    """
 
     ptime_ms: float
-    packets: tuple[PacketEvent, ...]
+    seq: np.ndarray
+    send_ms: np.ndarray
+    arrival_ms: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.ptime_ms <= 0:
-            raise ValueError(f"ptime_ms must be positive, got {self.ptime_ms}")
-        object.__setattr__(self, "packets", tuple(self.packets))
-        for prev, cur in pairwise(self.packets):
-            if cur.seq <= prev.seq:
-                raise ValueError(f"seq not strictly increasing at seq={cur.seq}")
-        if self.packets:
-            first = self.packets[0]
-            for pkt in self.packets:
-                expected = first.send_time_ms + (pkt.seq - first.seq) * self.ptime_ms
-                if abs(pkt.send_time_ms - expected) > SEND_GRID_TOLERANCE_MS:
-                    raise ValueError(
-                        f"send time off the ptime grid at seq={pkt.seq}: "
-                        f"{pkt.send_time_ms} != {expected}"
-                    )
-                if pkt.arrival_time_ms is not None and pkt.arrival_time_ms < pkt.send_time_ms:
-                    raise ValueError(f"arrival before send at seq={pkt.seq}")
+        if not (math.isfinite(self.ptime_ms) and self.ptime_ms > 0):
+            raise ValueError(f"ptime_ms must be positive and finite, got {self.ptime_ms}")
+        seq = np.array(self.seq, dtype=np.int64)
+        send = np.array(self.send_ms, dtype=np.float64)
+        arrival = np.array(self.arrival_ms, dtype=np.float64)
+        if seq.ndim != 1 or seq.shape != send.shape or seq.shape != arrival.shape:
+            raise ValueError(
+                f"columns must be 1-D and of equal length, got shapes "
+                f"{seq.shape}, {send.shape}, {arrival.shape}"
+            )
+        for name, column in (("seq", seq), ("send_ms", send), ("arrival_ms", arrival)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        _first_failure(np.diff(seq) <= 0, seq[1:], "seq not strictly increasing")
+        _first_failure(~np.isfinite(send), seq, "send time not finite")
+        _first_failure(np.isinf(arrival), seq, "arrival time infinite")
+        if seq.size:
+            expected = send[0] + (seq - seq[0]) * self.ptime_ms
+            _first_failure(
+                np.abs(send - expected) > SEND_GRID_TOLERANCE_MS, seq, "send time off the ptime grid"
+            )
+        # NaN (lost) compares false, so only received packets can fail.
+        _first_failure(arrival < send, seq, "arrival before send")
 
     @property
     def tx_count(self) -> int:
-        return len(self.packets)
+        return self.seq.size
+
+
+def _first_failure(failed: np.ndarray, seq: np.ndarray, message: str) -> None:
+    if failed.any():
+        raise ValueError(f"{message} at seq={seq[np.argmax(failed)]}")
 
 
 @dataclass(frozen=True)
@@ -80,35 +89,25 @@ class JbeConfig:
             raise ValueError("safety_factor must be positive")
 
 
-class PlayoutStatus(str, enum.Enum):
-    BUFFERED = "buffered"
-    ON_TIME = "on_time"
-    LATE = "late"
-
-
-@dataclass(frozen=True)
-class PlayoutEvent:
-    seq: int
-    playout_time_ms: float
-    status: PlayoutStatus
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JbeResult:
     """Play-out schedule plus the loss, jitter and delay figures of one emulated flow.
 
-    ``effective_lost`` holds one flag per transmitted packet, set when the
-    packet was lost or played late.  ``p_loss`` is the effective loss
-    (lost + late) / received, clamped to [0, 1]; a flow with nothing
-    received counts as fully lost.  Jitter is the instantaneous transit
-    jitter |delta(arrival) - delta(send)| between consecutive received
-    packets, across loss gaps; its mean and maximum are None with fewer
-    than two received packets.  The mean play-out delay is taken over
-    received packets, from send to play-out, and is 0.0 with none.
+    ``playout_ms``, ``late`` and ``effective_lost`` hold one entry per
+    transmitted packet: the play-out instant (NaN for a lost packet),
+    whether the packet played late, and whether it was lost or late.
+    ``p_loss`` is the effective loss (lost + late) / received, clamped to
+    [0, 1]; a flow with nothing received counts as fully lost.  Jitter is
+    the instantaneous transit jitter |delta(arrival) - delta(send)|
+    between consecutive received packets, across loss gaps; its mean and
+    maximum are None with fewer than two received packets.  The mean
+    play-out delay is taken over received packets, from send to play-out,
+    and is 0.0 with none.
     """
 
-    playout: tuple[PlayoutEvent, ...]
-    effective_lost: tuple[bool, ...]
+    playout_ms: np.ndarray
+    late: np.ndarray
+    effective_lost: np.ndarray
     lost_count: int
     late_count: int
     received_count: int
@@ -131,76 +130,69 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
     forwarded immediately at its arrival time and counted late.  Held
     packets never play earlier than a previously held packet (single
     play-out head).
+
+    Only the jitter window sum is computed packet by packet.  The last
+    held play-out instant before a packet equals the running maximum of
+    the raw schedules (anchor plus send offset plus headroom) of the
+    earlier packets that arrived by their raw schedule, so it is a prefix
+    maximum rather than sequential state.
     """
-    if not timeline.packets:
+    if not timeline.tx_count:
         raise EmptyFlowError("timeline has no packets")
 
-    lost_count = 0
-    late_count = 0
-    playout: list[PlayoutEvent] = []
-    effective_lost: list[bool] = []
-    playout_delays: list[float] = []
-    jitter_samples: list[float] = []
+    received = ~np.isnan(timeline.arrival_ms)
+    arrival = timeline.arrival_ms[received]
+    send = timeline.send_ms[received]
+    received_count = arrival.size
+    jitter = np.abs(np.diff(arrival) - np.diff(send)).tolist()
+
+    # Window sums after each jitter sample.  The plain loop keeps the float
+    # rounding of the running sum.  Sample i - window leaves the window as
+    # sample i enters; the padding subtracts 0.0, which is exact.  Samples
+    # are non-negative, so the sum is kept from drifting below zero through
+    # float cancellation.
     window = config.window
+    leaving = [0.0] * min(window, len(jitter)) + jitter
+    window_sums = []
     window_sum = 0.0
-    anchor: PacketEvent | None = None
-    prev_received: PacketEvent | None = None
-    last_held_playout = -math.inf
+    for old, new in zip(leaving, jitter):
+        window_sum = window_sum - old + new
+        if window_sum < 0.0:
+            window_sum = 0.0
+        window_sums.append(window_sum)
+    # Received packet k >= 2 sees the k - 1 samples taken before it.
+    headroom = np.zeros(received_count)
+    headroom[2:] = config.safety_factor * (
+        np.array(window_sums[:-1]) / np.minimum(np.arange(1, received_count - 1), window)
+    )
+    raw = arrival[:1] + config.initial_delay_ms + (send - send[:1]) + headroom
+    held_max = np.maximum.accumulate(np.where(arrival <= raw, raw, -np.inf))
+    scheduled = raw.copy()
+    scheduled[1:] = np.maximum(raw[1:], held_max[:-1])
+    late = arrival > scheduled
+    playout = np.where(late, arrival, scheduled)
 
-    for pkt in timeline.packets:
-        arrival, send = pkt.arrival_time_ms, pkt.send_time_ms
-        if arrival is None:
-            lost_count += 1
-            effective_lost.append(True)
-            continue
-        if anchor is None:
-            anchor = pkt
-        window_len = min(len(jitter_samples), window)
-        headroom = config.safety_factor * (window_sum / window_len) if window_len else 0.0
-        scheduled = (
-            anchor.arrival_time_ms
-            + config.initial_delay_ms
-            + (send - anchor.send_time_ms)
-            + headroom
-        )
-        scheduled = max(scheduled, last_held_playout)
-        late = arrival > scheduled
-        if late:
-            late_count += 1
-            playout_time = arrival
-            status = PlayoutStatus.LATE
-        else:
-            playout_time = scheduled
-            status = PlayoutStatus.ON_TIME if arrival == scheduled else PlayoutStatus.BUFFERED
-            last_held_playout = scheduled
-        playout.append(PlayoutEvent(pkt.seq, playout_time, status))
-        effective_lost.append(late)
-        playout_delays.append(playout_time - send)
-        if prev_received is not None:
-            jitter = abs(
-                (arrival - prev_received.arrival_time_ms) - (send - prev_received.send_time_ms)
-            )
-            if len(jitter_samples) >= window:
-                window_sum -= jitter_samples[-window]  # leaves the window
-            jitter_samples.append(jitter)
-            # Samples are non-negative, so keep the running sum from drifting
-            # below zero through float cancellation.
-            window_sum = max(window_sum + jitter, 0.0)
-        prev_received = pkt
-
-    received_count = len(playout)
-    # Means take sum() over the lists, not a running total: sum() of floats
-    # is compensated on Python >= 3.12, and datasets depend on its rounding.
+    late_count = int(np.count_nonzero(late))
+    lost_count = timeline.tx_count - received_count
+    playout_ms = np.full(timeline.tx_count, np.nan)
+    playout_ms[received] = playout
+    late_flags = np.zeros(timeline.tx_count, dtype=bool)
+    late_flags[received] = late
+    # Means take sum() over lists, not a running total or a numpy sum: sum()
+    # of floats is compensated on Python >= 3.12, and datasets depend on
+    # its rounding.
+    delays = (playout - send).tolist()
     return JbeResult(
-        playout=tuple(playout),
-        effective_lost=tuple(effective_lost),
+        playout_ms=playout_ms,
+        late=late_flags,
+        effective_lost=~received | late_flags,
         lost_count=lost_count,
         late_count=late_count,
         received_count=received_count,
         p_loss=min(1.0, (lost_count + late_count) / received_count) if received_count else 1.0,
-        avg_jitter_ms=sum(jitter_samples) / len(jitter_samples) if jitter_samples else None,
-        max_jitter_ms=max(jitter_samples) if jitter_samples else None,
-        mean_playout_delay_ms=sum(playout_delays) / received_count if received_count else 0.0,
+        avg_jitter_ms=sum(jitter) / len(jitter) if jitter else None,
+        max_jitter_ms=max(jitter) if jitter else None,
+        mean_playout_delay_ms=sum(delays) / received_count if received_count else 0.0,
     )
 
 
@@ -212,38 +204,42 @@ def timeline_to_csv(timeline: PacketTimeline, stream: IO[str]) -> None:
     (empty arrival field = lost)."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(TIMELINE_COLUMNS)
-    for pkt in timeline.packets:
-        arrival = "" if pkt.arrival_time_ms is None else repr(pkt.arrival_time_ms)
-        writer.writerow([pkt.seq, repr(pkt.send_time_ms), arrival])
+    columns = (timeline.seq.tolist(), timeline.send_ms.tolist(), timeline.arrival_ms.tolist())
+    for seq, send, arrival in zip(*columns):
+        writer.writerow([seq, repr(send), "" if math.isnan(arrival) else repr(arrival)])
+
+
+def _finite_float(text: str, seq: str, column: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{column} not finite at seq={seq}: {text!r}")
+    return value
 
 
 def timeline_from_csv(stream: IO[str], ptime_ms: float | None = None) -> PacketTimeline:
     """Read a timeline written by :func:`timeline_to_csv`.
 
-    When ``ptime_ms`` is omitted it is inferred from the first two rows;
-    a single-packet file falls back to 20 ms.
+    An empty arrival field is the only marker of a lost packet, so
+    ``nan`` or ``inf`` text in either time column is an error.  When
+    ``ptime_ms`` is omitted it is inferred from the first two rows; a
+    single-packet file falls back to 20 ms.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or tuple(header) != TIMELINE_COLUMNS:
         found = "nothing" if header is None else ",".join(header)
         raise ValueError(f"bad timeline header: {found}; expected {','.join(TIMELINE_COLUMNS)}")
-    packets = []
+    seqs, sends, arrivals = [], [], []
     for row in reader:
         if not row:
             continue
         seq, send, arrival = row
-        packets.append(
-            PacketEvent(
-                seq=int(seq),
-                send_time_ms=float(send),
-                arrival_time_ms=None if arrival == "" else float(arrival),
-            )
-        )
+        seqs.append(int(seq))
+        sends.append(_finite_float(send, seq, "send_time_ms"))
+        arrivals.append(math.nan if arrival == "" else _finite_float(arrival, seq, "arrival_time_ms"))
     if ptime_ms is None:
-        if len(packets) >= 2:
-            a, b = packets[0], packets[1]
-            ptime_ms = (b.send_time_ms - a.send_time_ms) / (b.seq - a.seq)
+        if len(seqs) >= 2:
+            ptime_ms = (sends[1] - sends[0]) / (seqs[1] - seqs[0])
         else:
             ptime_ms = 20.0
-    return PacketTimeline(ptime_ms=ptime_ms, packets=tuple(packets))
+    return PacketTimeline(ptime_ms=ptime_ms, seq=seqs, send_ms=sends, arrival_ms=arrivals)

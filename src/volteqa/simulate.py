@@ -30,7 +30,7 @@ from volteqa.emodel import (
     profiles_from_parser,
 )
 from volteqa.ingest import Codec, FlowRecord
-from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketEvent, PacketTimeline, run_jbe
+from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketTimeline, run_jbe
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -111,16 +111,20 @@ class GilbertElliottLoss:
         transitions = rng.random(n)
         emissions = rng.random(n)
         bad = rng.random() < self.stationary_bad_probability()
-        lost = np.empty(n, dtype=bool)
-        for i in range(n):
-            rate = self.loss_bad if bad else self.loss_good
-            lost[i] = emissions[i] < rate
-            if bad:
-                if transitions[i] < self.p_bad_to_good:
-                    bad = False
-            elif transitions[i] < self.p_good_to_bad:
-                bad = True
-        return lost
+        # Packet i emits in the state before transition draw i.  A draw
+        # below both thresholds toggles the state, a draw below exactly one
+        # forces it (bad below p_good_to_bad, good below p_bad_to_good) and
+        # any other draw keeps it.  So the state after a step is the state
+        # set at the last force (the start counting as one), flipped once
+        # per toggle since then.
+        to_bad = transitions < self.p_good_to_bad
+        to_good = transitions < self.p_bad_to_good
+        forced = np.concatenate(([True], to_bad != to_good))
+        set_bad = np.concatenate(([bad], to_bad))
+        toggles = np.cumsum(np.concatenate(([False], to_bad & to_good)))
+        last_force = np.maximum.accumulate(np.where(forced, np.arange(n + 1), 0))
+        state_bad = set_bad[last_force] ^ ((toggles - toggles[last_force]) % 2 == 1)
+        return emissions < np.where(state_bad[:n], self.loss_bad, self.loss_good)
 
     def spec_string(self) -> str:
         return (
@@ -205,24 +209,20 @@ def synthesize_timeline(
     delayed per the jitter model or dropped per the loss model.
 
     Deterministic given the seed.  Delivery is first-in first-out, so
-    arrivals are made non-decreasing (no reordering).
+    arrivals are made non-decreasing (no reordering): each received packet
+    arrives no earlier than the one received before it.
     """
     if packets < 1:
         raise ValueError(f"packets must be >= 1, got {packets}")
     rng = _rng_from(seed)
     lost = loss.sample(packets, rng)
     delays = jitter.delays(packets, rng)
-    events = []
-    last_arrival = -math.inf
-    for seq in range(packets):
-        send = seq * ptime_ms
-        if lost[seq]:
-            events.append(PacketEvent(seq=seq, send_time_ms=send, arrival_time_ms=None))
-            continue
-        arrival = max(send + delays[seq], last_arrival, send)
-        last_arrival = arrival
-        events.append(PacketEvent(seq=seq, send_time_ms=send, arrival_time_ms=arrival))
-    return PacketTimeline(ptime_ms=ptime_ms, packets=tuple(events))
+    seq = np.arange(packets)
+    send = seq * ptime_ms
+    sent = send[~lost]
+    arrival = np.full(packets, np.nan)
+    arrival[~lost] = np.maximum.accumulate(np.maximum(sent + delays[~lost], sent))
+    return PacketTimeline(ptime_ms=ptime_ms, seq=seq, send_ms=send, arrival_ms=arrival)
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,6 @@ class FlowOutcome:
     """Full pipeline products for one synthetic flow."""
 
     record: FlowRecord
-    p_loss: float
     loss_character: LossCharacter
     score: QualityScore
     jbe_result: JbeResult
@@ -326,7 +325,7 @@ def iter_flow_outcomes(
             continue
         character = LossCharacter(
             ppl=100.0 * result.p_loss,
-            burst_r=burst_ratio(result.effective_lost).burst_r,
+            burst_r=burst_ratio(result.effective_lost.tolist()).burst_r,
         )
         score = compute_r_factor(profiles[codec], character, result.mean_playout_delay_ms)
         record = FlowRecord(
@@ -340,7 +339,6 @@ def iter_flow_outcomes(
         )
         yield FlowOutcome(
             record=record,
-            p_loss=result.p_loss,
             loss_character=character,
             score=score,
             jbe_result=result,

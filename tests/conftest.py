@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from volteqa.emodel import CodecProfile
 from volteqa.ingest import Codec
-from volteqa.jitter_buffer import JbeResult, PacketEvent, PacketTimeline, PlayoutStatus
+from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketTimeline
 from volteqa.simulate import GilbertElliottLoss
 
 # Exponential decay targeted by the narrowband quality-versus-loss analysis.
@@ -73,9 +75,12 @@ def burst_sweep(burst_r: float, targets=BIN_MEDIANS) -> list[GilbertElliottLoss]
 
 def make_timeline(rows, ptime_ms: float = 20.0) -> PacketTimeline:
     """Timeline from (seq, send, arrival-or-None) triples."""
+    rows = list(rows)
     return PacketTimeline(
         ptime_ms=ptime_ms,
-        packets=tuple(PacketEvent(seq, send, arrival) for seq, send, arrival in rows),
+        seq=[seq for seq, _, _ in rows],
+        send_ms=[send for _, send, _ in rows],
+        arrival_ms=[math.nan if arrival is None else arrival for _, _, arrival in rows],
     )
 
 
@@ -89,30 +94,114 @@ def timeline_from_delays(delays, ptime_ms: float = 20.0) -> PacketTimeline:
     return make_timeline(rows, ptime_ms)
 
 
-def reference_jbe_figures(timeline: PacketTimeline, result: JbeResult) -> dict:
-    """Scalar oracle for the per-flow figures ``run_jbe`` measures in its pass.
-
-    Each figure is recomputed by its own plain walk over the timeline or the
-    play-out schedule: transit jitter over consecutive received packets,
-    lost-or-late flags from the play-out statuses, the mean of play-out
-    time minus send time, and (lost + late) / received clamped to 1.
-    """
-    received = [p for p in timeline.packets if p.arrival_time_ms is not None]
-    jitter = [
-        abs((b.arrival_time_ms - a.arrival_time_ms) - (b.send_time_ms - a.send_time_ms))
-        for a, b in zip(received, received[1:])
-    ]
-    late_seqs = {e.seq for e in result.playout if e.status is PlayoutStatus.LATE}
-    sends = {p.seq: p.send_time_ms for p in timeline.packets}
-    delays = [e.playout_time_ms - sends[e.seq] for e in result.playout]
-    lost = timeline.tx_count - len(received)
+def jbe_figures(result: JbeResult) -> dict:
+    """A ``run_jbe`` result as plain Python values, comparable with ``==`` to
+    :func:`reference_run_jbe`; a lost packet's play-out instant is None."""
     return {
-        "avg_jitter_ms": sum(jitter) / len(jitter) if jitter else None,
-        "max_jitter_ms": max(jitter) if jitter else None,
-        "effective_lost": tuple(
-            p.arrival_time_ms is None or p.seq in late_seqs for p in timeline.packets
-        ),
-        "mean_playout_delay_ms": sum(delays) / len(delays) if delays else 0.0,
-        "p_loss": min(1.0, (lost + len(late_seqs)) / len(received)) if received else 1.0,
+        "playout_ms": tuple(None if math.isnan(t) else t for t in result.playout_ms.tolist()),
+        "late": tuple(result.late.tolist()),
+        "effective_lost": tuple(result.effective_lost.tolist()),
+        "lost_count": result.lost_count,
+        "late_count": result.late_count,
+        "received_count": result.received_count,
+        "p_loss": result.p_loss,
+        "avg_jitter_ms": result.avg_jitter_ms,
+        "max_jitter_ms": result.max_jitter_ms,
+        "mean_playout_delay_ms": result.mean_playout_delay_ms,
     }
 
+
+def reference_run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> dict:
+    """Scalar oracle for ``run_jbe``: its per-packet loop, kept as a plain copy.
+
+    Returns the same values as :func:`jbe_figures` of a ``run_jbe`` result.
+    """
+    lost_count = 0
+    late_count = 0
+    playout: list[float | None] = []
+    late_flags: list[bool] = []
+    playout_delays: list[float] = []
+    jitter_samples: list[float] = []
+    window = config.window
+    window_sum = 0.0
+    anchor = None
+    prev_received = None
+    last_held_playout = -math.inf
+
+    for send, arrival in zip(timeline.send_ms.tolist(), timeline.arrival_ms.tolist()):
+        if math.isnan(arrival):
+            lost_count += 1
+            playout.append(None)
+            late_flags.append(False)
+            continue
+        if anchor is None:
+            anchor = (send, arrival)
+        window_len = min(len(jitter_samples), window)
+        headroom = config.safety_factor * (window_sum / window_len) if window_len else 0.0
+        scheduled = anchor[1] + config.initial_delay_ms + (send - anchor[0]) + headroom
+        scheduled = max(scheduled, last_held_playout)
+        late = arrival > scheduled
+        if late:
+            late_count += 1
+            playout_time = arrival
+        else:
+            playout_time = scheduled
+            last_held_playout = scheduled
+        playout.append(playout_time)
+        late_flags.append(late)
+        playout_delays.append(playout_time - send)
+        if prev_received is not None:
+            jitter = abs((arrival - prev_received[1]) - (send - prev_received[0]))
+            if len(jitter_samples) >= window:
+                window_sum -= jitter_samples[-window]
+            jitter_samples.append(jitter)
+            window_sum = max(window_sum + jitter, 0.0)
+        prev_received = (send, arrival)
+
+    received_count = len(playout_delays)
+    return {
+        "playout_ms": tuple(playout),
+        "late": tuple(late_flags),
+        "effective_lost": tuple(t is None or late for t, late in zip(playout, late_flags)),
+        "lost_count": lost_count,
+        "late_count": late_count,
+        "received_count": received_count,
+        "p_loss": min(1.0, (lost_count + late_count) / received_count) if received_count else 1.0,
+        "avg_jitter_ms": sum(jitter_samples) / len(jitter_samples) if jitter_samples else None,
+        "max_jitter_ms": max(jitter_samples) if jitter_samples else None,
+        "mean_playout_delay_ms": sum(playout_delays) / received_count if received_count else 0.0,
+    }
+
+
+def reference_ge_sample(model: GilbertElliottLoss, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Scalar oracle for ``GilbertElliottLoss.sample``: its per-packet loop,
+    kept as a plain copy, drawing from ``rng`` in the same order."""
+    transitions = rng.random(n)
+    emissions = rng.random(n)
+    bad = rng.random() < model.stationary_bad_probability()
+    lost = np.empty(n, dtype=bool)
+    for i in range(n):
+        rate = model.loss_bad if bad else model.loss_good
+        lost[i] = emissions[i] < rate
+        if bad:
+            if transitions[i] < model.p_bad_to_good:
+                bad = False
+        elif transitions[i] < model.p_good_to_bad:
+            bad = True
+    return lost
+
+
+def reference_arrivals(lost, delays, ptime_ms: float) -> list[float | None]:
+    """Scalar oracle for the FIFO arrivals of ``synthesize_timeline``, given
+    its loss flags and network delays; None marks a lost packet."""
+    arrivals: list[float | None] = []
+    last_arrival = -math.inf
+    for seq in range(len(lost)):
+        send = seq * ptime_ms
+        if lost[seq]:
+            arrivals.append(None)
+            continue
+        arrival = max(send + delays[seq], last_arrival, send)
+        last_arrival = arrival
+        arrivals.append(arrival)
+    return arrivals

@@ -352,7 +352,7 @@ def test_surface_grid_non_increasing_along_loss_axis():
         jitter_models=(GaussianJitter(3.0, 30.0), GaussianJitter(8.0, 30.0)),
     )
     samples = [
-        (o.p_loss, o.record.max_jitter_ms, o.score.r_factor)
+        (o.jbe_result.p_loss, o.record.max_jitter_ms, o.score.r_factor)
         for o in iter_flow_outcomes(spec, DEFAULT_PROFILES)
         if isinstance(o, FlowOutcome)
     ]

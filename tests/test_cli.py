@@ -330,6 +330,25 @@ def test_fit_weighted_and_raw_flags(tmp_path):
                    "--model", "both", *extra) == 0
 
 
+def test_fit_warns_that_raw_points_ignore_weights(tmp_path, capsys):
+    scored = tmp_path / "scored.csv"
+    rows = [(f"f{i}", "AMR", repr(float(x)), repr(float(90 - 150 * x + (i % 3))))
+            for i, x in enumerate(np.repeat(BIN_MEDIANS, 4))]
+    _write_scored(scored, rows)
+    outputs = {}
+    for name, extra in (("raw", []), ("both", ["--weighted"])):
+        out = tmp_path / name
+        out.mkdir()
+        assert run("fit", "--input", scored, "--output", out / "fit.json",
+                   "--model", "both", "--raw-points", *extra) == 0
+        outputs[name] = [(out / f).read_bytes() for f in ("fit.json", "fit.bins.csv")]
+        err = capsys.readouterr().err
+        assert ("--weighted is ignored with --raw-points" in err) == (name == "both")
+    assert outputs["both"] == outputs["raw"]
+    assert run("fit", "--input", scored, "--output", tmp_path / "fit.json", "--weighted") == 0
+    assert "ignored" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- report
 
 

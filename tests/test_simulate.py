@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import reference_arrivals, reference_ge_sample
 from volteqa.emodel import DEFAULT_PROFILES
 from volteqa.ingest import Codec, validate_record
 from volteqa.simulate import (
@@ -24,14 +25,14 @@ from volteqa.simulate import (
 def test_lossless_constant_delay_timeline():
     timeline = synthesize_timeline(BernoulliLoss(0.0), NoJitter(30.0), packets=50, seed=1)
     assert timeline.tx_count == 50
-    for pkt in timeline.packets:
-        assert pkt.send_time_ms == pkt.seq * 20.0
-        assert pkt.arrival_time_ms == pkt.send_time_ms + 30.0
+    assert np.array_equal(timeline.seq, np.arange(50))
+    assert np.array_equal(timeline.send_ms, timeline.seq * 20.0)
+    assert np.array_equal(timeline.arrival_ms, timeline.send_ms + 30.0)
 
 
 def test_full_loss_timeline():
     timeline = synthesize_timeline(BernoulliLoss(1.0), NoJitter(30.0), packets=20, seed=1)
-    assert all(p.arrival_time_ms is None for p in timeline.packets)
+    assert np.isnan(timeline.arrival_ms).all()
 
 
 def test_timeline_is_seed_deterministic():
@@ -39,25 +40,40 @@ def test_timeline_is_seed_deterministic():
     a = synthesize_timeline(BernoulliLoss(0.2), GaussianJitter(5.0, 30.0), seed=77, **kwargs)
     b = synthesize_timeline(BernoulliLoss(0.2), GaussianJitter(5.0, 30.0), seed=77, **kwargs)
     c = synthesize_timeline(BernoulliLoss(0.2), GaussianJitter(5.0, 30.0), seed=78, **kwargs)
-    assert a == b
-    assert a != c
+    assert np.array_equal(a.arrival_ms, b.arrival_ms, equal_nan=True)
+    assert not np.array_equal(a.arrival_ms, c.arrival_ms, equal_nan=True)
 
 
 def test_arrivals_never_reorder():
     timeline = synthesize_timeline(
         BernoulliLoss(0.0), GaussianJitter(40.0, 30.0), packets=500, seed=5
     )
-    arrivals = [p.arrival_time_ms for p in timeline.packets]
-    assert all(b >= a for a, b in zip(arrivals, arrivals[1:]))
-    assert all(p.arrival_time_ms >= p.send_time_ms for p in timeline.packets)
+    assert (np.diff(timeline.arrival_ms) >= 0).all()
+    assert (timeline.arrival_ms >= timeline.send_ms).all()
+
+
+@pytest.mark.parametrize(
+    "loss, jitter",
+    [
+        (BernoulliLoss(0.3), GaussianJitter(40.0, 30.0)),
+        (GilbertElliottLoss(0.05, 0.3), GammaJitter(2.0, 30.0, 30.0)),
+        (BernoulliLoss(0.0), NoJitter(30.0)),
+        (BernoulliLoss(1.0), GaussianJitter(4.0)),
+    ],
+)
+def test_timeline_arrivals_match_scalar_reference(loss, jitter):
+    for seed in range(20):
+        timeline = synthesize_timeline(loss, jitter, packets=300, ptime_ms=30.0, seed=seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        expected = reference_arrivals(loss.sample(300, rng), jitter.delays(300, rng), 30.0)
+        assert [None if np.isnan(a) else a for a in timeline.arrival_ms.tolist()] == expected
 
 
 def test_gamma_jitter_delays_are_positive():
     timeline = synthesize_timeline(
         BernoulliLoss(0.0), GammaJitter(2.0, 6.0, 10.0), packets=100, seed=9
     )
-    for pkt in timeline.packets:
-        assert pkt.arrival_time_ms >= pkt.send_time_ms + 10.0
+    assert (timeline.arrival_ms >= timeline.send_ms + 10.0).all()
 
 
 def test_gilbert_elliott_stationary_rate_closed_form():
@@ -77,6 +93,40 @@ def test_gilbert_elliott_empirical_rate_matches_closed_form():
     empirical = lost.mean()
     tolerance = 3.0 * model.loss_rate_std_error(n)
     assert abs(empirical - model.stationary_loss_rate()) <= tolerance
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        GilbertElliottLoss(1.0, 1.0),  # every draw toggles the state
+        GilbertElliottLoss(1.0, 1.0, 0.3, 0.7),
+        GilbertElliottLoss(0.1, 0.5, 0.0, 0.0),  # never lost
+        GilbertElliottLoss(0.1, 0.5, 1.0, 1.0),  # always lost
+        GilbertElliottLoss(1.0, 0.0),  # bad state absorbs
+        GilbertElliottLoss(0.0, 0.4, 0.2, 1.0),  # good state absorbs
+        GilbertElliottLoss(0.6, 0.7, 0.1, 0.9),  # both thresholds often crossed
+    ],
+)
+def test_gilbert_elliott_sample_matches_scalar_reference(model):
+    for seed in range(20):
+        for n in (0, 1, 2, 500):
+            fast = np.random.Generator(np.random.PCG64(seed))
+            slow = np.random.Generator(np.random.PCG64(seed))
+            assert np.array_equal(model.sample(n, fast), reference_ge_sample(model, n, slow))
+            # Same draws in the same order: both streams continue in step.
+            assert fast.random() == slow.random()
+
+
+def test_gilbert_elliott_random_models_match_scalar_reference():
+    rng = np.random.default_rng(99)
+    for case in range(200):
+        p_gb, p_bg = rng.random(2)
+        loss_good, loss_bad = np.sort(rng.random(2))
+        model = GilbertElliottLoss(float(p_gb), float(p_bg), float(loss_good), float(loss_bad))
+        n = int(rng.integers(0, 400))
+        fast = np.random.Generator(np.random.PCG64(case))
+        slow = np.random.Generator(np.random.PCG64(case))
+        assert np.array_equal(model.sample(n, fast), reference_ge_sample(model, n, slow))
 
 
 def test_gilbert_elliott_validation():
@@ -199,14 +249,14 @@ def test_outcomes_carry_pipeline_details():
     for outcome in iter_flow_outcomes(spec, DEFAULT_PROFILES):
         assert isinstance(outcome, (FlowOutcome, RejectedFlow))
         if isinstance(outcome, FlowOutcome):
-            assert outcome.loss_character.ppl == pytest.approx(100.0 * outcome.p_loss)
+            assert outcome.loss_character.ppl == pytest.approx(100.0 * outcome.jbe_result.p_loss)
             assert outcome.record.r_factor == outcome.score.r_factor
             expected_p = min(
                 1.0,
                 (outcome.jbe_result.lost_count + outcome.jbe_result.late_count)
                 / outcome.jbe_result.received_count,
             )
-            assert outcome.p_loss == pytest.approx(expected_p)
+            assert outcome.jbe_result.p_loss == pytest.approx(expected_p)
 
 
 def test_spec_digest_tracks_content():
