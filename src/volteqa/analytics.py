@@ -22,15 +22,11 @@ _LAMBDA_MIN = 1e-12
 
 
 class TooFewPointsError(ValueError):
-    """Raised when a fit or statistic has too few input points."""
+    """Raised when a fit has too few input points."""
 
 
 class DegenerateDataError(ValueError):
     """Raised when the inputs leave the requested model unidentifiable."""
-
-
-class ZeroVarianceError(ValueError):
-    """Raised when r-squared is requested for data with no y variance."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,6 @@ class GridSpec:
 class SurfaceGrid:
     """Mean quality and sample count per (loss, jitter) cell."""
 
-    spec: GridSpec
     mean_r: tuple[tuple[float | None, ...], ...]  # [p_cell][j_cell]
     counts: tuple[tuple[int, ...], ...]
     out_of_range: int
@@ -232,8 +227,6 @@ def fit_exponential(
     points: Iterable[tuple[float, float]],
     *,
     weights: Sequence[float] | None = None,
-    max_iterations: int = MAX_LM_ITERATIONS,
-    relative_sse_tol: float = LM_RELATIVE_SSE_TOL,
 ) -> FitResult:
     """Fit ``y = offset + amplitude * exp(-x / decay)`` by Levenberg-Marquardt.
 
@@ -242,10 +235,11 @@ def fit_exponential(
     damped Gauss-Newton steps: the damping factor is multiplied by 10 on a
     rejected step and divided by 10 on an accepted one.  The decay is
     optimized in log space so it stays positive.  Converged means an
-    accepted step reduced the weighted SSE by less than ``relative_sse_tol``
-    of its previous value, or no damped step could reduce it further; the
-    iteration cap leaves ``converged`` False.  Optional weights scale each
-    point's squared residual; the reported r_squared uses the same weights.
+    accepted step reduced the weighted SSE by less than
+    ``LM_RELATIVE_SSE_TOL`` of its previous value, or no damped step could
+    reduce it further; the ``MAX_LM_ITERATIONS`` cap leaves ``converged``
+    False.  Optional weights scale each point's squared residual; the
+    reported r_squared uses the same weights.
     """
     x, y, w = _as_xyw(points, weights)
     if x.size < 4:
@@ -276,7 +270,7 @@ def fit_exponential(
     sse, residuals = weighted_residuals(theta)
     iterations = 0
     converged = False
-    while iterations < max_iterations and not converged:
+    while iterations < MAX_LM_ITERATIONS and not converged:
         iterations += 1
         decay = float(np.exp(theta[2]))
         with np.errstate(over="ignore", under="ignore"):
@@ -302,7 +296,7 @@ def fit_exponential(
             theta, residuals = candidate, candidate_residuals
             previous, sse = sse, candidate_sse
             lam = max(lam / 10.0, _LAMBDA_MIN)
-            if sse == 0.0 or drop <= relative_sse_tol * previous:
+            if sse == 0.0 or drop <= LM_RELATIVE_SSE_TOL * previous:
                 converged = True
         else:
             lam *= 10.0
@@ -358,28 +352,6 @@ def fit_linear(
     )
 
 
-def predict(fit: FitResult, x: Iterable[float] | float) -> np.ndarray:
-    """Evaluate a fitted model at the given x values."""
-    arr = np.asarray(x, dtype=float)
-    if fit.model == "exponential":
-        return exponential_model(arr, fit.params["offset"], fit.params["amplitude"], fit.params["decay"])
-    if fit.model == "linear":
-        return fit.params["intercept"] + fit.params["slope"] * arr
-    raise ValueError(f"unknown model {fit.model!r}")
-
-
-def goodness_of_fit(points: Iterable[tuple[float, float]], fit: FitResult) -> float:
-    """Coefficient of determination of a fitted model on the given points."""
-    pts = list(points)
-    if len(pts) < 2:
-        raise TooFewPointsError(f"r-squared needs >= 2 points, got {len(pts)}")
-    y = np.array([p[1] for p in pts], dtype=float)
-    if np.ptp(y) == 0.0:
-        raise ZeroVarianceError("r-squared is undefined for constant y")
-    x = np.array([p[0] for p in pts], dtype=float)
-    return _r_squared(y, predict(fit, x))
-
-
 def surface_grid(
     samples: Iterable[tuple[float, float, float]],
     spec: GridSpec,
@@ -411,7 +383,6 @@ def surface_grid(
     )
     counts = tuple(tuple(len(cells[i][k]) for k in range(n_j)) for i in range(n_p))
     return SurfaceGrid(
-        spec=spec,
         mean_r=means,
         counts=counts,
         out_of_range=out_of_range,

@@ -9,6 +9,8 @@ across platforms.
 from __future__ import annotations
 
 import argparse
+import configparser
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -18,7 +20,7 @@ import sys
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Callable, Iterator, Sequence, TypeVar
 
 from volteqa import __version__
 from volteqa.analytics import (
@@ -31,7 +33,6 @@ from volteqa.analytics import (
 )
 from volteqa.emodel import (
     DEFAULT_PROFILES,
-    CodecProfile,
     LossCharacter,
     compute_r_factor,
     load_profiles,
@@ -41,6 +42,7 @@ from volteqa.ingest import (
     Codec,
     FlowRecord,
     SchemaError,
+    cdr_row,
     parse_cdr_csv,
     summarize_dataset,
     summary_as_dict,
@@ -51,6 +53,8 @@ from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
 SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
 
 MIN_BINS_FOR_EXPONENTIAL = 4
+
+T = TypeVar("T")
 
 
 class CliError(Exception):
@@ -80,9 +84,17 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
         lo, hi = float(lo_text), float(hi_text)
     except ValueError:
         raise CliError("BAD_RANGE", f"{flag} must be numeric LO:HI, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError("BAD_RANGE", f"{flag} needs finite bounds, got {text!r}")
     if not hi > lo:
         raise CliError("BAD_RANGE", f"{flag} needs HI > LO, got {text!r}")
     return lo, hi
+
+
+def _bin_count(bins: int, flag: str) -> int:
+    if bins < 1:
+        raise CliError("BAD_BINS", f"{flag} must be >= 1, got {bins}")
+    return bins
 
 
 def _codec_filter(name: str) -> Codec | None:
@@ -91,15 +103,40 @@ def _codec_filter(name: str) -> Codec | None:
     return Codec(name)
 
 
-def _load_profile_config(path: str | None) -> dict[Codec, CodecProfile]:
-    if path is None:
-        return dict(DEFAULT_PROFILES)
+@contextlib.contextmanager
+def _open(path: str | Path, kind: str) -> Iterator[IO[str]]:
+    """Open the command's ``kind`` file (INPUT, CONFIG or OUTPUT) as UTF-8
+    text; OUTPUT is opened for writing.
+
+    A file that cannot be opened, and input that is not UTF-8 text or not
+    CSV, end the command with a CliError that names the file.
+    """
+    # A config keeps universal newlines: simulate hashes its text into the meta.
     try:
-        with open(path, encoding="utf-8") as handle:
-            return load_profiles(handle)
-    except FileNotFoundError:
-        raise CliError("CONFIG_NOT_FOUND", f"config file not found: {path}") from None
-    except ValueError as exc:
+        handle = open(
+            path, "w" if kind == "OUTPUT" else "r", encoding="utf-8",
+            newline=None if kind == "CONFIG" else "",
+        )
+    except OSError as exc:
+        if kind == "OUTPUT":
+            raise CliError("OUTPUT_UNWRITABLE", f"cannot write {path}: {exc.strerror}") from None
+        if isinstance(exc, FileNotFoundError):
+            raise CliError(f"{kind}_NOT_FOUND", f"{kind.lower()} file not found: {path}") from None
+        raise CliError(f"{kind}_UNREADABLE", f"cannot read {path}: {exc.strerror}") from None
+    with handle:
+        try:
+            yield handle
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise CliError("CONFIG" if kind == "CONFIG" else "SCHEMA", f"{path}: {exc}") from None
+
+
+def _load_config(path: str, load: Callable[[str], T]) -> tuple[str, T]:
+    """The text of a config file and what ``load`` makes of it."""
+    with _open(path, "CONFIG") as handle:
+        text = handle.read()
+    try:
+        return text, load(text)
+    except (ValueError, configparser.Error) as exc:
         raise CliError("CONFIG", str(exc)) from None
 
 
@@ -113,25 +150,24 @@ def cdr_p_loss(record: FlowRecord) -> float:
     if record.rx_packets == 0:
         return 1.0
     lost = max(0, record.tx_packets - record.rx_packets)
-    return min(1.0, lost / record.rx_packets)
+    # Dividing only when the ratio is below 1 keeps huge counts from overflowing.
+    return 1.0 if lost >= record.rx_packets else lost / record.rx_packets
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    profiles = _load_profile_config(args.config)
+    profiles = DEFAULT_PROFILES if args.config is None else _load_config(args.config, load_profiles)[1]
     wanted = _codec_filter(args.codec)
-    try:
-        with open(args.input, encoding="utf-8", newline="") as handle:
+    with _open(args.input, "INPUT") as handle:
+        try:
             records, rejects = parse_cdr_csv(handle)
-    except FileNotFoundError:
-        raise CliError("INPUT_NOT_FOUND", f"input file not found: {args.input}") from None
-    except SchemaError as exc:
-        raise CliError("SCHEMA", str(exc)) from None
+        except SchemaError as exc:
+            raise CliError("SCHEMA", str(exc)) from None
 
     if wanted is not None:
         records = [r for r in records if r.codec is wanted]
 
     output = Path(args.output)
-    with output.open("w", encoding="utf-8", newline="") as handle:
+    with _open(output, "OUTPUT") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SCORED_COLUMNS)
         for record in records:
@@ -140,18 +176,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             character = LossCharacter(ppl=100.0 * p_loss, burst_r=1.0)
             score = compute_r_factor(profiles[record.codec], character)
             writer.writerow(
-                [
-                    record.flow_id,
-                    record.codec.value,
-                    record.tx_packets,
-                    record.rx_packets,
-                    repr(record.avg_jitter_ms),
-                    repr(record.max_jitter_ms),
-                    "" if record.r_factor is None else repr(record.r_factor),
-                    format_g6(p_loss),
-                    format_g6(score.mos),
-                    format_g6(score.r_factor),
-                ]
+                [*cdr_row(record), format_g6(p_loss), format_g6(score.mos), format_g6(score.r_factor)]
             )
 
     summary = summarize_dataset(records, rejects)
@@ -163,22 +188,21 @@ def cmd_score(args: argparse.Namespace) -> int:
         {"line_no": r.line_no, "reason": r.reason.value, "detail": r.detail} for r in rejects
     ]
     summary_path = Path(args.summary) if args.summary else output.with_suffix(output.suffix + ".summary.json")
-    summary_path.write_text(json.dumps(summary_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(summary_path, summary_doc)
     return 0
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    with _open(path, "OUTPUT") as handle:
+        handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as handle:
-            config_text = handle.read()
-    except FileNotFoundError:
-        raise CliError("CONFIG_NOT_FOUND", f"config file not found: {args.config}") from None
-    try:
-        spec, profiles = load_sim_config(config_text)
-    except ValueError as exc:
-        raise CliError("CONFIG", str(exc)) from None
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    def load(text: str):
+        spec, profiles = load_sim_config(text)
+        return (spec if args.seed is None else dataclasses.replace(spec, seed=args.seed)), profiles
+
+    config_text, (spec, profiles) = _load_config(args.config, load)
 
     records, rejected = synthesize_dataset(spec, profiles)
     rounded = [
@@ -191,7 +215,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for record in records
     ]
     output = Path(args.output)
-    with output.open("w", encoding="utf-8", newline="") as handle:
+    with _open(output, "OUTPUT") as handle:
         write_cdr_csv(rounded, handle)
 
     manifest = {
@@ -207,7 +231,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     meta_path = Path(args.meta) if args.meta else output.with_suffix(output.suffix + ".meta.json")
-    meta_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(meta_path, manifest)
     return 0
 
 
@@ -223,13 +247,9 @@ def _read_samples(
     non-numeric or non-finite cell are skipped, and one line on stderr
     counts them by reason.
     """
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise CliError("INPUT_NOT_FOUND", f"input file not found: {path}") from None
     groups: dict[Codec, list[tuple[float, ...]]] = {}
     skipped: Counter[str] = Counter()
-    with handle:
+    with _open(path, "INPUT") as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
         missing = {"codec", *columns} - set(fields)
@@ -277,7 +297,7 @@ def _finite_cell(row: dict[str, str | None], column: str) -> float:
 
 
 def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
+    with _open(path, "OUTPUT") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["codec", "bin_index", "p_loss_lo", "p_loss_hi", "count",
@@ -301,15 +321,16 @@ def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> Non
 
 def cmd_fit(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range, "--range")
+    bins = _bin_count(args.bins, "--bins")
     groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss",))
     if args.weighted and args.raw_points:
         print("warning: --weighted is ignored with --raw-points: raw points are fitted unweighted",
               file=sys.stderr)
 
-    doc: dict = {"bins": args.bins, "range": [lo, hi], "codecs": {}}
+    doc: dict = {"bins": bins, "range": [lo, hi], "codecs": {}}
     labelled_series: list[tuple[str, BinnedSeries]] = []
     for codec, points in groups.items():
-        series = bin_series(points, bins=args.bins, lo=lo, hi=hi)
+        series = bin_series(points, bins=bins, lo=lo, hi=hi)
         labelled_series.append((codec.value, series))
         binned_points = series.points()
         weights = [b.count for b in series.bins if b.count > 0] if args.weighted else None
@@ -341,7 +362,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         }
 
     output = Path(args.output)
-    output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(output, doc)
     bins_path = Path(args.bins_output) if args.bins_output else output.with_suffix(".bins.csv")
     _write_bins_csv(bins_path, labelled_series)
     return 0
@@ -357,6 +378,7 @@ def _fit_doc(fit) -> dict:
 
 def cmd_report(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range, "--range")
+    p_bins, j_bins = _bin_count(args.bins, "--bins"), _bin_count(args.j_bins, "--j-bins")
     groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss", "max_jitter_ms"))
     # Cells aggregate sorted values, so sample order does not matter.
     samples = [sample for group in groups.values() for sample in group]
@@ -366,11 +388,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         j_hi_data = max((j for _, j, _ in samples), default=0.0)
         j_lo, j_hi = 0.0, j_hi_data if j_hi_data > 0 else 1.0
-    spec = GridSpec.uniform(args.bins, (lo, hi), args.j_bins, (j_lo, j_hi))
+    try:
+        spec = GridSpec.uniform(p_bins, (lo, hi), j_bins, (j_lo, j_hi))
+    except ValueError as exc:  # a range too narrow to split into distinct edges
+        raise CliError("BAD_RANGE", str(exc)) from None
     grid = surface_grid(samples, spec)
 
-    output = Path(args.output)
-    with output.open("w", encoding="utf-8", newline="") as handle:
+    with _open(args.output, "OUTPUT") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["p_loss_bin", "j_max_bin", "mean_r", "count"])
         p_edges, j_edges = spec.p_edges, spec.j_edges

@@ -10,7 +10,6 @@ of the loss pattern (summarized by the burst ratio).
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -193,26 +192,24 @@ def r_to_mos(r: float, bandwidth: Bandwidth = Bandwidth.NARROWBAND) -> float:
     return max(1.0, mos)
 
 
-def load_profiles(source: IO[str] | str, defaults: dict[Codec, CodecProfile] | None = None) -> dict[Codec, CodecProfile]:
+def load_profiles(source: IO[str] | str) -> dict[Codec, CodecProfile]:
     """Load codec profiles from key-value config text with [AMR] / [AMR-WB] sections.
 
-    Keys: ie, bpl, r0, is, advantage, r_max.  Missing keys fall back to the
-    defaults; an r_max key must match the codec's fixed scale ceiling.
+    Keys: ie, bpl, r0, is, advantage, r_max.  Missing keys fall back to
+    ``DEFAULT_PROFILES``; an r_max key must match the codec's fixed scale ceiling.
     """
     parser = configparser.ConfigParser()
     if isinstance(source, str):
         parser.read_string(source)
     else:
         parser.read_file(source)
-    return profiles_from_parser(parser, defaults)
+    return profiles_from_parser(parser)
 
 
-def profiles_from_parser(
-    parser: configparser.ConfigParser, defaults: dict[Codec, CodecProfile] | None = None
-) -> dict[Codec, CodecProfile]:
+def profiles_from_parser(parser: configparser.ConfigParser) -> dict[Codec, CodecProfile]:
     """Codec profiles from the codec sections of an already parsed config
     (see :func:`load_profiles`); other sections are ignored."""
-    profiles = dict(defaults if defaults is not None else DEFAULT_PROFILES)
+    profiles = dict(DEFAULT_PROFILES)
     for section in parser.sections():
         try:
             codec = Codec(section)
@@ -244,20 +241,3 @@ def profiles_from_parser(
             advantage=values["advantage"],
         )
     return profiles
-
-
-def dump_profiles(profiles: dict[Codec, CodecProfile]) -> str:
-    """Render profiles in the config format accepted by :func:`load_profiles`."""
-    out = io.StringIO()
-    for codec in Codec:
-        if codec not in profiles:
-            continue
-        profile = profiles[codec]
-        out.write(f"[{codec.value}]\n")
-        out.write(f"ie = {profile.ie}\n")
-        out.write(f"bpl = {profile.bpl}\n")
-        out.write(f"r0 = {profile.r0}\n")
-        out.write(f"is = {profile.simultaneous}\n")
-        out.write(f"advantage = {profile.advantage}\n")
-        out.write(f"r_max = {codec.r_max}\n\n")
-    return out.getvalue()

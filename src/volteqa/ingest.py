@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 CDR_COLUMNS = (
     "flow_id",
@@ -78,12 +77,11 @@ class FlowRecord:
 
 @dataclass(frozen=True)
 class RejectedRow:
-    """A filtered-out CSV row, kept for auditability."""
+    """A filtered-out CSV row: where it is and why it was rejected."""
 
     line_no: int
     reason: RejectReason
     detail: str
-    raw: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -131,23 +129,14 @@ def _parse_float(text: str, name: str) -> float:
     return value
 
 
-def _ensure_text(stream: IO) -> IO[str]:
-    first = getattr(stream, "read", None)
-    if first is None:
-        raise TypeError("parse_cdr_csv needs a readable stream")
-    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(stream, "mode", ""):
-        return io.TextIOWrapper(stream, encoding="utf-8", newline="")
-    return stream
-
-
-def parse_cdr_csv(stream: IO) -> tuple[list[FlowRecord], list[RejectedRow]]:
+def parse_cdr_csv(stream: IO[str]) -> tuple[list[FlowRecord], list[RejectedRow]]:
     """Parse a CDR CSV into accepted records and per-row rejects.
 
     Every data row becomes exactly one FlowRecord or one RejectedRow, in
     file order.  ``line_no`` is the 1-based line number (the header is
     line 1).  A missing or unknown header raises SchemaError.
     """
-    reader = csv.reader(_ensure_text(stream))
+    reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
@@ -164,7 +153,7 @@ def parse_cdr_csv(stream: IO) -> tuple[list[FlowRecord], list[RejectedRow]]:
             continue
 
         def reject(reason: RejectReason, detail: str) -> None:
-            rejects.append(RejectedRow(line_no, reason, detail, tuple(row)))
+            rejects.append(RejectedRow(line_no, reason, detail))
 
         if len(row) != len(CDR_COLUMNS):
             reject(RejectReason.BAD_FIELD, f"expected {len(CDR_COLUMNS)} fields, got {len(row)}")
@@ -196,32 +185,26 @@ def parse_cdr_csv(stream: IO) -> tuple[list[FlowRecord], list[RejectedRow]]:
     return records, rejects
 
 
-def format_float(value: float) -> str:
-    """Lossless float-to-text used by the CDR writer (shortest round-trip form)."""
-    return repr(float(value))
+def cdr_row(record: FlowRecord) -> list:
+    """A record's fields in CDR column order; floats in their shortest
+    round-trip form, an absent r_factor as an empty field."""
+    return [
+        record.flow_id,
+        record.codec.value,
+        record.tx_packets,
+        record.rx_packets,
+        repr(float(record.avg_jitter_ms)),
+        repr(float(record.max_jitter_ms)),
+        "" if record.r_factor is None else repr(float(record.r_factor)),
+    ]
 
 
-def write_cdr_csv(
-    records: Iterable[FlowRecord],
-    stream: IO[str],
-    float_format: Callable[[float], str] = format_float,
-) -> None:
-    """Write records in the CDR schema; with the default formatter a
-    parse(write(records)) round trip reproduces the records exactly."""
+def write_cdr_csv(records: Iterable[FlowRecord], stream: IO[str]) -> None:
+    """Write records in the CDR schema; a parse(write(records)) round trip
+    reproduces the records exactly."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CDR_COLUMNS)
-    for record in records:
-        writer.writerow(
-            [
-                record.flow_id,
-                record.codec.value,
-                record.tx_packets,
-                record.rx_packets,
-                float_format(record.avg_jitter_ms),
-                float_format(record.max_jitter_ms),
-                "" if record.r_factor is None else float_format(record.r_factor),
-            ]
-        )
+    writer.writerows(cdr_row(record) for record in records)
 
 
 def summarize_dataset(

@@ -9,10 +9,8 @@ the effective packet-loss rate of the flow.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -194,52 +192,3 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
         max_jitter_ms=max(jitter) if jitter else None,
         mean_playout_delay_ms=sum(delays) / received_count if received_count else 0.0,
     )
-
-
-TIMELINE_COLUMNS = ("seq", "send_time_ms", "arrival_time_ms")
-
-
-def timeline_to_csv(timeline: PacketTimeline, stream: IO[str]) -> None:
-    """Write a timeline as ``seq,send_time_ms,arrival_time_ms`` rows
-    (empty arrival field = lost)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TIMELINE_COLUMNS)
-    columns = (timeline.seq.tolist(), timeline.send_ms.tolist(), timeline.arrival_ms.tolist())
-    for seq, send, arrival in zip(*columns):
-        writer.writerow([seq, repr(send), "" if math.isnan(arrival) else repr(arrival)])
-
-
-def _finite_float(text: str, seq: str, column: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{column} not finite at seq={seq}: {text!r}")
-    return value
-
-
-def timeline_from_csv(stream: IO[str], ptime_ms: float | None = None) -> PacketTimeline:
-    """Read a timeline written by :func:`timeline_to_csv`.
-
-    An empty arrival field is the only marker of a lost packet, so
-    ``nan`` or ``inf`` text in either time column is an error.  When
-    ``ptime_ms`` is omitted it is inferred from the first two rows; a
-    single-packet file falls back to 20 ms.
-    """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or tuple(header) != TIMELINE_COLUMNS:
-        found = "nothing" if header is None else ",".join(header)
-        raise ValueError(f"bad timeline header: {found}; expected {','.join(TIMELINE_COLUMNS)}")
-    seqs, sends, arrivals = [], [], []
-    for row in reader:
-        if not row:
-            continue
-        seq, send, arrival = row
-        seqs.append(int(seq))
-        sends.append(_finite_float(send, seq, "send_time_ms"))
-        arrivals.append(math.nan if arrival == "" else _finite_float(arrival, seq, "arrival_time_ms"))
-    if ptime_ms is None:
-        if len(seqs) >= 2:
-            ptime_ms = (sends[1] - sends[0]) / (seqs[1] - seqs[0])
-        else:
-            ptime_ms = 20.0
-    return PacketTimeline(ptime_ms=ptime_ms, seq=seqs, send_ms=sends, arrival_ms=arrivals)

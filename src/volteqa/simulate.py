@@ -16,7 +16,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -241,6 +241,10 @@ class SimSpec:
     def __post_init__(self) -> None:
         if self.flows < 0:
             raise ValueError("flows must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.ptime_ms) and self.ptime_ms > 0):
+            raise ValueError(f"ptime_ms must be positive and finite, got {self.ptime_ms}")
         if self.packets_per_flow < 1:
             raise ValueError("packets_per_flow must be >= 1")
         if not self.loss_models or not self.jitter_models:
@@ -365,6 +369,16 @@ def synthesize_dataset(
 _MODEL_TOKEN = re.compile(r"([A-Za-z_]+)\s*(?:\(([^)]*)\))?")
 
 
+def _finite(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{what}: bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{what}: number not finite: {text!r}")
+    return value
+
+
 def _parse_model_list(text: str, key: str) -> list[tuple[str, list[float]]]:
     found = []
     for match in _MODEL_TOKEN.finditer(text):
@@ -377,10 +391,7 @@ def _parse_model_list(text: str, key: str) -> list[tuple[str, list[float]]]:
             for chunk in args_text.split(","):
                 chunk = chunk.strip()
                 if chunk:
-                    try:
-                        args.append(float(chunk))
-                    except ValueError:
-                        raise ValueError(f"{key}: bad number {chunk!r} in {name}(...)") from None
+                    args.append(_finite(chunk, f"{key}: {name}(...)"))
         found.append((name.lower(), args))
     if not found:
         raise ValueError(f"{key}: no models given")
@@ -437,7 +448,7 @@ def _parse_codec_mix(text: str) -> tuple[tuple[Codec, float], ...]:
             codec = Codec(name.strip())
         except ValueError:
             raise ValueError(f"codec_mix: unknown codec {name.strip()!r}") from None
-        mix.append((codec, float(fraction)))
+        mix.append((codec, _finite(fraction, "codec_mix")))
     if not mix:
         raise ValueError("codec_mix: empty")
     order = {codec: k for k, codec in enumerate(Codec)}
@@ -459,16 +470,13 @@ SIM_KEYS = (
 )
 
 
-def load_sim_config(source: IO[str] | str) -> tuple[SimSpec, dict[Codec, CodecProfile]]:
-    """Parse a [sim] section plus optional codec profile sections.
+def load_sim_config(text: str) -> tuple[SimSpec, dict[Codec, CodecProfile]]:
+    """Parse config text: a [sim] section plus optional codec profile sections.
 
     Unknown keys are rejected by name so typos surface immediately.
     """
     parser = configparser.ConfigParser()
-    if isinstance(source, str):
-        parser.read_string(source)
-    else:
-        parser.read_file(source)
+    parser.read_string(text)
     if not parser.has_section("sim"):
         raise ValueError("sim config needs a [sim] section")
     section = parser["sim"]
@@ -479,17 +487,17 @@ def load_sim_config(source: IO[str] | str) -> tuple[SimSpec, dict[Codec, CodecPr
         if required not in section:
             raise ValueError(f"sim config missing required key {required!r}")
 
-    base_delay = float(section.get("base_delay_ms", "0"))
+    base_delay = _finite(section.get("base_delay_ms", "0"), "base_delay_ms")
     jbe = JbeConfig(
-        initial_delay_ms=float(section.get("initial_delay_ms", "50")),
+        initial_delay_ms=_finite(section.get("initial_delay_ms", "50"), "initial_delay_ms"),
         window=int(section.get("window", "16")),
-        safety_factor=float(section.get("safety_factor", "3")),
+        safety_factor=_finite(section.get("safety_factor", "3"), "safety_factor"),
     )
     spec = SimSpec(
         flows=int(section["flows"]),
         packets_per_flow=int(section["packets_per_flow"]),
         seed=int(section["seed"]),
-        ptime_ms=float(section.get("ptime_ms", "20")),
+        ptime_ms=_finite(section.get("ptime_ms", "20"), "ptime_ms"),
         codec_mix=_parse_codec_mix(section.get("codec_mix", "AMR:0.71, AMR-WB:0.29")),
         loss_models=_build_loss_models(section.get("loss_models", "bernoulli(0)")),
         jitter_models=_build_jitter_models(section.get("jitter_models", "none"), base_delay),

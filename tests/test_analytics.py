@@ -20,13 +20,10 @@ from volteqa.analytics import (
     FitResult,
     GridSpec,
     TooFewPointsError,
-    ZeroVarianceError,
     bin_series,
     exponential_model,
     fit_exponential,
     fit_linear,
-    goodness_of_fit,
-    predict,
     surface_grid,
 )
 
@@ -182,8 +179,8 @@ def test_exponential_fit_weighted_moves_toward_heavy_points():
         list(zip(x, y_perturbed)), weights=[1.0, 1.0, 1.0, 1.0, 50.0]
     )
     plain = fit_exponential(list(zip(x, y_perturbed)))
-    heavy_residual = abs(predict(heavy_last, x[-1]) - y_perturbed[-1])
-    plain_residual = abs(predict(plain, x[-1]) - y_perturbed[-1])
+    heavy_residual = abs(exponential_model(x[-1], **heavy_last.params) - y_perturbed[-1])
+    plain_residual = abs(exponential_model(x[-1], **plain.params) - y_perturbed[-1])
     assert heavy_residual < plain_residual
 
 
@@ -238,25 +235,6 @@ def test_linear_fit_input_validation():
 # ----------------------------------------------------------- goodness of fit
 
 
-def test_goodness_perfect_fit_is_one():
-    points = list(zip(BIN_MEDIANS, line_curve(BIN_MEDIANS)))
-    fit = fit_linear(points)
-    assert goodness_of_fit(points, fit) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_goodness_mean_model_is_zero():
-    points = [(0.0, 1.0), (0.1, 3.0), (0.2, 5.0)]
-    mean_y = np.mean([p[1] for p in points])
-    mean_model = FitResult("linear", {"intercept": float(mean_y), "slope": 0.0}, 0.0, 0.0, 0, True)
-    assert goodness_of_fit(points, mean_model) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_goodness_zero_variance_is_an_error():
-    fit = fit_linear([(0.0, 1.0), (1.0, 3.0)])
-    with pytest.raises(ZeroVarianceError):
-        goodness_of_fit([(0.0, 2.0), (1.0, 2.0)], fit)
-
-
 def test_goodness_on_noise_calibrated_line():
     # Noise level chosen so the expected R^2 is about 0.98:
     # R^2 ~= 1 - (n-2) s^2 / (SST_line + n s^2) with SST_line ~= 3830.5
@@ -274,12 +252,6 @@ def test_model_families_win_on_their_own_curves():
     lin_points = list(zip(BIN_MEDIANS, line_curve(BIN_MEDIANS)))
     assert fit_exponential(exp_points).r_squared > fit_linear(exp_points).r_squared
     assert fit_linear(lin_points).r_squared > fit_exponential(lin_points).r_squared
-
-
-def test_predict_rejects_unknown_model():
-    bogus = FitResult("spline", {}, 0.0, 0.0, 0, True)
-    with pytest.raises(ValueError):
-        predict(bogus, [0.0])
 
 
 # -------------------------------------------------------------- surface grid

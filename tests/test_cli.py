@@ -1,11 +1,15 @@
 """End-to-end command-line tests: score, simulate, fit, report."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     AMR_CURVE_BURST_R,
@@ -17,8 +21,7 @@ from conftest import (
     line_curve,
 )
 from volteqa.cli import main
-from volteqa.emodel import dump_profiles
-from volteqa.ingest import Codec
+from volteqa.ingest import CDR_COLUMNS, Codec
 
 DATA = Path(__file__).parent / "data"
 
@@ -30,6 +33,11 @@ SCORED_HEADER = (
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def read_rows(path: Path) -> list[dict[str, str]]:
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 def sim_config_text(
@@ -57,10 +65,18 @@ def sim_config_text(
         f"base_delay_ms = {base_delay}",
         "",
     ]
-    text = "\n".join(lines)
-    if profiles:
-        text += dump_profiles(profiles)
-    return text
+    for codec, p in (profiles or {}).items():
+        lines += [
+            f"[{codec.value}]",
+            f"ie = {p.ie!r}",
+            f"bpl = {p.bpl!r}",
+            f"r0 = {p.r0!r}",
+            f"is = {p.simultaneous!r}",
+            f"advantage = {p.advantage!r}",
+            f"r_max = {codec.r_max!r}",
+            "",
+        ]
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------- score
@@ -120,7 +136,7 @@ def test_score_codec_filter(tmp_path):
     out_csv = tmp_path / "scored.csv"
     assert run("score", "--input", DATA / "cdr_golden.csv",
                "--output", out_csv, "--codec", "AMR-WB") == 0
-    rows = list(csv.DictReader(out_csv.open()))
+    rows = read_rows(out_csv)
     assert [r["codec"] for r in rows] == ["AMR-WB"]
 
 
@@ -186,7 +202,7 @@ def test_simulate_realized_mix_tracks_spec(tmp_path):
     )
     out = tmp_path / "mix.csv"
     assert run("simulate", "--config", config, "--output", out) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_rows(out)
     share = sum(1 for r in rows if r["codec"] == "AMR") / len(rows)
     assert abs(share - 0.7) <= 0.02
 
@@ -357,7 +373,7 @@ def test_report_single_flow_single_cell(tmp_path):
     _write_scored(scored, [("f0", "AMR", "0.05", "80.0")])
     grid_csv = tmp_path / "grid.csv"
     assert run("report", "--input", scored, "--output", grid_csv) == 0
-    rows = list(csv.DictReader(grid_csv.open()))
+    rows = read_rows(grid_csv)
     assert len(rows) == 100  # 10 x 10 cells, empties included
     occupied = [r for r in rows if int(r["count"]) > 0]
     assert len(occupied) == 1
@@ -376,7 +392,7 @@ def test_report_1x1_grid_is_global_mean(tmp_path):
     grid_csv = tmp_path / "grid.csv"
     assert run("report", "--input", scored, "--output", grid_csv,
                "--bins", 1, "--j-bins", 1, "--j-range", "0:50") == 0
-    rows = list(csv.DictReader(grid_csv.open()))
+    rows = read_rows(grid_csv)
     assert len(rows) == 1
     assert rows[0]["count"] == "3"
     assert float(rows[0]["mean_r"]) == pytest.approx(70.0)
@@ -400,7 +416,7 @@ def test_report_wideband_dominates_narrowband_cellwise(tmp_path):
         assert run("report", "--input", scored, "--output", grid_csv,
                    "--j-range", "0:60") == 0
         grids[codec] = {
-            (r["p_loss_bin"], r["j_max_bin"]): r for r in csv.DictReader(grid_csv.open())
+            (r["p_loss_bin"], r["j_max_bin"]): r for r in read_rows(grid_csv)
         }
     compared = 0
     for key, amr_cell in grids[Codec.AMR].items():
@@ -477,6 +493,136 @@ def test_malformed_scored_cell_is_a_counted_skip(tmp_path, capsys, command, colu
             assert code in (0, 1)
     # The skipped row leaves no trace in the outputs.
     assert outputs("dirty") == outputs("clean")
+
+
+# ------------------------------------------------------------ bad input
+
+
+SIM_CONFIG = "[sim]\nflows = 3\npackets_per_flow = 10\nseed = 1\n"
+CDR = str(DATA / "cdr_golden.csv")
+SCORED = str(DATA / "cdr_golden.scored.csv")
+
+
+def _bad_input_files(tmp_path: Path) -> None:
+    (tmp_path / "sim.ini").write_text(SIM_CONFIG)
+    (tmp_path / "no_section.ini").write_text("flows = 3\n")
+    (tmp_path / "dup_sim.ini").write_text(SIM_CONFIG + "seed = 2\n")
+    (tmp_path / "dup_profile.ini").write_text("[AMR]\nie = 1\nie = 2\n")
+    (tmp_path / "latin1.txt").write_bytes("[sim]\nflows = 3\n# caf\u00e9\n".encode("latin-1"))
+    (tmp_path / "dir").mkdir()
+    # One field beyond the csv module's default 128 KiB field limit.
+    (tmp_path / "huge_field.csv").write_text(f"{','.join(CDR_COLUMNS)}\n{'x' * 200_000},AMR\n")
+    # The largest jitter is the smallest subnormal float: the default
+    # jitter range 0:max is too narrow to split into distinct bin edges.
+    (tmp_path / "tiny_jitter.csv").write_text(
+        SCORED_HEADER + "\n" + "".join(f"f{i},AMR,100,99,0.0,5e-324,80,0.0{i},,\n" for i in range(3))
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ("simulate --config {tmp}/no_section.ini --output {tmp}/o.csv", "CONFIG"),
+        ("score --input {cdr} --output {tmp}/o.csv --config {tmp}/no_section.ini", "CONFIG"),
+        ("simulate --config {tmp}/dup_sim.ini --output {tmp}/o.csv", "CONFIG"),
+        ("score --input {cdr} --output {tmp}/o.csv --config {tmp}/dup_profile.ini", "CONFIG"),
+        ("simulate --config {tmp}/latin1.txt --output {tmp}/o.csv", "CONFIG"),
+        ("score --input {cdr} --output {tmp}/o.csv --config {tmp}/latin1.txt", "CONFIG"),
+        ("score --input {tmp}/latin1.txt --output {tmp}/o.csv", "SCHEMA"),
+        ("fit --input {tmp}/latin1.txt --output {tmp}/o.json", "SCHEMA"),
+        ("report --input {tmp}/latin1.txt --output {tmp}/o.csv", "SCHEMA"),
+        ("score --input {tmp}/huge_field.csv --output {tmp}/o.csv", "SCHEMA"),
+        ("simulate --config {tmp}/dir --output {tmp}/o.csv", "CONFIG_UNREADABLE"),
+        ("score --input {cdr} --output {tmp}/o.csv --config {tmp}/dir", "CONFIG_UNREADABLE"),
+        ("score --input {tmp}/dir --output {tmp}/o.csv", "INPUT_UNREADABLE"),
+        ("fit --input {tmp}/dir --output {tmp}/o.json", "INPUT_UNREADABLE"),
+        ("report --input {tmp}/dir --output {tmp}/o.csv", "INPUT_UNREADABLE"),
+        ("simulate --config {tmp}/nope.ini --output {tmp}/o.csv", "CONFIG_NOT_FOUND"),
+        ("fit --input {tmp}/nope.csv --output {tmp}/o.json", "INPUT_NOT_FOUND"),
+        ("simulate --config {tmp}/sim.ini --output {tmp}/missing/o.csv", "OUTPUT_UNWRITABLE"),
+        ("score --input {cdr} --output {tmp}/missing/o.csv", "OUTPUT_UNWRITABLE"),
+        ("score --input {cdr} --output {tmp}/o.csv --summary {tmp}/missing/s.json", "OUTPUT_UNWRITABLE"),
+        ("fit --input {scored} --output {tmp}/missing/o.json --model linear --codec AMR", "OUTPUT_UNWRITABLE"),
+        ("report --input {scored} --output {tmp}/missing/o.csv", "OUTPUT_UNWRITABLE"),
+        ("fit --input {scored} --output {tmp}/o.json --bins 0", "BAD_BINS"),
+        ("fit --input {scored} --output {tmp}/o.json --bins -3", "BAD_BINS"),
+        ("report --input {scored} --output {tmp}/o.csv --bins 0", "BAD_BINS"),
+        ("report --input {scored} --output {tmp}/o.csv --j-bins 0", "BAD_BINS"),
+        ("report --input {scored} --output {tmp}/o.csv --j-bins -1", "BAD_BINS"),
+        ("report --input {scored} --output {tmp}/o.csv --j-range 0:inf", "BAD_RANGE"),
+        ("report --input {scored} --output {tmp}/o.csv --range=-inf:0.2", "BAD_RANGE"),
+        ("fit --input {scored} --output {tmp}/o.json --range 0:inf", "BAD_RANGE"),
+        ("report --input {tmp}/tiny_jitter.csv --output {tmp}/o.csv", "BAD_RANGE"),
+        ("simulate --config {tmp}/sim.ini --output {tmp}/o.csv --seed -1", "CONFIG"),
+    ],
+)
+def test_bad_input_is_a_coded_error(tmp_path, capsys, argv, code):
+    _bad_input_files(tmp_path)
+    args = argv.format(tmp=tmp_path, cdr=CDR, scored=SCORED).split()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {code}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "jitter_models = gaussian(nan)",
+        "jitter_models = gamma(2, inf)",
+        "loss_models = bernoulli(nan)",
+        "ptime_ms = nan",
+        "ptime_ms = 0",
+        "ptime_ms = -20",
+        "base_delay_ms = nan",
+        "initial_delay_ms = inf",
+        "safety_factor = nan",
+        "codec_mix = AMR:nan",
+        "seed = -5",
+    ],
+)
+def test_bad_sim_config_value_is_rejected_at_load(tmp_path, capsys, line):
+    key = line.split()[0]
+    rows = [row for row in SIM_CONFIG.splitlines() if not row.startswith(key)]
+    config = tmp_path / "sim.ini"
+    config.write_text("\n".join(rows + [line]) + "\n")
+    assert run("simulate", "--config", config, "--output", tmp_path / "o.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CONFIG: ") and key in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_score_huge_packet_counts_do_not_overflow(tmp_path):
+    source = tmp_path / "huge.csv"
+    source.write_text(f"{','.join(CDR_COLUMNS)}\nf1,AMR,{10 ** 400},1,1.0,2.0,\n")
+    assert run("score", "--input", source, "--output", tmp_path / "o.csv") == 0
+    assert read_rows(tmp_path / "o.csv")[0]["p_loss"] == "1"
+
+
+CLI_BYTES_PREFIX = {
+    "score": ",".join(CDR_COLUMNS).encode() + b"\n",
+    "fit": SCORED_HEADER.encode() + b"\n",
+    "report": SCORED_HEADER.encode() + b"\n",
+    "simulate": SIM_CONFIG.encode(),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(sorted(CLI_BYTES_PREFIX)),
+    with_prefix=st.booleans(),
+    payload=st.binary(max_size=120),
+)
+def test_arbitrary_input_bytes_exit_0_or_1(command, with_prefix, payload):
+    # The bytes are the CDR input of score, the scored input of fit and
+    # report, and the config of simulate; half of them follow a valid
+    # header or config so the rows and keys after it are exercised.
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "input"
+        source.write_bytes((CLI_BYTES_PREFIX[command] if with_prefix else b"") + payload)
+        flag = "--config" if command == "simulate" else "--input"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert run(command, flag, source, "--output", Path(tmp) / "out") in (0, 1)
 
 
 # ------------------------------------------------------------------ misc

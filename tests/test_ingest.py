@@ -42,13 +42,6 @@ def test_parse_single_valid_row():
     ]
 
 
-def test_parse_accepts_byte_streams():
-    payload = f"{HEADER}\nf1,AMR,1000,990,5.0,20.0,88.5\n".encode()
-    records, rejects = parse_cdr_csv(io.BytesIO(payload))
-    assert rejects == []
-    assert records[0].r_factor == 88.5
-
-
 def test_parse_rejects_evs_codec():
     records, rejects = parse_text(f"{HEADER}\nf1,EVS,1000,990,5.0,20.0,\n")
     assert records == []

@@ -1,6 +1,5 @@
 """Jitter computation and play-out buffer emulation tests."""
 
-import io
 import math
 
 import numpy as np
@@ -12,10 +11,7 @@ from volteqa.jitter_buffer import (
     JbeConfig,
     PacketTimeline,
     run_jbe,
-    timeline_from_csv,
-    timeline_to_csv,
 )
-from volteqa.simulate import BernoulliLoss, GaussianJitter, synthesize_timeline
 
 
 def test_timeline_rejects_bad_structure():
@@ -276,31 +272,3 @@ def test_jbe_randomized_property_sweep():
     # The sweep reaches the late path and the held-instant clamp.
     assert late_total > 0
     assert clamped_total > 0
-
-
-def test_timeline_csv_round_trip():
-    timeline = synthesize_timeline(BernoulliLoss(0.3), GaussianJitter(5.0, 30.0), packets=50, seed=3)
-    assert np.isnan(timeline.arrival_ms).any()
-    buffer = io.StringIO()
-    timeline_to_csv(timeline, buffer)
-    buffer.seek(0)
-    loaded = timeline_from_csv(buffer)
-    assert loaded.ptime_ms == timeline.ptime_ms
-    assert np.array_equal(loaded.seq, timeline.seq)
-    assert np.array_equal(loaded.send_ms, timeline.send_ms)
-    assert np.array_equal(loaded.arrival_ms, timeline.arrival_ms, equal_nan=True)
-
-
-def test_timeline_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
-        timeline_from_csv(io.StringIO("a,b,c\n1,2,3\n"))
-
-
-@pytest.mark.parametrize(
-    "row", ["1,nan,30.0", "1,inf,30.0", "1,20.0,nan", "1,20.0,inf", "1,20.0,-inf", "1,20.0,NaN"]
-)
-def test_timeline_csv_rejects_non_finite_text(row):
-    # An empty arrival field is the only marker of a lost packet.
-    text = f"seq,send_time_ms,arrival_time_ms\n0,0.0,10.0\n{row}\n"
-    with pytest.raises(ValueError, match="not finite"):
-        timeline_from_csv(io.StringIO(text))
