@@ -365,6 +365,19 @@ def test_fit_warns_that_raw_points_ignore_weights(tmp_path, capsys):
     assert "ignored" not in capsys.readouterr().err
 
 
+def _score_sim_golden(tmp_path: Path) -> Path:
+    scored = tmp_path / "scored.csv"
+    assert run("score", "--input", DATA / "sim_golden.csv", "--output", scored) == 0
+    return scored
+
+
+def test_fit_reproduces_golden_on_scored_sim_dataset(tmp_path):
+    out = tmp_path / "fit.json"
+    assert run("fit", "--input", _score_sim_golden(tmp_path), "--output", out, "--model", "both") == 0
+    assert out.read_bytes() == (DATA / "sim_golden.fit.json").read_bytes()
+    assert (tmp_path / "fit.bins.csv").read_bytes() == (DATA / "sim_golden.fit.bins.csv").read_bytes()
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -425,6 +438,16 @@ def test_report_wideband_dominates_narrowband_cellwise(tmp_path):
             assert float(wb_cell["mean_r"]) >= float(amr_cell["mean_r"])
             compared += 1
     assert compared >= 3
+
+
+@pytest.mark.parametrize(
+    "extra,golden",
+    [((), "sim_golden.report.csv"), (("--j-range", "0:20"), "sim_golden.report_j20.csv")],
+)
+def test_report_reproduces_golden_on_scored_sim_dataset(tmp_path, extra, golden):
+    out = tmp_path / "grid.csv"
+    assert run("report", "--input", _score_sim_golden(tmp_path), "--output", out, *extra) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 # ------------------------------------------------------- scored input
