@@ -5,7 +5,7 @@ E-Model R-factor/MOS scoring for AMR and AMR-WB flows, seeded impairment
 simulation, and binned quality-versus-loss regression.
 """
 
-from volteqa.ingest import Codec, Bandwidth, FlowRecord, DatasetSummary, RejectReason
+from volteqa.ingest import Codec, Bandwidth, FlowRecord, RejectReason
 from volteqa.jitter_buffer import PacketTimeline, JbeConfig, JbeResult
 from volteqa.emodel import CodecProfile, LossCharacter, QualityScore
 from volteqa.analytics import FitResult, BinnedSeries, SurfaceGrid
@@ -16,7 +16,6 @@ __all__ = [
     "Codec",
     "Bandwidth",
     "FlowRecord",
-    "DatasetSummary",
     "RejectReason",
     "PacketTimeline",
     "JbeConfig",

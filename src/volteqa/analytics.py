@@ -76,49 +76,30 @@ class BinnedSeries:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Cell edges for a 2-D surface aggregation (>= 1 cell per axis)."""
-
-    p_edges: tuple[float, ...]
-    j_edges: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for name, edges in (("p_edges", self.p_edges), ("j_edges", self.j_edges)):
-            if len(edges) < 2:
-                raise ValueError(f"{name} needs at least 2 edges")
-            if any(b <= a for a, b in zip(edges, edges[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-
-    @classmethod
-    def uniform(
-        cls,
-        p_bins: int,
-        p_range: tuple[float, float],
-        j_bins: int,
-        j_range: tuple[float, float],
-    ) -> "GridSpec":
-        return cls(
-            p_edges=tuple(uniform_edges(p_bins, *p_range)),
-            j_edges=tuple(uniform_edges(j_bins, *j_range)),
-        )
-
-
-@dataclass(frozen=True)
 class SurfaceGrid:
     """Mean quality and sample count per (loss, jitter) cell."""
 
+    p_edges: tuple[float, ...]
+    j_edges: tuple[float, ...]
     mean_r: tuple[tuple[float | None, ...], ...]  # [p_cell][j_cell]
     counts: tuple[tuple[int, ...], ...]
     out_of_range: int
 
 
 def uniform_edges(bins: int, lo: float, hi: float) -> np.ndarray:
+    """``bins + 1`` evenly spaced edges from lo to hi, strictly increasing.
+
+    A range too narrow for float steps to separate the edges raises
+    ValueError, like an empty range or fewer than one bin.
+    """
     if bins < 1:
         raise ValueError(f"need at least 1 bin, got {bins}")
     if not hi > lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
     edges = lo + np.arange(bins + 1) * ((hi - lo) / bins)
     edges[-1] = hi  # keep the top edge exact so boundary points land inside
+    if np.any(np.diff(edges) <= 0):
+        raise ValueError(f"range [{lo}, {hi}] too narrow for {bins} distinct bins")
     return edges
 
 
@@ -354,15 +335,20 @@ def fit_linear(
 
 def surface_grid(
     samples: Iterable[tuple[float, float, float]],
-    spec: GridSpec,
+    *,
+    p_bins: int,
+    p_range: tuple[float, float],
+    j_bins: int,
+    j_range: tuple[float, float],
 ) -> SurfaceGrid:
-    """Aggregate (p_loss, j_max, r) samples into per-cell mean R and count.
+    """Aggregate (p_loss, j_max, r) samples into per-cell mean R and count,
+    over uniform loss and jitter bins.
 
     Cells with no samples carry a None mean; samples outside either axis
     range are counted and excluded.
     """
-    p_edges = np.asarray(spec.p_edges, dtype=float)
-    j_edges = np.asarray(spec.j_edges, dtype=float)
+    p_edges = uniform_edges(p_bins, *p_range)
+    j_edges = uniform_edges(j_bins, *j_range)
     n_p, n_j = len(p_edges) - 1, len(j_edges) - 1
     cells: list[list[list[float]]] = [[[] for _ in range(n_j)] for _ in range(n_p)]
     out_of_range = 0
@@ -383,6 +369,8 @@ def surface_grid(
     )
     counts = tuple(tuple(len(cells[i][k]) for k in range(n_j)) for i in range(n_p))
     return SurfaceGrid(
+        p_edges=tuple(float(e) for e in p_edges),
+        j_edges=tuple(float(e) for e in j_edges),
         mean_r=means,
         counts=counts,
         out_of_range=out_of_range,

@@ -25,7 +25,6 @@ from typing import IO, Callable, Iterator, Sequence, TypeVar
 from volteqa import __version__
 from volteqa.analytics import (
     BinnedSeries,
-    GridSpec,
     bin_series,
     fit_exponential,
     fit_linear,
@@ -45,7 +44,6 @@ from volteqa.ingest import (
     cdr_row,
     parse_cdr_csv,
     summarize_dataset,
-    summary_as_dict,
     write_cdr_csv,
 )
 from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
@@ -180,15 +178,9 @@ def cmd_score(args: argparse.Namespace) -> int:
             )
 
     summary = summarize_dataset(records, rejects)
-    summary_doc = summary_as_dict(summary)
-    summary_doc["per_codec_shares"] = {
-        k: round_g6(v) for k, v in summary_doc["per_codec_shares"].items()
-    }
-    summary_doc["rejected"]["rows"] = [
-        {"line_no": r.line_no, "reason": r.reason.value, "detail": r.detail} for r in rejects
-    ]
+    summary["per_codec_shares"] = {k: round_g6(v) for k, v in summary["per_codec_shares"].items()}
     summary_path = Path(args.summary) if args.summary else output.with_suffix(output.suffix + ".summary.json")
-    _write_json(summary_path, summary_doc)
+    _write_json(summary_path, summary)
     return 0
 
 
@@ -330,7 +322,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     doc: dict = {"bins": bins, "range": [lo, hi], "codecs": {}}
     labelled_series: list[tuple[str, BinnedSeries]] = []
     for codec, points in groups.items():
-        series = bin_series(points, bins=bins, lo=lo, hi=hi)
+        try:
+            series = bin_series(points, bins=bins, lo=lo, hi=hi)
+        except ValueError as exc:  # a range too narrow to split into distinct edges
+            raise CliError("BAD_RANGE", f"--range: {exc}") from None
         labelled_series.append((codec.value, series))
         binned_points = series.points()
         weights = [b.count for b in series.bins if b.count > 0] if args.weighted else None
@@ -389,15 +384,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         j_hi_data = max((j for _, j, _ in samples), default=0.0)
         j_lo, j_hi = 0.0, j_hi_data if j_hi_data > 0 else 1.0
     try:
-        spec = GridSpec.uniform(p_bins, (lo, hi), j_bins, (j_lo, j_hi))
+        grid = surface_grid(samples, p_bins=p_bins, p_range=(lo, hi), j_bins=j_bins, j_range=(j_lo, j_hi))
     except ValueError as exc:  # a range too narrow to split into distinct edges
         raise CliError("BAD_RANGE", str(exc)) from None
-    grid = surface_grid(samples, spec)
 
     with _open(args.output, "OUTPUT") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["p_loss_bin", "j_max_bin", "mean_r", "count"])
-        p_edges, j_edges = spec.p_edges, spec.j_edges
+        p_edges, j_edges = grid.p_edges, grid.j_edges
         for i in range(len(p_edges) - 1):
             p_center = (p_edges[i] + p_edges[i + 1]) / 2.0
             for k in range(len(j_edges) - 1):

@@ -12,9 +12,9 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
-from volteqa.ingest import Bandwidth, Codec
+from volteqa.ingest import Bandwidth, Codec, parse_float
 
 # ie_eff saturates toward this value as loss approaches 100%.
 LOSS_IMPAIRMENT_CEILING = 95.0
@@ -39,6 +39,9 @@ class CodecProfile:
     advantage: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("ie", "bpl", "r0", "simultaneous", "advantage"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.ie < LOSS_IMPAIRMENT_CEILING:
             raise ValueError(f"ie must be in [0, 95), got {self.ie}")
         if self.bpl <= 0:
@@ -81,27 +84,15 @@ NO_LOSS = LossCharacter(ppl=0.0, burst_r=1.0)
 
 
 @dataclass(frozen=True)
-class ScoreComponents:
-    r0: float
-    simultaneous: float
-    delay: float
-    equipment_effective: float
-    advantage: float
-
-
-@dataclass(frozen=True)
 class QualityScore:
-    """R-factor with its impairment breakdown and the mapped MOS."""
+    """Clamped R-factor and the mapped MOS."""
 
-    codec: Codec
     r_factor: float
     mos: float
-    r_unclamped: float
-    components: ScoreComponents
 
 
-def burst_ratio(loss_flags: Sequence[bool]) -> LossCharacter:
-    """Summarize a loss pattern (True = lost) as loss percent plus burst ratio.
+def burst_ratio(loss_flags: Sequence[bool]) -> float:
+    """Burst ratio of a loss pattern (True = lost), as ``LossCharacter.burst_r``.
 
     The ratio degenerates to 1 when nothing was lost or everything was lost.
     """
@@ -109,9 +100,8 @@ def burst_ratio(loss_flags: Sequence[bool]) -> LossCharacter:
     if total == 0:
         raise ValueError("need at least one loss flag")
     lost = sum(1 for flag in loss_flags if flag)
-    ppl = 100.0 * lost / total
     if lost == 0 or lost == total:
-        return LossCharacter(ppl=ppl, burst_r=1.0)
+        return 1.0
     runs = 0
     previous = False
     for flag in loss_flags:
@@ -121,7 +111,7 @@ def burst_ratio(loss_flags: Sequence[bool]) -> LossCharacter:
     mean_run = lost / runs
     p = lost / total
     expected_run = 1.0 / (1.0 - p)
-    return LossCharacter(ppl=ppl, burst_r=max(1.0, mean_run / expected_run))
+    return max(1.0, mean_run / expected_run)
 
 
 def ie_eff(profile: CodecProfile, loss: LossCharacter) -> float:
@@ -155,24 +145,12 @@ def compute_r_factor(
     loss: LossCharacter = NO_LOSS,
     one_way_delay_ms: float = 0.0,
 ) -> QualityScore:
-    """Score a flow: impairment budget, clamped R-factor, and MOS."""
+    """Score a flow: the impairment budget clamped to the codec's scale, and its MOS."""
     delay = delay_impairment(one_way_delay_ms)
     equipment = ie_eff(profile, loss)
     raw = profile.r0 - profile.simultaneous - delay - equipment + profile.advantage
     r_factor = min(max(raw, 0.0), profile.codec.r_max)
-    return QualityScore(
-        codec=profile.codec,
-        r_factor=r_factor,
-        mos=r_to_mos(r_factor, profile.codec.bandwidth),
-        r_unclamped=raw,
-        components=ScoreComponents(
-            r0=profile.r0,
-            simultaneous=profile.simultaneous,
-            delay=delay,
-            equipment_effective=equipment,
-            advantage=profile.advantage,
-        ),
-    )
+    return QualityScore(r_factor=r_factor, mos=r_to_mos(r_factor, profile.codec.bandwidth))
 
 
 def r_to_mos(r: float, bandwidth: Bandwidth = Bandwidth.NARROWBAND) -> float:
@@ -192,17 +170,14 @@ def r_to_mos(r: float, bandwidth: Bandwidth = Bandwidth.NARROWBAND) -> float:
     return max(1.0, mos)
 
 
-def load_profiles(source: IO[str] | str) -> dict[Codec, CodecProfile]:
+def load_profiles(text: str) -> dict[Codec, CodecProfile]:
     """Load codec profiles from key-value config text with [AMR] / [AMR-WB] sections.
 
     Keys: ie, bpl, r0, is, advantage, r_max.  Missing keys fall back to
     ``DEFAULT_PROFILES``; an r_max key must match the codec's fixed scale ceiling.
     """
     parser = configparser.ConfigParser()
-    if isinstance(source, str):
-        parser.read_string(source)
-    else:
-        parser.read_file(source)
+    parser.read_string(text)
     return profiles_from_parser(parser)
 
 
@@ -227,7 +202,7 @@ def profiles_from_parser(parser: configparser.ConfigParser) -> dict[Codec, Codec
         for key, text in parser.items(section):
             if key not in PROFILE_KEYS:
                 raise ValueError(f"unknown profile key {key!r} in [{section}]")
-            values[key] = float(text)
+            values[key] = parse_float(text, f"[{section}] {key}")
         if values["r_max"] != codec.r_max:
             raise ValueError(
                 f"r_max for {codec.value} is fixed at {codec.r_max}, got {values['r_max']}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 CDR_COLUMNS = (
@@ -84,15 +84,6 @@ class RejectedRow:
     detail: str
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
-    total_flows: int
-    per_codec_counts: dict[Codec, int]
-    per_codec_shares: dict[Codec, float]
-    rejected_total: int = 0
-    rejected_by_reason: dict[RejectReason, int] = field(default_factory=dict)
-
-
 def validate_record(record: FlowRecord) -> RejectReason | None:
     """Return the first violated acceptance rule, or None if the record is good.
 
@@ -119,7 +110,8 @@ def _parse_int(text: str, name: str) -> int:
         raise ValueError(f"{name}: not an integer: {text!r}") from None
 
 
-def _parse_float(text: str, name: str) -> float:
+def parse_float(text: str, name: str) -> float:
+    """The finite number in ``text``; ValueError, naming ``name``, otherwise."""
     try:
         value = float(text)
     except ValueError:
@@ -170,9 +162,9 @@ def parse_cdr_csv(stream: IO[str]) -> tuple[list[FlowRecord], list[RejectedRow]]
                 codec=codec,
                 tx_packets=_parse_int(tx, "tx_packets"),
                 rx_packets=_parse_int(rx, "rx_packets"),
-                avg_jitter_ms=_parse_float(avg_j, "avg_jitter_ms"),
-                max_jitter_ms=_parse_float(max_j, "max_jitter_ms"),
-                r_factor=None if r_text == "" else _parse_float(r_text, "r_factor"),
+                avg_jitter_ms=parse_float(avg_j, "avg_jitter_ms"),
+                max_jitter_ms=parse_float(max_j, "max_jitter_ms"),
+                r_factor=None if r_text == "" else parse_float(r_text, "r_factor"),
             )
         except ValueError as exc:
             reject(RejectReason.BAD_FIELD, str(exc))
@@ -209,37 +201,26 @@ def write_cdr_csv(records: Iterable[FlowRecord], stream: IO[str]) -> None:
 
 def summarize_dataset(
     records: Sequence[FlowRecord],
-    rejected: Sequence[RejectedRow] = (),
-) -> DatasetSummary:
-    """Count flows per codec and derive codec shares over accepted flows.
+    rejects: Sequence[RejectedRow],
+) -> dict:
+    """The JSON summary document of a parsed CDR file.
 
-    Deterministic regardless of input order; shares are omitted entirely
-    for an empty record list.
+    Flow counts and shares per codec over the accepted records (no entry
+    for an absent codec), and the rejected rows with their count by
+    reason.  Counts and shares do not depend on record order.
     """
     counts = Counter(record.codec for record in records)
-    total = len(records)
-    per_codec_counts = {codec: counts[codec] for codec in Codec if counts[codec]}
-    per_codec_shares = {
-        codec: count / total for codec, count in per_codec_counts.items()
-    }
-    reason_counts = Counter(row.reason for row in rejected)
-    return DatasetSummary(
-        total_flows=total,
-        per_codec_counts=per_codec_counts,
-        per_codec_shares=per_codec_shares,
-        rejected_total=len(rejected),
-        rejected_by_reason={r: reason_counts[r] for r in RejectReason if reason_counts[r]},
-    )
-
-
-def summary_as_dict(summary: DatasetSummary) -> dict:
-    """JSON-friendly view of a DatasetSummary (enum keys become strings)."""
+    reasons = Counter(row.reason for row in rejects)
+    present = [codec for codec in Codec if counts[codec]]
     return {
-        "total_flows": summary.total_flows,
-        "per_codec_counts": {c.value: n for c, n in summary.per_codec_counts.items()},
-        "per_codec_shares": {c.value: s for c, s in summary.per_codec_shares.items()},
+        "total_flows": len(records),
+        "per_codec_counts": {codec.value: counts[codec] for codec in present},
+        "per_codec_shares": {codec.value: counts[codec] / len(records) for codec in present},
         "rejected": {
-            "total": summary.rejected_total,
-            "by_reason": {r.value: n for r, n in summary.rejected_by_reason.items()},
+            "total": len(rejects),
+            "by_reason": {r.value: reasons[r] for r in RejectReason if reasons[r]},
+            "rows": [
+                {"line_no": r.line_no, "reason": r.reason.value, "detail": r.detail} for r in rejects
+            ],
         },
     }

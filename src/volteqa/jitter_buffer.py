@@ -79,12 +79,12 @@ class JbeConfig:
     safety_factor: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.initial_delay_ms <= 0:
-            raise ValueError("initial_delay_ms must be positive")
+        if not (math.isfinite(self.initial_delay_ms) and self.initial_delay_ms > 0):
+            raise ValueError("initial_delay_ms must be positive and finite")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.safety_factor <= 0:
-            raise ValueError("safety_factor must be positive")
+        if not (math.isfinite(self.safety_factor) and self.safety_factor > 0):
+            raise ValueError("safety_factor must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,23 +24,14 @@ from volteqa.emodel import (
     DEFAULT_PROFILES,
     CodecProfile,
     LossCharacter,
-    QualityScore,
     burst_ratio,
     compute_r_factor,
     profiles_from_parser,
 )
-from volteqa.ingest import Codec, FlowRecord
+from volteqa.ingest import Codec, FlowRecord, parse_float
 from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketTimeline, run_jbe
 
 GENERATOR_NAME = "numpy.random.PCG64"
-
-RngSeed = Union[int, np.random.SeedSequence, np.random.Generator]
-
-
-def _rng_from(seed: RngSeed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -143,8 +134,8 @@ class NoJitter:
     base_delay_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_delay_ms < 0:
-            raise ValueError("base_delay_ms must be >= 0")
+        if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
+            raise ValueError("base_delay_ms must be finite and >= 0")
 
     def delays(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n, self.base_delay_ms)
@@ -161,10 +152,10 @@ class GaussianJitter:
     base_delay_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma_ms < 0:
-            raise ValueError("sigma_ms must be >= 0")
-        if self.base_delay_ms < 0:
-            raise ValueError("base_delay_ms must be >= 0")
+        if not (math.isfinite(self.sigma_ms) and self.sigma_ms >= 0):
+            raise ValueError("sigma_ms must be finite and >= 0")
+        if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
+            raise ValueError("base_delay_ms must be finite and >= 0")
 
     def delays(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # Negative total delays are truncated to zero.
@@ -183,10 +174,10 @@ class GammaJitter:
     base_delay_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.shape <= 0 or self.scale_ms <= 0:
-            raise ValueError("gamma shape and scale must be positive")
-        if self.base_delay_ms < 0:
-            raise ValueError("base_delay_ms must be >= 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.shape, self.scale_ms)):
+            raise ValueError("gamma shape and scale must be positive and finite")
+        if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
+            raise ValueError("base_delay_ms must be finite and >= 0")
 
     def delays(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.base_delay_ms + rng.gamma(self.shape, self.scale_ms, n)
@@ -202,19 +193,18 @@ def synthesize_timeline(
     loss: LossModel,
     jitter: JitterModel,
     packets: int,
-    ptime_ms: float = 20.0,
-    seed: RngSeed = 0,
+    ptime_ms: float,
+    rng: np.random.Generator,
 ) -> PacketTimeline:
     """Generate one flow's timeline: sends on the ptime grid, arrivals
     delayed per the jitter model or dropped per the loss model.
 
-    Deterministic given the seed.  Delivery is first-in first-out, so
-    arrivals are made non-decreasing (no reordering): each received packet
-    arrives no earlier than the one received before it.
+    Deterministic given the generator's state.  Delivery is first-in
+    first-out, so arrivals are made non-decreasing (no reordering): each
+    received packet arrives no earlier than the one received before it.
     """
     if packets < 1:
         raise ValueError(f"packets must be >= 1, got {packets}")
-    rng = _rng_from(seed)
     lost = loss.sample(packets, rng)
     delays = jitter.delays(packets, rng)
     seq = np.arange(packets)
@@ -249,7 +239,10 @@ class SimSpec:
             raise ValueError("packets_per_flow must be >= 1")
         if not self.loss_models or not self.jitter_models:
             raise ValueError("need at least one loss model and one jitter model")
-        total = sum(frac for _, frac in self.codec_mix)
+        fractions = [frac for _, frac in self.codec_mix]
+        if not all(0.0 <= frac <= 1.0 for frac in fractions):
+            raise ValueError(f"codec_mix fractions must be in [0, 1], got {fractions}")
+        total = sum(fractions)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"codec mix fractions must sum to 1, got {total}")
 
@@ -274,14 +267,10 @@ class SimSpec:
 
 @dataclass(frozen=True)
 class FlowOutcome:
-    """Full pipeline products for one synthetic flow."""
+    """One synthetic flow's CDR record and the jitter-buffer pass it was measured with."""
 
     record: FlowRecord
-    loss_character: LossCharacter
-    score: QualityScore
     jbe_result: JbeResult
-    loss_model: LossModel
-    jitter_model: JitterModel
 
 
 @dataclass(frozen=True)
@@ -317,7 +306,7 @@ def iter_flow_outcomes(
     children = np.random.SeedSequence(spec.seed).spawn(spec.flows)
     for i in range(spec.flows):
         flow_id = f"flow-{i:06d}"
-        rng = _rng_from(children[i])
+        rng = np.random.default_rng(children[i])
         codec = _pick_codec(spec.codec_mix, rng.random())
         loss_model, jitter_model = cells[i % len(cells)]
         timeline = synthesize_timeline(
@@ -329,7 +318,7 @@ def iter_flow_outcomes(
             continue
         character = LossCharacter(
             ppl=100.0 * result.p_loss,
-            burst_r=burst_ratio(result.effective_lost.tolist()).burst_r,
+            burst_r=burst_ratio(result.effective_lost.tolist()),
         )
         score = compute_r_factor(profiles[codec], character, result.mean_playout_delay_ms)
         record = FlowRecord(
@@ -341,14 +330,7 @@ def iter_flow_outcomes(
             max_jitter_ms=result.max_jitter_ms,
             r_factor=score.r_factor,
         )
-        yield FlowOutcome(
-            record=record,
-            loss_character=character,
-            score=score,
-            jbe_result=result,
-            loss_model=loss_model,
-            jitter_model=jitter_model,
-        )
+        yield FlowOutcome(record=record, jbe_result=result)
 
 
 def synthesize_dataset(
@@ -369,16 +351,6 @@ def synthesize_dataset(
 _MODEL_TOKEN = re.compile(r"([A-Za-z_]+)\s*(?:\(([^)]*)\))?")
 
 
-def _finite(text: str, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"{what}: bad number {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{what}: number not finite: {text!r}")
-    return value
-
-
 def _parse_model_list(text: str, key: str) -> list[tuple[str, list[float]]]:
     found = []
     for match in _MODEL_TOKEN.finditer(text):
@@ -391,7 +363,7 @@ def _parse_model_list(text: str, key: str) -> list[tuple[str, list[float]]]:
             for chunk in args_text.split(","):
                 chunk = chunk.strip()
                 if chunk:
-                    args.append(_finite(chunk, f"{key}: {name}(...)"))
+                    args.append(parse_float(chunk, f"{key}: {name}(...)"))
         found.append((name.lower(), args))
     if not found:
         raise ValueError(f"{key}: no models given")
@@ -448,7 +420,7 @@ def _parse_codec_mix(text: str) -> tuple[tuple[Codec, float], ...]:
             codec = Codec(name.strip())
         except ValueError:
             raise ValueError(f"codec_mix: unknown codec {name.strip()!r}") from None
-        mix.append((codec, _finite(fraction, "codec_mix")))
+        mix.append((codec, parse_float(fraction, "codec_mix")))
     if not mix:
         raise ValueError("codec_mix: empty")
     order = {codec: k for k, codec in enumerate(Codec)}
@@ -487,17 +459,17 @@ def load_sim_config(text: str) -> tuple[SimSpec, dict[Codec, CodecProfile]]:
         if required not in section:
             raise ValueError(f"sim config missing required key {required!r}")
 
-    base_delay = _finite(section.get("base_delay_ms", "0"), "base_delay_ms")
+    base_delay = parse_float(section.get("base_delay_ms", "0"), "base_delay_ms")
     jbe = JbeConfig(
-        initial_delay_ms=_finite(section.get("initial_delay_ms", "50"), "initial_delay_ms"),
+        initial_delay_ms=parse_float(section.get("initial_delay_ms", "50"), "initial_delay_ms"),
         window=int(section.get("window", "16")),
-        safety_factor=_finite(section.get("safety_factor", "3"), "safety_factor"),
+        safety_factor=parse_float(section.get("safety_factor", "3"), "safety_factor"),
     )
     spec = SimSpec(
         flows=int(section["flows"]),
         packets_per_flow=int(section["packets_per_flow"]),
         seed=int(section["seed"]),
-        ptime_ms=_finite(section.get("ptime_ms", "20"), "ptime_ms"),
+        ptime_ms=parse_float(section.get("ptime_ms", "20"), "ptime_ms"),
         codec_mix=_parse_codec_mix(section.get("codec_mix", "AMR:0.71, AMR-WB:0.29")),
         loss_models=_build_loss_models(section.get("loss_models", "bernoulli(0)")),
         jitter_models=_build_jitter_models(section.get("jitter_models", "none"), base_delay),

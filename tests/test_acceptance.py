@@ -94,7 +94,7 @@ def test_criterion_3_end_to_end_curve_shape():
     profiles[Codec.AMR] = AMR_CURVE_PROFILE
     start = time.perf_counter()
     points = [
-        (outcome.jbe_result.p_loss, outcome.score.r_factor)
+        (outcome.jbe_result.p_loss, outcome.record.r_factor)
         for outcome in iter_flow_outcomes(spec, profiles)
         if isinstance(outcome, FlowOutcome)
     ]

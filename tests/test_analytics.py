@@ -18,7 +18,6 @@ from conftest import (
 from volteqa.analytics import (
     DegenerateDataError,
     FitResult,
-    GridSpec,
     TooFewPointsError,
     bin_series,
     exponential_model,
@@ -256,21 +255,22 @@ def test_model_families_win_on_their_own_curves():
 
 # -------------------------------------------------------------- surface grid
 
+GRID_2X2 = dict(p_bins=2, p_range=(0.0, 0.2), j_bins=2, j_range=(0.0, 10.0))
+
 
 def test_surface_grid_single_cell_mean():
-    spec = GridSpec.uniform(1, (0.0, 0.2), 1, (0.0, 50.0))
-    grid = surface_grid([(0.1, 10.0, 80.0), (0.15, 20.0, 90.0)], spec)
+    grid = surface_grid([(0.1, 10.0, 80.0), (0.15, 20.0, 90.0)],
+                        p_bins=1, p_range=(0.0, 0.2), j_bins=1, j_range=(0.0, 50.0))
     assert grid.counts == ((2,),)
     assert grid.mean_r == ((85.0,),)
 
 
 def test_surface_grid_constant_quality():
-    spec = GridSpec.uniform(4, (0.0, 0.2), 3, (0.0, 30.0))
     rng = np.random.default_rng(5)
     samples = [
         (float(rng.uniform(0, 0.2)), float(rng.uniform(0, 30)), 70.0) for _ in range(200)
     ]
-    grid = surface_grid(samples, spec)
+    grid = surface_grid(samples, p_bins=4, p_range=(0.0, 0.2), j_bins=3, j_range=(0.0, 30.0))
     for row_means, row_counts in zip(grid.mean_r, grid.counts):
         for mean, count in zip(row_means, row_counts):
             if count:
@@ -281,37 +281,39 @@ def test_surface_grid_constant_quality():
 
 
 def test_surface_grid_counts_out_of_range():
-    spec = GridSpec.uniform(2, (0.0, 0.2), 2, (0.0, 10.0))
-    grid = surface_grid([(0.3, 5.0, 50.0), (0.1, 50.0, 50.0), (0.1, 5.0, 50.0)], spec)
+    grid = surface_grid([(0.3, 5.0, 50.0), (0.1, 50.0, 50.0), (0.1, 5.0, 50.0)], **GRID_2X2)
     assert grid.out_of_range == 2
     assert sum(map(sum, grid.counts)) == 1
 
 
 def test_surface_grid_counts_nan_out_of_range():
-    spec = GridSpec.uniform(2, (0.0, 0.2), 2, (0.0, 10.0))
-    grid = surface_grid([(math.nan, 5.0, 50.0), (0.1, math.nan, 50.0), (0.15, 2.0, 60.0)], spec)
+    grid = surface_grid([(math.nan, 5.0, 50.0), (0.1, math.nan, 50.0), (0.15, 2.0, 60.0)], **GRID_2X2)
     assert grid.out_of_range == 2
     assert grid.counts == ((0, 0), (1, 0))
 
 
 def test_surface_grid_empty_cells_flagged():
-    spec = GridSpec.uniform(2, (0.0, 0.2), 2, (0.0, 10.0))
-    grid = surface_grid([(0.05, 2.0, 60.0)], spec)
+    grid = surface_grid([(0.05, 2.0, 60.0)], **GRID_2X2)
     assert grid.counts[0][0] == 1
     assert grid.mean_r[1][1] is None
+    assert grid.p_edges == (0.0, 0.1, 0.2)
+    assert grid.j_edges == (0.0, 5.0, 10.0)
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(p_edges=(0.0,), j_edges=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        GridSpec(p_edges=(0.0, 0.0), j_edges=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        GridSpec.uniform(0, (0.0, 1.0), 1, (0.0, 1.0))
+def test_surface_grid_validation():
+    for p_bins, p_range, j_bins, j_range in [
+        (0, (0.0, 1.0), 1, (0.0, 1.0)),  # no loss cell
+        (1, (0.0, 1.0), 0, (0.0, 1.0)),  # no jitter cell
+        (1, (0.0, 0.0), 1, (0.0, 1.0)),  # empty loss range
+        (1, (0.0, 1.0), 1, (1.0, 0.0)),  # reversed jitter range
+        (10, (0.0, 0.2), 2, (0.0, 5e-324)),  # too narrow for distinct edges
+    ]:
+        with pytest.raises(ValueError):
+            surface_grid([], p_bins=p_bins, p_range=p_range, j_bins=j_bins, j_range=j_range)
 
 
 def test_surface_grid_non_increasing_along_loss_axis():
-    from volteqa.emodel import DEFAULT_PROFILES, LossCharacter, compute_r_factor
+    from volteqa.emodel import DEFAULT_PROFILES
     from volteqa.ingest import Codec
     from volteqa.simulate import BernoulliLoss, FlowOutcome, GaussianJitter, SimSpec, iter_flow_outcomes
 
@@ -324,11 +326,11 @@ def test_surface_grid_non_increasing_along_loss_axis():
         jitter_models=(GaussianJitter(3.0, 30.0), GaussianJitter(8.0, 30.0)),
     )
     samples = [
-        (o.jbe_result.p_loss, o.record.max_jitter_ms, o.score.r_factor)
+        (o.jbe_result.p_loss, o.record.max_jitter_ms, o.record.r_factor)
         for o in iter_flow_outcomes(spec, DEFAULT_PROFILES)
         if isinstance(o, FlowOutcome)
     ]
-    grid = surface_grid(samples, GridSpec.uniform(5, (0.0, 0.2), 3, (0.0, 60.0)))
+    grid = surface_grid(samples, p_bins=5, p_range=(0.0, 0.2), j_bins=3, j_range=(0.0, 60.0))
     for j in range(3):
         column = [
             (grid.mean_r[i][j], grid.counts[i][j])

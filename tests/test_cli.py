@@ -531,6 +531,8 @@ def _bad_input_files(tmp_path: Path) -> None:
     (tmp_path / "no_section.ini").write_text("flows = 3\n")
     (tmp_path / "dup_sim.ini").write_text(SIM_CONFIG + "seed = 2\n")
     (tmp_path / "dup_profile.ini").write_text("[AMR]\nie = 1\nie = 2\n")
+    (tmp_path / "nan_profile.ini").write_text("[AMR]\nbpl = nan\n")
+    (tmp_path / "nan_profile_sim.ini").write_text(SIM_CONFIG + "[AMR]\nbpl = nan\n")
     (tmp_path / "latin1.txt").write_bytes("[sim]\nflows = 3\n# caf\u00e9\n".encode("latin-1"))
     (tmp_path / "dir").mkdir()
     # One field beyond the csv module's default 128 KiB field limit.
@@ -549,6 +551,8 @@ def _bad_input_files(tmp_path: Path) -> None:
         ("score --input {cdr} --output {tmp}/o.csv --config {tmp}/no_section.ini", "CONFIG"),
         ("simulate --config {tmp}/dup_sim.ini --output {tmp}/o.csv", "CONFIG"),
         ("score --input {cdr} --output {tmp}/o.csv --config {tmp}/dup_profile.ini", "CONFIG"),
+        ("score --input {cdr} --output {tmp}/o.csv --config {tmp}/nan_profile.ini", "CONFIG"),
+        ("simulate --config {tmp}/nan_profile_sim.ini --output {tmp}/o.csv", "CONFIG"),
         ("simulate --config {tmp}/latin1.txt --output {tmp}/o.csv", "CONFIG"),
         ("score --input {cdr} --output {tmp}/o.csv --config {tmp}/latin1.txt", "CONFIG"),
         ("score --input {tmp}/latin1.txt --output {tmp}/o.csv", "SCHEMA"),
@@ -575,6 +579,8 @@ def _bad_input_files(tmp_path: Path) -> None:
         ("report --input {scored} --output {tmp}/o.csv --j-range 0:inf", "BAD_RANGE"),
         ("report --input {scored} --output {tmp}/o.csv --range=-inf:0.2", "BAD_RANGE"),
         ("fit --input {scored} --output {tmp}/o.json --range 0:inf", "BAD_RANGE"),
+        ("fit --input {scored} --output {tmp}/o.json --range 0:5e-324", "BAD_RANGE"),
+        ("fit --input {scored} --output {tmp}/o.json --range 0:5e-324 --model linear", "BAD_RANGE"),
         ("report --input {tmp}/tiny_jitter.csv --output {tmp}/o.csv", "BAD_RANGE"),
         ("simulate --config {tmp}/sim.ini --output {tmp}/o.csv --seed -1", "CONFIG"),
     ],
@@ -601,6 +607,7 @@ def test_bad_input_is_a_coded_error(tmp_path, capsys, argv, code):
         "initial_delay_ms = inf",
         "safety_factor = nan",
         "codec_mix = AMR:nan",
+        "codec_mix = AMR:1.5, AMR-WB:-0.5",
         "seed = -5",
     ],
 )

@@ -15,7 +15,6 @@ from volteqa.ingest import (
     SchemaError,
     parse_cdr_csv,
     summarize_dataset,
-    summary_as_dict,
     validate_record,
     write_cdr_csv,
 )
@@ -150,18 +149,19 @@ def test_summarize_shares_match_mix():
     ] + [
         FlowRecord(f"b{i}", Codec.AMR_WB, 10, 10, 0.0, 0.0) for i in range(29)
     ]
-    summary = summarize_dataset(records)
-    assert summary.total_flows == 100
-    assert summary.per_codec_shares == {Codec.AMR: 0.71, Codec.AMR_WB: 0.29}
-    assert abs(sum(summary.per_codec_shares.values()) - 1.0) <= 1e-9
+    summary = summarize_dataset(records, [])
+    assert summary["total_flows"] == 100
+    assert summary["per_codec_counts"] == {"AMR": 71, "AMR-WB": 29}
+    assert summary["per_codec_shares"] == {"AMR": 0.71, "AMR-WB": 0.29}
+    assert abs(sum(summary["per_codec_shares"].values()) - 1.0) <= 1e-9
 
 
 def test_summarize_single_codec_and_empty():
     only_amr = [FlowRecord(f"a{i}", Codec.AMR, 10, 10, 0.0, 0.0) for i in range(10)]
-    assert summarize_dataset(only_amr).per_codec_shares == {Codec.AMR: 1.0}
-    empty = summarize_dataset([])
-    assert empty.total_flows == 0
-    assert empty.per_codec_shares == {}
+    assert summarize_dataset(only_amr, [])["per_codec_shares"] == {"AMR": 1.0}
+    empty = summarize_dataset([], [])
+    assert empty["total_flows"] == 0
+    assert empty["per_codec_shares"] == {}
 
 
 def test_summarize_is_permutation_invariant():
@@ -169,23 +169,22 @@ def test_summarize_is_permutation_invariant():
         FlowRecord(f"f{i}", Codec.AMR if i % 3 else Codec.AMR_WB, 10, 9, 1.0, 2.0)
         for i in range(40)
     ]
-    base = summarize_dataset(records)
+    base = summarize_dataset(records, [])
     rng = random.Random(7)
     for _ in range(5):
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert summarize_dataset(shuffled) == base
+        assert summarize_dataset(shuffled, []) == base
 
 
 def test_summary_reports_reject_breakdown():
     text = f"{HEADER}\nf1,EVS,10,9,1,2,\nf2,AMR,10,9,5,1,\nf3,AMR,10,9,1,2,\n"
     records, rejects = parse_text(text)
     summary = summarize_dataset(records, rejects)
-    assert summary.rejected_total == 2
-    assert summary.rejected_by_reason == {
-        RejectReason.UNSUPPORTED_CODEC: 1,
-        RejectReason.INCONSISTENT_JITTER: 1,
-    }
-    doc = summary_as_dict(summary)
-    assert doc["rejected"]["by_reason"] == {"UNSUPPORTED_CODEC": 1, "INCONSISTENT_JITTER": 1}
-    assert doc["per_codec_counts"] == {"AMR": 1}
+    assert summary["rejected"]["total"] == 2
+    assert summary["rejected"]["by_reason"] == {"UNSUPPORTED_CODEC": 1, "INCONSISTENT_JITTER": 1}
+    assert summary["rejected"]["rows"] == [
+        {"line_no": 2, "reason": "UNSUPPORTED_CODEC", "detail": "codec 'EVS'"},
+        {"line_no": 3, "reason": "INCONSISTENT_JITTER", "detail": "INCONSISTENT_JITTER"},
+    ]
+    assert summary["per_codec_counts"] == {"AMR": 1}

@@ -213,6 +213,13 @@ def test_config_validation():
         JbeConfig(safety_factor=0.0)
 
 
+@pytest.mark.parametrize("name", ["initial_delay_ms", "safety_factor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError):
+        JbeConfig(**{name: value})
+
+
 def _random_timeline(rng: np.random.Generator, zero_jitter: bool = False) -> PacketTimeline:
     n = int(rng.integers(2, 60))
     base = float(rng.uniform(5, 60))

@@ -1,10 +1,12 @@
 """Synthetic timeline and dataset generation tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import reference_arrivals, reference_ge_sample
-from volteqa.emodel import DEFAULT_PROFILES
+from volteqa.emodel import DEFAULT_PROFILES, LossCharacter, burst_ratio, compute_r_factor
 from volteqa.ingest import Codec, validate_record
 from volteqa.simulate import (
     BernoulliLoss,
@@ -23,7 +25,7 @@ from volteqa.simulate import (
 
 
 def test_lossless_constant_delay_timeline():
-    timeline = synthesize_timeline(BernoulliLoss(0.0), NoJitter(30.0), packets=50, seed=1)
+    timeline = synthesize_timeline(BernoulliLoss(0.0), NoJitter(30.0), 50, 20.0, np.random.default_rng(1))
     assert timeline.tx_count == 50
     assert np.array_equal(timeline.seq, np.arange(50))
     assert np.array_equal(timeline.send_ms, timeline.seq * 20.0)
@@ -31,22 +33,24 @@ def test_lossless_constant_delay_timeline():
 
 
 def test_full_loss_timeline():
-    timeline = synthesize_timeline(BernoulliLoss(1.0), NoJitter(30.0), packets=20, seed=1)
+    timeline = synthesize_timeline(BernoulliLoss(1.0), NoJitter(30.0), 20, 20.0, np.random.default_rng(1))
     assert np.isnan(timeline.arrival_ms).all()
 
 
 def test_timeline_is_seed_deterministic():
-    kwargs = dict(packets=200, ptime_ms=20.0)
-    a = synthesize_timeline(BernoulliLoss(0.2), GaussianJitter(5.0, 30.0), seed=77, **kwargs)
-    b = synthesize_timeline(BernoulliLoss(0.2), GaussianJitter(5.0, 30.0), seed=77, **kwargs)
-    c = synthesize_timeline(BernoulliLoss(0.2), GaussianJitter(5.0, 30.0), seed=78, **kwargs)
+    def timeline(seed):
+        return synthesize_timeline(
+            BernoulliLoss(0.2), GaussianJitter(5.0, 30.0), 200, 20.0, np.random.default_rng(seed)
+        )
+
+    a, b, c = timeline(77), timeline(77), timeline(78)
     assert np.array_equal(a.arrival_ms, b.arrival_ms, equal_nan=True)
     assert not np.array_equal(a.arrival_ms, c.arrival_ms, equal_nan=True)
 
 
 def test_arrivals_never_reorder():
     timeline = synthesize_timeline(
-        BernoulliLoss(0.0), GaussianJitter(40.0, 30.0), packets=500, seed=5
+        BernoulliLoss(0.0), GaussianJitter(40.0, 30.0), 500, 20.0, np.random.default_rng(5)
     )
     assert (np.diff(timeline.arrival_ms) >= 0).all()
     assert (timeline.arrival_ms >= timeline.send_ms).all()
@@ -63,7 +67,7 @@ def test_arrivals_never_reorder():
 )
 def test_timeline_arrivals_match_scalar_reference(loss, jitter):
     for seed in range(20):
-        timeline = synthesize_timeline(loss, jitter, packets=300, ptime_ms=30.0, seed=seed)
+        timeline = synthesize_timeline(loss, jitter, 300, 30.0, np.random.default_rng(seed))
         rng = np.random.Generator(np.random.PCG64(seed))
         expected = reference_arrivals(loss.sample(300, rng), jitter.delays(300, rng), 30.0)
         assert [None if np.isnan(a) else a for a in timeline.arrival_ms.tolist()] == expected
@@ -71,7 +75,7 @@ def test_timeline_arrivals_match_scalar_reference(loss, jitter):
 
 def test_gamma_jitter_delays_are_positive():
     timeline = synthesize_timeline(
-        BernoulliLoss(0.0), GammaJitter(2.0, 6.0, 10.0), packets=100, seed=9
+        BernoulliLoss(0.0), GammaJitter(2.0, 6.0, 10.0), 100, 20.0, np.random.default_rng(9)
     )
     assert (timeline.arrival_ms >= timeline.send_ms + 10.0).all()
 
@@ -145,6 +149,31 @@ def test_spec_validation():
         SimSpec(flows=1, packets_per_flow=10, seed=1, codec_mix=((Codec.AMR, 0.5),))
     with pytest.raises(ValueError):
         SimSpec(flows=-1, packets_per_flow=10, seed=1)
+
+
+def test_spec_rejects_codec_mix_fraction_outside_unit_interval():
+    # The fractions sum to 1, but a negative share is no share.
+    with pytest.raises(ValueError, match="codec_mix"):
+        SimSpec(flows=4, packets_per_flow=10, seed=1,
+                codec_mix=((Codec.AMR, 1.5), (Codec.AMR_WB, -0.5)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: NoJitter(v),
+        lambda v: GaussianJitter(v, 30.0),
+        lambda v: GaussianJitter(4.0, v),
+        lambda v: GammaJitter(v, 3.0),
+        lambda v: GammaJitter(2.0, v),
+        lambda v: GammaJitter(2.0, 3.0, v),
+    ],
+    ids=["none-base", "gaussian-sigma", "gaussian-base", "gamma-shape", "gamma-scale", "gamma-base"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_jitter_models_reject_non_finite_values(make, value):
+    with pytest.raises(ValueError):
+        make(value)
 
 
 def test_clean_dataset_scores_at_profile_maximum():
@@ -249,8 +278,12 @@ def test_outcomes_carry_pipeline_details():
     for outcome in iter_flow_outcomes(spec, DEFAULT_PROFILES):
         assert isinstance(outcome, (FlowOutcome, RejectedFlow))
         if isinstance(outcome, FlowOutcome):
-            assert outcome.loss_character.ppl == pytest.approx(100.0 * outcome.jbe_result.p_loss)
-            assert outcome.record.r_factor == outcome.score.r_factor
+            result = outcome.jbe_result
+            # The record is scored from the JBE's effective loss, its burst
+            # ratio and its mean play-out delay.
+            loss = LossCharacter(100.0 * result.p_loss, burst_ratio(result.effective_lost.tolist()))
+            score = compute_r_factor(DEFAULT_PROFILES[Codec.AMR], loss, result.mean_playout_delay_ms)
+            assert outcome.record.r_factor == score.r_factor
             expected_p = min(
                 1.0,
                 (outcome.jbe_result.lost_count + outcome.jbe_result.late_count)
