@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,39 +40,23 @@ class FitResult:
     iterations: int
     converged: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": dict(self.params),
-            "r_squared": self.r_squared,
-            "sse": self.residual_sse,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
-
-@dataclass(frozen=True)
-class SeriesBin:
-    lo: float
-    hi: float
-    count: int
-    median_x: float | None
-    mean_y: float | None
-    std_y: float | None
-
 
 @dataclass(frozen=True)
 class BinnedSeries:
+    """Per-bin columns over uniform x bins; bin k spans ``edges[k]`` to
+    ``edges[k + 1]``.  An empty bin has None for its median x, mean y and
+    standard deviation of y."""
+
     edges: tuple[float, ...]
-    bins: tuple[SeriesBin, ...]
+    counts: tuple[int, ...]
+    median_x: tuple[float | None, ...]
+    mean_y: tuple[float | None, ...]
+    std_y: tuple[float | None, ...]
     out_of_range: int
 
     def points(self) -> list[tuple[float, float]]:
         """(median_x, mean_y) for every non-empty bin, in bin order."""
-        return [(b.median_x, b.mean_y) for b in self.bins if b.count > 0]
-
-    def counts(self) -> list[int]:
-        return [b.count for b in self.bins]
+        return [(x, y) for n, x, y in zip(self.counts, self.median_x, self.mean_y) if n > 0]
 
 
 @dataclass(frozen=True)
@@ -103,13 +87,48 @@ def uniform_edges(bins: int, lo: float, hi: float) -> np.ndarray:
     return edges
 
 
-def _bin_index(edges: np.ndarray, x: float) -> int | None:
-    """Index of the half-open bin [e_k, e_{k+1}) holding x; the last bin is
-    closed at the top.  None when x is out of range or NaN."""
-    if not edges[0] <= x <= edges[-1]:
-        return None
-    idx = int(np.searchsorted(edges, x, side="right")) - 1
-    return len(edges) - 2 if idx == len(edges) - 1 else idx
+def _columns(rows: Iterable[Sequence[float]], width: int) -> tuple[np.ndarray, ...]:
+    """The rows as ``width`` float64 columns; a row of another width raises
+    ValueError.  Each column is a contiguous copy: the fits' BLAS dot
+    products may round differently on a strided view."""
+    rows = list(rows)
+    table = np.array(rows, dtype=float) if rows else np.empty((0, width))
+    if table.ndim != 2 or table.shape[1] != width:
+        raise ValueError(f"expected rows of {width} values")
+    return tuple(column.copy() for column in table.T)
+
+
+def _cells(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the half-open bin [e_k, e_{k+1}) holding each x; the last bin
+    is closed at the top.  -1 where x is out of range or NaN."""
+    bins = len(edges) - 1
+    cell = np.searchsorted(edges, x, side="right") - 1
+    cell[x == edges[-1]] = bins - 1
+    cell[cell == bins] = -1  # above the top edge, or NaN (sorted last)
+    return cell
+
+
+def _by_cell(
+    cell: np.ndarray, n_cells: int, y: np.ndarray, *others: np.ndarray
+) -> tuple[int, list[slice], list[np.ndarray]]:
+    """The count of cell -1 (out of range), each cell's slice, and the
+    columns reordered by cell with y ascending within a cell.
+
+    Sorted values keep every per-cell figure exactly permutation-invariant
+    despite float rounding.  Each column is reordered once and the cells
+    are views of it: a copy per cell would raise peak memory.
+    """
+    order = np.lexsort((y, cell))
+    starts = np.searchsorted(cell[order], np.arange(n_cells + 1)).tolist()
+    slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    return starts[0], slices, [column[order] for column in (y, *others)]
+
+
+def _per_cell(
+    stat: Callable[[np.ndarray], float], column: np.ndarray, slices: list[slice]
+) -> tuple[float | None, ...]:
+    """``stat`` of each cell's slice of ``column``; None for an empty cell."""
+    return tuple(float(stat(column[s])) if s.stop > s.start else None for s in slices)
 
 
 def bin_series(
@@ -121,51 +140,19 @@ def bin_series(
 ) -> BinnedSeries:
     """Aggregate (x, y) points over uniform x bins.
 
-    Per bin: the median x, the mean y, and the population standard
-    deviation of y.  Out-of-range points are counted and excluded;
-    permutation of the input never changes the result.
+    Per bin: the count, the median x, the mean y, and the population
+    standard deviation of y.  Out-of-range points are counted and
+    excluded; permutation of the input never changes the result.
     """
     edges = uniform_edges(bins, lo, hi)
-    xs: list[list[float]] = [[] for _ in range(bins)]
-    ys: list[list[float]] = [[] for _ in range(bins)]
-    out_of_range = 0
-    for x, y in points:
-        idx = _bin_index(edges, x)
-        if idx is None:
-            out_of_range += 1
-            continue
-        xs[idx].append(x)
-        ys[idx].append(y)
-    series_bins = []
-    for k in range(bins):
-        if xs[k]:
-            # Aggregate over sorted values so the result is exactly
-            # permutation-invariant despite float rounding.
-            y_sorted = np.sort(ys[k])
-            series_bins.append(
-                SeriesBin(
-                    lo=float(edges[k]),
-                    hi=float(edges[k + 1]),
-                    count=len(xs[k]),
-                    median_x=float(np.median(xs[k])),
-                    mean_y=float(np.mean(y_sorted)),
-                    std_y=float(np.std(y_sorted)),
-                )
-            )
-        else:
-            series_bins.append(
-                SeriesBin(
-                    lo=float(edges[k]),
-                    hi=float(edges[k + 1]),
-                    count=0,
-                    median_x=None,
-                    mean_y=None,
-                    std_y=None,
-                )
-            )
+    x, y = _columns(points, 2)
+    out_of_range, slices, (y, x) = _by_cell(_cells(edges, x), bins, y, x)
     return BinnedSeries(
-        edges=tuple(float(e) for e in edges),
-        bins=tuple(series_bins),
+        edges=tuple(edges.tolist()),
+        counts=tuple(s.stop - s.start for s in slices),
+        median_x=_per_cell(np.median, x, slices),
+        mean_y=_per_cell(np.mean, y, slices),
+        std_y=_per_cell(np.std, y, slices),
         out_of_range=out_of_range,
     )
 
@@ -174,9 +161,7 @@ def _as_xyw(
     points: Iterable[tuple[float, float]],
     weights: Sequence[float] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    pts = list(points)
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
+    x, y = _columns(points, 2)
     if weights is None:
         return x, y, None
     w = np.asarray(weights, dtype=float)
@@ -349,29 +334,15 @@ def surface_grid(
     """
     p_edges = uniform_edges(p_bins, *p_range)
     j_edges = uniform_edges(j_bins, *j_range)
-    n_p, n_j = len(p_edges) - 1, len(j_edges) - 1
-    cells: list[list[list[float]]] = [[[] for _ in range(n_j)] for _ in range(n_p)]
-    out_of_range = 0
-    for p, j, r in samples:
-        pi = _bin_index(p_edges, p)
-        ji = _bin_index(j_edges, j)
-        if pi is None or ji is None:
-            out_of_range += 1
-            continue
-        cells[pi][ji].append(r)
-    # Sorted per-cell means keep the aggregation permutation-invariant.
-    means = tuple(
-        tuple(
-            float(np.mean(np.sort(cells[i][k]))) if cells[i][k] else None
-            for k in range(n_j)
-        )
-        for i in range(n_p)
-    )
-    counts = tuple(tuple(len(cells[i][k]) for k in range(n_j)) for i in range(n_p))
+    p, j, r = _columns(samples, 3)
+    p_cell, j_cell = _cells(p_edges, p), _cells(j_edges, j)
+    cell = np.where((p_cell >= 0) & (j_cell >= 0), p_cell * j_bins + j_cell, -1)
+    out_of_range, slices, (r,) = _by_cell(cell, p_bins * j_bins, r)
+    rows = [slices[i : i + j_bins] for i in range(0, len(slices), j_bins)]
     return SurfaceGrid(
-        p_edges=tuple(float(e) for e in p_edges),
-        j_edges=tuple(float(e) for e in j_edges),
-        mean_r=means,
-        counts=counts,
+        p_edges=tuple(p_edges.tolist()),
+        j_edges=tuple(j_edges.tolist()),
+        mean_r=tuple(_per_cell(np.mean, r, row) for row in rows),
+        counts=tuple(tuple(s.stop - s.start for s in row) for row in rows),
         out_of_range=out_of_range,
     )

@@ -25,6 +25,7 @@ from typing import IO, Callable, Iterator, Sequence, TypeVar
 from volteqa import __version__
 from volteqa.analytics import (
     BinnedSeries,
+    FitResult,
     bin_series,
     fit_exponential,
     fit_linear,
@@ -39,13 +40,13 @@ from volteqa.emodel import (
 from volteqa.ingest import (
     CDR_COLUMNS,
     Codec,
-    FlowRecord,
     SchemaError,
     cdr_row,
     parse_cdr_csv,
     summarize_dataset,
     write_cdr_csv,
 )
+from volteqa.jitter_buffer import effective_loss
 from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
 
 SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
@@ -138,20 +139,6 @@ def _load_config(path: str, load: Callable[[str], T]) -> tuple[str, T]:
         raise CliError("CONFIG", str(exc)) from None
 
 
-def cdr_p_loss(record: FlowRecord) -> float:
-    """Effective loss estimated from packet counts alone.
-
-    CDR rows carry no per-packet timing, so excessively delayed packets
-    cannot be told apart from on-time ones here; the estimate is the
-    network loss relative to received packets, clamped to [0, 1].
-    """
-    if record.rx_packets == 0:
-        return 1.0
-    lost = max(0, record.tx_packets - record.rx_packets)
-    # Dividing only when the ratio is below 1 keeps huge counts from overflowing.
-    return 1.0 if lost >= record.rx_packets else lost / record.rx_packets
-
-
 def cmd_score(args: argparse.Namespace) -> int:
     profiles = DEFAULT_PROFILES if args.config is None else _load_config(args.config, load_profiles)[1]
     wanted = _codec_filter(args.codec)
@@ -169,7 +156,10 @@ def cmd_score(args: argparse.Namespace) -> int:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SCORED_COLUMNS)
         for record in records:
-            p_loss = cdr_p_loss(record)
+            # CDR rows carry no per-packet timing, so late packets cannot be
+            # told apart from on-time ones: only network loss counts.
+            lost = max(0, record.tx_packets - record.rx_packets)
+            p_loss = effective_loss(lost, 0, record.rx_packets)
             # Counts alone say nothing about burstiness: assume random loss.
             character = LossCharacter(ppl=100.0 * p_loss, burst_r=1.0)
             score = compute_r_factor(profiles[record.codec], character)
@@ -296,17 +286,17 @@ def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> Non
              "p_loss_median", "r_mean", "r_std"]
         )
         for label, series in labelled:
-            for index, b in enumerate(series.bins):
+            edges = series.edges
+            stats = zip(series.counts, series.median_x, series.mean_y, series.std_y)
+            for index, (count, *values) in enumerate(stats):
                 writer.writerow(
                     [
                         label,
                         index,
-                        format_g6(b.lo),
-                        format_g6(b.hi),
-                        b.count,
-                        "" if b.median_x is None else format_g6(b.median_x),
-                        "" if b.mean_y is None else format_g6(b.mean_y),
-                        "" if b.std_y is None else format_g6(b.std_y),
+                        format_g6(edges[index]),
+                        format_g6(edges[index + 1]),
+                        count,
+                        *("" if v is None else format_g6(v) for v in values),
                     ]
                 )
 
@@ -328,7 +318,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             raise CliError("BAD_RANGE", f"--range: {exc}") from None
         labelled_series.append((codec.value, series))
         binned_points = series.points()
-        weights = [b.count for b in series.bins if b.count > 0] if args.weighted else None
+        weights = [n for n in series.counts if n > 0] if args.weighted else None
         fit_points = points if args.raw_points else binned_points
         fit_weights = None if args.raw_points else weights
 
@@ -363,12 +353,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fit_doc(fit) -> dict:
-    doc = fit.as_dict()
-    doc["params"] = {k: round_g6(v) for k, v in doc["params"].items()}
-    doc["r_squared"] = round_g6(doc["r_squared"])
-    doc["sse"] = round_g6(doc["sse"])
-    return doc
+def _fit_doc(fit: FitResult) -> dict:
+    return {
+        "model": fit.model,
+        "params": {k: round_g6(v) for k, v in fit.params.items()},
+        "r_squared": round_g6(fit.r_squared),
+        "sse": round_g6(fit.residual_sse),
+        "iterations": fit.iterations,
+        "converged": fit.converged,
+    }
 
 
 def cmd_report(args: argparse.Namespace) -> int:

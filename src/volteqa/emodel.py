@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from volteqa.ingest import Bandwidth, Codec, parse_float
 
 # ie_eff saturates toward this value as loss approaches 100%.
@@ -91,23 +93,20 @@ class QualityScore:
     mos: float
 
 
-def burst_ratio(loss_flags: Sequence[bool]) -> float:
+def burst_ratio(loss_flags: Sequence[bool] | np.ndarray) -> float:
     """Burst ratio of a loss pattern (True = lost), as ``LossCharacter.burst_r``.
 
     The ratio degenerates to 1 when nothing was lost or everything was lost.
     """
-    total = len(loss_flags)
+    flags = np.asarray(loss_flags, dtype=bool)
+    total = flags.size
     if total == 0:
         raise ValueError("need at least one loss flag")
-    lost = sum(1 for flag in loss_flags if flag)
+    lost = int(np.count_nonzero(flags))
     if lost == 0 or lost == total:
         return 1.0
-    runs = 0
-    previous = False
-    for flag in loss_flags:
-        if flag and not previous:
-            runs += 1
-        previous = flag
+    # A run starts at a lost packet that is first or follows a received one.
+    runs = int(flags[0]) + int(np.count_nonzero(flags[1:] & ~flags[:-1]))
     mean_run = lost / runs
     p = lost / total
     expected_run = 1.0 / (1.0 - p)

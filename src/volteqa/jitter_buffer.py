@@ -142,7 +142,8 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
     arrival = timeline.arrival_ms[received]
     send = timeline.send_ms[received]
     received_count = arrival.size
-    jitter = np.abs(np.diff(arrival) - np.diff(send)).tolist()
+    jitter = np.abs(np.diff(arrival) - np.diff(send))
+    samples = jitter.tolist()
 
     # Window sums after each jitter sample.  The plain loop keeps the float
     # rounding of the running sum.  Sample i - window leaves the window as
@@ -150,10 +151,10 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
     # are non-negative, so the sum is kept from drifting below zero through
     # float cancellation.
     window = config.window
-    leaving = [0.0] * min(window, len(jitter)) + jitter
+    leaving = [0.0] * min(window, len(samples)) + samples
     window_sums = []
     window_sum = 0.0
-    for old, new in zip(leaving, jitter):
+    for old, new in zip(leaving, samples):
         window_sum = window_sum - old + new
         if window_sum < 0.0:
             window_sum = 0.0
@@ -176,10 +177,9 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
     playout_ms[received] = playout
     late_flags = np.zeros(timeline.tx_count, dtype=bool)
     late_flags[received] = late
-    # Means take sum() over lists, not a running total or a numpy sum: sum()
-    # of floats is compensated on Python >= 3.12, and datasets depend on
-    # its rounding.
-    delays = (playout - send).tolist()
+    # Means add left to right (np.add.accumulate), not pairwise (np.sum) or
+    # compensated (sum() on Python >= 3.12): datasets depend on the rounding.
+    delays = playout - send
     return JbeResult(
         playout_ms=playout_ms,
         late=late_flags,
@@ -187,8 +187,18 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
         lost_count=lost_count,
         late_count=late_count,
         received_count=received_count,
-        p_loss=min(1.0, (lost_count + late_count) / received_count) if received_count else 1.0,
-        avg_jitter_ms=sum(jitter) / len(jitter) if jitter else None,
-        max_jitter_ms=max(jitter) if jitter else None,
-        mean_playout_delay_ms=sum(delays) / received_count if received_count else 0.0,
+        p_loss=effective_loss(lost_count, late_count, received_count),
+        avg_jitter_ms=float(np.add.accumulate(jitter)[-1]) / jitter.size if jitter.size else None,
+        max_jitter_ms=float(jitter.max()) if jitter.size else None,
+        mean_playout_delay_ms=(
+            float(np.add.accumulate(delays)[-1]) / received_count if received_count else 0.0
+        ),
     )
+
+
+def effective_loss(lost: int, late: int, received: int) -> float:
+    """Effective packet loss (lost + late) / received, clamped to [0, 1]; a
+    flow with nothing received counts as fully lost."""
+    missing = lost + late
+    # Dividing only when the ratio is below 1 keeps huge counts from overflowing.
+    return 1.0 if missing >= received else missing / received

@@ -318,7 +318,7 @@ def iter_flow_outcomes(
             continue
         character = LossCharacter(
             ppl=100.0 * result.p_loss,
-            burst_r=burst_ratio(result.effective_lost.tolist()),
+            burst_r=burst_ratio(result.effective_lost),
         )
         score = compute_r_factor(profiles[codec], character, result.mean_playout_delay_ms)
         record = FlowRecord(

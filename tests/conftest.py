@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from volteqa.analytics import BinnedSeries, SurfaceGrid, uniform_edges
 from volteqa.emodel import CodecProfile
 from volteqa.ingest import Codec
 from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketTimeline
@@ -159,6 +160,14 @@ def reference_run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig())
         prev_received = (send, arrival)
 
     received_count = len(playout_delays)
+    # Add left to right like sum() on Python <= 3.11; 3.12's sum() of floats
+    # is compensated.
+    jitter_total = 0.0
+    for sample in jitter_samples:
+        jitter_total += sample
+    delay_total = 0.0
+    for delay in playout_delays:
+        delay_total += delay
     return {
         "playout_ms": tuple(playout),
         "late": tuple(late_flags),
@@ -167,9 +176,9 @@ def reference_run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig())
         "late_count": late_count,
         "received_count": received_count,
         "p_loss": min(1.0, (lost_count + late_count) / received_count) if received_count else 1.0,
-        "avg_jitter_ms": sum(jitter_samples) / len(jitter_samples) if jitter_samples else None,
+        "avg_jitter_ms": jitter_total / len(jitter_samples) if jitter_samples else None,
         "max_jitter_ms": max(jitter_samples) if jitter_samples else None,
-        "mean_playout_delay_ms": sum(playout_delays) / received_count if received_count else 0.0,
+        "mean_playout_delay_ms": delay_total / received_count if received_count else 0.0,
     }
 
 
@@ -205,3 +214,89 @@ def reference_arrivals(lost, delays, ptime_ms: float) -> list[float | None]:
         last_arrival = arrival
         arrivals.append(arrival)
     return arrivals
+
+
+def reference_burst_ratio(loss_flags) -> float:
+    """Scalar oracle for ``burst_ratio``: its per-flag loop, kept as a plain copy."""
+    total = len(loss_flags)
+    if total == 0:
+        raise ValueError("need at least one loss flag")
+    lost = sum(1 for flag in loss_flags if flag)
+    if lost == 0 or lost == total:
+        return 1.0
+    runs = 0
+    previous = False
+    for flag in loss_flags:
+        if flag and not previous:
+            runs += 1
+        previous = flag
+    mean_run = lost / runs
+    p = lost / total
+    expected_run = 1.0 / (1.0 - p)
+    return max(1.0, mean_run / expected_run)
+
+
+def reference_bin_index(edges: np.ndarray, x: float) -> int | None:
+    """Scalar oracle for the bin rule of ``bin_series`` and ``surface_grid``:
+    the half-open bin [e_k, e_{k+1}) holding x, the last bin closed at the
+    top; None when x is out of range or NaN."""
+    if not edges[0] <= x <= edges[-1]:
+        return None
+    idx = int(np.searchsorted(edges, x, side="right")) - 1
+    return len(edges) - 2 if idx == len(edges) - 1 else idx
+
+
+def reference_bin_series(points, *, bins: int = 10, lo: float = 0.0, hi: float = 0.2) -> BinnedSeries:
+    """Scalar oracle for ``bin_series``: its per-point loop, kept as a plain
+    copy, with each bin's sorted values aggregated on their own."""
+    edges = uniform_edges(bins, lo, hi)
+    xs: list[list[float]] = [[] for _ in range(bins)]
+    ys: list[list[float]] = [[] for _ in range(bins)]
+    out_of_range = 0
+    for x, y in points:
+        idx = reference_bin_index(edges, x)
+        if idx is None:
+            out_of_range += 1
+            continue
+        xs[idx].append(x)
+        ys[idx].append(y)
+    return BinnedSeries(
+        edges=tuple(float(e) for e in edges),
+        counts=tuple(len(xs[k]) for k in range(bins)),
+        median_x=tuple(float(np.median(xs[k])) if xs[k] else None for k in range(bins)),
+        mean_y=tuple(float(np.mean(np.sort(ys[k]))) if ys[k] else None for k in range(bins)),
+        std_y=tuple(float(np.std(np.sort(ys[k]))) if ys[k] else None for k in range(bins)),
+        out_of_range=out_of_range,
+    )
+
+
+def reference_surface_grid(samples, *, p_bins, p_range, j_bins, j_range) -> SurfaceGrid:
+    """Scalar oracle for ``surface_grid``: its per-sample loop, kept as a
+    plain copy."""
+    p_edges = uniform_edges(p_bins, *p_range)
+    j_edges = uniform_edges(j_bins, *j_range)
+    n_p, n_j = len(p_edges) - 1, len(j_edges) - 1
+    cells: list[list[list[float]]] = [[[] for _ in range(n_j)] for _ in range(n_p)]
+    out_of_range = 0
+    for p, j, r in samples:
+        pi = reference_bin_index(p_edges, p)
+        ji = reference_bin_index(j_edges, j)
+        if pi is None or ji is None:
+            out_of_range += 1
+            continue
+        cells[pi][ji].append(r)
+    means = tuple(
+        tuple(
+            float(np.mean(np.sort(cells[i][k]))) if cells[i][k] else None
+            for k in range(n_j)
+        )
+        for i in range(n_p)
+    )
+    counts = tuple(tuple(len(cells[i][k]) for k in range(n_j)) for i in range(n_p))
+    return SurfaceGrid(
+        p_edges=tuple(float(e) for e in p_edges),
+        j_edges=tuple(float(e) for e in j_edges),
+        mean_r=means,
+        counts=counts,
+        out_of_range=out_of_range,
+    )

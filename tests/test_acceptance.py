@@ -103,7 +103,7 @@ def test_criterion_3_end_to_end_curve_shape():
     linear = fit_linear(series.points())
     elapsed = time.perf_counter() - start
 
-    means = [b.mean_y for b in series.bins if b.count > 0]
+    means = [y for _, y in series.points()]
     monotone = all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
     exp_wins = exponential.r_squared > linear.r_squared
     ok = len(points) >= 9_000 and exp_wins and monotone and elapsed < 60.0
@@ -263,7 +263,7 @@ def test_criterion_7_golden_pipeline(tmp_path):
     bins_csv = tmp_path / "bins.csv"
     _write_bins_csv(bins_csv, [("ALL", series)])
     table_ok = bins_csv.read_bytes() == (DATA / "binned_golden.csv").read_bytes()
-    counts_ok = sum(series.counts()) == 1000
+    counts_ok = sum(series.counts) == 1000
     edges_ok = all(abs(edge - 0.02 * k) < 1e-12 for k, edge in enumerate(series.edges))
 
     ok = score_ok and table_ok and counts_ok and edges_ok

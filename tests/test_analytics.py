@@ -14,6 +14,8 @@ from conftest import (
     LIN_SLOPE,
     exp_curve,
     line_curve,
+    reference_bin_series,
+    reference_surface_grid,
 )
 from volteqa.analytics import (
     DegenerateDataError,
@@ -24,6 +26,7 @@ from volteqa.analytics import (
     fit_exponential,
     fit_linear,
     surface_grid,
+    uniform_edges,
 )
 
 
@@ -39,22 +42,23 @@ EXP_TARGET = np.array([EXP_OFFSET, EXP_AMPLITUDE, EXP_DECAY])
 
 def test_bin_series_groups_single_value():
     series = bin_series([(0.05, 10.0)] * 5)
-    assert series.counts() == [0, 0, 5, 0, 0, 0, 0, 0, 0, 0]
-    assert series.bins[2].median_x == 0.05
-    assert series.bins[2].mean_y == 10.0
-    assert series.bins[2].std_y == 0.0
+    assert series.counts == (0, 0, 5, 0, 0, 0, 0, 0, 0, 0)
+    assert series.median_x[2] == 0.05
+    assert series.mean_y[2] == 10.0
+    assert series.std_y[2] == 0.0
+    assert series.median_x[3] is series.mean_y[3] is series.std_y[3] is None
 
 
 def test_bin_series_median_of_odd_count():
     series = bin_series([(0.01, 1.0), (0.015, 2.0), (0.019, 3.0)])
-    assert series.bins[0].median_x == 0.015
-    assert series.bins[0].mean_y == 2.0
+    assert series.median_x[0] == 0.015
+    assert series.mean_y[0] == 2.0
 
 
 def test_bin_series_top_edge_closed():
     series = bin_series([(0.2, 42.0)])
-    assert series.counts()[9] == 1
-    assert series.bins[9].median_x == 0.2
+    assert series.counts[9] == 1
+    assert series.median_x[9] == 0.2
 
 
 def test_bin_series_edges_are_uniform():
@@ -67,20 +71,20 @@ def test_bin_series_edges_are_uniform():
 def test_bin_series_counts_out_of_range():
     series = bin_series([(-0.01, 1.0), (0.21, 1.0), (0.1, 1.0)])
     assert series.out_of_range == 2
-    assert sum(series.counts()) == 1
+    assert sum(series.counts) == 1
 
 
 def test_bin_series_counts_nan_out_of_range():
     series = bin_series([(math.nan, 50.0), (0.01, 60.0)])
     assert series.out_of_range == 1
-    assert series.counts() == [1] + [0] * 9
+    assert series.counts == (1,) + (0,) * 9
 
 
 def test_bin_series_is_permutation_invariant_and_lossless():
     rng = np.random.default_rng(11)
     points = [(float(rng.uniform(0, 0.2)), float(rng.normal(50, 10))) for _ in range(500)]
     base = bin_series(points)
-    assert sum(base.counts()) == 500
+    assert sum(base.counts) == 500
     for _ in range(3):
         rng.shuffle(points)
         assert bin_series(points) == base
@@ -88,8 +92,75 @@ def test_bin_series_is_permutation_invariant_and_lossless():
 
 def test_bin_series_custom_range():
     series = bin_series([(0.5, 1.0)], bins=5, lo=0.0, hi=1.0)
-    assert len(series.bins) == 5
-    assert series.counts()[2] == 1
+    assert len(series.counts) == 5
+    assert series.counts[2] == 1
+
+
+def _axis_values(rng: np.random.Generator, edges: np.ndarray, n: int) -> list[float]:
+    """n values along a binned axis: inside, on every edge, just outside the
+    range, infinite, NaN and -0.0."""
+    lo, hi = float(edges[0]), float(edges[-1])
+    special = [
+        *map(float, edges),
+        math.nextafter(lo, -math.inf),
+        math.nextafter(hi, math.inf),
+        math.nextafter(hi, -math.inf),
+        lo - 1.0,
+        hi + 1.0,
+        math.inf,
+        -math.inf,
+        math.nan,
+        -0.0,
+    ]
+    inside = rng.uniform(lo, hi, n).tolist()
+    picks = rng.integers(len(special), size=n).tolist()
+    return [special[k] if rng.random() < 0.3 else v for k, v in zip(picks, inside)]
+
+
+def _qualities(rng: np.random.Generator, n: int) -> list[float]:
+    """n quality values, about half of them tied on a few levels or -0.0/0.0."""
+    ties = [0.0, -0.0, 50.0, 87.5, 93.2]
+    values = rng.normal(70.0, 15.0, n).tolist()
+    return [ties[k] if rng.random() < 0.5 else v for k, v in zip(rng.integers(5, size=n).tolist(), values)]
+
+
+@pytest.mark.parametrize("bins", [1, 2, 10, 37])
+def test_bin_series_matches_reference_loop(bins):
+    rng = np.random.default_rng(bins)
+    lo, hi = (-0.0, 0.2) if bins == 10 else (0.0, 1.5)
+    edges = uniform_edges(bins, lo, hi)
+    for n in (0, 1, 7, 300, 2_000):
+        points = list(zip(_axis_values(rng, edges, n), _qualities(rng, n)))
+        assert bin_series(points, bins=bins, lo=lo, hi=hi) == reference_bin_series(
+            points, bins=bins, lo=lo, hi=hi
+        )
+
+
+@pytest.mark.parametrize("p_bins, j_bins", [(1, 1), (1, 6), (10, 10), (20, 7)])
+def test_surface_grid_matches_reference_loop(p_bins, j_bins):
+    rng = np.random.default_rng(100 * p_bins + j_bins)
+    spec = dict(p_bins=p_bins, p_range=(0.0, 0.2), j_bins=j_bins, j_range=(0.0, 20.0))
+    p_edges = uniform_edges(p_bins, *spec["p_range"])
+    j_edges = uniform_edges(j_bins, *spec["j_range"])
+    for n in (0, 1, 9, 500, 3_000):
+        samples = list(
+            zip(_axis_values(rng, p_edges, n), _axis_values(rng, j_edges, n), _qualities(rng, n))
+        )
+        assert surface_grid(samples, **spec) == reference_surface_grid(samples, **spec)
+
+
+def test_binning_rejects_points_of_the_wrong_width():
+    grid = dict(p_bins=2, p_range=(0.0, 0.2), j_bins=2, j_range=(0.0, 10.0))
+    for points in ([(0.1, 1.0, 2.0)], [(0.1, 1.0), (0.1,)], [(0.1, 1.0, 0.1, 2.0)], [()]):
+        with pytest.raises(ValueError):
+            bin_series(points)
+        with pytest.raises(ValueError):
+            reference_bin_series(points)
+    for samples in ([(0.1, 1.0)], [(0.1, 1.0, 2.0), (0.1, 1.0)], [(0.1, 1.0, 2.0, 0.1, 1.0, 2.0)]):
+        with pytest.raises(ValueError):
+            surface_grid(samples, **grid)
+        with pytest.raises(ValueError):
+            reference_surface_grid(samples, **grid)
 
 
 # ---------------------------------------------------------- exponential fit

@@ -3,9 +3,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import reference_burst_ratio
 from volteqa.emodel import (
     DEFAULT_PROFILES,
     CodecProfile,
@@ -64,6 +66,8 @@ def test_burst_ratio_always_well_formed(flags):
     ratio = burst_ratio(flags)
     assert isinstance(ratio, float)
     assert ratio >= 1.0
+    assert ratio == reference_burst_ratio(flags)
+    assert burst_ratio(np.array(flags)) == ratio
 
 
 def test_ie_eff_zero_loss_identity():

@@ -10,6 +10,7 @@ from volteqa.jitter_buffer import (
     EmptyFlowError,
     JbeConfig,
     PacketTimeline,
+    effective_loss,
     run_jbe,
 )
 
@@ -195,6 +196,19 @@ def test_jbe_fully_lost_flow():
     assert result.p_loss == 1.0
     assert result.avg_jitter_ms is None
     assert result.mean_playout_delay_ms == 0.0
+
+
+def test_effective_loss_clamps_and_never_rounds_up_to_one():
+    assert effective_loss(0, 0, 0) == 1.0  # nothing received: fully lost
+    assert effective_loss(3, 0, 0) == 1.0
+    assert effective_loss(2, 1, 3) == 1.0  # missing == received
+    assert effective_loss(5, 2, 3) == 1.0  # missing > received
+    assert effective_loss(10**400, 0, 5) == 1.0  # no int-to-float overflow
+    assert effective_loss(1, 1, 8) == 0.25
+    # missing = received - 1 stays below 1 for every count below 2**53.
+    for received in (2, 3, 1_000, 2**53 - 1):
+        assert effective_loss(received - 1, 0, received) < 1.0
+        assert effective_loss(received - 2, 1, received) < 1.0
 
 
 def test_jbe_anchors_on_first_received_packet():
