@@ -7,7 +7,7 @@ simulation, and binned quality-versus-loss regression.
 
 from volteqa.ingest import Codec, Bandwidth, FlowRecord, RejectReason
 from volteqa.jitter_buffer import PacketTimeline, JbeConfig, JbeResult
-from volteqa.emodel import CodecProfile, LossCharacter, QualityScore
+from volteqa.emodel import CodecProfile, QualityScore
 from volteqa.analytics import FitResult, BinnedSeries, SurfaceGrid
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ __all__ = [
     "JbeConfig",
     "JbeResult",
     "CodecProfile",
-    "LossCharacter",
     "QualityScore",
     "FitResult",
     "BinnedSeries",

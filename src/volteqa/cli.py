@@ -22,6 +22,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence, TypeVar
 
+import numpy as np
+
 from volteqa import __version__
 from volteqa.analytics import (
     BinnedSeries,
@@ -31,15 +33,11 @@ from volteqa.analytics import (
     fit_linear,
     surface_grid,
 )
-from volteqa.emodel import (
-    DEFAULT_PROFILES,
-    LossCharacter,
-    compute_r_factor,
-    load_profiles,
-)
+from volteqa.emodel import DEFAULT_PROFILES, CodecProfile, compute_r_factor, load_profiles
 from volteqa.ingest import (
     CDR_COLUMNS,
     Codec,
+    FlowRecord,
     SchemaError,
     cdr_row,
     parse_cdr_csv,
@@ -52,6 +50,10 @@ from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
 SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
 
 MIN_BINS_FOR_EXPONENTIAL = 4
+
+# Records scored at a time by `score`: it keeps the score arrays small
+# beside the parsed records.
+SCORE_CHUNK = 8192
 
 T = TypeVar("T")
 
@@ -155,23 +157,38 @@ def cmd_score(args: argparse.Namespace) -> int:
     with _open(output, "OUTPUT") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SCORED_COLUMNS)
-        for record in records:
-            # CDR rows carry no per-packet timing, so late packets cannot be
-            # told apart from on-time ones: only network loss counts.
-            lost = max(0, record.tx_packets - record.rx_packets)
-            p_loss = effective_loss(lost, 0, record.rx_packets)
-            # Counts alone say nothing about burstiness: assume random loss.
-            character = LossCharacter(ppl=100.0 * p_loss, burst_r=1.0)
-            score = compute_r_factor(profiles[record.codec], character)
-            writer.writerow(
-                [*cdr_row(record), format_g6(p_loss), format_g6(score.mos), format_g6(score.r_factor)]
-            )
+        for start in range(0, len(records), SCORE_CHUNK):
+            chunk = records[start : start + SCORE_CHUNK]
+            for record, *values in zip(chunk, *_score_records(chunk, profiles)):
+                writer.writerow([*cdr_row(record), *map(format_g6, values)])
 
     summary = summarize_dataset(records, rejects)
     summary["per_codec_shares"] = {k: round_g6(v) for k, v in summary["per_codec_shares"].items()}
     summary_path = Path(args.summary) if args.summary else output.with_suffix(output.suffix + ".summary.json")
     _write_json(summary_path, summary)
     return 0
+
+
+def _score_records(
+    records: list[FlowRecord], profiles: dict[Codec, CodecProfile]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each record's effective loss, MOS and R-factor, scored one codec at a time."""
+    # Counts too large for int64 make object arrays of Python ints.
+    tx = np.array([record.tx_packets for record in records])
+    rx = np.array([record.rx_packets for record in records])
+    # CDR rows carry no per-packet timing, so late packets cannot be told
+    # apart from on-time ones: only network loss counts.
+    p_loss = effective_loss(np.maximum(tx - rx, 0), 0, rx)
+    mos = np.empty(len(records))
+    r_factor = np.empty(len(records))
+    for codec in Codec:
+        rows = np.array([record.codec is codec for record in records], dtype=bool)
+        if rows.any():
+            # Counts alone say nothing about burstiness: assume random loss.
+            score = compute_r_factor(profiles[codec], 100.0 * p_loss[rows])
+            mos[rows] = score.mos
+            r_factor[rows] = score.r_factor
+    return p_loss, mos, r_factor
 
 
 def _write_json(path: Path, doc: dict) -> None:

@@ -63,110 +63,92 @@ DEFAULT_PROFILES: dict[Codec, CodecProfile] = {
 }
 
 
-@dataclass(frozen=True)
-class LossCharacter:
-    """Loss percentage plus burstiness of the loss pattern.
-
-    ``burst_r`` is the mean observed loss-run length divided by the mean
-    run length expected under independent loss at the same rate; 1 means
-    random loss, larger means burstier.
-    """
-
-    ppl: float
-    burst_r: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.ppl <= 100.0:
-            raise ValueError(f"ppl must be a percentage in [0, 100], got {self.ppl}")
-        if self.burst_r < 1.0:
-            raise ValueError(f"burst_r must be >= 1, got {self.burst_r}")
-
-
-NO_LOSS = LossCharacter(ppl=0.0, burst_r=1.0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QualityScore:
-    """Clamped R-factor and the mapped MOS."""
+    """Clamped R-factors and the mapped MOS values, one entry per flow."""
 
-    r_factor: float
-    mos: float
+    r_factor: np.ndarray
+    mos: np.ndarray
 
 
-def burst_ratio(loss_flags: Sequence[bool] | np.ndarray) -> float:
-    """Burst ratio of a loss pattern (True = lost), as ``LossCharacter.burst_r``.
+def burst_ratio(loss_flags: Sequence[bool] | np.ndarray) -> np.ndarray:
+    """Burst ratio of each flow's loss pattern (True = lost), as the
+    ``burst_r`` of :func:`compute_r_factor`.
 
-    The ratio degenerates to 1 when nothing was lost or everything was lost.
+    Axis 0 runs over packets, any further axes over flows: an (n, flows)
+    array gives one ratio per flow, a 1-D pattern a 0-d array.  The ratio
+    is the mean observed loss-run length divided by the mean run length
+    expected under independent loss at the same rate; 1 means random loss,
+    larger means burstier.  It degenerates to 1 when nothing was lost or
+    everything was lost.
     """
     flags = np.asarray(loss_flags, dtype=bool)
-    total = flags.size
+    total = flags.shape[0] if flags.ndim else 0
     if total == 0:
         raise ValueError("need at least one loss flag")
-    lost = int(np.count_nonzero(flags))
-    if lost == 0 or lost == total:
-        return 1.0
+    lost = np.count_nonzero(flags, axis=0)
     # A run starts at a lost packet that is first or follows a received one.
-    runs = int(flags[0]) + int(np.count_nonzero(flags[1:] & ~flags[:-1]))
-    mean_run = lost / runs
-    p = lost / total
-    expected_run = 1.0 / (1.0 - p)
-    return max(1.0, mean_run / expected_run)
-
-
-def ie_eff(profile: CodecProfile, loss: LossCharacter) -> float:
-    """Effective equipment impairment under the given loss character.
-
-    Monotonically non-decreasing in both loss percent and burst ratio,
-    equal to ``ie`` at zero loss and strictly below 95.  The loss term
-    ``ppl / (ppl/burst_r + bpl)`` saturates just under 1: for bursty loss
-    at extreme rates the raw ratio exceeds 1, which would push the
-    impairment past the ceiling it is meant to approach.
-    """
-    term = loss.ppl / (loss.ppl / loss.burst_r + profile.bpl)
-    term = min(term, math.nextafter(1.0, 0.0))
-    return profile.ie + (LOSS_IMPAIRMENT_CEILING - profile.ie) * term
-
-
-def delay_impairment(one_way_delay_ms: float) -> float:
-    """Delay impairment: zero up to 100 ms, then piecewise linear growth."""
-    if one_way_delay_ms < 0:
-        raise ValueError(f"delay must be >= 0, got {one_way_delay_ms}")
-    if one_way_delay_ms <= 100.0:
-        return 0.0
-    impairment = 0.024 * (one_way_delay_ms - 100.0)
-    if one_way_delay_ms > 177.3:
-        impairment += 0.11 * (one_way_delay_ms - 177.3)
-    return impairment
+    runs = flags[0] + np.count_nonzero(flags[1:] & ~flags[:-1], axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_run = lost / runs
+        p = lost / total
+        expected_run = 1.0 / (1.0 - p)
+        ratio = mean_run / expected_run
+    return np.where((lost == 0) | (lost == total) | ~(ratio > 1.0), 1.0, ratio)
 
 
 def compute_r_factor(
     profile: CodecProfile,
-    loss: LossCharacter = NO_LOSS,
-    one_way_delay_ms: float = 0.0,
+    ppl: float | np.ndarray,
+    burst_r: float | np.ndarray = 1.0,
+    one_way_delay_ms: float | np.ndarray = 0.0,
 ) -> QualityScore:
-    """Score a flow: the impairment budget clamped to the codec's scale, and its MOS."""
-    delay = delay_impairment(one_way_delay_ms)
-    equipment = ie_eff(profile, loss)
-    raw = profile.r0 - profile.simultaneous - delay - equipment + profile.advantage
-    r_factor = min(max(raw, 0.0), profile.codec.r_max)
-    return QualityScore(r_factor=r_factor, mos=r_to_mos(r_factor, profile.codec.bandwidth))
+    """Score flows with one codec profile: R, the impairment budget clamped
+    to the codec's scale, and its MOS.
 
-
-def r_to_mos(r: float, bandwidth: Bandwidth = Bandwidth.NARROWBAND) -> float:
-    """Map an R-factor to MOS on the 1..5 scale (4.5 at the scale maximum).
-
-    The wideband scale reuses the narrowband mapping with r rescaled by
-    100/129, so r = 129 maps to 4.5.  The raw cubic dips slightly below 1
-    for very small positive r; the result is floored at 1 to keep the
-    mapping monotone on the full scale.
+    ``ppl`` (loss percent), ``burst_r`` and ``one_way_delay_ms`` broadcast
+    against each other, one entry per flow.  Each step is the scalar G.107
+    arithmetic, element by element and in the same order.  The delay
+    impairment is zero up to 100 ms, then grows by 0.024 per ms, plus 0.11
+    per ms beyond 177.3 ms.  ``ie_eff`` equals ``ie`` at zero loss, grows
+    with loss and burstiness and stays strictly below 95: its loss term
+    ``ppl / (ppl/burst_r + bpl)`` saturates just under 1, which bursty loss
+    at extreme rates would otherwise exceed.  MOS maps R onto 1..4.5; the
+    wideband scale rescales R by 100/129 first, and the raw cubic, which
+    dips slightly below 1 for very small R, is floored at 1.
     """
-    scaled = r if bandwidth is Bandwidth.NARROWBAND else r * 100.0 / 129.0
-    if scaled <= 0.0:
-        return 1.0
-    if scaled >= 100.0:
-        return 4.5
+    ppl = np.asarray(ppl, dtype=np.float64)
+    burst_r = np.asarray(burst_r, dtype=np.float64)
+    delay = np.asarray(one_way_delay_ms, dtype=np.float64)
+    _check(~((ppl >= 0.0) & (ppl <= 100.0)), ppl, "ppl must be a percentage in [0, 100]")
+    _check(~(burst_r >= 1.0), burst_r, "burst_r must be >= 1")
+    _check(~(delay >= 0.0), delay, "delay must be >= 0")
+
+    delay_impairment = np.where(delay <= 100.0, 0.0, 0.024 * (delay - 100.0))
+    delay_impairment = np.where(
+        delay > 177.3, delay_impairment + 0.11 * (delay - 177.3), delay_impairment
+    )
+    term = np.minimum(ppl / (ppl / burst_r + profile.bpl), math.nextafter(1.0, 0.0))
+    equipment = profile.ie + (LOSS_IMPAIRMENT_CEILING - profile.ie) * term
+    raw = profile.r0 - profile.simultaneous - delay_impairment - equipment + profile.advantage
+    # Comparisons rather than np.maximum / np.minimum keep the scalar
+    # max() / min() choice between equal values, -0.0 included.
+    r_max = profile.codec.r_max
+    r_factor = np.where(raw < 0.0, 0.0, raw)
+    r_factor = np.where(r_max < r_factor, r_max, r_factor)
+
+    wideband = profile.codec.bandwidth is Bandwidth.WIDEBAND
+    scaled = r_factor * 100.0 / 129.0 if wideband else r_factor
     mos = 1.0 + 0.035 * scaled + scaled * (scaled - 60.0) * (100.0 - scaled) * 7e-6
-    return max(1.0, mos)
+    mos = np.where(mos > 1.0, mos, 1.0)
+    mos = np.where(scaled >= 100.0, 4.5, mos)
+    mos = np.where(scaled <= 0.0, 1.0, mos)
+    return QualityScore(r_factor=r_factor, mos=mos)
+
+
+def _check(failed: np.ndarray, values: np.ndarray, message: str) -> None:
+    if failed.any():
+        raise ValueError(f"{message}, got {values[failed].flat[0]}")
 
 
 def load_profiles(text: str) -> dict[Codec, CodecProfile]:

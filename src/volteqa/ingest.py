@@ -103,7 +103,8 @@ def validate_record(record: FlowRecord) -> RejectReason | None:
     return None
 
 
-def _parse_int(text: str, name: str) -> int:
+def parse_int(text: str, name: str) -> int:
+    """The integer in ``text``; ValueError, naming ``name``, otherwise."""
     try:
         return int(text)
     except ValueError:
@@ -160,8 +161,8 @@ def parse_cdr_csv(stream: IO[str]) -> tuple[list[FlowRecord], list[RejectedRow]]
             record = FlowRecord(
                 flow_id=flow_id,
                 codec=codec,
-                tx_packets=_parse_int(tx, "tx_packets"),
-                rx_packets=_parse_int(rx, "rx_packets"),
+                tx_packets=parse_int(tx, "tx_packets"),
+                rx_packets=parse_int(rx, "rx_packets"),
                 avg_jitter_ms=parse_float(avg_j, "avg_jitter_ms"),
                 max_jitter_ms=parse_float(max_j, "max_jitter_ms"),
                 r_factor=None if r_text == "" else parse_float(r_text, "r_factor"),

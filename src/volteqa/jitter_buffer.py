@@ -1,10 +1,11 @@
 """Receiver-side adaptive jitter buffer emulation over packet timelines.
 
-The emulator replays a flow's per-packet send/arrival times through an
+The emulator replays flows' per-packet send/arrival times through an
 adaptive play-out buffer: packets arriving early are held until their
 scheduled play-out instant, packets arriving after it are forwarded
 immediately and counted as late.  Late and lost packets together define
-the effective packet-loss rate of the flow.
+the effective packet-loss rate of a flow.  Flows sent on one grid are
+replayed together as a block, one array column per flow.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ class EmptyFlowError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PacketTimeline:
-    """One flow's packets as columns on a fixed packetization grid.
+    """A block of flows sent on one packetization grid, as columns.
 
-    ``seq``, ``send_ms`` and ``arrival_ms`` hold one entry per transmitted
-    packet, in send order; a NaN arrival marks a lost packet.  The columns
-    are stored as read-only int64/float64 copies.
+    ``seq`` and ``send_ms`` hold one entry per transmitted packet, in send
+    order, shared by every flow of the block.  ``arrival_ms`` has shape
+    (packets, flows): one column per flow, with NaN marking a lost packet.
+    A 1-D ``arrival_ms`` is a block of one flow.  The columns are stored as
+    read-only int64/float64 copies.
     """
 
     ptime_ms: float
@@ -41,9 +44,11 @@ class PacketTimeline:
         seq = np.array(self.seq, dtype=np.int64)
         send = np.array(self.send_ms, dtype=np.float64)
         arrival = np.array(self.arrival_ms, dtype=np.float64)
-        if seq.ndim != 1 or seq.shape != send.shape or seq.shape != arrival.shape:
+        if arrival.ndim == 1:
+            arrival = arrival.reshape(-1, 1)
+        if seq.ndim != 1 or send.shape != seq.shape or arrival.ndim != 2 or len(arrival) != seq.size:
             raise ValueError(
-                f"columns must be 1-D and of equal length, got shapes "
+                f"seq and send_ms must be 1-D, with one arrival row per packet, got shapes "
                 f"{seq.shape}, {send.shape}, {arrival.shape}"
             )
         for name, column in (("seq", seq), ("send_ms", send), ("arrival_ms", arrival)):
@@ -51,18 +56,19 @@ class PacketTimeline:
             object.__setattr__(self, name, column)
         _first_failure(np.diff(seq) <= 0, seq[1:], "seq not strictly increasing")
         _first_failure(~np.isfinite(send), seq, "send time not finite")
-        _first_failure(np.isinf(arrival), seq, "arrival time infinite")
+        _first_failure(np.isinf(arrival).any(axis=1), seq, "arrival time infinite")
         if seq.size:
             expected = send[0] + (seq - seq[0]) * self.ptime_ms
             _first_failure(
                 np.abs(send - expected) > SEND_GRID_TOLERANCE_MS, seq, "send time off the ptime grid"
             )
         # NaN (lost) compares false, so only received packets can fail.
-        _first_failure(arrival < send, seq, "arrival before send")
+        _first_failure((arrival < send[:, None]).any(axis=1), seq, "arrival before send")
 
     @property
     def tx_count(self) -> int:
-        return self.seq.size
+        """Transmitted packets of all the block's flows."""
+        return self.arrival_ms.size
 
 
 def _first_failure(failed: np.ndarray, seq: np.ndarray, message: str) -> None:
@@ -89,116 +95,185 @@ class JbeConfig:
 
 @dataclass(frozen=True, eq=False)
 class JbeResult:
-    """Play-out schedule plus the loss, jitter and delay figures of one emulated flow.
+    """Play-out schedule plus the loss, jitter and delay figures of a block of flows.
 
-    ``playout_ms``, ``late`` and ``effective_lost`` hold one entry per
-    transmitted packet: the play-out instant (NaN for a lost packet),
-    whether the packet played late, and whether it was lost or late.
-    ``p_loss`` is the effective loss (lost + late) / received, clamped to
-    [0, 1]; a flow with nothing received counts as fully lost.  Jitter is
-    the instantaneous transit jitter |delta(arrival) - delta(send)|
-    between consecutive received packets, across loss gaps; its mean and
-    maximum are None with fewer than two received packets.  The mean
-    play-out delay is taken over received packets, from send to play-out,
-    and is 0.0 with none.
+    ``playout_ms`` and ``effective_lost`` have the timeline's (packets,
+    flows) shape: the play-out instant (NaN for a lost packet) and whether
+    the packet was lost or played late.  Every other field holds one entry
+    per flow.  ``p_loss`` is the effective loss (lost + late) / received,
+    clamped to [0, 1]; a flow with nothing received counts as fully lost.
+    Jitter is the instantaneous transit jitter |delta(arrival) -
+    delta(send)| between consecutive received packets, across loss gaps;
+    its mean and maximum are NaN with fewer than two received packets.  The
+    mean play-out delay is taken over received packets, from send to
+    play-out, and is 0.0 with none.
     """
 
     playout_ms: np.ndarray
-    late: np.ndarray
     effective_lost: np.ndarray
-    lost_count: int
-    late_count: int
-    received_count: int
-    p_loss: float
-    avg_jitter_ms: float | None
-    max_jitter_ms: float | None
-    mean_playout_delay_ms: float
+    lost_counts: np.ndarray
+    late_counts: np.ndarray
+    received_counts: np.ndarray
+    p_loss: np.ndarray
+    avg_jitter_ms: np.ndarray
+    max_jitter_ms: np.ndarray
+    mean_playout_delay_ms: np.ndarray
+
+    @property
+    def lost_count(self) -> int:
+        """Lost packets of all the block's flows."""
+        return int(self.lost_counts.sum())
+
+    @property
+    def late_count(self) -> int:
+        """Late packets of all the block's flows."""
+        return int(self.late_counts.sum())
+
+    @property
+    def received_count(self) -> int:
+        """Received packets of all the block's flows."""
+        return int(self.received_counts.sum())
 
 
 def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeResult:
-    """Replay a timeline through the adaptive play-out buffer.
+    """Replay a block of flows through the adaptive play-out buffer.
 
-    The play-out schedule is anchored at the first received packet, which
-    plays ``initial_delay_ms`` after it arrives; later packets are scheduled
-    on the send grid relative to that anchor plus an adaptive headroom of
-    ``safety_factor`` times the mean instantaneous jitter of the previous
-    ``window`` received packets.  With no jitter observed the play-out delay
-    therefore stays at the initial delay.  A packet arriving at or before
-    its scheduled instant is held until then; one arriving after it is
-    forwarded immediately at its arrival time and counted late.  Held
-    packets never play earlier than a previously held packet (single
-    play-out head).
+    Each flow's play-out schedule is anchored at its first received
+    packet, which plays ``initial_delay_ms`` after it arrives; later
+    packets are scheduled on the send grid relative to that anchor plus an
+    adaptive headroom of ``safety_factor`` times the mean instantaneous
+    jitter of the previous ``window`` received packets.  With no jitter
+    observed the play-out delay therefore stays at the initial delay.  A
+    packet arriving at or before its scheduled instant is held until then;
+    one arriving after it is forwarded immediately at its arrival time and
+    counted late.  Held packets never play earlier than a previously held
+    packet (single play-out head).
 
-    Only the jitter window sum is computed packet by packet.  The last
-    held play-out instant before a packet equals the running maximum of
-    the raw schedules (anchor plus send offset plus headroom) of the
-    earlier packets that arrived by their raw schedule, so it is a prefix
-    maximum rather than sequential state.
+    Jitter is measured between consecutive received packets, so each
+    flow's received packets are first moved to the front of its column;
+    the rest of the column is padding that no figure reads.  Each step is
+    element-wise arithmetic over the block, in the order of one flow's
+    scalar loop, so every figure keeps that loop's rounding.  Only the
+    jitter window sum runs position by position, on vectors of one entry
+    per flow.  The last held play-out instant before a packet equals the
+    running maximum of the raw schedules (anchor plus send offset plus
+    headroom) of the earlier packets that arrived by their raw schedule,
+    so it is a prefix maximum rather than sequential state.  Figures that
+    overflow become infinite.
     """
-    if not timeline.tx_count:
+    arrival = timeline.arrival_ms
+    packets, flows = arrival.shape
+    if not packets:
         raise EmptyFlowError("timeline has no packets")
+    send_ms = timeline.send_ms[:, None]
 
-    received = ~np.isnan(timeline.arrival_ms)
-    arrival = timeline.arrival_ms[received]
-    send = timeline.send_ms[received]
-    received_count = arrival.size
-    jitter = np.abs(np.diff(arrival) - np.diff(send))
-    samples = jitter.tolist()
-
-    # Window sums after each jitter sample.  The plain loop keeps the float
-    # rounding of the running sum.  Sample i - window leaves the window as
-    # sample i enters; the padding subtracts 0.0, which is exact.  Samples
-    # are non-negative, so the sum is kept from drifting below zero through
-    # float cancellation.
+    received = ~np.isnan(arrival)
+    received_counts = np.count_nonzero(received, axis=0)
+    # Arrival and send times of the received packets, front-packed: row k
+    # of a column is the flow's k-th received packet.  The masks are
+    # transposed so values are taken and placed flow by flow.
+    front = np.arange(packets)[:, None] < received_counts
+    jitter = np.zeros((packets, flows))
+    jitter.T[front.T] = arrival.T[received.T]
+    send = np.zeros((packets, flows))
+    send.T[front.T] = np.broadcast_to(timeline.send_ms, (flows, packets))[received.T]
+    anchor = jitter[0] + config.initial_delay_ms
+    first_send = send[0].copy()
     window = config.window
-    leaving = [0.0] * min(window, len(samples)) + samples
-    window_sums = []
-    window_sum = 0.0
-    for old, new in zip(leaving, samples):
-        window_sum = window_sum - old + new
-        if window_sum < 0.0:
-            window_sum = 0.0
-        window_sums.append(window_sum)
-    # Received packet k >= 2 sees the k - 1 samples taken before it.
-    headroom = np.zeros(received_count)
-    headroom[2:] = config.safety_factor * (
-        np.array(window_sums[:-1]) / np.minimum(np.arange(1, received_count - 1), window)
-    )
-    raw = arrival[:1] + config.initial_delay_ms + (send - send[:1]) + headroom
-    held_max = np.maximum.accumulate(np.where(arrival <= raw, raw, -np.inf))
-    scheduled = raw.copy()
-    scheduled[1:] = np.maximum(raw[1:], held_max[:-1])
-    late = arrival > scheduled
-    playout = np.where(late, arrival, scheduled)
 
-    late_count = int(np.count_nonzero(late))
-    lost_count = timeline.tx_count - received_count
-    playout_ms = np.full(timeline.tx_count, np.nan)
-    playout_ms[received] = playout
-    late_flags = np.zeros(timeline.tx_count, dtype=bool)
-    late_flags[received] = late
-    # Means add left to right (np.add.accumulate), not pairwise (np.sum) or
-    # compensated (sum() on Python >= 3.12): datasets depend on the rounding.
-    delays = playout - send
+    with np.errstate(over="ignore"):
+        # Row k becomes the sample between received packets k and k + 1:
+        # the arrival step minus the send step, in place.
+        np.subtract(jitter[1:], jitter[:-1], out=jitter[:-1])
+        np.subtract(send[1:], send[:-1], out=send[:-1])
+        np.subtract(jitter[:-1], send[:-1], out=jitter[:-1])
+        del send
+        np.abs(jitter, out=jitter)
+        jitter[-1] = 0.0
+        jitter[:-1][~front[1:]] = 0.0
+
+        # Window sums after each sample.  Sample k - window leaves the window
+        # as sample k enters.  Samples are non-negative, so the sum is kept
+        # from drifting below zero through float cancellation (it is never
+        # -0.0, so the clamp keeps every other value as it is).
+        sums = np.empty((packets, flows))
+        previous = np.zeros(flows)
+        for k in range(max(int(received_counts.max(initial=0)) - 1, 0)):
+            current = sums[k]
+            if k >= window:
+                np.subtract(previous, jitter[k - window], out=current)
+                np.add(current, jitter[k], out=current)
+                np.maximum(current, 0.0, out=current)
+            else:
+                np.add(previous, jitter[k], out=current)
+            previous = current
+
+        max_jitter = jitter.max(axis=0)
+        # Means add left to right (np.add.accumulate), not pairwise (np.sum)
+        # or compensated (sum() on Python >= 3.12): datasets depend on the
+        # rounding.  Padding adds 0.0, which is exact.
+        jitter_total = np.add.accumulate(jitter, axis=0, out=jitter)[-1].copy()
+
+        # Received packet k >= 2 sees the k - 1 samples taken before it;
+        # its headroom goes to its own row in the timeline's layout.
+        headroom = jitter
+        headroom[:2] = 0.0
+        samples_before = np.minimum(np.arange(1, packets - 1), window)[:, None]
+        np.divide(sums[: packets - 2], samples_before, out=headroom[2:])
+        np.multiply(config.safety_factor, headroom[2:], out=headroom[2:])
+        sums.T[received.T] = headroom.T[front.T]
+
+        schedule = jitter
+        np.subtract(send_ms, first_send, out=schedule)
+        np.add(anchor, schedule, out=schedule)
+        np.add(schedule, sums, out=schedule)
+        # A lost packet (NaN) never arrives by its schedule, nor late.
+        held = sums
+        held.fill(-np.inf)
+        np.copyto(held, schedule, where=arrival <= schedule)
+        np.maximum.accumulate(held, axis=0, out=held)
+        np.maximum(schedule[1:], held[:-1], out=schedule[1:])
+        late = arrival > schedule
+        effective_lost = ~received | late
+        playout = schedule
+        np.copyto(playout, arrival, where=effective_lost)
+
+        delays = sums
+        delays.fill(0.0)
+        np.subtract(playout, send_ms, out=delays, where=received)
+        delay_total = np.add.accumulate(delays, axis=0, out=delays)[-1]
+
+    late_counts = np.count_nonzero(late, axis=0)
+    lost_counts = packets - received_counts
+    with_samples = received_counts > 1
     return JbeResult(
-        playout_ms=playout_ms,
-        late=late_flags,
-        effective_lost=~received | late_flags,
-        lost_count=lost_count,
-        late_count=late_count,
-        received_count=received_count,
-        p_loss=effective_loss(lost_count, late_count, received_count),
-        avg_jitter_ms=float(np.add.accumulate(jitter)[-1]) / jitter.size if jitter.size else None,
-        max_jitter_ms=float(jitter.max()) if jitter.size else None,
-        mean_playout_delay_ms=(
-            float(np.add.accumulate(delays)[-1]) / received_count if received_count else 0.0
+        playout_ms=playout,
+        effective_lost=effective_lost,
+        lost_counts=lost_counts,
+        late_counts=late_counts,
+        received_counts=received_counts,
+        p_loss=effective_loss(lost_counts, late_counts, received_counts),
+        avg_jitter_ms=np.divide(
+            jitter_total, received_counts - 1, out=np.full(flows, np.nan), where=with_samples
+        ),
+        max_jitter_ms=np.where(with_samples, max_jitter, np.nan),
+        mean_playout_delay_ms=np.divide(
+            delay_total, received_counts, out=np.zeros(flows), where=received_counts > 0
         ),
     )
 
 
-def effective_loss(lost: int, late: int, received: int) -> float:
-    """Effective packet loss (lost + late) / received, clamped to [0, 1]; a
-    flow with nothing received counts as fully lost."""
-    missing = lost + late
-    # Dividing only when the ratio is below 1 keeps huge counts from overflowing.
-    return 1.0 if missing >= received else missing / received
+def effective_loss(lost, late, received) -> np.ndarray:
+    """Effective packet loss (lost + late) / received of each flow, clamped
+    to [0, 1]; a flow with nothing received counts as fully lost.
+
+    The counts are arrays (or scalars) of integers; object arrays of
+    Python ints of any size work too.
+    """
+    missing = np.asarray(lost + late)
+    received = np.asarray(received)
+    below = missing < received
+    p_loss = np.ones(below.shape)
+    # Dividing only where the ratio is below 1 keeps huge counts from overflowing.
+    p_loss[below] = missing[below] / received[below]
+    return p_loss

@@ -16,20 +16,19 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from volteqa.emodel import (
     DEFAULT_PROFILES,
     CodecProfile,
-    LossCharacter,
     burst_ratio,
     compute_r_factor,
     profiles_from_parser,
 )
-from volteqa.ingest import Codec, FlowRecord, parse_float
-from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketTimeline, run_jbe
+from volteqa.ingest import Codec, FlowRecord, parse_float, parse_int
+from volteqa.jitter_buffer import JbeConfig, PacketTimeline, run_jbe
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -50,8 +49,9 @@ class BernoulliLoss:
     def loss_rate_std_error(self, n: int) -> float:
         return math.sqrt(self.p * (1.0 - self.p) / n)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.random(n) < self.p
+    def sample(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Loss flags of n packets per flow: column j draws from ``rngs[j]``."""
+        return np.stack([rng.random(n) for rng in rngs], axis=1) < self.p
 
     def spec_string(self) -> str:
         return f"bernoulli({self.p:g})"
@@ -98,10 +98,14 @@ class GilbertElliottLoss:
         long_run_var = gamma0 + 2.0 * cross * rho / (1.0 - rho)
         return math.sqrt(max(long_run_var, 0.0) / n)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        transitions = rng.random(n)
-        emissions = rng.random(n)
-        bad = rng.random() < self.stationary_bad_probability()
+    def sample(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Loss flags of n packets per flow: column j draws from ``rngs[j]``,
+        its transitions, then its emissions, then its initial state."""
+        draws = [(rng.random(n), rng.random(n), rng.random()) for rng in rngs]
+        transitions = np.stack([t for t, _, _ in draws], axis=1)
+        emissions = np.stack([e for _, e, _ in draws], axis=1)
+        bad = np.array([u for _, _, u in draws]) < self.stationary_bad_probability()
+        del draws
         # Packet i emits in the state before transition draw i.  A draw
         # below both thresholds toggles the state, a draw below exactly one
         # forces it (bad below p_good_to_bad, good below p_bad_to_good) and
@@ -110,11 +114,13 @@ class GilbertElliottLoss:
         # per toggle since then.
         to_bad = transitions < self.p_good_to_bad
         to_good = transitions < self.p_bad_to_good
-        forced = np.concatenate(([True], to_bad != to_good))
-        set_bad = np.concatenate(([bad], to_bad))
-        toggles = np.cumsum(np.concatenate(([False], to_bad & to_good)))
-        last_force = np.maximum.accumulate(np.where(forced, np.arange(n + 1), 0))
-        state_bad = set_bad[last_force] ^ ((toggles - toggles[last_force]) % 2 == 1)
+        start = np.ones((1, len(rngs)), dtype=bool)
+        forced = np.concatenate((start, to_bad != to_good))
+        set_bad = np.concatenate((bad[None], to_bad))
+        toggles = np.cumsum(np.concatenate((~start, to_bad & to_good)), axis=0)
+        last_force = np.maximum.accumulate(np.where(forced, np.arange(n + 1)[:, None], 0), axis=0)
+        flipped = (toggles - np.take_along_axis(toggles, last_force, axis=0)) % 2 == 1
+        state_bad = np.take_along_axis(set_bad, last_force, axis=0) ^ flipped
         return emissions < np.where(state_bad[:n], self.loss_bad, self.loss_good)
 
     def spec_string(self) -> str:
@@ -137,8 +143,9 @@ class NoJitter:
         if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
             raise ValueError("base_delay_ms must be finite and >= 0")
 
-    def delays(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.base_delay_ms)
+    def delays(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Network delays of n packets per flow, one column per generator."""
+        return np.full((n, len(rngs)), self.base_delay_ms)
 
     def spec_string(self) -> str:
         return "none"
@@ -157,9 +164,11 @@ class GaussianJitter:
         if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
             raise ValueError("base_delay_ms must be finite and >= 0")
 
-    def delays(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def delays(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Network delays of n packets per flow: column j draws from ``rngs[j]``."""
+        variation = np.stack([rng.normal(0.0, self.sigma_ms, n) for rng in rngs], axis=1)
         # Negative total delays are truncated to zero.
-        return np.maximum(0.0, self.base_delay_ms + rng.normal(0.0, self.sigma_ms, n))
+        return np.maximum(0.0, self.base_delay_ms + variation)
 
     def spec_string(self) -> str:
         return f"gaussian({self.sigma_ms:g})"
@@ -179,8 +188,10 @@ class GammaJitter:
         if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
             raise ValueError("base_delay_ms must be finite and >= 0")
 
-    def delays(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.base_delay_ms + rng.gamma(self.shape, self.scale_ms, n)
+    def delays(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Network delays of n packets per flow: column j draws from ``rngs[j]``."""
+        extra = np.stack([rng.gamma(self.shape, self.scale_ms, n) for rng in rngs], axis=1)
+        return self.base_delay_ms + extra
 
     def spec_string(self) -> str:
         return f"gamma({self.shape:g},{self.scale_ms:g})"
@@ -190,29 +201,31 @@ JitterModel = Union[NoJitter, GaussianJitter, GammaJitter]
 
 
 def synthesize_timeline(
-    loss: LossModel,
-    jitter: JitterModel,
-    packets: int,
-    ptime_ms: float,
-    rng: np.random.Generator,
-) -> PacketTimeline:
-    """Generate one flow's timeline: sends on the ptime grid, arrivals
-    delayed per the jitter model or dropped per the loss model.
+    lost: np.ndarray, delays: np.ndarray, ptime_ms: float
+) -> tuple[PacketTimeline, np.ndarray]:
+    """A block of flows' timelines from their loss flags and network delays.
 
-    Deterministic given the generator's state.  Delivery is first-in
-    first-out, so arrivals are made non-decreasing (no reordering): each
-    received packet arrives no earlier than the one received before it.
+    ``lost`` and ``delays`` have shape (packets, flows), one column per
+    flow.  Sends fall on the ptime grid; a packet arrives its delay after
+    its send unless lost.  Delivery is first-in first-out, so arrivals are
+    made non-decreasing (no reordering): each received packet arrives no
+    earlier than the one received before it.  A flow whose arrival
+    overflows to infinity is left out of the timeline; the returned flags
+    mark, per column, the flows that are in it.
     """
-    if packets < 1:
-        raise ValueError(f"packets must be >= 1, got {packets}")
-    lost = loss.sample(packets, rng)
-    delays = jitter.delays(packets, rng)
+    packets = lost.shape[0]
     seq = np.arange(packets)
     send = seq * ptime_ms
-    sent = send[~lost]
-    arrival = np.full(packets, np.nan)
-    arrival[~lost] = np.maximum.accumulate(np.maximum(sent + delays[~lost], sent))
-    return PacketTimeline(ptime_ms=ptime_ms, seq=seq, send_ms=send, arrival_ms=arrival)
+    with np.errstate(over="ignore"):
+        arrival = np.add(delays, send[:, None])
+    np.maximum(arrival, send[:, None], out=arrival)
+    # A lost packet neither arrives nor holds back the packets after it.
+    arrival[lost] = -np.inf
+    np.maximum.accumulate(arrival, axis=0, out=arrival)
+    arrival[lost] = np.nan
+    kept = ~np.isinf(arrival).any(axis=0)
+    timeline = PacketTimeline(ptime_ms=ptime_ms, seq=seq, send_ms=send, arrival_ms=arrival[:, kept])
+    return timeline, kept
 
 
 @dataclass(frozen=True)
@@ -237,6 +250,15 @@ class SimSpec:
             raise ValueError(f"ptime_ms must be positive and finite, got {self.ptime_ms}")
         if self.packets_per_flow < 1:
             raise ValueError("packets_per_flow must be >= 1")
+        try:
+            last_send = float(self.packets_per_flow - 1) * self.ptime_ms
+        except OverflowError:
+            last_send = math.inf
+        if not math.isfinite(last_send):
+            raise ValueError(
+                f"last send time (packets_per_flow - 1) * ptime_ms is not finite: "
+                f"({self.packets_per_flow} - 1) * {self.ptime_ms:g}"
+            )
         if not self.loss_models or not self.jitter_models:
             raise ValueError("need at least one loss model and one jitter model")
         fractions = [frac for _, frac in self.codec_mix]
@@ -266,85 +288,132 @@ class SimSpec:
 
 
 @dataclass(frozen=True)
-class FlowOutcome:
-    """One synthetic flow's CDR record and the jitter-buffer pass it was measured with."""
-
-    record: FlowRecord
-    jbe_result: JbeResult
-
-
-@dataclass(frozen=True)
 class RejectedFlow:
     flow_id: str
     reason: str
 
 
-def _pick_codec(mix: tuple[tuple[Codec, float], ...], u: float) -> Codec:
+def _pick_codec(mix: tuple[tuple[Codec, float], ...], u: float) -> int:
+    """Index into ``mix`` of the codec drawn by the uniform variate ``u``."""
     cumulative = 0.0
-    for codec, fraction in mix:
+    for index, (_, fraction) in enumerate(mix):
         cumulative += fraction
         if u < cumulative:
-            return codec
-    return mix[-1][0]
+            return index
+    return len(mix) - 1
 
 
-def iter_flow_outcomes(
-    spec: SimSpec,
-    profiles: dict[Codec, CodecProfile] | None = None,
-) -> Iterable[FlowOutcome | RejectedFlow]:
-    """Run every flow of the spec through the full measurement pipeline.
+# Packets per block of flows that are replayed and scored together.  It
+# bounds the block's arrays: the replay peaks at about 35 bytes per packet.
+# A block holds at least one flow.
+BLOCK_PACKETS = 32_768
 
-    Per flow: synthesize a timeline, replay it through the jitter buffer
-    (which measures effective loss, jitter and play-out delay in one pass),
-    characterize loss burstiness over the lost-or-late pattern, and score
-    the flow with its codec profile using the mean play-out delay as the
-    one-way delay.  Flows with fewer than two received packets carry no
-    jitter statistics and are rejected.
+
+def _draw_block(
+    spec: SimSpec, seeds: np.random.SeedSequence, first: int, size: int
+) -> tuple[np.ndarray, PacketTimeline, np.ndarray]:
+    """Draw flows ``first`` to ``first + size - 1`` of the spec and build
+    their timeline: each flow's index into the codec mix, the timeline,
+    and the flags of the flows in it (see :func:`synthesize_timeline`).
+
+    Each flow draws from its own child of ``seeds``: its codec, then its
+    loss flags, then its delays.
     """
-    profiles = profiles if profiles is not None else DEFAULT_PROFILES
+    packets = spec.packets_per_flow
     cells = spec.sweep_cells()
-    children = np.random.SeedSequence(spec.seed).spawn(spec.flows)
-    for i in range(spec.flows):
-        flow_id = f"flow-{i:06d}"
-        rng = np.random.default_rng(children[i])
-        codec = _pick_codec(spec.codec_mix, rng.random())
-        loss_model, jitter_model = cells[i % len(cells)]
-        timeline = synthesize_timeline(
-            loss_model, jitter_model, spec.packets_per_flow, spec.ptime_ms, rng
-        )
-        result = run_jbe(timeline, spec.jbe)
-        if result.avg_jitter_ms is None:
-            yield RejectedFlow(flow_id, "NOT_ENOUGH_PACKETS")
-            continue
-        character = LossCharacter(
-            ppl=100.0 * result.p_loss,
-            burst_r=burst_ratio(result.effective_lost),
-        )
-        score = compute_r_factor(profiles[codec], character, result.mean_playout_delay_ms)
-        record = FlowRecord(
-            flow_id=flow_id,
-            codec=codec,
-            tx_packets=timeline.tx_count,
-            rx_packets=result.received_count,
-            avg_jitter_ms=result.avg_jitter_ms,
-            max_jitter_ms=result.max_jitter_ms,
-            r_factor=score.r_factor,
-        )
-        yield FlowOutcome(record=record, jbe_result=result)
+    rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
+    codec_at = np.array([_pick_codec(spec.codec_mix, rng.random()) for rng in rngs], dtype=np.intp)
+    lost = np.empty((packets, size), dtype=bool)
+    delays = np.empty((packets, size))
+    # Flow first + j is in sweep cell (first + j) % len(cells).  A delay
+    # that overflows is infinite, and so is its flow's arrival.
+    with np.errstate(over="ignore"):
+        for cell, (loss_model, jitter_model) in enumerate(cells):
+            flows = slice((cell - first) % len(cells), size, len(cells))
+            group = rngs[flows]
+            if group:
+                lost[:, flows] = loss_model.sample(packets, group)
+                delays[:, flows] = jitter_model.delays(packets, group)
+    timeline, kept = synthesize_timeline(lost, delays, spec.ptime_ms)
+    return codec_at[kept], timeline, kept
 
 
 def synthesize_dataset(
     spec: SimSpec,
     profiles: dict[Codec, CodecProfile] | None = None,
 ) -> tuple[list[FlowRecord], list[RejectedFlow]]:
-    """Generate the spec's flows as CDR records; per-flow failures become rejects."""
+    """Generate the spec's flows as CDR records; per-flow failures become rejects.
+
+    Per flow: synthesize a timeline, replay it through the jitter buffer
+    (which measures effective loss, jitter and play-out delay in one pass),
+    characterize loss burstiness over the lost-or-late pattern, and score
+    the flow with its codec profile using the mean play-out delay as the
+    one-way delay.  Rejected, with the reason named, are flows whose
+    arrivals overflow (ARRIVAL_NOT_FINITE), with fewer than two received
+    packets, so without jitter statistics (NOT_ENOUGH_PACKETS), and whose
+    jitter (JITTER_NOT_FINITE) or mean play-out delay (PLAYOUT_NOT_FINITE)
+    overflows.
+
+    Flows are drawn one by one, each from its own child SeedSequence
+    stream; every step after the draws runs on blocks of up to
+    ``BLOCK_PACKETS`` packets, element by element, so the dataset does not
+    depend on the block size.
+    """
+    profiles = profiles if profiles is not None else DEFAULT_PROFILES
+    per_block = max(1, BLOCK_PACKETS // spec.packets_per_flow)
+    # Successive spawn() calls continue the same child streams as one call.
+    seeds = np.random.SeedSequence(spec.seed)
     records: list[FlowRecord] = []
     rejected: list[RejectedFlow] = []
-    for outcome in iter_flow_outcomes(spec, profiles):
-        if isinstance(outcome, RejectedFlow):
-            rejected.append(outcome)
-        else:
-            records.append(outcome.record)
+    for first in range(0, spec.flows, per_block):
+        size = min(per_block, spec.flows - first)
+        codec_at, timeline, kept = _draw_block(spec, seeds, first, size)
+        result = run_jbe(timeline, spec.jbe)
+
+        burst_r = burst_ratio(result.effective_lost)
+        r_factor = np.empty(codec_at.size)
+        for index, (codec, _) in enumerate(spec.codec_mix):
+            flows = codec_at == index
+            if flows.any():
+                r_factor[flows] = compute_r_factor(
+                    profiles[codec],
+                    100.0 * result.p_loss[flows],
+                    burst_r[flows],
+                    result.mean_playout_delay_ms[flows],
+                ).r_factor
+
+        columns = zip(
+            codec_at.tolist(),
+            result.received_counts.tolist(),
+            result.avg_jitter_ms.tolist(),
+            result.max_jitter_ms.tolist(),
+            result.mean_playout_delay_ms.tolist(),
+            r_factor.tolist(),
+        )
+        for j, is_kept in enumerate(kept.tolist()):
+            flow_id = f"flow-{first + j:06d}"
+            if not is_kept:
+                rejected.append(RejectedFlow(flow_id, "ARRIVAL_NOT_FINITE"))
+                continue
+            codec, received, avg_jitter, max_jitter, delay, r = next(columns)
+            if received < 2:
+                rejected.append(RejectedFlow(flow_id, "NOT_ENOUGH_PACKETS"))
+            elif not (math.isfinite(avg_jitter) and math.isfinite(max_jitter)):
+                rejected.append(RejectedFlow(flow_id, "JITTER_NOT_FINITE"))
+            elif not math.isfinite(delay):
+                rejected.append(RejectedFlow(flow_id, "PLAYOUT_NOT_FINITE"))
+            else:
+                records.append(
+                    FlowRecord(
+                        flow_id=flow_id,
+                        codec=spec.codec_mix[codec][0],
+                        tx_packets=spec.packets_per_flow,
+                        rx_packets=received,
+                        avg_jitter_ms=avg_jitter,
+                        max_jitter_ms=max_jitter,
+                        r_factor=r,
+                    )
+                )
     return records, rejected
 
 
@@ -462,13 +531,13 @@ def load_sim_config(text: str) -> tuple[SimSpec, dict[Codec, CodecProfile]]:
     base_delay = parse_float(section.get("base_delay_ms", "0"), "base_delay_ms")
     jbe = JbeConfig(
         initial_delay_ms=parse_float(section.get("initial_delay_ms", "50"), "initial_delay_ms"),
-        window=int(section.get("window", "16")),
+        window=parse_int(section.get("window", "16"), "window"),
         safety_factor=parse_float(section.get("safety_factor", "3"), "safety_factor"),
     )
     spec = SimSpec(
-        flows=int(section["flows"]),
-        packets_per_flow=int(section["packets_per_flow"]),
-        seed=int(section["seed"]),
+        flows=parse_int(section["flows"], "flows"),
+        packets_per_flow=parse_int(section["packets_per_flow"], "packets_per_flow"),
+        seed=parse_int(section["seed"], "seed"),
         ptime_ms=parse_float(section.get("ptime_ms", "20"), "ptime_ms"),
         codec_mix=_parse_codec_mix(section.get("codec_mix", "AMR:0.71, AMR-WB:0.29")),
         loss_models=_build_loss_models(section.get("loss_models", "bernoulli(0)")),

@@ -7,10 +7,16 @@ import math
 import numpy as np
 
 from volteqa.analytics import BinnedSeries, SurfaceGrid, uniform_edges
-from volteqa.emodel import CodecProfile
-from volteqa.ingest import Codec
+from volteqa.emodel import LOSS_IMPAIRMENT_CEILING, CodecProfile
+from volteqa.ingest import Bandwidth, Codec, FlowRecord
 from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketTimeline
-from volteqa.simulate import GilbertElliottLoss
+from volteqa.simulate import (
+    GaussianJitter,
+    GilbertElliottLoss,
+    NoJitter,
+    RejectedFlow,
+    SimSpec,
+)
 
 # Exponential decay targeted by the narrowband quality-versus-loss analysis.
 EXP_OFFSET = 17.953
@@ -95,25 +101,34 @@ def timeline_from_delays(delays, ptime_ms: float = 20.0) -> PacketTimeline:
     return make_timeline(rows, ptime_ms)
 
 
-def jbe_figures(result: JbeResult) -> dict:
-    """A ``run_jbe`` result as plain Python values, comparable with ``==`` to
-    :func:`reference_run_jbe`; a lost packet's play-out instant is None."""
+def jbe_figures(result: JbeResult, flow: int = 0) -> dict:
+    """One flow of a ``run_jbe`` result as plain Python values, comparable
+    with ``==`` to :func:`reference_run_jbe`; a lost packet's play-out
+    instant is None, and so are the jitter figures of a flow with fewer
+    than two received packets."""
+    playout = result.playout_ms[:, flow].tolist()
+    effective_lost = result.effective_lost[:, flow].tolist()
+
+    def optional(value: float) -> float | None:
+        return None if math.isnan(value) else value
+
     return {
-        "playout_ms": tuple(None if math.isnan(t) else t for t in result.playout_ms.tolist()),
-        "late": tuple(result.late.tolist()),
-        "effective_lost": tuple(result.effective_lost.tolist()),
-        "lost_count": result.lost_count,
-        "late_count": result.late_count,
-        "received_count": result.received_count,
-        "p_loss": result.p_loss,
-        "avg_jitter_ms": result.avg_jitter_ms,
-        "max_jitter_ms": result.max_jitter_ms,
-        "mean_playout_delay_ms": result.mean_playout_delay_ms,
+        "playout_ms": tuple(optional(t) for t in playout),
+        "late": tuple(e and not math.isnan(t) for t, e in zip(playout, effective_lost)),
+        "effective_lost": tuple(effective_lost),
+        "lost_count": int(result.lost_counts[flow]),
+        "late_count": int(result.late_counts[flow]),
+        "received_count": int(result.received_counts[flow]),
+        "p_loss": float(result.p_loss[flow]),
+        "avg_jitter_ms": optional(float(result.avg_jitter_ms[flow])),
+        "max_jitter_ms": optional(float(result.max_jitter_ms[flow])),
+        "mean_playout_delay_ms": float(result.mean_playout_delay_ms[flow]),
     }
 
 
-def reference_run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> dict:
-    """Scalar oracle for ``run_jbe``: its per-packet loop, kept as a plain copy.
+def reference_run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig(), flow: int = 0) -> dict:
+    """Scalar oracle for ``run_jbe`` on one flow of a timeline: its
+    per-packet loop, kept as a plain copy.
 
     Returns the same values as :func:`jbe_figures` of a ``run_jbe`` result.
     """
@@ -129,7 +144,7 @@ def reference_run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig())
     prev_received = None
     last_held_playout = -math.inf
 
-    for send, arrival in zip(timeline.send_ms.tolist(), timeline.arrival_ms.tolist()):
+    for send, arrival in zip(timeline.send_ms.tolist(), timeline.arrival_ms[:, flow].tolist()):
         if math.isnan(arrival):
             lost_count += 1
             playout.append(None)
@@ -175,11 +190,18 @@ def reference_run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig())
         "lost_count": lost_count,
         "late_count": late_count,
         "received_count": received_count,
-        "p_loss": min(1.0, (lost_count + late_count) / received_count) if received_count else 1.0,
+        "p_loss": reference_effective_loss(lost_count, late_count, received_count),
         "avg_jitter_ms": jitter_total / len(jitter_samples) if jitter_samples else None,
         "max_jitter_ms": max(jitter_samples) if jitter_samples else None,
         "mean_playout_delay_ms": delay_total / received_count if received_count else 0.0,
     }
+
+
+def reference_effective_loss(lost: int, late: int, received: int) -> float:
+    """Scalar oracle for ``effective_loss``: (lost + late) / received,
+    clamped to [0, 1], and 1.0 with nothing received."""
+    missing = lost + late
+    return 1.0 if missing >= received else missing / received
 
 
 def reference_ge_sample(model: GilbertElliottLoss, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -234,6 +256,101 @@ def reference_burst_ratio(loss_flags) -> float:
     p = lost / total
     expected_run = 1.0 / (1.0 - p)
     return max(1.0, mean_run / expected_run)
+
+
+def reference_compute_r_factor(
+    profile: CodecProfile, ppl: float, burst_r: float = 1.0, one_way_delay_ms: float = 0.0
+) -> tuple[float, float]:
+    """Scalar oracle for ``compute_r_factor``: the per-flow E-Model, kept as
+    a plain copy.  Returns the clamped R-factor and its MOS."""
+    if not 0.0 <= ppl <= 100.0 or burst_r < 1.0 or one_way_delay_ms < 0:
+        raise ValueError("ppl, burst_r or delay out of range")
+    if one_way_delay_ms <= 100.0:
+        delay = 0.0
+    else:
+        delay = 0.024 * (one_way_delay_ms - 100.0)
+        if one_way_delay_ms > 177.3:
+            delay += 0.11 * (one_way_delay_ms - 177.3)
+    term = ppl / (ppl / burst_r + profile.bpl)
+    term = min(term, math.nextafter(1.0, 0.0))
+    equipment = profile.ie + (LOSS_IMPAIRMENT_CEILING - profile.ie) * term
+    raw = profile.r0 - profile.simultaneous - delay - equipment + profile.advantage
+    r_factor = min(max(raw, 0.0), profile.codec.r_max)
+    scaled = r_factor if profile.codec.bandwidth is Bandwidth.NARROWBAND else r_factor * 100.0 / 129.0
+    if scaled <= 0.0:
+        mos = 1.0
+    elif scaled >= 100.0:
+        mos = 4.5
+    else:
+        mos = max(1.0, 1.0 + 0.035 * scaled + scaled * (scaled - 60.0) * (100.0 - scaled) * 7e-6)
+    return r_factor, mos
+
+
+def reference_delays(model, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Scalar oracle for one flow's ``delays``: the per-flow draws, kept as
+    a plain copy."""
+    if isinstance(model, NoJitter):
+        return np.full(n, model.base_delay_ms)
+    if isinstance(model, GaussianJitter):
+        return np.maximum(0.0, model.base_delay_ms + rng.normal(0.0, model.sigma_ms, n))
+    return model.base_delay_ms + rng.gamma(model.shape, model.scale_ms, n)
+
+
+def reference_synthesize_dataset(spec: SimSpec, profiles) -> tuple[list[FlowRecord], list[RejectedFlow]]:
+    """Oracle for ``synthesize_dataset``: the flow-by-flow path it replaced,
+    built from the scalar oracles of each step."""
+    records: list[FlowRecord] = []
+    rejected: list[RejectedFlow] = []
+    cells = spec.sweep_cells()
+    children = np.random.SeedSequence(spec.seed).spawn(spec.flows)
+    packets = spec.packets_per_flow
+    for i in range(spec.flows):
+        flow_id = f"flow-{i:06d}"
+        rng = np.random.default_rng(children[i])
+        u = rng.random()
+        codec = spec.codec_mix[-1][0]
+        cumulative = 0.0
+        for candidate, fraction in spec.codec_mix:
+            cumulative += fraction
+            if u < cumulative:
+                codec = candidate
+                break
+        loss_model, jitter_model = cells[i % len(cells)]
+        if isinstance(loss_model, GilbertElliottLoss):
+            lost = reference_ge_sample(loss_model, packets, rng)
+        else:
+            lost = rng.random(packets) < loss_model.p
+        with np.errstate(over="ignore"):
+            delays = reference_delays(jitter_model, packets, rng)
+        arrivals = reference_arrivals(lost, delays.tolist(), spec.ptime_ms)
+        if any(a is not None and math.isinf(a) for a in arrivals):
+            rejected.append(RejectedFlow(flow_id, "ARRIVAL_NOT_FINITE"))
+            continue
+        timeline = PacketTimeline(
+            ptime_ms=spec.ptime_ms,
+            seq=range(packets),
+            send_ms=[k * spec.ptime_ms for k in range(packets)],
+            arrival_ms=[math.nan if a is None else a for a in arrivals],
+        )
+        figures = reference_run_jbe(timeline, spec.jbe)
+        jitter = (figures["avg_jitter_ms"], figures["max_jitter_ms"])
+        if figures["received_count"] < 2:
+            rejected.append(RejectedFlow(flow_id, "NOT_ENOUGH_PACKETS"))
+        elif not all(math.isfinite(v) for v in jitter):
+            rejected.append(RejectedFlow(flow_id, "JITTER_NOT_FINITE"))
+        elif not math.isfinite(figures["mean_playout_delay_ms"]):
+            rejected.append(RejectedFlow(flow_id, "PLAYOUT_NOT_FINITE"))
+        else:
+            r_factor, _ = reference_compute_r_factor(
+                profiles[codec],
+                100.0 * figures["p_loss"],
+                reference_burst_ratio(figures["effective_lost"]),
+                figures["mean_playout_delay_ms"],
+            )
+            records.append(
+                FlowRecord(flow_id, codec, packets, figures["received_count"], *jitter, r_factor)
+            )
+    return records, rejected
 
 
 def reference_bin_index(edges: np.ndarray, x: float) -> int | None:

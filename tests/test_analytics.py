@@ -386,7 +386,8 @@ def test_surface_grid_validation():
 def test_surface_grid_non_increasing_along_loss_axis():
     from volteqa.emodel import DEFAULT_PROFILES
     from volteqa.ingest import Codec
-    from volteqa.simulate import BernoulliLoss, FlowOutcome, GaussianJitter, SimSpec, iter_flow_outcomes
+    from volteqa.jitter_buffer import effective_loss
+    from volteqa.simulate import BernoulliLoss, GaussianJitter, SimSpec, synthesize_dataset
 
     spec = SimSpec(
         flows=600,
@@ -396,11 +397,12 @@ def test_surface_grid_non_increasing_along_loss_axis():
         loss_models=tuple(BernoulliLoss(p) for p in (0.01, 0.05, 0.09, 0.13, 0.17)),
         jitter_models=(GaussianJitter(3.0, 30.0), GaussianJitter(8.0, 30.0)),
     )
-    samples = [
-        (o.jbe_result.p_loss, o.record.max_jitter_ms, o.record.r_factor)
-        for o in iter_flow_outcomes(spec, DEFAULT_PROFILES)
-        if isinstance(o, FlowOutcome)
-    ]
+    records, _ = synthesize_dataset(spec, DEFAULT_PROFILES)
+    # The loss that score computes from the CDR counts.
+    p_loss = effective_loss(
+        np.array([r.tx_packets - r.rx_packets for r in records]), 0, np.array([r.rx_packets for r in records])
+    )
+    samples = [(p, r.max_jitter_ms, r.r_factor) for p, r in zip(p_loss.tolist(), records)]
     grid = surface_grid(samples, p_bins=5, p_range=(0.0, 0.2), j_bins=3, j_range=(0.0, 60.0))
     for j in range(3):
         column = [

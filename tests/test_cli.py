@@ -609,6 +609,14 @@ def test_bad_input_is_a_coded_error(tmp_path, capsys, argv, code):
         "codec_mix = AMR:nan",
         "codec_mix = AMR:1.5, AMR-WB:-0.5",
         "seed = -5",
+        # The last send time, (packets_per_flow - 1) * ptime_ms, overflows.
+        "ptime_ms = 1e308",
+        "packets_per_flow = " + "9" * 400,
+        # Integer keys name themselves.
+        "flows = 10.0",
+        "packets_per_flow = 1e3",
+        "seed = x1",
+        "window = 2.5",
     ],
 )
 def test_bad_sim_config_value_is_rejected_at_load(tmp_path, capsys, line):
@@ -620,6 +628,38 @@ def test_bad_sim_config_value_is_rejected_at_load(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith("error: CONFIG: ") and key in err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_integer_sim_key_error_names_the_key(tmp_path, capsys):
+    config = tmp_path / "sim.ini"
+    config.write_text(SIM_CONFIG.replace("flows = 3", "flows = 10.0"))
+    assert run("simulate", "--config", config, "--output", tmp_path / "o.csv") == 1
+    assert capsys.readouterr().err == "error: CONFIG: flows: not an integer: '10.0'\n"
+
+
+@pytest.mark.parametrize(
+    "lines, reasons",
+    [
+        # Every delay overflows to infinity, so every arrival does.
+        (["base_delay_ms = 1e308", "jitter_models = gamma(2,1e308)"], {"ARRIVAL_NOT_FINITE"}),
+        # Finite delays near the largest float: the play-out delay sums overflow.
+        (["jitter_models = gaussian(1e308)"], {"PLAYOUT_NOT_FINITE"}),
+        # On a 1e307 ms grid the jitter sums overflow too.
+        (["jitter_models = gaussian(1e308)", "ptime_ms = 1e307", "flows = 30", "seed = 78"],
+         {"ARRIVAL_NOT_FINITE", "JITTER_NOT_FINITE", "PLAYOUT_NOT_FINITE"}),
+    ],
+)
+def test_simulate_overflowing_flows_are_counted_rejects(tmp_path, capsys, lines, reasons):
+    keys = {line.split()[0] for line in lines}
+    rows = [row for row in SIM_CONFIG.splitlines() if row.split(" ")[0] not in keys]
+    config = tmp_path / "sim.ini"
+    config.write_text("\n".join(rows + lines) + "\n")
+    out = tmp_path / "o.csv"
+    assert run("simulate", "--config", config, "--output", out) == 0
+    assert capsys.readouterr().err == ""
+    meta = json.loads((tmp_path / "o.csv.meta.json").read_text())
+    assert {r["reason"] for r in meta["rejected"]} == reasons
+    assert meta["flows_written"] == len(read_rows(out)) == 0
 
 
 def test_score_huge_packet_counts_do_not_overflow(tmp_path):

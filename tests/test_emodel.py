@@ -7,19 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import reference_burst_ratio
+from conftest import reference_burst_ratio, reference_compute_r_factor
 from volteqa.emodel import (
     DEFAULT_PROFILES,
     CodecProfile,
-    LossCharacter,
     burst_ratio,
     compute_r_factor,
-    delay_impairment,
-    ie_eff,
     load_profiles,
-    r_to_mos,
 )
-from volteqa.ingest import Bandwidth, Codec
+from volteqa.ingest import Codec
 
 
 def _count_runs(flags):
@@ -64,120 +60,128 @@ def test_burst_ratio_matches_run_count_oracle():
 @given(st.lists(st.booleans(), min_size=1, max_size=200))
 def test_burst_ratio_always_well_formed(flags):
     ratio = burst_ratio(flags)
-    assert isinstance(ratio, float)
+    assert ratio.shape == ()
     assert ratio >= 1.0
-    assert ratio == reference_burst_ratio(flags)
+    assert float(ratio) == reference_burst_ratio(flags)
     assert burst_ratio(np.array(flags)) == ratio
+
+
+def test_burst_ratio_of_a_block_is_per_flow():
+    rng = np.random.default_rng(4)
+    for packets in (1, 2, 7, 100):
+        flags = rng.random((packets, 50)) < rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], 50)
+        ratios = burst_ratio(flags)
+        assert ratios.shape == (50,)
+        assert ratios.tolist() == [reference_burst_ratio(flags[:, flow].tolist()) for flow in range(50)]
+
+
+def _score(profile, ppl=0.0, burst_r=1.0, delay=0.0) -> tuple[float, float]:
+    score = compute_r_factor(profile, ppl, burst_r, delay)
+    return float(score.r_factor), float(score.mos)
+
+
+def _mos_at(r: float, codec: Codec = Codec.AMR) -> float:
+    """MOS of a lossless, delay-free flow whose R is r (clamped to the scale)."""
+    profile = CodecProfile(codec=codec, ie=0.0, bpl=13.0, r0=min(r, codec.r_max),
+                           advantage=max(r - codec.r_max, 0.0))
+    return _score(profile)[1]
 
 
 def test_ie_eff_zero_loss_identity():
     profile = CodecProfile(codec=Codec.AMR, ie=7.5, bpl=20.0, r0=93.2)
-    assert ie_eff(profile, LossCharacter(ppl=0.0)) == 7.5
+    assert _score(profile)[0] == 93.2 - 7.5
 
 
 def test_ie_eff_hand_values():
     profile = CodecProfile(codec=Codec.AMR, ie=10.0, bpl=20.0, r0=93.2)
-    random_loss = ie_eff(profile, LossCharacter(ppl=5.0, burst_r=1.0))
-    bursty_loss = ie_eff(profile, LossCharacter(ppl=5.0, burst_r=2.0))
+    random_loss = 93.2 - _score(profile, ppl=5.0, burst_r=1.0)[0]
+    bursty_loss = 93.2 - _score(profile, ppl=5.0, burst_r=2.0)[0]
     assert random_loss == pytest.approx(10.0 + 85.0 * 5.0 / 25.0)  # 27
     assert bursty_loss == pytest.approx(10.0 + 85.0 * 5.0 / 22.5)  # ~28.89
     assert bursty_loss > random_loss
 
 
 def test_delay_impairment_piecewise():
-    assert delay_impairment(0.0) == 0.0
-    assert delay_impairment(50.0) == 0.0
-    assert delay_impairment(100.0) == 0.0
-    assert delay_impairment(150.0) == pytest.approx(1.2)
-    assert delay_impairment(200.0) == pytest.approx(0.024 * 100.0 + 0.11 * 22.7)
+    profile = DEFAULT_PROFILES[Codec.AMR]
+
+    def impairment(delay):
+        return 93.2 - _score(profile, delay=delay)[0]
+
+    assert impairment(0.0) == 0.0
+    assert impairment(50.0) == 0.0
+    assert impairment(100.0) == 0.0
+    assert impairment(150.0) == pytest.approx(1.2)
+    assert impairment(200.0) == pytest.approx(0.024 * 100.0 + 0.11 * 22.7)
     with pytest.raises(ValueError):
-        delay_impairment(-1.0)
+        compute_r_factor(profile, 0.0, 1.0, -1.0)
 
 
 def test_delay_impairment_continuous_and_nondecreasing():
-    previous = 0.0
-    for delay in range(0, 400, 1):
-        value = delay_impairment(float(delay))
-        assert value >= previous
-        previous = value
+    delays = np.arange(0.0, 400.0)
+    r = compute_r_factor(DEFAULT_PROFILES[Codec.AMR], 0.0, 1.0, delays).r_factor
+    assert (np.diff(r) <= 0.0).all()
     eps = 1e-6
-    assert delay_impairment(177.3 + eps) - delay_impairment(177.3) < 1e-4
+    at, after = compute_r_factor(DEFAULT_PROFILES[Codec.AMR], 0.0, 1.0, [177.3, 177.3 + eps]).r_factor
+    assert at - after < 1e-4
 
 
 def test_default_narrowband_score_is_93_2():
-    score = compute_r_factor(DEFAULT_PROFILES[Codec.AMR])
-    assert score.r_factor == pytest.approx(93.2)
-    assert score.mos == pytest.approx(r_to_mos(93.2))
+    r, mos = _score(DEFAULT_PROFILES[Codec.AMR])
+    assert r == pytest.approx(93.2)
+    assert mos == pytest.approx(1 + 0.035 * 93.2 + 93.2 * (93.2 - 60) * (100 - 93.2) * 7e-6)
 
 
 def test_wideband_zero_impairment_reaches_129():
-    score = compute_r_factor(DEFAULT_PROFILES[Codec.AMR_WB])
-    assert score.r_factor == pytest.approx(129.0)
-    assert score.mos == pytest.approx(4.5)
-
-
-def _impairment_budget(profile, loss, one_way_delay_ms):
-    """Oracle: R before clamping, from the G.107 terms one by one."""
-    return (
-        profile.r0
-        - profile.simultaneous
-        - delay_impairment(one_way_delay_ms)
-        - ie_eff(profile, loss)
-        + profile.advantage
-    )
+    r, mos = _score(DEFAULT_PROFILES[Codec.AMR_WB])
+    assert r == pytest.approx(129.0)
+    assert mos == pytest.approx(4.5)
 
 
 def test_r_factor_clamps_at_zero_under_total_loss():
     fragile = CodecProfile(codec=Codec.AMR, ie=0.0, bpl=1.0, r0=93.2)
-    loss = LossCharacter(ppl=100.0)
-    score = compute_r_factor(fragile, loss, one_way_delay_ms=300.0)
-    assert _impairment_budget(fragile, loss, 300.0) < 0.0
-    assert score.r_factor == 0.0
-    assert score.mos == 1.0
+    # Before clamping the budget is 93.2 - 95 * (100/101) - delay impairment < 0.
+    assert _score(fragile, ppl=100.0, delay=300.0) == (0.0, 1.0)
 
 
 def test_component_accounting_is_exact():
     profile = CodecProfile(codec=Codec.AMR_WB, ie=12.0, bpl=25.0, r0=120.0,
                            simultaneous=1.4, advantage=5.0)
-    loss = LossCharacter(ppl=13.0, burst_r=2.0)
-    score = compute_r_factor(profile, loss, 180.0)
-    budget = _impairment_budget(profile, loss, 180.0)
+    r, _ = _score(profile, ppl=13.0, burst_r=2.0, delay=180.0)
+    delay = 0.024 * (180.0 - 100.0) + 0.11 * (180.0 - 177.3)
+    equipment = 12.0 + (95.0 - 12.0) * 13.0 / (13.0 / 2.0 + 25.0)
+    budget = 120.0 - 1.4 - delay - equipment + 5.0
     assert 0.0 < budget < Codec.AMR_WB.r_max  # inside the scale: no clamping
-    assert abs(score.r_factor - budget) < 1e-9
+    assert abs(r - budget) < 1e-9
 
 
 def test_r_to_mos_endpoints_and_midpoint():
-    assert r_to_mos(0.0) == 1.0
-    assert r_to_mos(-5.0) == 1.0
-    assert r_to_mos(100.0) == 4.5
-    assert r_to_mos(150.0) == 4.5
+    assert _mos_at(0.0) == 1.0
+    assert _mos_at(-5.0) == 1.0
+    assert _mos_at(100.0) == 4.5
+    assert _mos_at(150.0) == 4.5
     # Direct evaluation of the mapping polynomial as oracle.
     r = 93.2
     expected = 1 + 0.035 * r + r * (r - 60) * (100 - r) * 7e-6
-    assert r_to_mos(r) == pytest.approx(expected)
-    assert r_to_mos(r) == pytest.approx(4.41, abs=5e-3)
+    assert _mos_at(r) == pytest.approx(expected)
+    assert _mos_at(r) == pytest.approx(4.41, abs=5e-3)
 
 
 def test_r_to_mos_floors_small_scores_at_one():
     # The raw cubic dips below 1 near r=3; the mapping must not.
-    assert r_to_mos(3.0) == 1.0
+    assert _mos_at(3.0) == 1.0
 
 
 def test_r_to_mos_wideband_rescaling():
-    assert r_to_mos(129.0, Bandwidth.WIDEBAND) == 4.5
-    assert r_to_mos(64.5, Bandwidth.WIDEBAND) == pytest.approx(r_to_mos(50.0))
-    assert r_to_mos(129.0 / 2, Bandwidth.WIDEBAND) < r_to_mos(129.0, Bandwidth.WIDEBAND)
+    assert _mos_at(129.0, Codec.AMR_WB) == 4.5
+    assert _mos_at(64.5, Codec.AMR_WB) == pytest.approx(_mos_at(50.0))
+    assert _mos_at(129.0 / 2, Codec.AMR_WB) < _mos_at(129.0, Codec.AMR_WB)
 
 
 def test_r_to_mos_monotone_on_both_scales():
-    for bandwidth, r_max in ((Bandwidth.NARROWBAND, 100.0), (Bandwidth.WIDEBAND, 129.0)):
-        previous = None
-        for step in range(0, 1001):
-            mos = r_to_mos(r_max * step / 1000.0, bandwidth)
-            assert 1.0 <= mos <= 4.5
-            if previous is not None:
-                assert mos >= previous - 1e-12
-            previous = mos
+    for codec in Codec:
+        mos = [_mos_at(codec.r_max * step / 1000.0, codec) for step in range(0, 1001)]
+        assert all(1.0 <= m <= 4.5 for m in mos)
+        assert all(b >= a - 1e-12 for a, b in zip(mos, mos[1:]))
 
 
 @pytest.mark.parametrize("codec", list(Codec))
@@ -186,27 +190,57 @@ def test_quality_grid_invariants(codec):
         DEFAULT_PROFILES[codec],
         CodecProfile(codec=codec, ie=10.0, bpl=5.0, r0=codec.r_max - 2.0, advantage=2.0),
     ]
-    burst_grid = (1.0, 2.0, 4.0, 8.0)
+    burst_grid = np.array([1.0, 2.0, 4.0, 8.0])
+    ppl = np.arange(0.0, 101.0)
     for profile in profiles:
-        for burst in burst_grid:
-            previous_r = None
-            for ppl in range(0, 101):
-                loss = LossCharacter(ppl=float(ppl), burst_r=burst)
-                equipment = ie_eff(profile, loss)
-                assert profile.ie <= equipment < 95.0
-                score = compute_r_factor(profile, loss)
-                assert 0.0 <= score.r_factor <= codec.r_max
-                assert 1.0 <= score.mos <= 4.5
-                if previous_r is not None:
-                    assert score.r_factor <= previous_r + 1e-12
-                previous_r = score.r_factor
-        for ppl in (1.0, 10.0, 50.0, 100.0):
-            previous = None
-            for burst in burst_grid:
-                score = compute_r_factor(profile, LossCharacter(ppl=ppl, burst_r=burst))
-                if previous is not None:
-                    assert score.r_factor <= previous + 1e-12
-                previous = score.r_factor
+        # Rows run over burst ratios, columns over loss percentages.
+        score = compute_r_factor(profile, ppl, burst_grid[:, None])
+        assert ((0.0 <= score.r_factor) & (score.r_factor <= codec.r_max)).all()
+        assert ((1.0 <= score.mos) & (score.mos <= 4.5)).all()
+        assert (np.diff(score.r_factor, axis=1) <= 1e-12).all()
+        assert (np.diff(score.r_factor, axis=0) <= 1e-12).all()
+
+
+# Edge values of each E-Model branch: the delay knees at exactly 100 and
+# 177.3 ms, loss at 0 and 100 %, burst ratio 1, and profiles whose lossless
+# R sits exactly at 0 (scaled R 0) and at the top of each scale (scaled R 100).
+EDGE_DELAYS = [0.0, 50.0, 100.0, math.nextafter(100.0, math.inf), 150.0, 177.3,
+               math.nextafter(177.3, math.inf), 200.0, 1e6, math.inf]
+EDGE_PPL = [0.0, 1e-300, 5.0, 50.0, math.nextafter(100.0, 0.0), 100.0]
+EDGE_BURST = [1.0, math.nextafter(1.0, math.inf), 2.5, 1e6]
+EDGE_PROFILES = [
+    DEFAULT_PROFILES[Codec.AMR],
+    DEFAULT_PROFILES[Codec.AMR_WB],
+    CodecProfile(codec=Codec.AMR, ie=0.0, bpl=13.0, r0=0.0),
+    CodecProfile(codec=Codec.AMR_WB, ie=0.0, bpl=40.0, r0=0.0),
+    CodecProfile(codec=Codec.AMR, ie=94.9, bpl=0.5, r0=100.0, simultaneous=3.0, advantage=20.0),
+    CodecProfile(codec=Codec.AMR_WB, ie=12.0, bpl=25.0, r0=120.0, simultaneous=1.4, advantage=5.0),
+]
+
+
+@pytest.mark.parametrize("profile", EDGE_PROFILES)
+def test_compute_r_factor_matches_scalar_oracle(profile):
+    rng = np.random.default_rng(11)
+    grid = [np.array(axis) for axis in np.meshgrid(EDGE_PPL, EDGE_BURST, EDGE_DELAYS, indexing="ij")]
+    ppl, burst_r, delay = (np.concatenate([axis.ravel(), values]) for axis, values in zip(
+        grid,
+        (rng.uniform(0.0, 100.0, 2000), 1.0 + rng.exponential(2.0, 2000), rng.uniform(0.0, 400.0, 2000)),
+    ))
+    score = compute_r_factor(profile, ppl, burst_r, delay)
+    expected = [reference_compute_r_factor(profile, *values)
+                for values in zip(ppl.tolist(), burst_r.tolist(), delay.tolist())]
+    assert list(zip(score.r_factor.tolist(), score.mos.tolist())) == expected
+
+
+@pytest.mark.parametrize(
+    "ppl, burst_r, delay",
+    [(-1.0, 1.0, 0.0), (101.0, 1.0, 0.0), (math.nan, 1.0, 0.0), (5.0, 0.5, 0.0),
+     (5.0, math.nan, 0.0), (5.0, 1.0, -1.0), (5.0, 1.0, math.nan)],
+)
+def test_compute_r_factor_checks_every_entry(ppl, burst_r, delay):
+    profile = DEFAULT_PROFILES[Codec.AMR]
+    with pytest.raises(ValueError):
+        compute_r_factor(profile, [10.0, ppl], [1.0, burst_r], [0.0, delay])
 
 
 def test_profile_validation():

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import jbe_figures, make_timeline, reference_run_jbe, timeline_from_delays
+from conftest import (
+    jbe_figures,
+    make_timeline,
+    reference_effective_loss,
+    reference_run_jbe,
+    timeline_from_delays,
+)
 from volteqa.jitter_buffer import (
     EmptyFlowError,
     JbeConfig,
@@ -89,8 +95,8 @@ def test_jitter_skips_lost_packets():
 
 def test_jitter_needs_two_received_packets():
     result = run_jbe(timeline_from_delays([10.0, None, None]))
-    assert result.avg_jitter_ms is None
-    assert result.max_jitter_ms is None
+    assert np.isnan(result.avg_jitter_ms).all()
+    assert np.isnan(result.max_jitter_ms).all()
 
 
 def test_jbe_zero_jitter_keeps_initial_delay():
@@ -100,7 +106,7 @@ def test_jbe_zero_jitter_keeps_initial_delay():
     assert result.lost_count == 0
     assert result.received_count == 20
     assert np.array_equal(result.playout_ms, timeline.arrival_ms + 50.0)
-    assert not result.late.any()
+    assert not result.effective_lost.any()
     assert result.p_loss == 0.0
     assert result.mean_playout_delay_ms == 30.0 + 50.0
 
@@ -110,9 +116,9 @@ def test_jbe_all_lost_except_first():
     result = run_jbe(timeline)
     assert result.lost_count == 9
     assert result.received_count == 1
-    assert result.playout_ms[0] == 15.0 + 50.0
+    assert result.playout_ms[0, 0] == 15.0 + 50.0
     assert result.p_loss == 1.0  # raw 9/1 clamps
-    assert result.avg_jitter_ms is None
+    assert np.isnan(result.avg_jitter_ms).all()
 
 
 def test_jbe_hand_stepped_five_packets():
@@ -129,11 +135,11 @@ def test_jbe_hand_stepped_five_packets():
         ]
     )
     result = run_jbe(timeline, JbeConfig(initial_delay_ms=50.0, window=16, safety_factor=3.0))
-    assert result.playout_ms.tolist() == [60.0, 80.0, 100.0, 250.0, 320.0]
-    assert result.late.tolist() == [False, False, False, True, False]
+    assert result.playout_ms[:, 0].tolist() == [60.0, 80.0, 100.0, 250.0, 320.0]
+    assert jbe_figures(result)["late"] == (False, False, False, True, False)
     assert result.late_count == 1
     assert result.lost_count == 0
-    assert result.effective_lost.tolist() == [False, False, False, True, False]
+    assert result.effective_lost[:, 0].tolist() == [False, False, False, True, False]
     assert result.p_loss == 1 / 5
     # Jitter samples 0, 0, |(250-50) - 20| = 180 and |(90-250) - 20| = 180.
     assert result.avg_jitter_ms == 90.0
@@ -151,7 +157,7 @@ def test_jbe_window_slides_past_its_length():
     # Every packet is early, so it plays at its schedule.
     timeline = timeline_from_delays([10.0, 12.0, 16.0, 24.0, 10.0, 10.0, 10.0])
     result = run_jbe(timeline, JbeConfig(initial_delay_ms=50.0, window=2, safety_factor=3.0))
-    assert result.playout_ms.tolist() == [60.0, 80.0, 106.0, 129.0, 158.0, 193.0, 201.0]
+    assert result.playout_ms[:, 0].tolist() == [60.0, 80.0, 106.0, 129.0, 158.0, 193.0, 201.0]
     assert result.late_count == 0
     assert result.avg_jitter_ms == 28.0 / 6
     assert result.max_jitter_ms == 14.0
@@ -163,8 +169,8 @@ def test_jbe_on_time_status_at_exact_schedule():
     # Second packet arrives exactly at its schedule (send + 10 + 50): held, not late.
     timeline = make_timeline([(0, 0.0, 10.0), (1, 20.0, 80.0)])
     result = run_jbe(timeline, JbeConfig(initial_delay_ms=50.0))
-    assert not result.late[1]
-    assert result.playout_ms[1] == 80.0
+    assert not result.effective_lost[1, 0]
+    assert result.playout_ms[1, 0] == 80.0
 
 
 def test_jbe_on_time_packet_sets_the_play_out_head():
@@ -175,8 +181,8 @@ def test_jbe_on_time_packet_sets_the_play_out_head():
         [(0, 0.0, 10.0), (1, 20.0, 120.0), (2, 40.0, 190.0), (3, 60.0, 150.0)]
     )
     result = run_jbe(timeline, JbeConfig(initial_delay_ms=50.0, window=1, safety_factor=1.0))
-    assert result.playout_ms.tolist() == [60.0, 120.0, 190.0, 190.0]
-    assert result.late.tolist() == [False, True, False, False]
+    assert result.playout_ms[:, 0].tolist() == [60.0, 120.0, 190.0, 190.0]
+    assert result.effective_lost[:, 0].tolist() == [False, True, False, False]
     # Jitter samples 90, 50 and |(150-190) - 20| = 60; delays 60, 100, 150, 130.
     assert result.avg_jitter_ms == 200.0 / 3
     assert result.mean_playout_delay_ms == 110.0
@@ -192,9 +198,9 @@ def test_jbe_fully_lost_flow():
     assert result.received_count == 0
     assert result.lost_count == 5
     assert np.isnan(result.playout_ms).all()
-    assert result.effective_lost.tolist() == [True] * 5
+    assert result.effective_lost[:, 0].tolist() == [True] * 5
     assert result.p_loss == 1.0
-    assert result.avg_jitter_ms is None
+    assert np.isnan(result.avg_jitter_ms).all()
     assert result.mean_playout_delay_ms == 0.0
 
 
@@ -203,19 +209,27 @@ def test_effective_loss_clamps_and_never_rounds_up_to_one():
     assert effective_loss(3, 0, 0) == 1.0
     assert effective_loss(2, 1, 3) == 1.0  # missing == received
     assert effective_loss(5, 2, 3) == 1.0  # missing > received
-    assert effective_loss(10**400, 0, 5) == 1.0  # no int-to-float overflow
     assert effective_loss(1, 1, 8) == 0.25
+    # No int-to-float overflow: Python ints of any size, in an object array.
+    lost = np.array([10**400, 1, 10**400 - 1], dtype=object)
+    received = np.array([5, 4, 10**400], dtype=object)
+    assert effective_loss(lost, 0, received).tolist() == [1.0, 0.25, (10**400 - 1) / 10**400]
     # missing = received - 1 stays below 1 for every count below 2**53.
-    for received in (2, 3, 1_000, 2**53 - 1):
-        assert effective_loss(received - 1, 0, received) < 1.0
-        assert effective_loss(received - 2, 1, received) < 1.0
+    received = np.array([2, 3, 1_000, 2**53 - 1])
+    assert (effective_loss(received - 1, 0, received) < 1.0).all()
+    assert (effective_loss(received - 2, 1, received) < 1.0).all()
+    # Element by element, the array form is the scalar rule.
+    lost, late, received = np.random.default_rng(3).integers(0, 60, (3, 500))
+    assert effective_loss(lost, late, received).tolist() == [
+        reference_effective_loss(*counts) for counts in zip(lost.tolist(), late.tolist(), received.tolist())
+    ]
 
 
 def test_jbe_anchors_on_first_received_packet():
     timeline = timeline_from_delays([None, 30.0, 30.0])
     result = run_jbe(timeline, JbeConfig(initial_delay_ms=50.0))
-    assert np.isnan(result.playout_ms[0])
-    assert result.playout_ms[1] == 50.0 + 50.0  # arrival of seq 1, plus initial delay
+    assert np.isnan(result.playout_ms[0, 0])
+    assert result.playout_ms[1, 0] == 50.0 + 50.0  # arrival of seq 1, plus initial delay
 
 
 def test_config_validation():
@@ -265,12 +279,11 @@ def test_jbe_randomized_property_sweep():
         result = run_jbe(timeline, config)
 
         # Schedule, late flags and every figure equal the scalar loop exactly.
-        assert jbe_figures(result) == reference_run_jbe(timeline, config)
-        for value in (result.p_loss, result.avg_jitter_ms, result.mean_playout_delay_ms):
-            assert type(value) in (float, type(None))
+        figures = jbe_figures(result)
+        assert figures == reference_run_jbe(timeline, config)
         received = ~np.isnan(timeline.arrival_ms)
         playout = result.playout_ms[received]
-        held = playout[~result.late[received]]
+        held = playout[~result.effective_lost[received]]
         # No packet plays before it arrives.
         assert (playout >= timeline.arrival_ms[received]).all()
         # Held play-out times never regress; equal neighbours were clamped
@@ -281,6 +294,7 @@ def test_jbe_randomized_property_sweep():
         # Loss accounting.
         assert result.lost_count + result.received_count == timeline.tx_count
         assert result.late_count <= result.received_count
+        assert result.late_count == sum(figures["late"])
         # More initial delay never creates more late packets.
         roomier = run_jbe(
             timeline,
@@ -293,3 +307,60 @@ def test_jbe_randomized_property_sweep():
     # The sweep reaches the late path and the held-instant clamp.
     assert late_total > 0
     assert clamped_total > 0
+
+
+def _random_block(rng: np.random.Generator, packets: int, flows: int) -> PacketTimeline:
+    """A block of random flows on one 20 ms grid, with losses, all-lost
+    flows, gamma jitter and out-of-order arrivals."""
+    send = np.arange(packets) * 20.0
+    arrival = send[:, None] + rng.uniform(5, 60, flows) + rng.gamma(2.0, 12.0, (packets, flows))
+    arrival[rng.random((packets, flows)) < rng.choice([0.0, 0.15, 0.6, 1.0], flows)] = np.nan
+    return PacketTimeline(ptime_ms=20.0, seq=np.arange(packets), send_ms=send, arrival_ms=arrival)
+
+
+@pytest.mark.parametrize("packets", [1, 2, 3, 17, 80])
+def test_jbe_block_matches_scalar_reference_per_flow(packets):
+    rng = np.random.default_rng(packets)
+    for _ in range(10):
+        flows = int(rng.integers(1, 40))
+        timeline = _random_block(rng, packets, flows)
+        config = JbeConfig(
+            initial_delay_ms=float(rng.uniform(5, 60)),
+            window=int(rng.integers(1, 21)),
+            safety_factor=float(rng.uniform(0.5, 4.0)),
+        )
+        result = run_jbe(timeline, config)
+        assert result.playout_ms.shape == result.effective_lost.shape == (packets, flows)
+        for flow in range(flows):
+            assert jbe_figures(result, flow) == reference_run_jbe(timeline, config, flow)
+        # The tracer reads block totals as ints.
+        assert type(timeline.tx_count) is int and timeline.tx_count == packets * flows
+        for total, per_flow in (
+            (result.lost_count, result.lost_counts),
+            (result.late_count, result.late_counts),
+            (result.received_count, result.received_counts),
+        ):
+            assert type(total) is int and total == int(per_flow.sum())
+
+
+def test_jbe_flow_does_not_depend_on_its_block():
+    rng = np.random.default_rng(8)
+    timeline = _random_block(rng, 60, 12)
+    block = run_jbe(timeline)
+    for flow in range(12):
+        alone = PacketTimeline(
+            ptime_ms=20.0, seq=timeline.seq, send_ms=timeline.send_ms, arrival_ms=timeline.arrival_ms[:, flow]
+        )
+        assert jbe_figures(run_jbe(alone)) == jbe_figures(block, flow)
+
+
+def test_jbe_overflowing_figures_become_infinite():
+    # Send grid of 1e307 ms and arrivals near the largest float: the jitter
+    # samples are finite, their sum and the play-out delays are not.
+    send = np.arange(3) * 1e307
+    timeline = PacketTimeline(ptime_ms=1e307, seq=range(3), send_ms=send, arrival_ms=[0.0, 1.7e308, 2e307])
+    result = run_jbe(timeline)
+    figures = jbe_figures(result)
+    assert figures == reference_run_jbe(timeline)
+    assert figures["max_jitter_ms"] == 1.7e308 - 1e307
+    assert figures["avg_jitter_ms"] == math.inf

@@ -5,43 +5,55 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_arrivals, reference_ge_sample
-from volteqa.emodel import DEFAULT_PROFILES, LossCharacter, burst_ratio, compute_r_factor
+from conftest import (
+    reference_arrivals,
+    reference_delays,
+    reference_ge_sample,
+    reference_synthesize_dataset,
+)
+from volteqa import simulate
+from volteqa.emodel import DEFAULT_PROFILES, CodecProfile
 from volteqa.ingest import Codec, validate_record
+from volteqa.jitter_buffer import JbeConfig
 from volteqa.simulate import (
     BernoulliLoss,
-    FlowOutcome,
     GammaJitter,
     GaussianJitter,
     GilbertElliottLoss,
     NoJitter,
-    RejectedFlow,
     SimSpec,
-    iter_flow_outcomes,
     load_sim_config,
     synthesize_dataset,
     synthesize_timeline,
 )
 
 
+def _timeline(loss, jitter, packets, ptime_ms, seeds):
+    """Block timeline of one flow per seed, drawn the way ``synthesize_dataset`` draws."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    timeline, kept = synthesize_timeline(loss.sample(packets, rngs), jitter.delays(packets, rngs), ptime_ms)
+    assert kept.all()
+    return timeline
+
+
 def test_lossless_constant_delay_timeline():
-    timeline = synthesize_timeline(BernoulliLoss(0.0), NoJitter(30.0), 50, 20.0, np.random.default_rng(1))
+    timeline = _timeline(BernoulliLoss(0.0), NoJitter(30.0), 50, 20.0, [1])
     assert timeline.tx_count == 50
+    assert timeline.arrival_ms.shape == (50, 1)
     assert np.array_equal(timeline.seq, np.arange(50))
     assert np.array_equal(timeline.send_ms, timeline.seq * 20.0)
-    assert np.array_equal(timeline.arrival_ms, timeline.send_ms + 30.0)
+    assert np.array_equal(timeline.arrival_ms[:, 0], timeline.send_ms + 30.0)
 
 
 def test_full_loss_timeline():
-    timeline = synthesize_timeline(BernoulliLoss(1.0), NoJitter(30.0), 20, 20.0, np.random.default_rng(1))
+    timeline = _timeline(BernoulliLoss(1.0), NoJitter(30.0), 20, 20.0, [1, 2, 3])
+    assert timeline.arrival_ms.shape == (20, 3)
     assert np.isnan(timeline.arrival_ms).all()
 
 
 def test_timeline_is_seed_deterministic():
     def timeline(seed):
-        return synthesize_timeline(
-            BernoulliLoss(0.2), GaussianJitter(5.0, 30.0), 200, 20.0, np.random.default_rng(seed)
-        )
+        return _timeline(BernoulliLoss(0.2), GaussianJitter(5.0, 30.0), 200, 20.0, [seed])
 
     a, b, c = timeline(77), timeline(77), timeline(78)
     assert np.array_equal(a.arrival_ms, b.arrival_ms, equal_nan=True)
@@ -49,11 +61,9 @@ def test_timeline_is_seed_deterministic():
 
 
 def test_arrivals_never_reorder():
-    timeline = synthesize_timeline(
-        BernoulliLoss(0.0), GaussianJitter(40.0, 30.0), 500, 20.0, np.random.default_rng(5)
-    )
-    assert (np.diff(timeline.arrival_ms) >= 0).all()
-    assert (timeline.arrival_ms >= timeline.send_ms).all()
+    timeline = _timeline(BernoulliLoss(0.0), GaussianJitter(40.0, 30.0), 500, 20.0, [5, 6])
+    assert (np.diff(timeline.arrival_ms, axis=0) >= 0).all()
+    assert (timeline.arrival_ms >= timeline.send_ms[:, None]).all()
 
 
 @pytest.mark.parametrize(
@@ -66,18 +76,53 @@ def test_arrivals_never_reorder():
     ],
 )
 def test_timeline_arrivals_match_scalar_reference(loss, jitter):
-    for seed in range(20):
-        timeline = synthesize_timeline(loss, jitter, 300, 30.0, np.random.default_rng(seed))
-        rng = np.random.Generator(np.random.PCG64(seed))
-        expected = reference_arrivals(loss.sample(300, rng), jitter.delays(300, rng), 30.0)
-        assert [None if np.isnan(a) else a for a in timeline.arrival_ms.tolist()] == expected
+    rngs = [np.random.default_rng(seed) for seed in range(20)]
+    lost, delays = loss.sample(300, rngs), jitter.delays(300, rngs)
+    timeline, _ = synthesize_timeline(lost, delays, 30.0)
+    for flow in range(20):
+        expected = reference_arrivals(lost[:, flow], delays[:, flow].tolist(), 30.0)
+        assert [None if np.isnan(a) else a for a in timeline.arrival_ms[:, flow].tolist()] == expected
+
+
+def test_timeline_leaves_out_flows_whose_arrivals_overflow():
+    lost = np.array([[False, False, True], [False, True, False]])
+    delays = np.array([[1.0, 1.0, math.inf], [1e308, math.inf, 2.0]])
+    timeline, kept = synthesize_timeline(lost, delays, 1e308)
+    # Flow 0 arrives at 1e308 + 1e308; flows 1 and 2 lose their infinite delays.
+    assert kept.tolist() == [False, True, True]
+    assert timeline.arrival_ms.shape == (2, 2)
+    assert timeline.arrival_ms[0, 0] == 1.0 and np.isnan(timeline.arrival_ms[1, 0])
+    assert np.isnan(timeline.arrival_ms[0, 1]) and timeline.arrival_ms[1, 1] == 1e308 + 2.0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [NoJitter(30.0), GaussianJitter(0.0), GaussianJitter(40.0, 30.0), GammaJitter(2.0, 30.0, 30.0)],
+)
+def test_block_delays_match_per_flow_draws(model):
+    block = [np.random.default_rng(seed) for seed in range(5)]
+    delays = model.delays(40, block)
+    assert delays.shape == (40, 5)
+    for flow in range(5):
+        rng = np.random.default_rng(flow)
+        assert np.array_equal(delays[:, flow], reference_delays(model, 40, rng))
+        # Same draws in the same order: both streams continue in step.
+        assert block[flow].random() == rng.random()
+
+
+def test_block_bernoulli_sample_matches_per_flow_draws():
+    block = [np.random.default_rng(seed) for seed in range(5)]
+    lost = BernoulliLoss(0.3).sample(40, block)
+    assert lost.shape == (40, 5)
+    for flow in range(5):
+        rng = np.random.default_rng(flow)
+        assert np.array_equal(lost[:, flow], rng.random(40) < 0.3)
+        assert block[flow].random() == rng.random()
 
 
 def test_gamma_jitter_delays_are_positive():
-    timeline = synthesize_timeline(
-        BernoulliLoss(0.0), GammaJitter(2.0, 6.0, 10.0), 100, 20.0, np.random.default_rng(9)
-    )
-    assert (timeline.arrival_ms >= timeline.send_ms + 10.0).all()
+    timeline = _timeline(BernoulliLoss(0.0), GammaJitter(2.0, 6.0, 10.0), 100, 20.0, [9])
+    assert (timeline.arrival_ms >= timeline.send_ms[:, None] + 10.0).all()
 
 
 def test_gilbert_elliott_stationary_rate_closed_form():
@@ -93,7 +138,7 @@ def test_gilbert_elliott_empirical_rate_matches_closed_form():
     model = GilbertElliottLoss(0.1, 0.5, 0.0, 1.0)
     n = 100_000
     rng = np.random.Generator(np.random.PCG64(123))
-    lost = model.sample(n, rng)
+    lost = model.sample(n, [rng])
     empirical = lost.mean()
     tolerance = 3.0 * model.loss_rate_std_error(n)
     assert abs(empirical - model.stationary_loss_rate()) <= tolerance
@@ -112,13 +157,19 @@ def test_gilbert_elliott_empirical_rate_matches_closed_form():
     ],
 )
 def test_gilbert_elliott_sample_matches_scalar_reference(model):
-    for seed in range(20):
-        for n in (0, 1, 2, 500):
+    for n in (0, 1, 2, 500):
+        # A block of one flow per seed, and blocks of one flow.
+        block = [np.random.Generator(np.random.PCG64(seed)) for seed in range(20)]
+        lost = model.sample(n, block)
+        assert lost.shape == (n, 20)
+        for seed in range(20):
             fast = np.random.Generator(np.random.PCG64(seed))
             slow = np.random.Generator(np.random.PCG64(seed))
-            assert np.array_equal(model.sample(n, fast), reference_ge_sample(model, n, slow))
-            # Same draws in the same order: both streams continue in step.
-            assert fast.random() == slow.random()
+            expected = reference_ge_sample(model, n, slow)
+            assert np.array_equal(lost[:, seed], expected)
+            assert np.array_equal(model.sample(n, [fast])[:, 0], expected)
+            # Same draws in the same order: the streams continue in step.
+            assert fast.random() == slow.random() == block[seed].random()
 
 
 def test_gilbert_elliott_random_models_match_scalar_reference():
@@ -130,7 +181,7 @@ def test_gilbert_elliott_random_models_match_scalar_reference():
         n = int(rng.integers(0, 400))
         fast = np.random.Generator(np.random.PCG64(case))
         slow = np.random.Generator(np.random.PCG64(case))
-        assert np.array_equal(model.sample(n, fast), reference_ge_sample(model, n, slow))
+        assert np.array_equal(model.sample(n, [fast])[:, 0], reference_ge_sample(model, n, slow))
 
 
 def test_gilbert_elliott_validation():
@@ -266,32 +317,6 @@ def test_codec_mix_shares_close_to_spec():
     assert abs(share - 0.7) <= 0.02
 
 
-def test_outcomes_carry_pipeline_details():
-    spec = SimSpec(
-        flows=10,
-        packets_per_flow=60,
-        seed=61,
-        codec_mix=((Codec.AMR, 1.0),),
-        loss_models=(BernoulliLoss(0.1),),
-        jitter_models=(NoJitter(30.0),),
-    )
-    for outcome in iter_flow_outcomes(spec, DEFAULT_PROFILES):
-        assert isinstance(outcome, (FlowOutcome, RejectedFlow))
-        if isinstance(outcome, FlowOutcome):
-            result = outcome.jbe_result
-            # The record is scored from the JBE's effective loss, its burst
-            # ratio and its mean play-out delay.
-            loss = LossCharacter(100.0 * result.p_loss, burst_ratio(result.effective_lost.tolist()))
-            score = compute_r_factor(DEFAULT_PROFILES[Codec.AMR], loss, result.mean_playout_delay_ms)
-            assert outcome.record.r_factor == score.r_factor
-            expected_p = min(
-                1.0,
-                (outcome.jbe_result.lost_count + outcome.jbe_result.late_count)
-                / outcome.jbe_result.received_count,
-            )
-            assert outcome.jbe_result.p_loss == pytest.approx(expected_p)
-
-
 def test_spec_digest_tracks_content():
     base = SimSpec(flows=10, packets_per_flow=10, seed=1)
     same = SimSpec(flows=10, packets_per_flow=10, seed=1)
@@ -361,11 +386,58 @@ def test_load_sim_config_rejects_bad_models():
         )
 
 
-def test_parallel_flow_streams_are_independent_of_generation_order():
-    spec = SimSpec(flows=8, packets_per_flow=25, seed=71,
-                   loss_models=(BernoulliLoss(0.1),),
-                   jitter_models=(GaussianJitter(3.0, 20.0),))
-    sequential = [o for o in iter_flow_outcomes(spec) if isinstance(o, FlowOutcome)]
-    # Re-running for a single flow id must reproduce that flow exactly.
-    again = [o for o in iter_flow_outcomes(spec) if isinstance(o, FlowOutcome)]
-    assert [o.record for o in sequential] == [o.record for o in again]
+# Huge delays on a send grid of 1e307 ms: arrivals, jitter sums and
+# play-out delays overflow.
+OVERFLOW_SPEC = SimSpec(flows=30, packets_per_flow=10, seed=78, ptime_ms=1e307,
+                        loss_models=(BernoulliLoss(0.2),),
+                        jitter_models=(GaussianJitter(1e308), NoJitter(1.0)))
+
+LATE_SPEC = dict(
+    codec_mix=((Codec.AMR, 0.6), (Codec.AMR_WB, 0.4)),
+    loss_models=(BernoulliLoss(0.1), GilbertElliottLoss(0.05, 0.3), GilbertElliottLoss(0.2, 0.4, 0.05, 0.9)),
+    jitter_models=(NoJitter(30.0), GaussianJitter(40.0, 30.0), GammaJitter(2.0, 30.0, 30.0)),
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # Every loss x jitter model; gaussian(40) and gamma(2,30) make late packets.
+        SimSpec(flows=47, packets_per_flow=60, seed=71, **LATE_SPEC),
+        SimSpec(flows=30, packets_per_flow=60, seed=72, **LATE_SPEC,
+                jbe=JbeConfig(initial_delay_ms=10.0, window=3, safety_factor=0.5)),
+        # One to three packets: flows with no jitter sample or a single one.
+        SimSpec(flows=40, packets_per_flow=1, seed=73, **LATE_SPEC),
+        SimSpec(flows=40, packets_per_flow=2, seed=74, **LATE_SPEC),
+        SimSpec(flows=60, packets_per_flow=3, seed=75, **LATE_SPEC),
+        # All-lost flows beside flows that lose nothing.
+        SimSpec(flows=20, packets_per_flow=25, seed=76,
+                loss_models=(BernoulliLoss(1.0), BernoulliLoss(0.0)),
+                jitter_models=(GammaJitter(2.0, 30.0, 30.0),)),
+        # Arrivals, jitter and play-out that overflow.
+        SimSpec(flows=12, packets_per_flow=10, seed=77, loss_models=(BernoulliLoss(0.2),),
+                jitter_models=(GaussianJitter(1e308), GammaJitter(2.0, 1e308, 1e308), NoJitter(1.0))),
+        OVERFLOW_SPEC,
+    ],
+    ids=["late", "late-small-window", "1-packet", "2-packets", "3-packets", "all-lost", "overflow",
+         "overflow-wide-grid"],
+)
+@pytest.mark.parametrize("block_packets", [1, 150, 7 * 60 + 13, 65_536])
+def test_dataset_matches_per_flow_oracle(monkeypatch, spec, block_packets):
+    # Block caps below one flow's packets give blocks of one flow; the
+    # others leave a last block that is not full.
+    monkeypatch.setattr(simulate, "BLOCK_PACKETS", block_packets)
+    profiles = dict(DEFAULT_PROFILES)
+    profiles[Codec.AMR_WB] = CodecProfile(codec=Codec.AMR_WB, ie=5.0, bpl=10.0, r0=120.0, advantage=2.0)
+    records, rejected = synthesize_dataset(spec, profiles)
+    assert (records, rejected) == reference_synthesize_dataset(spec, profiles)
+    assert len(records) + len(rejected) == spec.flows
+
+
+def test_overflowing_flows_are_rejected_with_reasons():
+    records, rejected = synthesize_dataset(OVERFLOW_SPEC)
+    reasons = {r.reason for r in rejected}
+    assert reasons == {"ARRIVAL_NOT_FINITE", "JITTER_NOT_FINITE", "PLAYOUT_NOT_FINITE"}
+    assert all(math.isfinite(v) for r in records for v in (r.avg_jitter_ms, r.max_jitter_ms, r.r_factor))
+    # Only the no-jitter cell (the odd flows) writes rows.
+    assert {int(r.flow_id[5:]) % 2 for r in records} == {1}
