@@ -5,7 +5,7 @@ E-Model R-factor/MOS scoring for AMR and AMR-WB flows, seeded impairment
 simulation, and binned quality-versus-loss regression.
 """
 
-from volteqa.ingest import Codec, Bandwidth, FlowRecord, RejectReason
+from volteqa.ingest import Codec, Bandwidth, CdrTable, RejectReason
 from volteqa.jitter_buffer import PacketTimeline, JbeConfig, JbeResult
 from volteqa.emodel import CodecProfile, QualityScore
 from volteqa.analytics import FitResult, BinnedSeries, SurfaceGrid
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Codec",
     "Bandwidth",
-    "FlowRecord",
+    "CdrTable",
     "RejectReason",
     "PacketTimeline",
     "JbeConfig",

@@ -36,10 +36,10 @@ from volteqa.analytics import (
 from volteqa.emodel import DEFAULT_PROFILES, CodecProfile, compute_r_factor, load_profiles
 from volteqa.ingest import (
     CDR_COLUMNS,
+    CdrTable,
     Codec,
-    FlowRecord,
     SchemaError,
-    cdr_row,
+    cdr_rows,
     parse_cdr_csv,
     summarize_dataset,
     write_cdr_csv,
@@ -51,8 +51,8 @@ SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
 
 MIN_BINS_FOR_EXPONENTIAL = 4
 
-# Records scored at a time by `score`: it keeps the score arrays small
-# beside the parsed records.
+# Rows scored at a time by `score`: it keeps the score arrays small
+# beside the parsed table.
 SCORE_CHUNK = 8192
 
 T = TypeVar("T")
@@ -146,43 +146,37 @@ def cmd_score(args: argparse.Namespace) -> int:
     wanted = _codec_filter(args.codec)
     with _open(args.input, "INPUT") as handle:
         try:
-            records, rejects = parse_cdr_csv(handle)
+            table, rejects = parse_cdr_csv(handle)
         except SchemaError as exc:
             raise CliError("SCHEMA", str(exc)) from None
 
     if wanted is not None:
-        records = [r for r in records if r.codec is wanted]
+        table = table.take(table.codec == wanted)
 
     output = Path(args.output)
     with _open(output, "OUTPUT") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SCORED_COLUMNS)
-        for start in range(0, len(records), SCORE_CHUNK):
-            chunk = records[start : start + SCORE_CHUNK]
-            for record, *values in zip(chunk, *_score_records(chunk, profiles)):
-                writer.writerow([*cdr_row(record), *map(format_g6, values)])
+        for start in range(0, len(table), SCORE_CHUNK):
+            chunk = table.take(slice(start, start + SCORE_CHUNK))
+            for row, *values in zip(cdr_rows(chunk), *_score_records(chunk, profiles)):
+                writer.writerow([*row, *map(format_g6, values)])
 
-    summary = summarize_dataset(records, rejects)
+    summary = summarize_dataset(table, rejects)
     summary["per_codec_shares"] = {k: round_g6(v) for k, v in summary["per_codec_shares"].items()}
     summary_path = Path(args.summary) if args.summary else output.with_suffix(output.suffix + ".summary.json")
     _write_json(summary_path, summary)
     return 0
 
 
-def _score_records(
-    records: list[FlowRecord], profiles: dict[Codec, CodecProfile]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each record's effective loss, MOS and R-factor, scored one codec at a time."""
-    # Counts too large for int64 make object arrays of Python ints.
-    tx = np.array([record.tx_packets for record in records])
-    rx = np.array([record.rx_packets for record in records])
+def _score_records(table: CdrTable, profiles: dict[Codec, CodecProfile]) -> tuple[np.ndarray, ...]:
+    """Each row's effective loss, MOS and R-factor, scored one codec at a time."""
     # CDR rows carry no per-packet timing, so late packets cannot be told
     # apart from on-time ones: only network loss counts.
-    p_loss = effective_loss(np.maximum(tx - rx, 0), 0, rx)
-    mos = np.empty(len(records))
-    r_factor = np.empty(len(records))
+    p_loss = effective_loss(np.maximum(table.tx_packets - table.rx_packets, 0), 0, table.rx_packets)
+    mos, r_factor = np.empty((2, len(table)))
     for codec in Codec:
-        rows = np.array([record.codec is codec for record in records], dtype=bool)
+        rows = table.codec == codec
         if rows.any():
             # Counts alone say nothing about burstiness: assume random loss.
             score = compute_r_factor(profiles[codec], 100.0 * p_loss[rows])
@@ -203,16 +197,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     config_text, (spec, profiles) = _load_config(args.config, load)
 
-    records, rejected = synthesize_dataset(spec, profiles)
-    rounded = [
-        dataclasses.replace(
-            record,
-            avg_jitter_ms=round_g6(record.avg_jitter_ms),
-            max_jitter_ms=round_g6(record.max_jitter_ms),
-            r_factor=None if record.r_factor is None else round_g6(record.r_factor),
-        )
-        for record in records
-    ]
+    try:
+        table, rejected = synthesize_dataset(spec, profiles)
+    except MemoryError:
+        raise CliError("CONFIG", f"packets_per_flow: too large to simulate: {spec.packets_per_flow}") from None
+    rounded = dataclasses.replace(table, **{
+        name: np.array([round_g6(v) for v in getattr(table, name).tolist()])
+        for name in ("avg_jitter_ms", "max_jitter_ms", "r_factor")
+    })
     output = Path(args.output)
     with _open(output, "OUTPUT") as handle:
         write_cdr_csv(rounded, handle)

@@ -13,7 +13,9 @@ import csv
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterator, Sequence
+
+import numpy as np
 
 CDR_COLUMNS = (
     "flow_id",
@@ -52,7 +54,7 @@ class Codec(enum.Enum):
 
 
 class RejectReason(str, enum.Enum):
-    """Why a CDR row was filtered out instead of becoming a FlowRecord."""
+    """Why a CDR row was filtered out instead of joining the table."""
 
     BAD_FIELD = "BAD_FIELD"
     UNSUPPORTED_CODEC = "UNSUPPORTED_CODEC"
@@ -62,17 +64,51 @@ class RejectReason(str, enum.Enum):
     R_OUT_OF_RANGE = "R_OUT_OF_RANGE"
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One uplink voice flow's CDR row."""
+# No generated ==: arrays compare element by element.  Compare rows().
+@dataclass(frozen=True, eq=False)
+class CdrTable:
+    """CDR rows as columns, one per CDR column.
 
-    flow_id: str
-    codec: Codec
-    tx_packets: int
-    rx_packets: int
-    avg_jitter_ms: float
-    max_jitter_ms: float
-    r_factor: float | None = None
+    ``flow_id`` and ``codec`` are object arrays of str and Codec.  The
+    packet counts are int64, or object arrays of Python ints when a count
+    does not fit.  The jitter columns and ``r_factor`` are float64, with
+    NaN for an absent r_factor.
+    """
+
+    flow_id: np.ndarray
+    codec: np.ndarray
+    tx_packets: np.ndarray
+    rx_packets: np.ndarray
+    avg_jitter_ms: np.ndarray
+    max_jitter_ms: np.ndarray
+    r_factor: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]) -> CdrTable:
+        """The table of rows given in column order, None for an absent r_factor."""
+        flow_id, codec, tx, rx, *floats = zip(*rows) if rows else [()] * len(CDR_COLUMNS)
+        objects = [np.array(column, dtype=object) for column in (flow_id, codec)]
+        # As float64, an absent r_factor (None) becomes NaN.
+        return cls(*objects, _counts(tx), _counts(rx), *(np.array(c, dtype=float) for c in floats))
+
+    def __len__(self) -> int:
+        return len(self.flow_id)
+
+    def take(self, rows) -> CdrTable:
+        """The table of the rows that ``rows`` (a slice, mask or indices) selects."""
+        return CdrTable(*(getattr(self, name)[rows] for name in CDR_COLUMNS))
+
+    def rows(self) -> Iterator[tuple]:
+        """The rows as tuples in column order, None for an absent r_factor."""
+        r_factor = [None if r != r else r for r in self.r_factor.tolist()]
+        return zip(*(getattr(self, name).tolist() for name in CDR_COLUMNS[:-1]), r_factor)
+
+
+def _counts(values: Sequence[int]) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # a count beyond int64
+        return np.array(values, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -84,21 +120,24 @@ class RejectedRow:
     detail: str
 
 
-def validate_record(record: FlowRecord) -> RejectReason | None:
-    """Return the first violated acceptance rule, or None if the record is good.
+def validate_record(
+    codec: Codec, tx_packets: int, rx_packets: int, avg_jitter_ms: float, max_jitter_ms: float,
+    r_factor: float | None,
+) -> RejectReason | None:
+    """Return the first violated acceptance rule, or None if the row is good.
 
     Rules, in order: negative packet counts, fully empty flow, inconsistent
     jitter fields (negative, or max below average), R-factor outside
-    [0, r_max] for the record's codec.  Unsupported codecs never reach this
+    [0, r_max] for the row's codec.  Unsupported codecs never reach this
     function; they are rejected at parse time.
     """
-    if record.tx_packets < 0 or record.rx_packets < 0:
+    if tx_packets < 0 or rx_packets < 0:
         return RejectReason.NEGATIVE_COUNT
-    if record.tx_packets == 0 and record.rx_packets == 0:
+    if tx_packets == 0 and rx_packets == 0:
         return RejectReason.EMPTY_FLOW
-    if record.avg_jitter_ms < 0 or record.max_jitter_ms < record.avg_jitter_ms:
+    if avg_jitter_ms < 0 or max_jitter_ms < avg_jitter_ms:
         return RejectReason.INCONSISTENT_JITTER
-    if record.r_factor is not None and not 0.0 <= record.r_factor <= record.codec.r_max:
+    if r_factor is not None and not 0.0 <= r_factor <= codec.r_max:
         return RejectReason.R_OUT_OF_RANGE
     return None
 
@@ -122,10 +161,10 @@ def parse_float(text: str, name: str) -> float:
     return value
 
 
-def parse_cdr_csv(stream: IO[str]) -> tuple[list[FlowRecord], list[RejectedRow]]:
-    """Parse a CDR CSV into accepted records and per-row rejects.
+def parse_cdr_csv(stream: IO[str]) -> tuple[CdrTable, list[RejectedRow]]:
+    """Parse a CDR CSV into the table of accepted rows and per-row rejects.
 
-    Every data row becomes exactly one FlowRecord or one RejectedRow, in
+    Every data row becomes exactly one table row or one RejectedRow, in
     file order.  ``line_no`` is the 1-based line number (the header is
     line 1).  A missing or unknown header raises SchemaError.
     """
@@ -139,7 +178,7 @@ def parse_cdr_csv(stream: IO[str]) -> tuple[list[FlowRecord], list[RejectedRow]]
             f"unexpected header {','.join(header)!r}; expected {','.join(CDR_COLUMNS)!r}"
         )
 
-    records: list[FlowRecord] = []
+    rows: list[tuple] = []
     rejects: list[RejectedRow] = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
@@ -158,65 +197,54 @@ def parse_cdr_csv(stream: IO[str]) -> tuple[list[FlowRecord], list[RejectedRow]]
             reject(RejectReason.UNSUPPORTED_CODEC, f"codec {codec_text!r}")
             continue
         try:
-            record = FlowRecord(
-                flow_id=flow_id,
-                codec=codec,
-                tx_packets=parse_int(tx, "tx_packets"),
-                rx_packets=parse_int(rx, "rx_packets"),
-                avg_jitter_ms=parse_float(avg_j, "avg_jitter_ms"),
-                max_jitter_ms=parse_float(max_j, "max_jitter_ms"),
-                r_factor=None if r_text == "" else parse_float(r_text, "r_factor"),
+            values = (
+                codec,
+                parse_int(tx, "tx_packets"),
+                parse_int(rx, "rx_packets"),
+                parse_float(avg_j, "avg_jitter_ms"),
+                parse_float(max_j, "max_jitter_ms"),
+                None if r_text == "" else parse_float(r_text, "r_factor"),
             )
         except ValueError as exc:
             reject(RejectReason.BAD_FIELD, str(exc))
             continue
-        reason = validate_record(record)
+        reason = validate_record(*values)
         if reason is not None:
             reject(reason, reason.value)
             continue
-        records.append(record)
-    return records, rejects
+        rows.append((flow_id, *values))
+    return CdrTable.from_rows(rows), rejects
 
 
-def cdr_row(record: FlowRecord) -> list:
-    """A record's fields in CDR column order; floats in their shortest
+def cdr_rows(table: CdrTable) -> Iterator[list]:
+    """The table's rows in CDR column order; floats in their shortest
     round-trip form, an absent r_factor as an empty field."""
-    return [
-        record.flow_id,
-        record.codec.value,
-        record.tx_packets,
-        record.rx_packets,
-        repr(float(record.avg_jitter_ms)),
-        repr(float(record.max_jitter_ms)),
-        "" if record.r_factor is None else repr(float(record.r_factor)),
-    ]
+    for flow_id, codec, tx, rx, avg_j, max_j, r in table.rows():
+        yield [flow_id, codec.value, tx, rx, repr(avg_j), repr(max_j), "" if r is None else repr(r)]
 
 
-def write_cdr_csv(records: Iterable[FlowRecord], stream: IO[str]) -> None:
-    """Write records in the CDR schema; a parse(write(records)) round trip
-    reproduces the records exactly."""
+def write_cdr_csv(table: CdrTable, stream: IO[str]) -> None:
+    """Write a table in the CDR schema; a parse(write(table)) round trip
+    reproduces its rows exactly."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CDR_COLUMNS)
-    writer.writerows(cdr_row(record) for record in records)
+    writer.writerows(cdr_rows(table))
 
 
-def summarize_dataset(
-    records: Sequence[FlowRecord],
-    rejects: Sequence[RejectedRow],
-) -> dict:
+def summarize_dataset(table: CdrTable, rejects: Sequence[RejectedRow]) -> dict:
     """The JSON summary document of a parsed CDR file.
 
-    Flow counts and shares per codec over the accepted records (no entry
-    for an absent codec), and the rejected rows with their count by
-    reason.  Counts and shares do not depend on record order.
+    Flow counts and shares per codec over the table's rows (no entry for
+    an absent codec), and the rejected rows with their count by reason.
+    Counts and shares do not depend on row order.
     """
-    counts = Counter(record.codec for record in records)
+    counts = Counter(table.codec.tolist())
     reasons = Counter(row.reason for row in rejects)
     present = [codec for codec in Codec if counts[codec]]
     return {
-        "total_flows": len(records),
+        "total_flows": len(table),
         "per_codec_counts": {codec.value: counts[codec] for codec in present},
-        "per_codec_shares": {codec.value: counts[codec] / len(records) for codec in present},
+        "per_codec_shares": {codec.value: counts[codec] / len(table) for codec in present},
         "rejected": {
             "total": len(rejects),
             "by_reason": {r.value: reasons[r] for r in RejectReason if reasons[r]},

@@ -27,7 +27,7 @@ from volteqa.emodel import (
     compute_r_factor,
     profiles_from_parser,
 )
-from volteqa.ingest import Codec, FlowRecord, parse_float, parse_int
+from volteqa.ingest import CdrTable, Codec, parse_float, parse_int
 from volteqa.jitter_buffer import JbeConfig, PacketTimeline, run_jbe
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -248,13 +248,10 @@ class SimSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.ptime_ms) and self.ptime_ms > 0):
             raise ValueError(f"ptime_ms must be positive and finite, got {self.ptime_ms}")
-        if self.packets_per_flow < 1:
-            raise ValueError("packets_per_flow must be >= 1")
-        try:
-            last_send = float(self.packets_per_flow - 1) * self.ptime_ms
-        except OverflowError:
-            last_send = math.inf
-        if not math.isfinite(last_send):
+        # Arrays cannot hold more than 2**63 - 1 packets.
+        if not 1 <= self.packets_per_flow <= np.iinfo(np.int64).max:
+            raise ValueError(f"packets_per_flow must be in [1, 2**63 - 1], got {self.packets_per_flow}")
+        if not math.isfinite((self.packets_per_flow - 1) * self.ptime_ms):
             raise ValueError(
                 f"last send time (packets_per_flow - 1) * ptime_ms is not finite: "
                 f"({self.packets_per_flow} - 1) * {self.ptime_ms:g}"
@@ -335,14 +332,13 @@ def _draw_block(
                 lost[:, flows] = loss_model.sample(packets, group)
                 delays[:, flows] = jitter_model.delays(packets, group)
     timeline, kept = synthesize_timeline(lost, delays, spec.ptime_ms)
-    return codec_at[kept], timeline, kept
+    return codec_at, timeline, kept
 
 
 def synthesize_dataset(
-    spec: SimSpec,
-    profiles: dict[Codec, CodecProfile] | None = None,
-) -> tuple[list[FlowRecord], list[RejectedFlow]]:
-    """Generate the spec's flows as CDR records; per-flow failures become rejects.
+    spec: SimSpec, profiles: dict[Codec, CodecProfile] | None = None
+) -> tuple[CdrTable, list[RejectedFlow]]:
+    """Generate the spec's flows as a CDR table; per-flow failures become rejects.
 
     Per flow: synthesize a timeline, replay it through the jitter buffer
     (which measures effective loss, jitter and play-out delay in one pass),
@@ -355,87 +351,68 @@ def synthesize_dataset(
     overflows.
 
     Flows are drawn one by one, each from its own child SeedSequence
-    stream; every step after the draws runs on blocks of up to
-    ``BLOCK_PACKETS`` packets, element by element, so the dataset does not
-    depend on the block size.
+    stream; the replay runs on blocks of up to ``BLOCK_PACKETS`` packets
+    and the scoring on the accepted flows of each codec, element by
+    element, so the dataset does not depend on the block size.
     """
     profiles = profiles if profiles is not None else DEFAULT_PROFILES
     per_block = max(1, BLOCK_PACKETS // spec.packets_per_flow)
     # Successive spawn() calls continue the same child streams as one call.
     seeds = np.random.SeedSequence(spec.seed)
-    records: list[FlowRecord] = []
-    rejected: list[RejectedFlow] = []
+    # Per-flow figures; -1 received packets marks a flow left out of its
+    # block's timeline.
+    codec_at = np.empty(spec.flows, dtype=np.intp)
+    received = np.full(spec.flows, -1)
+    p_loss, burst_r, avg_jitter, max_jitter, delay = np.full((5, spec.flows), np.nan)
     for first in range(0, spec.flows, per_block):
         size = min(per_block, spec.flows - first)
-        codec_at, timeline, kept = _draw_block(spec, seeds, first, size)
+        codec_at[first : first + size], timeline, kept = _draw_block(spec, seeds, first, size)
         result = run_jbe(timeline, spec.jbe)
+        flows = first + np.flatnonzero(kept)
+        received[flows], p_loss[flows] = result.received_counts, result.p_loss
+        burst_r[flows] = burst_ratio(result.effective_lost)
+        avg_jitter[flows], max_jitter[flows] = result.avg_jitter_ms, result.max_jitter_ms
+        delay[flows] = result.mean_playout_delay_ms
 
-        burst_r = burst_ratio(result.effective_lost)
-        r_factor = np.empty(codec_at.size)
-        for index, (codec, _) in enumerate(spec.codec_mix):
-            flows = codec_at == index
-            if flows.any():
-                r_factor[flows] = compute_r_factor(
-                    profiles[codec],
-                    100.0 * result.p_loss[flows],
-                    burst_r[flows],
-                    result.mean_playout_delay_ms[flows],
-                ).r_factor
-
-        columns = zip(
-            codec_at.tolist(),
-            result.received_counts.tolist(),
-            result.avg_jitter_ms.tolist(),
-            result.max_jitter_ms.tolist(),
-            result.mean_playout_delay_ms.tolist(),
-            r_factor.tolist(),
-        )
-        for j, is_kept in enumerate(kept.tolist()):
-            flow_id = f"flow-{first + j:06d}"
-            if not is_kept:
-                rejected.append(RejectedFlow(flow_id, "ARRIVAL_NOT_FINITE"))
-                continue
-            codec, received, avg_jitter, max_jitter, delay, r = next(columns)
-            if received < 2:
-                rejected.append(RejectedFlow(flow_id, "NOT_ENOUGH_PACKETS"))
-            elif not (math.isfinite(avg_jitter) and math.isfinite(max_jitter)):
-                rejected.append(RejectedFlow(flow_id, "JITTER_NOT_FINITE"))
-            elif not math.isfinite(delay):
-                rejected.append(RejectedFlow(flow_id, "PLAYOUT_NOT_FINITE"))
-            else:
-                records.append(
-                    FlowRecord(
-                        flow_id=flow_id,
-                        codec=spec.codec_mix[codec][0],
-                        tx_packets=spec.packets_per_flow,
-                        rx_packets=received,
-                        avg_jitter_ms=avg_jitter,
-                        max_jitter_ms=max_jitter,
-                        r_factor=r,
-                    )
-                )
-    return records, rejected
+    jitter_ok = np.isfinite(avg_jitter) & np.isfinite(max_jitter)
+    reasons = np.select(
+        [received < 0, received < 2, ~jitter_ok, ~np.isfinite(delay)],
+        ["ARRIVAL_NOT_FINITE", "NOT_ENOUGH_PACKETS", "JITTER_NOT_FINITE", "PLAYOUT_NOT_FINITE"],
+        "",
+    )
+    good = reasons == ""
+    flow_ids = np.array([f"flow-{i:06d}" for i in range(spec.flows)], dtype=object)
+    rejected = list(map(RejectedFlow, flow_ids[~good].tolist(), reasons[~good].tolist()))
+    r_factor = np.empty(spec.flows)
+    for index, (codec, _) in enumerate(spec.codec_mix):
+        flows = good & (codec_at == index)
+        if flows.any():
+            r_factor[flows] = compute_r_factor(
+                profiles[codec], 100.0 * p_loss[flows], burst_r[flows], delay[flows]
+            ).r_factor
+    codecs = np.array([codec for codec, _ in spec.codec_mix], dtype=object)
+    tx = np.full(spec.flows, spec.packets_per_flow, dtype=np.int64)
+    table = CdrTable(flow_ids, codecs[codec_at], tx, received, avg_jitter, max_jitter, r_factor).take(good)
+    return table, rejected
 
 
-_MODEL_TOKEN = re.compile(r"([A-Za-z_]+)\s*(?:\(([^)]*)\))?")
+_MODEL_ITEM = re.compile(r"\s*([A-Za-z_]+)\s*(?:\(([^)]*)\))?\s*")
+# A comma with no ")" ahead of the next "(" separates items; the others
+# separate a model's arguments.
+_ITEM_COMMA = re.compile(r",(?![^(]*\))")
 
 
 def _parse_model_list(text: str, key: str) -> list[tuple[str, list[float]]]:
+    """The ``name`` or ``name(args)`` items of a comma-separated model list."""
     found = []
-    for match in _MODEL_TOKEN.finditer(text):
-        name = match.group(1)
-        if not name:
-            continue
-        args_text = match.group(2)
-        args = []
-        if args_text:
-            for chunk in args_text.split(","):
-                chunk = chunk.strip()
-                if chunk:
-                    args.append(parse_float(chunk, f"{key}: {name}(...)"))
+    for item in _ITEM_COMMA.split(text):
+        match = _MODEL_ITEM.fullmatch(item)
+        if match is None:
+            raise ValueError(f"{key}: not a comma-separated list of name or name(args): {text!r}")
+        name, args_text = match.groups()
+        chunks = [chunk.strip() for chunk in (args_text or "").split(",")]
+        args = [parse_float(chunk, f"{key}: {name}(...)") for chunk in chunks if chunk]
         found.append((name.lower(), args))
-    if not found:
-        raise ValueError(f"{key}: no models given")
     return found
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from volteqa.analytics import BinnedSeries, SurfaceGrid, uniform_edges
 from volteqa.emodel import LOSS_IMPAIRMENT_CEILING, CodecProfile
-from volteqa.ingest import Bandwidth, Codec, FlowRecord
+from volteqa.ingest import Bandwidth, Codec
 from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketTimeline
 from volteqa.simulate import (
     GaussianJitter,
@@ -296,10 +296,11 @@ def reference_delays(model, n: int, rng: np.random.Generator) -> np.ndarray:
     return model.base_delay_ms + rng.gamma(model.shape, model.scale_ms, n)
 
 
-def reference_synthesize_dataset(spec: SimSpec, profiles) -> tuple[list[FlowRecord], list[RejectedFlow]]:
+def reference_synthesize_dataset(spec: SimSpec, profiles) -> tuple[list[tuple], list[RejectedFlow]]:
     """Oracle for ``synthesize_dataset``: the flow-by-flow path it replaced,
-    built from the scalar oracles of each step."""
-    records: list[FlowRecord] = []
+    built from the scalar oracles of each step.  Accepted flows are plain
+    rows in CDR column order."""
+    rows: list[tuple] = []
     rejected: list[RejectedFlow] = []
     cells = spec.sweep_cells()
     children = np.random.SeedSequence(spec.seed).spawn(spec.flows)
@@ -347,10 +348,8 @@ def reference_synthesize_dataset(spec: SimSpec, profiles) -> tuple[list[FlowReco
                 reference_burst_ratio(figures["effective_lost"]),
                 figures["mean_playout_delay_ms"],
             )
-            records.append(
-                FlowRecord(flow_id, codec, packets, figures["received_count"], *jitter, r_factor)
-            )
-    return records, rejected
+            rows.append((flow_id, codec, packets, figures["received_count"], *jitter, r_factor))
+    return rows, rejected
 
 
 def reference_bin_index(edges: np.ndarray, x: float) -> int | None:

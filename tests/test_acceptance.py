@@ -82,12 +82,10 @@ def test_criterion_3_end_to_end_curve_shape():
     profiles = dict(DEFAULT_PROFILES)
     profiles[Codec.AMR] = AMR_CURVE_PROFILE
     start = time.perf_counter()
-    records, _ = synthesize_dataset(spec, profiles)
+    table, _ = synthesize_dataset(spec, profiles)
     # Without jitter no packet is late, so the counts give the effective loss.
-    p_loss = effective_loss(
-        np.array([r.tx_packets - r.rx_packets for r in records]), 0, np.array([r.rx_packets for r in records])
-    )
-    points = list(zip(p_loss.tolist(), [r.r_factor for r in records]))
+    p_loss = effective_loss(table.tx_packets - table.rx_packets, 0, table.rx_packets)
+    points = list(zip(p_loss.tolist(), table.r_factor.tolist()))
     series = bin_series(points)
     exponential = fit_exponential(series.points())
     linear = fit_linear(series.points())

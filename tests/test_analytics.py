@@ -397,12 +397,10 @@ def test_surface_grid_non_increasing_along_loss_axis():
         loss_models=tuple(BernoulliLoss(p) for p in (0.01, 0.05, 0.09, 0.13, 0.17)),
         jitter_models=(GaussianJitter(3.0, 30.0), GaussianJitter(8.0, 30.0)),
     )
-    records, _ = synthesize_dataset(spec, DEFAULT_PROFILES)
+    table, _ = synthesize_dataset(spec, DEFAULT_PROFILES)
     # The loss that score computes from the CDR counts.
-    p_loss = effective_loss(
-        np.array([r.tx_packets - r.rx_packets for r in records]), 0, np.array([r.rx_packets for r in records])
-    )
-    samples = [(p, r.max_jitter_ms, r.r_factor) for p, r in zip(p_loss.tolist(), records)]
+    p_loss = effective_loss(table.tx_packets - table.rx_packets, 0, table.rx_packets)
+    samples = list(zip(p_loss.tolist(), table.max_jitter_ms.tolist(), table.r_factor.tolist()))
     grid = surface_grid(samples, p_bins=5, p_range=(0.0, 0.2), j_bins=3, j_range=(0.0, 60.0))
     for j in range(3):
         column = [

@@ -611,12 +611,22 @@ def test_bad_input_is_a_coded_error(tmp_path, capsys, argv, code):
         "seed = -5",
         # The last send time, (packets_per_flow - 1) * ptime_ms, overflows.
         "ptime_ms = 1e308",
+        # More packets than any array can hold: rejected before allocating.
         "packets_per_flow = " + "9" * 400,
+        "packets_per_flow = 10000000000000000000",
+        "packets_per_flow = 0",
         # Integer keys name themselves.
         "flows = 10.0",
         "packets_per_flow = 1e3",
         "seed = x1",
         "window = 2.5",
+        # Model lists are comma-separated name or name(args) items, nothing else.
+        "loss_models = bernoulli(0.1) 0.2",
+        "loss_models = bernoulli(0.1) + 7",
+        "loss_models = bernoulli(0.1); bernoulli(0.2)",
+        "loss_models = bernoulli(0.1),",
+        "jitter_models = gaussian(4) 12",
+        "jitter_models = gaussian(4",
     ],
 )
 def test_bad_sim_config_value_is_rejected_at_load(tmp_path, capsys, line):
@@ -627,6 +637,27 @@ def test_bad_sim_config_value_is_rejected_at_load(tmp_path, capsys, line):
     assert run("simulate", "--config", config, "--output", tmp_path / "o.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: CONFIG: ") and key in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_model_list_error_names_the_key_and_text(tmp_path, capsys):
+    config = tmp_path / "sim.ini"
+    config.write_text(SIM_CONFIG + "jitter_models = gaussian(4) 12\n")
+    assert run("simulate", "--config", config, "--output", tmp_path / "o.csv") == 1
+    assert capsys.readouterr().err == (
+        "error: CONFIG: jitter_models: not a comma-separated list of name or name(args): "
+        "'gaussian(4) 12'\n"
+    )
+
+
+def test_huge_packets_per_flow_is_a_config_error(tmp_path, capsys):
+    # 10**18 packets exceed any address space, so the first allocation
+    # fails at once.
+    config = tmp_path / "sim.ini"
+    config.write_text("[sim]\nflows = 1\npackets_per_flow = 1000000000000000000\nseed = 1\n")
+    assert run("simulate", "--config", config, "--output", tmp_path / "o.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CONFIG: packets_per_flow") and "Traceback" not in err
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -667,6 +698,15 @@ def test_score_huge_packet_counts_do_not_overflow(tmp_path):
     source.write_text(f"{','.join(CDR_COLUMNS)}\nf1,AMR,{10 ** 400},1,1.0,2.0,\n")
     assert run("score", "--input", source, "--output", tmp_path / "o.csv") == 0
     assert read_rows(tmp_path / "o.csv")[0]["p_loss"] == "1"
+
+
+@pytest.mark.parametrize("codec", ["all", "AMR-WB"])
+def test_score_counts_beyond_int64_are_exact(tmp_path, codec):
+    # 2**63 fits no int64; the exact loss is 808 / (2**63 - 808).
+    source = tmp_path / "huge.csv"
+    source.write_text(f"{','.join(CDR_COLUMNS)}\nf1,AMR-WB,{2 ** 63},{2 ** 63 - 808},1.0,2.0,\n")
+    assert run("score", "--input", source, "--output", tmp_path / "o.csv", "--codec", codec) == 0
+    assert read_rows(tmp_path / "o.csv")[0]["p_loss"] == "8.76035e-17"
 
 
 CLI_BYTES_PREFIX = {

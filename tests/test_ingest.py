@@ -1,16 +1,16 @@
 """CDR parsing, validation, and summary tests."""
 
 import io
-import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from volteqa.ingest import (
     CDR_COLUMNS,
     Bandwidth,
+    CdrTable,
     Codec,
-    FlowRecord,
     RejectReason,
     SchemaError,
     parse_cdr_csv,
@@ -34,32 +34,32 @@ def test_codec_scale_ceilings():
 
 
 def test_parse_single_valid_row():
-    records, rejects = parse_text(f"{HEADER}\nf1,AMR,1000,990,5.0,20.0,\n")
+    table, rejects = parse_text(f"{HEADER}\nf1,AMR,1000,990,5.0,20.0,\n")
     assert rejects == []
-    assert records == [
-        FlowRecord("f1", Codec.AMR, 1000, 990, 5.0, 20.0, None)
-    ]
+    assert list(table.rows()) == [("f1", Codec.AMR, 1000, 990, 5.0, 20.0, None)]
+    assert table.tx_packets.dtype == np.int64
+    assert np.isnan(table.r_factor[0])
 
 
 def test_parse_rejects_evs_codec():
-    records, rejects = parse_text(f"{HEADER}\nf1,EVS,1000,990,5.0,20.0,\n")
-    assert records == []
+    table, rejects = parse_text(f"{HEADER}\nf1,EVS,1000,990,5.0,20.0,\n")
+    assert len(table) == 0
     assert len(rejects) == 1
     assert rejects[0].reason is RejectReason.UNSUPPORTED_CODEC
     assert rejects[0].line_no == 2
 
 
 def test_parse_rejects_inconsistent_jitter():
-    records, rejects = parse_text(f"{HEADER}\nf1,AMR,1000,990,20.0,5.0,\n")
-    assert records == []
+    table, rejects = parse_text(f"{HEADER}\nf1,AMR,1000,990,20.0,5.0,\n")
+    assert len(table) == 0
     assert rejects[0].reason is RejectReason.INCONSISTENT_JITTER
 
 
 def test_parse_rejects_unparseable_fields():
-    records, rejects = parse_text(
+    table, rejects = parse_text(
         f"{HEADER}\nf1,AMR,abc,990,5.0,20.0,\nf2,AMR,10,10,nan,20.0,80\n"
     )
-    assert records == []
+    assert len(table) == 0
     assert [r.reason for r in rejects] == [RejectReason.BAD_FIELD, RejectReason.BAD_FIELD]
 
 
@@ -79,37 +79,45 @@ def test_parse_preserves_row_accounting():
     text = f"{HEADER}\n" + "".join(
         f"f{i},{'AMR' if i % 2 else 'EVS'},10,9,1.0,2.0,\n" for i in range(10)
     )
-    records, rejects = parse_text(text)
-    assert len(records) + len(rejects) == 10
-    assert len(records) == 5
+    table, rejects = parse_text(text)
+    assert len(table) + len(rejects) == 10
+    assert len(table) == 5
 
 
 def test_validate_r_factor_above_narrowband_ceiling():
-    record = FlowRecord("f", Codec.AMR, 10, 10, 1.0, 2.0, r_factor=101.0)
-    assert validate_record(record) is RejectReason.R_OUT_OF_RANGE
+    assert validate_record(Codec.AMR, 10, 10, 1.0, 2.0, r_factor=101.0) is RejectReason.R_OUT_OF_RANGE
 
 
 def test_validate_wideband_accepts_high_r():
-    record = FlowRecord("f", Codec.AMR_WB, 10, 10, 1.0, 2.0, r_factor=120.0)
-    assert validate_record(record) is None
+    assert validate_record(Codec.AMR_WB, 10, 10, 1.0, 2.0, r_factor=120.0) is None
 
 
 def test_validate_empty_flow():
-    record = FlowRecord("f", Codec.AMR, 0, 0, 0.0, 0.0)
-    assert validate_record(record) is RejectReason.EMPTY_FLOW
+    assert validate_record(Codec.AMR, 0, 0, 0.0, 0.0, None) is RejectReason.EMPTY_FLOW
 
 
 def test_validate_negative_counts_checked_first():
-    record = FlowRecord("f", Codec.AMR, -1, 10, 5.0, 1.0, r_factor=200.0)
-    assert validate_record(record) is RejectReason.NEGATIVE_COUNT
+    assert validate_record(Codec.AMR, -1, 10, 5.0, 1.0, r_factor=200.0) is RejectReason.NEGATIVE_COUNT
 
 
 def test_duplicate_flow_ids_are_kept():
-    records, rejects = parse_text(
+    table, rejects = parse_text(
         f"{HEADER}\nsame,AMR,10,9,1.0,2.0,\nsame,AMR,20,19,1.0,2.0,\n"
     )
     assert rejects == []
-    assert [r.flow_id for r in records] == ["same", "same"]
+    assert table.flow_id.tolist() == ["same", "same"]
+
+
+def test_table_take_selects_rows_of_every_column():
+    table = CdrTable.from_rows(
+        [(f"f{i}", Codec.AMR if i % 2 else Codec.AMR_WB, 10 + i, 9, 1.0, 2.0 + i, None if i == 3 else 50.0)
+         for i in range(5)]
+    )
+    assert len(table) == 5
+    expected = list(table.rows())
+    assert list(table.take(table.codec == Codec.AMR).rows()) == [expected[1], expected[3]]
+    assert list(table.take(slice(2, 4)).rows()) == expected[2:4]
+    assert list(table.take(np.array([4, 0])).rows()) == [expected[4], expected[0]]
 
 
 finite_floats = st.floats(min_value=0, max_value=1e6, allow_nan=False)
@@ -127,29 +135,47 @@ finite_floats = st.floats(min_value=0, max_value=1e6, allow_nan=False)
             st.one_of(st.none(), st.floats(min_value=0, max_value=100, allow_nan=False)),
         ),
         max_size=30,
-    )
+    ),
+    # Counts beyond int64 make object columns of Python ints.
+    st.sampled_from([1, 2**63, 10**30]),
 )
-def test_write_parse_round_trip(raw_rows):
-    records = []
+def test_write_parse_round_trip(raw_rows, count_scale):
+    rows = []
     for flow_id, codec, tx, rx, avg_j, max_j, r in raw_rows:
-        record = FlowRecord(flow_id, codec, max(tx, 1), rx, avg_j, avg_j + max_j, r)
-        if validate_record(record) is None:
-            records.append(record)
+        row = (flow_id, codec, max(tx, 1) * count_scale, rx * count_scale, avg_j, avg_j + max_j, r)
+        if validate_record(*row[1:]) is None:
+            rows.append(row)
+    table = CdrTable.from_rows(rows)
+    big = bool(rows) and count_scale > 1
+    assert (table.tx_packets.dtype == object) is big
     buffer = io.StringIO()
-    write_cdr_csv(records, buffer)
+    write_cdr_csv(table, buffer)
     buffer.seek(0)
     reparsed, rejects = parse_cdr_csv(buffer)
     assert rejects == []
-    assert reparsed == records
+    assert list(reparsed.rows()) == rows
+    assert (reparsed.tx_packets.dtype == object) is big
+
+
+def test_empty_table_writes_only_the_header():
+    table, rejects = parse_text(f"{HEADER}\n")
+    assert len(table) == 0 and rejects == []
+    assert table.tx_packets.dtype == np.int64 and table.r_factor.dtype == np.float64
+    buffer = io.StringIO()
+    write_cdr_csv(table, buffer)
+    assert buffer.getvalue() == f"{HEADER}\n"
+    summary = summarize_dataset(table, rejects)
+    assert summary["total_flows"] == 0
+    assert summary["per_codec_counts"] == {} and summary["per_codec_shares"] == {}
+    assert summary["rejected"]["total"] == 0
+
+
+def _table(codecs) -> CdrTable:
+    return CdrTable.from_rows([(f"f{i}", codec, 10, 9, 1.0, 2.0, None) for i, codec in enumerate(codecs)])
 
 
 def test_summarize_shares_match_mix():
-    records = [
-        FlowRecord(f"a{i}", Codec.AMR, 10, 10, 0.0, 0.0) for i in range(71)
-    ] + [
-        FlowRecord(f"b{i}", Codec.AMR_WB, 10, 10, 0.0, 0.0) for i in range(29)
-    ]
-    summary = summarize_dataset(records, [])
+    summary = summarize_dataset(_table([Codec.AMR] * 71 + [Codec.AMR_WB] * 29), [])
     assert summary["total_flows"] == 100
     assert summary["per_codec_counts"] == {"AMR": 71, "AMR-WB": 29}
     assert summary["per_codec_shares"] == {"AMR": 0.71, "AMR-WB": 0.29}
@@ -157,30 +183,24 @@ def test_summarize_shares_match_mix():
 
 
 def test_summarize_single_codec_and_empty():
-    only_amr = [FlowRecord(f"a{i}", Codec.AMR, 10, 10, 0.0, 0.0) for i in range(10)]
-    assert summarize_dataset(only_amr, [])["per_codec_shares"] == {"AMR": 1.0}
-    empty = summarize_dataset([], [])
+    assert summarize_dataset(_table([Codec.AMR] * 10), [])["per_codec_shares"] == {"AMR": 1.0}
+    empty = summarize_dataset(_table([]), [])
     assert empty["total_flows"] == 0
     assert empty["per_codec_shares"] == {}
 
 
 def test_summarize_is_permutation_invariant():
-    records = [
-        FlowRecord(f"f{i}", Codec.AMR if i % 3 else Codec.AMR_WB, 10, 9, 1.0, 2.0)
-        for i in range(40)
-    ]
-    base = summarize_dataset(records, [])
-    rng = random.Random(7)
+    table = _table([Codec.AMR if i % 3 else Codec.AMR_WB for i in range(40)])
+    base = summarize_dataset(table, [])
+    rng = np.random.default_rng(7)
     for _ in range(5):
-        shuffled = records[:]
-        rng.shuffle(shuffled)
-        assert summarize_dataset(shuffled, []) == base
+        assert summarize_dataset(table.take(rng.permutation(len(table))), []) == base
 
 
 def test_summary_reports_reject_breakdown():
     text = f"{HEADER}\nf1,EVS,10,9,1,2,\nf2,AMR,10,9,5,1,\nf3,AMR,10,9,1,2,\n"
-    records, rejects = parse_text(text)
-    summary = summarize_dataset(records, rejects)
+    table, rejects = parse_text(text)
+    summary = summarize_dataset(table, rejects)
     assert summary["rejected"]["total"] == 2
     assert summary["rejected"]["by_reason"] == {"UNSUPPORTED_CODEC": 1, "INCONSISTENT_JITTER": 1}
     assert summary["rejected"]["rows"] == [

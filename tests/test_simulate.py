@@ -236,25 +236,25 @@ def test_clean_dataset_scores_at_profile_maximum():
         loss_models=(BernoulliLoss(0.0),),
         jitter_models=(NoJitter(30.0),),
     )
-    records, rejected = synthesize_dataset(spec)
+    table, rejected = synthesize_dataset(spec)
     assert rejected == []
-    assert len(records) == 20
-    assert all(r.codec is Codec.AMR for r in records)
-    assert all(r.r_factor == pytest.approx(93.2) for r in records)
-    assert all(r.rx_packets == 50 for r in records)
-    assert all(r.avg_jitter_ms == 0.0 for r in records)
+    assert len(table) == 20
+    assert all(codec is Codec.AMR for codec in table.codec)
+    assert table.r_factor == pytest.approx(np.full(20, 93.2))
+    assert (table.rx_packets == 50).all()
+    assert (table.avg_jitter_ms == 0.0).all()
 
 
 def test_dataset_is_seed_deterministic():
     spec = SimSpec(flows=30, packets_per_flow=40, seed=11,
                    loss_models=(BernoulliLoss(0.1),),
                    jitter_models=(GaussianJitter(4.0, 25.0),))
-    first, _ = synthesize_dataset(spec)
-    second, _ = synthesize_dataset(spec)
+    first = list(synthesize_dataset(spec)[0].rows())
+    second = list(synthesize_dataset(spec)[0].rows())
     assert first == second
-    third, _ = synthesize_dataset(SimSpec(flows=30, packets_per_flow=40, seed=12,
-                                          loss_models=(BernoulliLoss(0.1),),
-                                          jitter_models=(GaussianJitter(4.0, 25.0),)))
+    third = list(synthesize_dataset(SimSpec(flows=30, packets_per_flow=40, seed=12,
+                                            loss_models=(BernoulliLoss(0.1),),
+                                            jitter_models=(GaussianJitter(4.0, 25.0),)))[0].rows())
     assert first != third
 
 
@@ -266,10 +266,10 @@ def test_generated_records_pass_ingest_validation():
         loss_models=(BernoulliLoss(0.05), GilbertElliottLoss(0.05, 0.4)),
         jitter_models=(NoJitter(30.0), GaussianJitter(6.0, 30.0)),
     )
-    records, _ = synthesize_dataset(spec)
-    assert records
-    for record in records:
-        assert validate_record(record) is None
+    table, _ = synthesize_dataset(spec)
+    assert len(table)
+    for _, *values in table.rows():
+        assert validate_record(*values) is None
 
 
 def test_sweep_mean_quality_strictly_decreasing_in_loss():
@@ -284,8 +284,8 @@ def test_sweep_mean_quality_strictly_decreasing_in_loss():
             loss_models=(BernoulliLoss(p),),
             jitter_models=(NoJitter(30.0),),
         )
-        records, _ = synthesize_dataset(spec)
-        means.append(float(np.mean([r.r_factor for r in records])))
+        table, _ = synthesize_dataset(spec)
+        means.append(float(np.mean(table.r_factor)))
     assert all(b < a for a, b in zip(means, means[1:]))
 
 
@@ -297,8 +297,8 @@ def test_fully_lost_flows_are_rejected_with_reason():
         loss_models=(BernoulliLoss(1.0),),
         jitter_models=(NoJitter(30.0),),
     )
-    records, rejected = synthesize_dataset(spec)
-    assert records == []
+    table, rejected = synthesize_dataset(spec)
+    assert len(table) == 0
     assert len(rejected) == 5
     assert all(r.reason == "NOT_ENOUGH_PACKETS" for r in rejected)
 
@@ -312,8 +312,8 @@ def test_codec_mix_shares_close_to_spec():
         loss_models=(BernoulliLoss(0.0),),
         jitter_models=(NoJitter(30.0),),
     )
-    records, _ = synthesize_dataset(spec)
-    share = sum(1 for r in records if r.codec is Codec.AMR) / len(records)
+    table, _ = synthesize_dataset(spec)
+    share = np.count_nonzero(table.codec == Codec.AMR) / len(table)
     assert abs(share - 0.7) <= 0.02
 
 
@@ -429,15 +429,15 @@ def test_dataset_matches_per_flow_oracle(monkeypatch, spec, block_packets):
     monkeypatch.setattr(simulate, "BLOCK_PACKETS", block_packets)
     profiles = dict(DEFAULT_PROFILES)
     profiles[Codec.AMR_WB] = CodecProfile(codec=Codec.AMR_WB, ie=5.0, bpl=10.0, r0=120.0, advantage=2.0)
-    records, rejected = synthesize_dataset(spec, profiles)
-    assert (records, rejected) == reference_synthesize_dataset(spec, profiles)
-    assert len(records) + len(rejected) == spec.flows
+    table, rejected = synthesize_dataset(spec, profiles)
+    assert (list(table.rows()), rejected) == reference_synthesize_dataset(spec, profiles)
+    assert len(table) + len(rejected) == spec.flows
 
 
 def test_overflowing_flows_are_rejected_with_reasons():
-    records, rejected = synthesize_dataset(OVERFLOW_SPEC)
+    table, rejected = synthesize_dataset(OVERFLOW_SPEC)
     reasons = {r.reason for r in rejected}
     assert reasons == {"ARRIVAL_NOT_FINITE", "JITTER_NOT_FINITE", "PLAYOUT_NOT_FINITE"}
-    assert all(math.isfinite(v) for r in records for v in (r.avg_jitter_ms, r.max_jitter_ms, r.r_factor))
+    assert np.isfinite([table.avg_jitter_ms, table.max_jitter_ms, table.r_factor]).all()
     # Only the no-jitter cell (the odd flows) writes rows.
-    assert {int(r.flow_id[5:]) % 2 for r in records} == {1}
+    assert {int(flow_id[5:]) % 2 for flow_id in table.flow_id} == {1}
