@@ -87,12 +87,14 @@ def uniform_edges(bins: int, lo: float, hi: float) -> np.ndarray:
     return edges
 
 
-def _columns(rows: Iterable[Sequence[float]], width: int) -> tuple[np.ndarray, ...]:
-    """The rows as ``width`` float64 columns; a row of another width raises
-    ValueError.  Each column is a contiguous copy: the fits' BLAS dot
-    products may round differently on a strided view."""
-    rows = list(rows)
-    table = np.array(rows, dtype=float) if rows else np.empty((0, width))
+def _columns(rows: Iterable[Sequence[float]] | np.ndarray, width: int) -> tuple[np.ndarray, ...]:
+    """The rows, an iterable or an ``(n, width)`` array, as ``width``
+    float64 columns; a row of another width raises ValueError.  Each
+    column is a contiguous copy: the fits' BLAS dot products may round
+    differently on a strided view."""
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    table = np.asarray(rows, dtype=float) if len(rows) else np.empty((0, width))
     if table.ndim != 2 or table.shape[1] != width:
         raise ValueError(f"expected rows of {width} values")
     return tuple(column.copy() for column in table.T)

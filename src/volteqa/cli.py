@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import sys
 from collections import Counter
 from datetime import datetime, timezone
@@ -36,11 +37,15 @@ from volteqa.analytics import (
 from volteqa.emodel import DEFAULT_PROFILES, CodecProfile, compute_r_factor, load_profiles
 from volteqa.ingest import (
     CDR_COLUMNS,
+    CHUNK_ROWS,
+    CODEC_INDEX,
     CdrTable,
     Codec,
     SchemaError,
-    cdr_rows,
+    cdr_columns,
+    finite_floats,
     parse_cdr_csv,
+    row_chunks,
     summarize_dataset,
     write_cdr_csv,
 )
@@ -50,6 +55,10 @@ from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
 SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
 
 MIN_BINS_FOR_EXPONENTIAL = 4
+
+# The most bins whose float64 edges numpy can address; fewer bins than
+# this may still be too many to allocate.
+MAX_BINS = sys.maxsize // 8 - 1
 
 # Rows scored at a time by `score`: it keeps the score arrays small
 # beside the parsed table.
@@ -95,6 +104,8 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
 def _bin_count(bins: int, flag: str) -> int:
     if bins < 1:
         raise CliError("BAD_BINS", f"{flag} must be >= 1, got {bins}")
+    if bins > MAX_BINS:
+        raise CliError("BAD_BINS", f"{flag} must be <= {MAX_BINS}, got {bins}")
     return bins
 
 
@@ -159,8 +170,11 @@ def cmd_score(args: argparse.Namespace) -> int:
         writer.writerow(SCORED_COLUMNS)
         for start in range(0, len(table), SCORE_CHUNK):
             chunk = table.take(slice(start, start + SCORE_CHUNK))
-            for row, *values in zip(cdr_rows(chunk), *_score_records(chunk, profiles)):
-                writer.writerow([*row, *map(format_g6, values)])
+            scores = _score_records(chunk, profiles)
+            for lo in range(0, len(chunk), CHUNK_ROWS):
+                rows = slice(lo, lo + CHUNK_ROWS)
+                formatted = [list(map(format_g6, column[rows].tolist())) for column in scores]
+                writer.writerows(zip(*cdr_columns(chunk.take(rows)), *formatted))
 
     summary = summarize_dataset(table, rejects)
     summary["per_codec_shares"] = {k: round_g6(v) for k, v in summary["per_codec_shares"].items()}
@@ -226,65 +240,90 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_samples(
-    path: str, wanted: Codec | None, columns: tuple[str, ...]
-) -> dict[Codec, list[tuple[float, ...]]]:
-    """Read a scored CSV as per-codec samples in file order: the named
-    columns of each row, then its quality.
+def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> dict[Codec, np.ndarray]:
+    """Read a scored CSV as per-codec samples in file order: one float64
+    row per CSV row, holding the named columns and then its quality.
 
     Quality is the measured r_factor when present, otherwise the
-    recomputed r_factor_computed.  Rows of codecs other than ``wanted``
-    are left out.  Rows with an unknown codec or with an empty,
-    non-numeric or non-finite cell are skipped, and one line on stderr
-    counts them by reason.
+    recomputed r_factor_computed.  Cells are read by column index, as
+    ``csv.DictReader`` would: the last of repeated header names counts, a
+    blank row is skipped and a short row's missing cells are empty.  Rows
+    of codecs other than ``wanted`` are left out.  Rows with an unknown
+    codec or with an empty, non-numeric or non-finite cell are skipped,
+    and one line on stderr counts them by the first such cell of each.
     """
-    groups: dict[Codec, list[tuple[float, ...]]] = {}
+    groups: dict[Codec, list[np.ndarray]] = {codec: [] for codec in Codec}
     skipped: Counter[str] = Counter()
     with _open(path, "INPUT") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        missing = {"codec", *columns} - set(fields)
+        reader = csv.reader(handle)
+        index = {name: i for i, name in enumerate(next(reader, []))}
+        missing = {"codec", *columns} - set(index)
         if missing:
             raise CliError(
                 "SCHEMA", f"scored CSV is missing columns: {', '.join(sorted(missing))}"
             )
-        quality_columns = [c for c in ("r_factor", "r_factor_computed") if c in fields]
-        if not quality_columns:
+        quality = [c for c in ("r_factor", "r_factor_computed") if c in index]
+        if not quality:
             raise CliError("SCHEMA", "scored CSV needs an r_factor or r_factor_computed column")
-        for row in reader:
-            try:
-                codec = Codec(row["codec"])
-            except ValueError:
-                skipped["unknown codec"] += 1
-                continue
-            if wanted is not None and codec is not wanted:
-                continue
-            quality = next(
-                (c for c in quality_columns if (row[c] or "").strip()), quality_columns[-1]
-            )
-            try:
-                sample = tuple(_finite_cell(row, c) for c in (*columns, quality))
-            except ValueError as exc:
-                skipped[str(exc)] += 1
-                continue
-            groups.setdefault(codec, []).append(sample)
+        read = [index[c] for c in ("codec", *columns, *quality)]
+        for rows in row_chunks(reader):
+            code, samples = _sample_chunk(rows, read, columns, quality, wanted, skipped)
+            for i, codec in enumerate(Codec):
+                part = samples[code == i]
+                if len(part):
+                    groups[codec].append(part)
     if skipped:
         reasons = ", ".join(f"{reason}={n}" for reason, n in sorted(skipped.items()))
         print(f"warning: {path}: skipped rows: {reasons}", file=sys.stderr)
-    return {codec: groups[codec] for codec in Codec if codec in groups}
+    return {codec: np.concatenate(parts) for codec, parts in groups.items() if parts}
 
 
-def _finite_cell(row: dict[str, str | None], column: str) -> float:
-    text = (row[column] or "").strip()
-    if not text:
-        raise ValueError(f"{column} empty")
+def _sample_chunk(
+    rows: list[list[str]], read: list[int], columns: tuple[str, ...], quality: list[str],
+    wanted: Codec | None, skipped: Counter[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The codec index (position in Codec) and the sample of each kept row
+    of a chunk; skipped rows are counted in ``skipped`` by reason.
+
+    ``read`` holds the indices of the codec cell, of each named column and
+    of each quality column.
+    """
+    rows = [row for row in rows if row]
+    top = max(read)
+    if rows and min(map(len, rows)) <= top:
+        rows = [row + [""] * (top + 1 - len(row)) for row in rows]
+    codec_cells, *cells = zip(*map(operator.itemgetter(*read), rows)) if rows else [()] * len(read)
+    code = np.array([CODEC_INDEX.get(text, -1) for text in codec_cells], dtype=np.intp)
+    unknown = int(np.count_nonzero(code < 0))
+    if unknown:
+        skipped["unknown codec"] += unknown
+    kept = code >= 0 if wanted is None else code == CODEC_INDEX[wanted.value]
+
+    *value_cells, measured = ([text.strip() for text in column] for column in cells[: len(columns) + 1])
+    # The recomputed quality stands in where the measured one is blank.
+    quality_cells = [m or c.strip() for m, c in zip(measured, cells[-1])] if len(quality) == 2 else measured
+    values: list[np.ndarray] = []
+    failed: dict[int, str] = {}  # row -> the reason of its first bad cell
+    for name, texts in zip((*columns, None), (*value_cells, quality_cells)):
+        column, bad = finite_floats(texts)
+        values.append(column)
+        for row in bad:
+            cell_name = name or (quality[0] if measured[row] else quality[-1])
+            failed.setdefault(row, f"{cell_name} {_cell_fault(texts[row])}")
+    skipped.update(reason for row, reason in failed.items() if kept[row])
+    kept[list(failed)] = False
+    return code[kept], np.column_stack(values)[kept]
+
+
+def _cell_fault(cell: str) -> str:
+    """Why a stripped cell is not a finite number."""
+    if not cell:
+        return "empty"
     try:
-        value = float(text)
+        float(cell)
     except ValueError:
-        raise ValueError(f"{column} not a number") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{column} not finite")
-    return value
+        return "not a number"
+    return "not finite"
 
 
 def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> None:
@@ -325,6 +364,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             series = bin_series(points, bins=bins, lo=lo, hi=hi)
         except ValueError as exc:  # a range too narrow to split into distinct edges
             raise CliError("BAD_RANGE", f"--range: {exc}") from None
+        except MemoryError:
+            raise CliError("BAD_BINS", f"--bins: too many bins to allocate: {bins}") from None
         labelled_series.append((codec.value, series))
         binned_points = series.points()
         weights = [n for n in series.counts if n > 0] if args.weighted else None
@@ -376,19 +417,22 @@ def _fit_doc(fit: FitResult) -> dict:
 def cmd_report(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range, "--range")
     p_bins, j_bins = _bin_count(args.bins, "--bins"), _bin_count(args.j_bins, "--j-bins")
+    cells = _bin_count(p_bins * j_bins, "--bins x --j-bins")
     groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss", "max_jitter_ms"))
     # Cells aggregate sorted values, so sample order does not matter.
-    samples = [sample for group in groups.values() for sample in group]
+    samples = np.concatenate([*groups.values(), np.empty((0, 3))])
 
     if args.j_range is not None:
         j_lo, j_hi = _parse_range(args.j_range, "--j-range")
     else:
-        j_hi_data = max((j for _, j, _ in samples), default=0.0)
+        j_hi_data = float(samples[:, 1].max(initial=0.0))
         j_lo, j_hi = 0.0, j_hi_data if j_hi_data > 0 else 1.0
     try:
         grid = surface_grid(samples, p_bins=p_bins, p_range=(lo, hi), j_bins=j_bins, j_range=(j_lo, j_hi))
     except ValueError as exc:  # a range too narrow to split into distinct edges
         raise CliError("BAD_RANGE", str(exc)) from None
+    except MemoryError:
+        raise CliError("BAD_BINS", f"--bins x --j-bins: too many cells to allocate: {cells}") from None
 
     with _open(args.output, "OUTPUT") as handle:
         writer = csv.writer(handle, lineterminator="\n")

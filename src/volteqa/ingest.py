@@ -1,4 +1,4 @@
-"""CDR ingestion: parsing, per-row validation, and dataset summaries.
+"""CDR ingestion: column-wise parsing and validation, and dataset summaries.
 
 The on-disk format is a CSV with the fixed column set
 ``flow_id,codec,tx_packets,rx_packets,avg_jitter_ms,max_jitter_ms,r_factor``.
@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +28,11 @@ CDR_COLUMNS = (
     "max_jitter_ms",
     "r_factor",
 )
+
+# Rows read and converted, or formatted and written, at a time by the CSV
+# readers and writers: the per-row Python objects of a chunk stay small
+# beside the columns.
+CHUNK_ROWS = 1024
 
 
 class SchemaError(ValueError):
@@ -83,14 +90,6 @@ class CdrTable:
     max_jitter_ms: np.ndarray
     r_factor: np.ndarray
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[tuple]) -> CdrTable:
-        """The table of rows given in column order, None for an absent r_factor."""
-        flow_id, codec, tx, rx, *floats = zip(*rows) if rows else [()] * len(CDR_COLUMNS)
-        objects = [np.array(column, dtype=object) for column in (flow_id, codec)]
-        # As float64, an absent r_factor (None) becomes NaN.
-        return cls(*objects, _counts(tx), _counts(rx), *(np.array(c, dtype=float) for c in floats))
-
     def __len__(self) -> int:
         return len(self.flow_id)
 
@@ -120,28 +119,6 @@ class RejectedRow:
     detail: str
 
 
-def validate_record(
-    codec: Codec, tx_packets: int, rx_packets: int, avg_jitter_ms: float, max_jitter_ms: float,
-    r_factor: float | None,
-) -> RejectReason | None:
-    """Return the first violated acceptance rule, or None if the row is good.
-
-    Rules, in order: negative packet counts, fully empty flow, inconsistent
-    jitter fields (negative, or max below average), R-factor outside
-    [0, r_max] for the row's codec.  Unsupported codecs never reach this
-    function; they are rejected at parse time.
-    """
-    if tx_packets < 0 or rx_packets < 0:
-        return RejectReason.NEGATIVE_COUNT
-    if tx_packets == 0 and rx_packets == 0:
-        return RejectReason.EMPTY_FLOW
-    if avg_jitter_ms < 0 or max_jitter_ms < avg_jitter_ms:
-        return RejectReason.INCONSISTENT_JITTER
-    if r_factor is not None and not 0.0 <= r_factor <= codec.r_max:
-        return RejectReason.R_OUT_OF_RANGE
-    return None
-
-
 def parse_int(text: str, name: str) -> int:
     """The integer in ``text``; ValueError, naming ``name``, otherwise."""
     try:
@@ -161,12 +138,20 @@ def parse_float(text: str, name: str) -> float:
     return value
 
 
+def row_chunks(reader: Iterator[list[str]]) -> Iterator[list[list[str]]]:
+    """The reader's rows in lists of up to ``CHUNK_ROWS``, blank rows
+    included, so a chunk may hold no data row."""
+    while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
+        yield chunk
+
+
 def parse_cdr_csv(stream: IO[str]) -> tuple[CdrTable, list[RejectedRow]]:
     """Parse a CDR CSV into the table of accepted rows and per-row rejects.
 
     Every data row becomes exactly one table row or one RejectedRow, in
     file order.  ``line_no`` is the 1-based line number (the header is
-    line 1).  A missing or unknown header raises SchemaError.
+    line 1).  A missing or unknown header raises SchemaError.  Rows are
+    read ``CHUNK_ROWS`` at a time and checked column by column.
     """
     reader = csv.reader(stream)
     try:
@@ -178,49 +163,149 @@ def parse_cdr_csv(stream: IO[str]) -> tuple[CdrTable, list[RejectedRow]]:
             f"unexpected header {','.join(header)!r}; expected {','.join(CDR_COLUMNS)!r}"
         )
 
-    rows: list[tuple] = []
     rejects: list[RejectedRow] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-
-        def reject(reason: RejectReason, detail: str) -> None:
-            rejects.append(RejectedRow(line_no, reason, detail))
-
-        if len(row) != len(CDR_COLUMNS):
-            reject(RejectReason.BAD_FIELD, f"expected {len(CDR_COLUMNS)} fields, got {len(row)}")
-            continue
-        flow_id, codec_text, tx, rx, avg_j, max_j, r_text = row
-        try:
-            codec = Codec(codec_text)
-        except ValueError:
-            reject(RejectReason.UNSUPPORTED_CODEC, f"codec {codec_text!r}")
-            continue
-        try:
-            values = (
-                codec,
-                parse_int(tx, "tx_packets"),
-                parse_int(rx, "rx_packets"),
-                parse_float(avg_j, "avg_jitter_ms"),
-                parse_float(max_j, "max_jitter_ms"),
-                None if r_text == "" else parse_float(r_text, "r_factor"),
-            )
-        except ValueError as exc:
-            reject(RejectReason.BAD_FIELD, str(exc))
-            continue
-        reason = validate_record(*values)
-        if reason is not None:
-            reject(reason, reason.value)
-            continue
-        rows.append((flow_id, *values))
-    return CdrTable.from_rows(rows), rejects
+    tables = [_parse_chunk([], 2, rejects)]  # the empty table of a header-only file
+    line_no = 2
+    for rows in row_chunks(reader):
+        tables.append(_parse_chunk(rows, line_no, rejects))
+        line_no += len(rows)
+    return CdrTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in CDR_COLUMNS)), rejects
 
 
-def cdr_rows(table: CdrTable) -> Iterator[list]:
-    """The table's rows in CDR column order; floats in their shortest
-    round-trip form, an absent r_factor as an empty field."""
-    for flow_id, codec, tx, rx, avg_j, max_j, r in table.rows():
-        yield [flow_id, codec.value, tx, rx, repr(avg_j), repr(max_j), "" if r is None else repr(r)]
+_CODECS = tuple(Codec)
+# Each codec's text and its position in Codec.
+CODEC_INDEX = {codec.value: index for index, codec in enumerate(_CODECS)}
+
+
+def _parse_chunk(rows: list[list[str]], first_line: int, rejects: list[RejectedRow]) -> CdrTable:
+    """The table of a chunk's accepted rows; its rejects go to ``rejects``
+    in line order.
+
+    Each check runs on a whole column, and a row keeps the first one it
+    fails, in this order: the field count, the codec, the conversion of
+    each field in column order, negative packet counts, a fully empty
+    flow, inconsistent jitter (negative, or max below average), and an
+    R-factor outside [0, r_max] for the row's codec.
+    """
+    width = len(CDR_COLUMNS)
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    positions = np.flatnonzero(lengths == width).tolist()
+    chunk_rejects = [
+        (i, RejectReason.BAD_FIELD, f"expected {width} fields, got {len(rows[i])}")
+        for i in np.flatnonzero((lengths != width) & (lengths > 0)).tolist()
+    ]
+    if len(positions) < len(rows):  # blank rows are skipped
+        rows = [rows[i] for i in positions]
+
+    failed: dict[int, tuple[RejectReason, str]] = {}  # row -> its first failed check
+
+    def fail(row: int, reason: RejectReason, detail: str) -> None:
+        failed.setdefault(row, (reason, detail))
+
+    flow_id, codec_text, tx_text, rx_text, avg_text, max_text, r_text = zip(*rows) if rows else [()] * width
+    code = np.array([CODEC_INDEX.get(text, -1) for text in codec_text], dtype=np.intp)
+    for row in np.flatnonzero(code < 0).tolist():
+        fail(row, RejectReason.UNSUPPORTED_CODEC, f"codec {codec_text[row]!r}")
+    tx = _int_column(tx_text, "tx_packets", fail)
+    rx = _int_column(rx_text, "rx_packets", fail)
+    avg = _float_column(avg_text, "avg_jitter_ms", fail)
+    max_j = _float_column(max_text, "max_jitter_ms", fail)
+    r_factor = _float_column(r_text, "r_factor", fail, optional=True)
+    r_max = np.array([codec.r_max for codec in _CODECS])[code]
+    rules = (
+        (RejectReason.NEGATIVE_COUNT, (tx < 0) | (rx < 0)),
+        (RejectReason.EMPTY_FLOW, (tx == 0) & (rx == 0)),
+        (RejectReason.INCONSISTENT_JITTER, (avg < 0) | (max_j < avg)),
+        # An absent r_factor is NaN, which no comparison selects.
+        (RejectReason.R_OUT_OF_RANGE, (r_factor < 0.0) | (r_factor > r_max)),
+    )
+    for reason, broken in rules:
+        for row in np.flatnonzero(broken).tolist():
+            fail(row, reason, reason.value)
+
+    chunk_rejects += [(positions[row], reason, detail) for row, (reason, detail) in failed.items()]
+    rejects.extend(RejectedRow(first_line + i, reason, detail) for i, reason, detail in sorted(chunk_rejects))
+    keep = np.ones(len(rows), dtype=bool)
+    keep[list(failed)] = False
+    # Counts are narrowed again after the selection: a count beyond int64
+    # in a rejected row must not make the column an object array.
+    return CdrTable(
+        np.array(flow_id, dtype=object)[keep],
+        np.array(_CODECS, dtype=object)[code[keep]],
+        _counts(tx[keep]),
+        _counts(rx[keep]),
+        avg[keep],
+        max_j[keep],
+        r_factor[keep],
+    )
+
+
+_Fail = Callable[[int, RejectReason, str], None]
+
+
+def _int_column(texts: Sequence[str], name: str, fail: _Fail) -> np.ndarray:
+    """The integers in ``texts``; a text that is not one reads as 0 and
+    fails its row as a BAD_FIELD."""
+    try:
+        values = list(map(int, texts))
+    except ValueError:  # convert again, one text at a time
+        values = []
+        for row, text in enumerate(texts):
+            try:
+                values.append(parse_int(text, name))
+            except ValueError as exc:
+                values.append(0)
+                fail(row, RejectReason.BAD_FIELD, str(exc))
+    return _counts(values)
+
+
+def _float_column(texts: Sequence[str], name: str, fail: _Fail, optional: bool = False) -> np.ndarray:
+    """The finite numbers in ``texts`` as float64; a text that is not one
+    fails its row as a BAD_FIELD.  With ``optional``, an empty text is an
+    absent value and reads as NaN."""
+    values, bad = finite_floats([text or "nan" for text in texts] if optional else texts)
+    for row in bad:
+        if texts[row] or not optional:
+            try:
+                parse_float(texts[row], name)  # raises: the text is not a finite number
+            except ValueError as exc:
+                fail(row, RejectReason.BAD_FIELD, str(exc))
+    return values
+
+
+def finite_floats(texts: Sequence[str]) -> tuple[np.ndarray, list[int]]:
+    """``float()`` of each text as float64, and the indices of the texts
+    that are not finite numbers (NaN or infinite in the array)."""
+    try:
+        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    except ValueError:
+        values = np.array([_float_or_nan(text) for text in texts], dtype=float)
+    return values, np.flatnonzero(~np.isfinite(values)).tolist()
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def cdr_columns(table: CdrTable) -> list[list]:
+    """The table's columns in CDR column order, ready for a CSV writer;
+    floats in their shortest round-trip form, an absent r_factor as an
+    empty field."""
+    codec = np.empty(len(table), dtype=object)
+    for member in Codec:
+        codec[table.codec == member] = member.value
+    return [
+        table.flow_id.tolist(),
+        codec.tolist(),
+        table.tx_packets.tolist(),
+        table.rx_packets.tolist(),
+        list(map(repr, table.avg_jitter_ms.tolist())),
+        list(map(repr, table.max_jitter_ms.tolist())),
+        ["" if r != r else repr(r) for r in table.r_factor.tolist()],
+    ]
 
 
 def write_cdr_csv(table: CdrTable, stream: IO[str]) -> None:
@@ -228,7 +313,8 @@ def write_cdr_csv(table: CdrTable, stream: IO[str]) -> None:
     reproduces its rows exactly."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CDR_COLUMNS)
-    writer.writerows(cdr_rows(table))
+    for start in range(0, len(table), CHUNK_ROWS):
+        writer.writerows(zip(*cdr_columns(table.take(slice(start, start + CHUNK_ROWS)))))
 
 
 def summarize_dataset(table: CdrTable, rejects: Sequence[RejectedRow]) -> dict:
@@ -238,7 +324,7 @@ def summarize_dataset(table: CdrTable, rejects: Sequence[RejectedRow]) -> dict:
     an absent codec), and the rejected rows with their count by reason.
     Counts and shares do not depend on row order.
     """
-    counts = Counter(table.codec.tolist())
+    counts = {codec: int(np.count_nonzero(table.codec == codec)) for codec in Codec}
     reasons = Counter(row.reason for row in rejects)
     present = [codec for codec in Codec if counts[codec]]
     return {

@@ -1,14 +1,30 @@
-"""Shared test helpers: timeline builders and calibrated sim setups."""
+"""Shared test helpers: timeline builders, calibrated sim setups, and the
+scalar oracles of the array code."""
 
 from __future__ import annotations
 
+import csv
 import math
+import sys
+from collections import Counter
+from typing import IO
 
 import numpy as np
 
 from volteqa.analytics import BinnedSeries, SurfaceGrid, uniform_edges
+from volteqa.cli import CliError
 from volteqa.emodel import LOSS_IMPAIRMENT_CEILING, CodecProfile
-from volteqa.ingest import Bandwidth, Codec
+from volteqa.ingest import (
+    CDR_COLUMNS,
+    Bandwidth,
+    CdrTable,
+    Codec,
+    RejectedRow,
+    RejectReason,
+    SchemaError,
+    parse_float,
+    parse_int,
+)
 from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketTimeline
 from volteqa.simulate import (
     GaussianJitter,
@@ -416,3 +432,142 @@ def reference_surface_grid(samples, *, p_bins, p_range, j_bins, j_range) -> Surf
         counts=counts,
         out_of_range=out_of_range,
     )
+
+
+def table_from_rows(rows) -> CdrTable:
+    """The table of rows given in CDR column order, None for an absent
+    r_factor; counts beyond int64 make object columns of Python ints."""
+    flow_id, codec, tx, rx, *floats = zip(*rows) if rows else [()] * len(CDR_COLUMNS)
+
+    def counts(values) -> np.ndarray:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            return np.array(values, dtype=object)
+
+    objects = [np.array(column, dtype=object) for column in (flow_id, codec)]
+    # As float64, an absent r_factor (None) becomes NaN.
+    return CdrTable(*objects, counts(tx), counts(rx), *(np.array(c, dtype=float) for c in floats))
+
+
+def reference_validate_record(
+    codec: Codec, tx_packets: int, rx_packets: int, avg_jitter_ms: float, max_jitter_ms: float,
+    r_factor: float | None,
+) -> RejectReason | None:
+    """Scalar oracle for the acceptance rules of ``parse_cdr_csv``: the
+    first rule a parsed row violates, or None if the row is good."""
+    if tx_packets < 0 or rx_packets < 0:
+        return RejectReason.NEGATIVE_COUNT
+    if tx_packets == 0 and rx_packets == 0:
+        return RejectReason.EMPTY_FLOW
+    if avg_jitter_ms < 0 or max_jitter_ms < avg_jitter_ms:
+        return RejectReason.INCONSISTENT_JITTER
+    if r_factor is not None and not 0.0 <= r_factor <= codec.r_max:
+        return RejectReason.R_OUT_OF_RANGE
+    return None
+
+
+def reference_parse_cdr_csv(stream: IO[str]) -> tuple[list[tuple], list[RejectedRow]]:
+    """Scalar oracle for ``parse_cdr_csv``: its per-row loop, kept as a
+    plain copy.  Accepted rows are plain tuples in CDR column order, None
+    for an absent r_factor."""
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty input: expected header " + ",".join(CDR_COLUMNS)) from None
+    if tuple(header) != CDR_COLUMNS:
+        raise SchemaError(
+            f"unexpected header {','.join(header)!r}; expected {','.join(CDR_COLUMNS)!r}"
+        )
+
+    rows: list[tuple] = []
+    rejects: list[RejectedRow] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+
+        def reject(reason: RejectReason, detail: str) -> None:
+            rejects.append(RejectedRow(line_no, reason, detail))
+
+        if len(row) != len(CDR_COLUMNS):
+            reject(RejectReason.BAD_FIELD, f"expected {len(CDR_COLUMNS)} fields, got {len(row)}")
+            continue
+        flow_id, codec_text, tx, rx, avg_j, max_j, r_text = row
+        try:
+            codec = Codec(codec_text)
+        except ValueError:
+            reject(RejectReason.UNSUPPORTED_CODEC, f"codec {codec_text!r}")
+            continue
+        try:
+            values = (
+                codec,
+                parse_int(tx, "tx_packets"),
+                parse_int(rx, "rx_packets"),
+                parse_float(avg_j, "avg_jitter_ms"),
+                parse_float(max_j, "max_jitter_ms"),
+                None if r_text == "" else parse_float(r_text, "r_factor"),
+            )
+        except ValueError as exc:
+            reject(RejectReason.BAD_FIELD, str(exc))
+            continue
+        reason = reference_validate_record(*values)
+        if reason is not None:
+            reject(reason, reason.value)
+            continue
+        rows.append((flow_id, *values))
+    return rows, rejects
+
+
+def reference_read_samples(
+    path: str, wanted: Codec | None, columns: tuple[str, ...]
+) -> dict[Codec, list[tuple[float, ...]]]:
+    """Scalar oracle for ``cli._read_samples``: its per-row DictReader loop,
+    kept as a plain copy.  Samples are tuples; the stderr line is the same."""
+    groups: dict[Codec, list[tuple[float, ...]]] = {}
+    skipped: Counter[str] = Counter()
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        fields = reader.fieldnames or []
+        missing = {"codec", *columns} - set(fields)
+        if missing:
+            raise CliError(
+                "SCHEMA", f"scored CSV is missing columns: {', '.join(sorted(missing))}"
+            )
+        quality_columns = [c for c in ("r_factor", "r_factor_computed") if c in fields]
+        if not quality_columns:
+            raise CliError("SCHEMA", "scored CSV needs an r_factor or r_factor_computed column")
+        for row in reader:
+            try:
+                codec = Codec(row["codec"])
+            except ValueError:
+                skipped["unknown codec"] += 1
+                continue
+            if wanted is not None and codec is not wanted:
+                continue
+            quality = next(
+                (c for c in quality_columns if (row[c] or "").strip()), quality_columns[-1]
+            )
+            try:
+                sample = tuple(_finite_cell(row, c) for c in (*columns, quality))
+            except ValueError as exc:
+                skipped[str(exc)] += 1
+                continue
+            groups.setdefault(codec, []).append(sample)
+    if skipped:
+        reasons = ", ".join(f"{reason}={n}" for reason, n in sorted(skipped.items()))
+        print(f"warning: {path}: skipped rows: {reasons}", file=sys.stderr)
+    return {codec: groups[codec] for codec in Codec if codec in groups}
+
+
+def _finite_cell(row: dict[str, str | None], column: str) -> float:
+    text = (row[column] or "").strip()
+    if not text:
+        raise ValueError(f"{column} empty")
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{column} not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{column} not finite")
+    return value

@@ -19,8 +19,10 @@ from conftest import (
     WB_LINE_PROFILE,
     burst_sweep,
     line_curve,
+    reference_read_samples,
 )
-from volteqa.cli import main
+from volteqa import cli, ingest
+from volteqa.cli import CliError, main
 from volteqa.ingest import CDR_COLUMNS, Codec
 
 DATA = Path(__file__).parent / "data"
@@ -518,6 +520,75 @@ def test_malformed_scored_cell_is_a_counted_skip(tmp_path, capsys, command, colu
     assert outputs("dirty") == outputs("clean")
 
 
+def test_blank_cells_read_as_empty(tmp_path, capsys):
+    # A blank measured quality falls back to the recomputed one, blank too.
+    rows = [dict(row, r_factor=" ", r_factor_computed="  ") for row in _scored_rows()[:2]]
+    _write_rows(tmp_path / "blank.csv", _scored_rows()[2:] + rows)
+    assert run("fit", "--input", tmp_path / "blank.csv", "--output", tmp_path / "o.json") == 0
+    assert "skipped rows: r_factor_computed empty=2\n" in capsys.readouterr().err
+
+
+SCORED_NAMES = ["codec", "p_loss", "max_jitter_ms", "r_factor", "r_factor_computed", "mos"]
+# Finite numbers (the Unicode one is Arabic-Indic 12) three times as often
+# as blank, padded, non-numeric and non-finite cells; codecs likewise.
+NUMBER_CELLS = st.sampled_from(
+    ["0.05", " 0.1 ", "-0.0", "7", "1e-3", "1_000", "+5", "\u0661\u0662", "0.15", "80"] * 3
+    + ["", "  ", "nan", "inf", "1e999", "abc"]
+)
+CODEC_CELLS = st.sampled_from(["AMR", "AMR-WB"] * 3 + ["EVS", "", " AMR"])
+
+
+@st.composite
+def scored_csv(draw) -> str:
+    """A scored CSV: the header names in any order, some left out and some
+    repeated; then blank, short, long and full rows."""
+    names = draw(st.permutations(SCORED_NAMES))
+    header = names[: draw(st.integers(3, len(names)))]
+    header += draw(st.lists(st.sampled_from(SCORED_NAMES), max_size=2))
+    full = st.tuples(*(CODEC_CELLS if name == "codec" else NUMBER_CELLS for name in header)).map(list)
+    short, long = full.map(lambda r: r[: len(r) // 2]), full.map(lambda r: r + ["x"])
+    row = st.one_of(full, full, full, short, long, st.just([]))
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([header, *draw(st.lists(row, max_size=12))])
+    return buffer.getvalue()
+
+
+def _samples_or_error(read, path, wanted, columns):
+    """What ``read`` returns, or the code and message of its CliError, and its stderr."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            result = read(path, wanted, columns)
+        except CliError as exc:
+            result = (exc.code, str(exc))
+    return result, err.getvalue()
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 3, ingest.CHUNK_ROWS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    text=scored_csv(),
+    wanted=st.sampled_from([None, Codec.AMR, Codec.AMR_WB]),
+    columns=st.sampled_from([("p_loss",), ("p_loss", "max_jitter_ms")]),
+)
+def test_read_samples_matches_per_row_oracle(chunk, text, wanted, columns):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "scored.csv")
+        Path(path).write_text(text, encoding="utf-8")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "CHUNK_ROWS", chunk)
+            got, err = _samples_or_error(cli._read_samples, path, wanted, columns)
+        expected, expected_err = _samples_or_error(reference_read_samples, path, wanted, columns)
+    assert err == expected_err
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert list(got) == list(expected)
+    for codec, samples in got.items():
+        assert samples.dtype == np.float64 and samples.shape == (len(expected[codec]), len(columns) + 1)
+        # repr tells -0.0 from 0.0.
+        assert repr(samples.tolist()) == repr([list(sample) for sample in expected[codec]])
+
+
 # ------------------------------------------------------------ bad input
 
 
@@ -576,6 +647,15 @@ def _bad_input_files(tmp_path: Path) -> None:
         ("report --input {scored} --output {tmp}/o.csv --bins 0", "BAD_BINS"),
         ("report --input {scored} --output {tmp}/o.csv --j-bins 0", "BAD_BINS"),
         ("report --input {scored} --output {tmp}/o.csv --j-bins -1", "BAD_BINS"),
+        # Edges or cells of 0.8 EB and more cannot be allocated; beyond
+        # about 2**60 bins numpy cannot even address them.
+        ("fit --input {scored} --output {tmp}/o.json --bins 1000000000000000000", "BAD_BINS"),
+        ("fit --input {scored} --output {tmp}/o.json --bins 10000000000000000000", "BAD_BINS"),
+        ("fit --input {scored} --output {tmp}/o.json --bins 9223372036854775806", "BAD_BINS"),
+        ("report --input {scored} --output {tmp}/o.csv --bins 1000000000000000000", "BAD_BINS"),
+        ("report --input {scored} --output {tmp}/o.csv --j-bins 1000000000000000000", "BAD_BINS"),
+        ("report --input {scored} --output {tmp}/o.csv --bins 100000000000000000 --j-bins 1", "BAD_BINS"),
+        ("report --input {scored} --output {tmp}/o.csv --bins 1 --j-bins 100000000000000000", "BAD_BINS"),
         ("report --input {scored} --output {tmp}/o.csv --j-range 0:inf", "BAD_RANGE"),
         ("report --input {scored} --output {tmp}/o.csv --range=-inf:0.2", "BAD_RANGE"),
         ("fit --input {scored} --output {tmp}/o.json --range 0:inf", "BAD_RANGE"),

@@ -1,25 +1,30 @@
 """CDR parsing, validation, and summary tests."""
 
+import csv
 import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import reference_parse_cdr_csv, reference_validate_record, table_from_rows
+from volteqa import ingest
 from volteqa.ingest import (
     CDR_COLUMNS,
     Bandwidth,
     CdrTable,
     Codec,
+    RejectedRow,
     RejectReason,
     SchemaError,
     parse_cdr_csv,
     summarize_dataset,
-    validate_record,
     write_cdr_csv,
 )
 
 HEADER = ",".join(CDR_COLUMNS)
+# Chunk sizes that put chunk boundaries between any two rows, and the default.
+CHUNK_SIZES = (1, 2, 3, ingest.CHUNK_ROWS)
 
 
 def parse_text(text: str):
@@ -84,20 +89,24 @@ def test_parse_preserves_row_accounting():
     assert len(table) == 5
 
 
+def reasons_of(*rows: str) -> list[RejectReason]:
+    return [r.reason for r in parse_text(HEADER + "\n" + "".join(row + "\n" for row in rows))[1]]
+
+
 def test_validate_r_factor_above_narrowband_ceiling():
-    assert validate_record(Codec.AMR, 10, 10, 1.0, 2.0, r_factor=101.0) is RejectReason.R_OUT_OF_RANGE
+    assert reasons_of("f1,AMR,10,10,1.0,2.0,101.0") == [RejectReason.R_OUT_OF_RANGE]
 
 
 def test_validate_wideband_accepts_high_r():
-    assert validate_record(Codec.AMR_WB, 10, 10, 1.0, 2.0, r_factor=120.0) is None
+    assert reasons_of("f1,AMR-WB,10,10,1.0,2.0,120.0") == []
 
 
 def test_validate_empty_flow():
-    assert validate_record(Codec.AMR, 0, 0, 0.0, 0.0, None) is RejectReason.EMPTY_FLOW
+    assert reasons_of("f1,AMR,0,0,0.0,0.0,") == [RejectReason.EMPTY_FLOW]
 
 
 def test_validate_negative_counts_checked_first():
-    assert validate_record(Codec.AMR, -1, 10, 5.0, 1.0, r_factor=200.0) is RejectReason.NEGATIVE_COUNT
+    assert reasons_of("f1,AMR,-1,10,5.0,1.0,200.0") == [RejectReason.NEGATIVE_COUNT]
 
 
 def test_duplicate_flow_ids_are_kept():
@@ -109,7 +118,7 @@ def test_duplicate_flow_ids_are_kept():
 
 
 def test_table_take_selects_rows_of_every_column():
-    table = CdrTable.from_rows(
+    table = table_from_rows(
         [(f"f{i}", Codec.AMR if i % 2 else Codec.AMR_WB, 10 + i, 9, 1.0, 2.0 + i, None if i == 3 else 50.0)
          for i in range(5)]
     )
@@ -143,9 +152,9 @@ def test_write_parse_round_trip(raw_rows, count_scale):
     rows = []
     for flow_id, codec, tx, rx, avg_j, max_j, r in raw_rows:
         row = (flow_id, codec, max(tx, 1) * count_scale, rx * count_scale, avg_j, avg_j + max_j, r)
-        if validate_record(*row[1:]) is None:
+        if reference_validate_record(*row[1:]) is None:
             rows.append(row)
-    table = CdrTable.from_rows(rows)
+    table = table_from_rows(rows)
     big = bool(rows) and count_scale > 1
     assert (table.tx_packets.dtype == object) is big
     buffer = io.StringIO()
@@ -171,7 +180,7 @@ def test_empty_table_writes_only_the_header():
 
 
 def _table(codecs) -> CdrTable:
-    return CdrTable.from_rows([(f"f{i}", codec, 10, 9, 1.0, 2.0, None) for i, codec in enumerate(codecs)])
+    return table_from_rows([(f"f{i}", codec, 10, 9, 1.0, 2.0, None) for i, codec in enumerate(codecs)])
 
 
 def test_summarize_shares_match_mix():
@@ -208,3 +217,100 @@ def test_summary_reports_reject_breakdown():
         {"line_no": 3, "reason": "INCONSISTENT_JITTER", "detail": "INCONSISTENT_JITTER"},
     ]
     assert summary["per_codec_counts"] == {"AMR": 1}
+
+
+# ------------------------------------------------ column-wise parsing
+
+
+def parse_in_chunks(text: str, chunk: int):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "CHUNK_ROWS", chunk)
+        return parse_text(text)
+
+
+def assert_parse_matches_oracle(text: str, chunk: int) -> None:
+    table, rejects = parse_in_chunks(text, chunk)
+    rows, expected_rejects = reference_parse_cdr_csv(io.StringIO(text))
+    assert list(table.rows()) == rows
+    # repr tells -0.0 from 0.0 and a float from an equal int.
+    assert repr(list(table.rows())) == repr(rows)
+    assert rejects == expected_rejects
+    expected = table_from_rows(rows)
+    for name in CDR_COLUMNS:
+        assert getattr(table, name).dtype == getattr(expected, name).dtype, name
+
+
+# Cells of accepted rows (the Unicode one is Arabic-Indic 12), then cells that
+# fail a conversion or an acceptance rule.
+GOOD_COUNTS = ["0", "1", "12", "1_000", "+5", "\u0661\u0662", " 7 ", str(2**63 - 1), str(2**63), "9" * 30]
+BAD_COUNTS = ["-3", str(-(2**63) - 1), "abc", "", "1.5", "1e3"]
+GOOD_FLOATS = ["0", "1.5", "-0.0", " 2.5 ", "1_000", "+5", "\u0661\u0662", "20", "5e-324", "1e3"]
+BAD_FLOATS = ["nan", "inf", "-inf", "1e999", "-1", "abc", ""]
+GOOD_R = ["", "0", "-0.0", "99.5", "100", "100.5", "129", "130"]
+FLOW_IDS = st.sampled_from(["f1", "", " f 2 ", "a,b", 'q"t', "same"])
+good_row = st.tuples(
+    FLOW_IDS, st.sampled_from(["AMR", "AMR-WB"]), *[st.sampled_from(GOOD_COUNTS)] * 2,
+    *[st.sampled_from(GOOD_FLOATS)] * 2, st.sampled_from(GOOD_R),
+).map(list)
+any_row = st.tuples(
+    FLOW_IDS, st.sampled_from(["AMR", "AMR-WB", "EVS", "", " AMR", "amr"]),
+    *[st.sampled_from(GOOD_COUNTS + BAD_COUNTS)] * 2,
+    *[st.sampled_from(GOOD_FLOATS + BAD_FLOATS)] * 2, st.sampled_from(GOOD_R + BAD_FLOATS),
+).map(list)
+cdr_rows = st.one_of(
+    good_row,
+    good_row,
+    any_row,
+    st.just([]),  # a blank line
+    st.lists(st.sampled_from(GOOD_COUNTS + ["AMR"]), max_size=9),  # short and long rows
+)
+
+
+def csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([CDR_COLUMNS, *rows])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.lists(cdr_rows, max_size=14))
+def test_parse_matches_per_row_oracle(chunk, rows):
+    assert_parse_matches_oracle(csv_text(rows), chunk)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_parse_reads_past_chunks_of_blank_rows(chunk):
+    text = f"{HEADER}\n" + "\n" * 10 + "f1,AMR,10,9,1.0,2.0,\n" + "\n" * 7 + "f2,EVS,10,9,1.0,2.0,\n"
+    table, rejects = parse_in_chunks(text, chunk)
+    assert table.flow_id.tolist() == ["f1"]
+    assert rejects == [RejectedRow(20, RejectReason.UNSUPPORTED_CODEC, "codec 'EVS'")]
+    assert_parse_matches_oracle(text, chunk)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_reject_line_numbers_cross_chunk_boundaries(chunk):
+    lines = [f"f{i},{'EVS' if i % 3 == 0 else 'AMR'},10,9,1.0,2.0," if i % 4 else "" for i in range(25)]
+    table, rejects = parse_in_chunks(HEADER + "\n" + "\n".join(lines) + "\n", chunk)
+    assert [r.line_no for r in rejects] == [i + 2 for i in range(25) if i % 4 and i % 3 == 0]
+    assert len(table) == sum(1 for i in range(25) if i % 4 and i % 3)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_counts_beyond_int64_in_some_chunks_stay_exact(chunk):
+    counts = [10, 11, 12, 13, 2**63 + 7, 14, 10**30]
+    text = HEADER + "\n" + "".join(f"f{i},AMR,{n},{n - 1},1.0,2.0,\n" for i, n in enumerate(counts))
+    table, rejects = parse_in_chunks(text, chunk)
+    assert rejects == []
+    assert table.tx_packets.dtype == object and table.rx_packets.dtype == object
+    assert table.tx_packets.tolist() == counts
+    assert all(type(n) is int for n in table.tx_packets.tolist() + table.rx_packets.tolist())
+    assert_parse_matches_oracle(text, chunk)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_count_beyond_int64_in_a_rejected_row_keeps_int64(chunk):
+    text = f"{HEADER}\nf1,AMR,10,9,1.0,2.0,\nf2,EVS,{2**70},9,1.0,2.0,\nf3,AMR,{2**70},9,5.0,1.0,\n"
+    table, rejects = parse_in_chunks(text, chunk)
+    assert [r.reason for r in rejects] == [RejectReason.UNSUPPORTED_CODEC, RejectReason.INCONSISTENT_JITTER]
+    assert table.tx_packets.dtype == np.int64

@@ -1,5 +1,6 @@
 """Synthetic timeline and dataset generation tests."""
 
+import io
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import (
 )
 from volteqa import simulate
 from volteqa.emodel import DEFAULT_PROFILES, CodecProfile
-from volteqa.ingest import Codec, validate_record
+from volteqa.ingest import Codec, parse_cdr_csv, write_cdr_csv
 from volteqa.jitter_buffer import JbeConfig
 from volteqa.simulate import (
     BernoulliLoss,
@@ -268,8 +269,12 @@ def test_generated_records_pass_ingest_validation():
     )
     table, _ = synthesize_dataset(spec)
     assert len(table)
-    for _, *values in table.rows():
-        assert validate_record(*values) is None
+    buffer = io.StringIO()
+    write_cdr_csv(table, buffer)
+    buffer.seek(0)
+    parsed, rejects = parse_cdr_csv(buffer)
+    assert rejects == []
+    assert list(parsed.rows()) == list(table.rows())
 
 
 def test_sweep_mean_quality_strictly_decreasing_in_loss():
