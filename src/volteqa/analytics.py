@@ -9,10 +9,15 @@ analytic Jacobian, and a straight line solved in closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+# The most bins whose float64 edges numpy can address; fewer bins than
+# this may still be too many to allocate.
+MAX_BINS = sys.maxsize // 8 - 1
 
 MAX_LM_ITERATIONS = 200
 LM_RELATIVE_SSE_TOL = 1e-10
@@ -74,10 +79,13 @@ def uniform_edges(bins: int, lo: float, hi: float) -> np.ndarray:
     """``bins + 1`` evenly spaced edges from lo to hi, strictly increasing.
 
     A range too narrow for float steps to separate the edges raises
-    ValueError, like an empty range or fewer than one bin.
+    ValueError, like an empty range, fewer than one bin or more than
+    ``MAX_BINS``.
     """
     if bins < 1:
         raise ValueError(f"need at least 1 bin, got {bins}")
+    if bins > MAX_BINS:
+        raise ValueError(f"need at most {MAX_BINS} bins, got {bins}")
     if not hi > lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
     edges = lo + np.arange(bins + 1) * ((hi - lo) / bins)

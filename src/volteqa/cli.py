@@ -27,6 +27,7 @@ import numpy as np
 
 from volteqa import __version__
 from volteqa.analytics import (
+    MAX_BINS,
     BinnedSeries,
     FitResult,
     bin_series,
@@ -55,10 +56,6 @@ from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
 SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
 
 MIN_BINS_FOR_EXPONENTIAL = 4
-
-# The most bins whose float64 edges numpy can address; fewer bins than
-# this may still be too many to allocate.
-MAX_BINS = sys.maxsize // 8 - 1
 
 # Rows scored at a time by `score`: it keeps the score arrays small
 # beside the parsed table.

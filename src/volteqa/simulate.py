@@ -3,9 +3,11 @@
 Loss is drawn from either an independent (Bernoulli) process or a
 two-state Gilbert-Elliott Markov chain; network delay is a base value
 plus an optional jitter distribution.  All randomness flows from one
-64-bit seed through numpy's PCG64 generator, with per-flow child streams
-spawned via SeedSequence so flows are reproducible independently of
-generation order.
+seed through numpy's PCG64 generator.  Flow i draws from child i of
+``SeedSequence(seed)``, so flows are reproducible independently of
+generation order.  The child streams of a block of flows are derived in
+bulk with array arithmetic (:func:`child_states`) and match
+``SeedSequence.spawn`` plus ``PCG64`` bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -49,9 +51,14 @@ class BernoulliLoss:
     def loss_rate_std_error(self, n: int) -> float:
         return math.sqrt(self.p * (1.0 - self.p) / n)
 
-    def sample(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Loss flags of n packets per flow: column j draws from ``rngs[j]``."""
-        return np.stack([rng.random(n) for rng in rngs], axis=1) < self.p
+    def uniforms(self, n: int) -> int:
+        """Uniform variates a flow of n packets draws: one per packet."""
+        return n
+
+    def sample(self, uniforms: np.ndarray) -> np.ndarray:
+        """Loss flags of a block of flows from their ``(uniforms, flows)``
+        draws, one column per flow."""
+        return uniforms < self.p
 
     def spec_string(self) -> str:
         return f"bernoulli({self.p:g})"
@@ -98,14 +105,17 @@ class GilbertElliottLoss:
         long_run_var = gamma0 + 2.0 * cross * rho / (1.0 - rho)
         return math.sqrt(max(long_run_var, 0.0) / n)
 
-    def sample(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Loss flags of n packets per flow: column j draws from ``rngs[j]``,
-        its transitions, then its emissions, then its initial state."""
-        draws = [(rng.random(n), rng.random(n), rng.random()) for rng in rngs]
-        transitions = np.stack([t for t, _, _ in draws], axis=1)
-        emissions = np.stack([e for _, e, _ in draws], axis=1)
-        bad = np.array([u for _, _, u in draws]) < self.stationary_bad_probability()
-        del draws
+    def uniforms(self, n: int) -> int:
+        """Uniform variates a flow of n packets draws: n transitions, then
+        n emissions, then its initial state."""
+        return 2 * n + 1
+
+    def sample(self, uniforms: np.ndarray) -> np.ndarray:
+        """Loss flags of a block of flows from their ``(uniforms, flows)``
+        draws, one column per flow."""
+        n = len(uniforms) // 2
+        transitions, emissions = uniforms[:n], uniforms[n : 2 * n]
+        bad = uniforms[2 * n] < self.stationary_bad_probability()
         # Packet i emits in the state before transition draw i.  A draw
         # below both thresholds toggles the state, a draw below exactly one
         # forces it (bad below p_good_to_bad, good below p_bad_to_good) and
@@ -114,7 +124,7 @@ class GilbertElliottLoss:
         # per toggle since then.
         to_bad = transitions < self.p_good_to_bad
         to_good = transitions < self.p_bad_to_good
-        start = np.ones((1, len(rngs)), dtype=bool)
+        start = np.ones((1, uniforms.shape[1]), dtype=bool)
         forced = np.concatenate((start, to_bad != to_good))
         set_bad = np.concatenate((bad[None], to_bad))
         toggles = np.cumsum(np.concatenate((~start, to_bad & to_good)), axis=0)
@@ -143,9 +153,13 @@ class NoJitter:
         if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
             raise ValueError("base_delay_ms must be finite and >= 0")
 
-    def delays(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Network delays of n packets per flow, one column per generator."""
-        return np.full((n, len(rngs)), self.base_delay_ms)
+    def draw(self, generator: np.random.Generator, out: np.ndarray) -> None:
+        """Draws nothing: a constant delay needs no variates."""
+
+    def delays(self, draws: np.ndarray) -> np.ndarray:
+        """Network delays of a block of flows, shaped like their
+        ``(packets, flows)`` draws, whose values it does not read."""
+        return np.full(draws.shape, self.base_delay_ms)
 
     def spec_string(self) -> str:
         return "none"
@@ -164,9 +178,15 @@ class GaussianJitter:
         if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
             raise ValueError("base_delay_ms must be finite and >= 0")
 
-    def delays(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Network delays of n packets per flow: column j draws from ``rngs[j]``."""
-        variation = np.stack([rng.normal(0.0, self.sigma_ms, n) for rng in rngs], axis=1)
+    def draw(self, generator: np.random.Generator, out: np.ndarray) -> None:
+        """One flow's standard normal variates, one per packet, into ``out``."""
+        generator.standard_normal(out=out)
+
+    def delays(self, draws: np.ndarray) -> np.ndarray:
+        """Network delays of a block of flows from their ``(packets, flows)``
+        draws, one column per flow."""
+        # 0 + sigma * z, as Generator.normal(0, sigma) computes it.
+        variation = 0.0 + self.sigma_ms * draws
         # Negative total delays are truncated to zero.
         return np.maximum(0.0, self.base_delay_ms + variation)
 
@@ -188,10 +208,15 @@ class GammaJitter:
         if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
             raise ValueError("base_delay_ms must be finite and >= 0")
 
-    def delays(self, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Network delays of n packets per flow: column j draws from ``rngs[j]``."""
-        extra = np.stack([rng.gamma(self.shape, self.scale_ms, n) for rng in rngs], axis=1)
-        return self.base_delay_ms + extra
+    def draw(self, generator: np.random.Generator, out: np.ndarray) -> None:
+        """One flow's standard gamma variates, one per packet, into ``out``."""
+        generator.standard_gamma(self.shape, out=out)
+
+    def delays(self, draws: np.ndarray) -> np.ndarray:
+        """Network delays of a block of flows from their ``(packets, flows)``
+        draws, one column per flow."""
+        # scale * g, as Generator.gamma(shape, scale) computes it.
+        return self.base_delay_ms + self.scale_ms * draws
 
     def spec_string(self) -> str:
         return f"gamma({self.shape:g},{self.scale_ms:g})"
@@ -290,14 +315,91 @@ class RejectedFlow:
     reason: str
 
 
-def _pick_codec(mix: tuple[tuple[Codec, float], ...], u: float) -> int:
-    """Index into ``mix`` of the codec drawn by the uniform variate ``u``."""
-    cumulative = 0.0
-    for index, (_, fraction) in enumerate(mix):
-        cumulative += fraction
-        if u < cumulative:
-            return index
-    return len(mix) - 1
+def pick_codecs(mix: tuple[tuple[Codec, float], ...], u: np.ndarray) -> np.ndarray:
+    """Index into ``mix`` of the codec drawn by each uniform variate in ``u``:
+    the first codec whose running share, summed left to right, exceeds the
+    variate, or the last codec when rounding leaves the total of the shares
+    at or below it."""
+    cumulative = list(itertools.accumulate(fraction for _, fraction in mix))
+    return np.minimum(np.searchsorted(cumulative, u, side="right"), len(mix) - 1)
+
+
+# The constants of numpy's SeedSequence hash (pool of four 32-bit words)
+# and the multiplier of PCG64's 128-bit LCG.  numpy keeps both algorithms
+# fixed so that seeded streams stay reproducible (NEP 19).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix: each call XORs its 32-bit words (a Python
+    int or a uint32 array) with the hash constant, steps the constant and
+    multiplies by it."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def child_states(seed: int, flows: np.ndarray) -> list[dict]:
+    """The PCG64 states that ``PCG64(SeedSequence(seed, spawn_key=(i,)))``
+    starts from, for each child index i in the uint64 array ``flows``.
+
+    The root entropy (``seed`` in 32-bit words, least significant first,
+    padded to the pool size) is hashed once; the spawn key (i in one word,
+    or two from 2**32 on) is mixed in as uint32 vectors, the pool is
+    expanded into four 64-bit words as ``generate_state(4, np.uint64)``
+    does, and PCG64's seeding step runs on 128-bit Python ints.  Each state
+    is a ``bit_generator.state`` dict.
+    """
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # Entropy words beyond the pool: the rest of the root, then the spawn key.
+    for word in words[_POOL_SIZE:]:
+        pool = [_mix(p, hashmix(word)) for p in pool]
+    low = (flows & _MASK32).astype(np.uint32)
+    pool = [_mix(np.full(len(flows), p, dtype=np.uint32), hashmix(low)) for p in pool]
+    high = (flows >> 32).astype(np.uint32)
+    wide = high != 0
+    if wide.any():
+        pool = [np.where(wide, _mix(p, hashmix(high)), p) for p in pool]
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(2 * _POOL_SIZE)]
+    seeds = [(halves[2 * k] | halves[2 * k + 1] << 32).astype(object) for k in range(_POOL_SIZE)]
+    # pcg64_set_seed: state 0, one step, add initstate, one more step.
+    initstate = seeds[0] << 64 | seeds[1]
+    inc = (seeds[2] << 65 | seeds[3] << 1 | 1) & _MASK128
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+    return [
+        {"bit_generator": "PCG64", "state": {"state": s, "inc": i}, "has_uint32": 0, "uinteger": 0}
+        for s, i in zip(state.tolist(), inc.tolist())
+    ]
 
 
 # Packets per block of flows that are replayed and scored together.  It
@@ -307,19 +409,21 @@ BLOCK_PACKETS = 32_768
 
 
 def _draw_block(
-    spec: SimSpec, seeds: np.random.SeedSequence, first: int, size: int
+    spec: SimSpec, generator: np.random.Generator, first: int, size: int
 ) -> tuple[np.ndarray, PacketTimeline, np.ndarray]:
     """Draw flows ``first`` to ``first + size - 1`` of the spec and build
-    their timeline: each flow's index into the codec mix, the timeline,
-    and the flags of the flows in it (see :func:`synthesize_timeline`).
+    their timeline: each flow's codec variate, the timeline, and the flags
+    of the flows in it (see :func:`synthesize_timeline`).
 
-    Each flow draws from its own child of ``seeds``: its codec, then its
-    loss flags, then its delays.
+    ``generator`` is re-pointed at each flow's child stream, from which the
+    flow draws its codec variate and its loss uniforms in one run, then its
+    jitter variates.
     """
     packets = spec.packets_per_flow
     cells = spec.sweep_cells()
-    rngs = [np.random.default_rng(child) for child in seeds.spawn(size)]
-    codec_at = np.array([_pick_codec(spec.codec_mix, rng.random()) for rng in rngs], dtype=np.intp)
+    states = child_states(spec.seed, np.arange(first, first + size, dtype=np.uint64))
+    bit_generator = generator.bit_generator
+    codec_u = np.empty(size)
     lost = np.empty((packets, size), dtype=bool)
     delays = np.empty((packets, size))
     # Flow first + j is in sweep cell (first + j) % len(cells).  A delay
@@ -327,12 +431,21 @@ def _draw_block(
     with np.errstate(over="ignore"):
         for cell, (loss_model, jitter_model) in enumerate(cells):
             flows = slice((cell - first) % len(cells), size, len(cells))
-            group = rngs[flows]
-            if group:
-                lost[:, flows] = loss_model.sample(packets, group)
-                delays[:, flows] = jitter_model.delays(packets, group)
+            group = states[flows]
+            if not group:
+                continue
+            # One row per flow, so that each flow's draws fill a contiguous run.
+            uniforms = np.empty((len(group), 1 + loss_model.uniforms(packets)))
+            draws = np.empty((len(group), packets))
+            for state, flow_uniforms, flow_draws in zip(group, uniforms, draws):
+                bit_generator.state = state
+                generator.random(out=flow_uniforms)
+                jitter_model.draw(generator, flow_draws)
+            codec_u[flows] = uniforms[:, 0]
+            lost[:, flows] = loss_model.sample(uniforms[:, 1:].T)
+            delays[:, flows] = jitter_model.delays(draws.T)
     timeline, kept = synthesize_timeline(lost, delays, spec.ptime_ms)
-    return codec_at, timeline, kept
+    return codec_u, timeline, kept
 
 
 def synthesize_dataset(
@@ -350,23 +463,25 @@ def synthesize_dataset(
     jitter (JITTER_NOT_FINITE) or mean play-out delay (PLAYOUT_NOT_FINITE)
     overflows.
 
-    Flows are drawn one by one, each from its own child SeedSequence
-    stream; the replay runs on blocks of up to ``BLOCK_PACKETS`` packets
-    and the scoring on the accepted flows of each codec, element by
-    element, so the dataset does not depend on the block size.
+    Flow i draws from child i of ``SeedSequence(spec.seed)``; the child
+    streams of each block are derived in bulk and match
+    ``SeedSequence.spawn`` plus ``PCG64`` bit for bit.  The replay runs on
+    blocks of up to ``BLOCK_PACKETS`` packets and the scoring on the
+    accepted flows of each codec, element by element, so the dataset does
+    not depend on the block size.
     """
     profiles = profiles if profiles is not None else DEFAULT_PROFILES
     per_block = max(1, BLOCK_PACKETS // spec.packets_per_flow)
-    # Successive spawn() calls continue the same child streams as one call.
-    seeds = np.random.SeedSequence(spec.seed)
+    # Its own stream is never drawn: it is re-pointed at each flow's in turn.
+    generator = np.random.Generator(np.random.PCG64(0))
     # Per-flow figures; -1 received packets marks a flow left out of its
     # block's timeline.
-    codec_at = np.empty(spec.flows, dtype=np.intp)
+    codec_u = np.empty(spec.flows)
     received = np.full(spec.flows, -1)
     p_loss, burst_r, avg_jitter, max_jitter, delay = np.full((5, spec.flows), np.nan)
     for first in range(0, spec.flows, per_block):
         size = min(per_block, spec.flows - first)
-        codec_at[first : first + size], timeline, kept = _draw_block(spec, seeds, first, size)
+        codec_u[first : first + size], timeline, kept = _draw_block(spec, generator, first, size)
         result = run_jbe(timeline, spec.jbe)
         flows = first + np.flatnonzero(kept)
         received[flows], p_loss[flows] = result.received_counts, result.p_loss
@@ -381,6 +496,7 @@ def synthesize_dataset(
         "",
     )
     good = reasons == ""
+    codec_at = pick_codecs(spec.codec_mix, codec_u)
     flow_ids = np.array([f"flow-{i:06d}" for i in range(spec.flows)], dtype=object)
     rejected = list(map(RejectedFlow, flow_ids[~good].tolist(), reasons[~good].tolist()))
     r_factor = np.empty(spec.flows)

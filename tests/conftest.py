@@ -312,6 +312,17 @@ def reference_delays(model, n: int, rng: np.random.Generator) -> np.ndarray:
     return model.base_delay_ms + rng.gamma(model.shape, model.scale_ms, n)
 
 
+def reference_pick_codec(mix, u: float) -> int:
+    """Scalar oracle for ``pick_codecs``: its per-flow loop, kept as a
+    plain copy.  The index into ``mix`` of the codec drawn by ``u``."""
+    cumulative = 0.0
+    for index, (_, fraction) in enumerate(mix):
+        cumulative += fraction
+        if u < cumulative:
+            return index
+    return len(mix) - 1
+
+
 def reference_synthesize_dataset(spec: SimSpec, profiles) -> tuple[list[tuple], list[RejectedFlow]]:
     """Oracle for ``synthesize_dataset``: the flow-by-flow path it replaced,
     built from the scalar oracles of each step.  Accepted flows are plain
@@ -324,14 +335,7 @@ def reference_synthesize_dataset(spec: SimSpec, profiles) -> tuple[list[tuple], 
     for i in range(spec.flows):
         flow_id = f"flow-{i:06d}"
         rng = np.random.default_rng(children[i])
-        u = rng.random()
-        codec = spec.codec_mix[-1][0]
-        cumulative = 0.0
-        for candidate, fraction in spec.codec_mix:
-            cumulative += fraction
-            if u < cumulative:
-                codec = candidate
-                break
+        codec = spec.codec_mix[reference_pick_codec(spec.codec_mix, rng.random())][0]
         loss_model, jitter_model = cells[i % len(cells)]
         if isinstance(loss_model, GilbertElliottLoss):
             lost = reference_ge_sample(loss_model, packets, rng)

@@ -216,7 +216,7 @@ def test_criterion_6_gilbert_elliott_calibration():
     for index, params in enumerate(parameter_sets):
         model = GilbertElliottLoss(*params)
         rng = np.random.Generator(np.random.PCG64(9000 + index))
-        empirical = float(model.sample(n, [rng]).mean())
+        empirical = float(model.sample(rng.random((model.uniforms(n), 1))).mean())
         expected = model.stationary_loss_rate()
         tolerance = 3.0 * model.loss_rate_std_error(n)
         if abs(empirical - expected) > tolerance:

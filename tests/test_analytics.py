@@ -18,6 +18,7 @@ from conftest import (
     reference_surface_grid,
 )
 from volteqa.analytics import (
+    MAX_BINS,
     DegenerateDataError,
     FitResult,
     TooFewPointsError,
@@ -66,6 +67,13 @@ def test_bin_series_edges_are_uniform():
     assert len(series.edges) == 11
     for k, edge in enumerate(series.edges):
         assert edge == pytest.approx(0.02 * k, abs=1e-12)
+
+
+@pytest.mark.parametrize("bins", [2**61, 2**63 - 2])
+def test_uniform_edges_rejects_more_bins_than_numpy_addresses(bins):
+    assert bins > MAX_BINS
+    with pytest.raises(ValueError, match=f"need at most {MAX_BINS} bins, got {bins}"):
+        uniform_edges(bins, 0.0, 1.0)
 
 
 def test_bin_series_counts_out_of_range():

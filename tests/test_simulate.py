@@ -1,6 +1,7 @@
 """Synthetic timeline and dataset generation tests."""
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import (
     reference_arrivals,
     reference_delays,
     reference_ge_sample,
+    reference_pick_codec,
     reference_synthesize_dataset,
 )
 from volteqa import simulate
@@ -23,16 +25,38 @@ from volteqa.simulate import (
     GilbertElliottLoss,
     NoJitter,
     SimSpec,
+    child_states,
     load_sim_config,
+    pick_codecs,
     synthesize_dataset,
     synthesize_timeline,
 )
 
 
-def _timeline(loss, jitter, packets, ptime_ms, seeds):
-    """Block timeline of one flow per seed, drawn the way ``synthesize_dataset`` draws."""
+def _uniforms(loss, n, rngs):
+    """The ``(uniforms, flows)`` loss draws of one flow per generator."""
+    return np.stack([rng.random(loss.uniforms(n)) for rng in rngs], axis=1)
+
+
+def _jitter_draws(jitter, n, rngs):
+    """The ``(packets, flows)`` jitter draws of one flow per generator."""
+    draws = np.empty((len(rngs), n))
+    for rng, row in zip(rngs, draws):
+        jitter.draw(rng, row)
+    return draws.T
+
+
+def _block(loss, jitter, packets, seeds):
+    """Loss flags and delays of one flow per seed: each flow's loss
+    uniforms, then its jitter draws, as ``synthesize_dataset`` draws them."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    timeline, kept = synthesize_timeline(loss.sample(packets, rngs), jitter.delays(packets, rngs), ptime_ms)
+    lost = loss.sample(_uniforms(loss, packets, rngs))
+    return lost, jitter.delays(_jitter_draws(jitter, packets, rngs))
+
+
+def _timeline(loss, jitter, packets, ptime_ms, seeds):
+    """Block timeline of one flow per seed."""
+    timeline, kept = synthesize_timeline(*_block(loss, jitter, packets, seeds), ptime_ms)
     assert kept.all()
     return timeline
 
@@ -77,8 +101,7 @@ def test_arrivals_never_reorder():
     ],
 )
 def test_timeline_arrivals_match_scalar_reference(loss, jitter):
-    rngs = [np.random.default_rng(seed) for seed in range(20)]
-    lost, delays = loss.sample(300, rngs), jitter.delays(300, rngs)
+    lost, delays = _block(loss, jitter, 300, range(20))
     timeline, _ = synthesize_timeline(lost, delays, 30.0)
     for flow in range(20):
         expected = reference_arrivals(lost[:, flow], delays[:, flow].tolist(), 30.0)
@@ -102,7 +125,7 @@ def test_timeline_leaves_out_flows_whose_arrivals_overflow():
 )
 def test_block_delays_match_per_flow_draws(model):
     block = [np.random.default_rng(seed) for seed in range(5)]
-    delays = model.delays(40, block)
+    delays = model.delays(_jitter_draws(model, 40, block))
     assert delays.shape == (40, 5)
     for flow in range(5):
         rng = np.random.default_rng(flow)
@@ -113,12 +136,58 @@ def test_block_delays_match_per_flow_draws(model):
 
 def test_block_bernoulli_sample_matches_per_flow_draws():
     block = [np.random.default_rng(seed) for seed in range(5)]
-    lost = BernoulliLoss(0.3).sample(40, block)
+    model = BernoulliLoss(0.3)
+    lost = model.sample(_uniforms(model, 40, block))
     assert lost.shape == (40, 5)
     for flow in range(5):
         rng = np.random.default_rng(flow)
         assert np.array_equal(lost[:, flow], rng.random(40) < 0.3)
         assert block[flow].random() == rng.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
+def test_child_states_match_numpy_seeding(seed):
+    # 2**130 + 7 spans five entropy words, one more than the pool; from
+    # 2**32 on a spawn key takes two words.
+    flows = [*range(300), 2**32 - 1, 2**32, 2**40 + 3]
+    expected = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state for i in flows]
+    assert child_states(seed, np.array(flows, dtype=np.uint64)) == expected
+
+
+def test_child_states_continue_spawned_children():
+    children = np.random.SeedSequence(5).spawn(40)
+    states = child_states(5, np.arange(20, 40, dtype=np.uint64))
+    assert states == [np.random.PCG64(child).state for child in children[20:]]
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [
+        ((Codec.AMR, 0.71), (Codec.AMR_WB, 0.29)),
+        ((Codec.AMR, 0.25), (Codec.AMR_WB, 0.75)),
+        ((Codec.AMR, 0.0), (Codec.AMR_WB, 1.0)),
+        ((Codec.AMR, 1.0), (Codec.AMR_WB, 0.0)),
+        ((Codec.AMR_WB, 1.0),),
+        # Shares whose float sum is just below 1: a draw above it falls
+        # through to the last codec.
+        ((Codec.AMR, 0.7), (Codec.AMR_WB, 0.3 - 1e-12)),
+    ],
+)
+def test_pick_codecs_matches_scalar_reference(mix):
+    # Each running share, the floats on either side of it, and the largest
+    # draw below 1.
+    running = itertools.accumulate(fraction for _, fraction in mix)
+    u = [x for c in running for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+    u = np.array([x for x in [0.0, 0.5, 1.0 - 2**-53, *u] if x < 1.0])
+    assert pick_codecs(mix, u).tolist() == [reference_pick_codec(mix, x) for x in u.tolist()]
+
+
+def test_pick_codecs_boundary_and_fall_through():
+    # A draw equal to a running share picks the next codec.
+    assert pick_codecs(((Codec.AMR, 0.25), (Codec.AMR_WB, 0.75)), np.array([0.25])).tolist() == [1]
+    # The shares sum to just below 1: a draw above the sum falls through.
+    below_one = ((Codec.AMR, 0.7), (Codec.AMR_WB, 0.3 - 1e-12))
+    assert pick_codecs(below_one, np.array([0.99999999999995, 1.0 - 2**-53])).tolist() == [1, 1]
 
 
 def test_gamma_jitter_delays_are_positive():
@@ -139,7 +208,7 @@ def test_gilbert_elliott_empirical_rate_matches_closed_form():
     model = GilbertElliottLoss(0.1, 0.5, 0.0, 1.0)
     n = 100_000
     rng = np.random.Generator(np.random.PCG64(123))
-    lost = model.sample(n, [rng])
+    lost = model.sample(_uniforms(model, n, [rng]))
     empirical = lost.mean()
     tolerance = 3.0 * model.loss_rate_std_error(n)
     assert abs(empirical - model.stationary_loss_rate()) <= tolerance
@@ -161,14 +230,14 @@ def test_gilbert_elliott_sample_matches_scalar_reference(model):
     for n in (0, 1, 2, 500):
         # A block of one flow per seed, and blocks of one flow.
         block = [np.random.Generator(np.random.PCG64(seed)) for seed in range(20)]
-        lost = model.sample(n, block)
+        lost = model.sample(_uniforms(model, n, block))
         assert lost.shape == (n, 20)
         for seed in range(20):
             fast = np.random.Generator(np.random.PCG64(seed))
             slow = np.random.Generator(np.random.PCG64(seed))
             expected = reference_ge_sample(model, n, slow)
             assert np.array_equal(lost[:, seed], expected)
-            assert np.array_equal(model.sample(n, [fast])[:, 0], expected)
+            assert np.array_equal(model.sample(_uniforms(model, n, [fast]))[:, 0], expected)
             # Same draws in the same order: the streams continue in step.
             assert fast.random() == slow.random() == block[seed].random()
 
@@ -182,7 +251,8 @@ def test_gilbert_elliott_random_models_match_scalar_reference():
         n = int(rng.integers(0, 400))
         fast = np.random.Generator(np.random.PCG64(case))
         slow = np.random.Generator(np.random.PCG64(case))
-        assert np.array_equal(model.sample(n, [fast])[:, 0], reference_ge_sample(model, n, slow))
+        lost = model.sample(_uniforms(model, n, [fast]))[:, 0]
+        assert np.array_equal(lost, reference_ge_sample(model, n, slow))
 
 
 def test_gilbert_elliott_validation():
@@ -423,9 +493,12 @@ LATE_SPEC = dict(
         SimSpec(flows=12, packets_per_flow=10, seed=77, loss_models=(BernoulliLoss(0.2),),
                 jitter_models=(GaussianJitter(1e308), GammaJitter(2.0, 1e308, 1e308), NoJitter(1.0))),
         OVERFLOW_SPEC,
+        # A root seed of five entropy words, with Bernoulli and both
+        # Gilbert-Elliott variants beside every jitter model.
+        SimSpec(flows=23, packets_per_flow=40, seed=2**130 + 7, **LATE_SPEC),
     ],
     ids=["late", "late-small-window", "1-packet", "2-packets", "3-packets", "all-lost", "overflow",
-         "overflow-wide-grid"],
+         "overflow-wide-grid", "seed-2**130+7"],
 )
 @pytest.mark.parametrize("block_packets", [1, 150, 7 * 60 + 13, 65_536])
 def test_dataset_matches_per_flow_oracle(monkeypatch, spec, block_packets):
