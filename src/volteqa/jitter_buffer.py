@@ -153,13 +153,14 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
     flow's received packets are first moved to the front of its column;
     the rest of the column is padding that no figure reads.  Each step is
     element-wise arithmetic over the block, in the order of one flow's
-    scalar loop, so every figure keeps that loop's rounding.  Only the
-    jitter window sum runs position by position, on vectors of one entry
-    per flow.  The last held play-out instant before a packet equals the
-    running maximum of the raw schedules (anchor plus send offset plus
-    headroom) of the earlier packets that arrived by their raw schedule,
-    so it is a prefix maximum rather than sequential state.  Figures that
-    overflow become infinite.
+    scalar loop, so every figure keeps that loop's rounding.  The window
+    sum is the plain definition: the last ``window`` samples added oldest
+    first, one pass over the block per position in the window, so its
+    rounding is bounded by ``window`` additions.  The last held play-out
+    instant before a packet equals the running maximum of the raw
+    schedules (anchor plus send offset plus headroom) of the earlier
+    packets that arrived by their raw schedule, so it is a prefix maximum
+    rather than sequential state.  Figures that overflow become infinite.
     """
     arrival = timeline.arrival_ms
     packets, flows = arrival.shape
@@ -179,7 +180,7 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
     send.T[front.T] = np.broadcast_to(timeline.send_ms, (flows, packets))[received.T]
     anchor = jitter[0] + config.initial_delay_ms
     first_send = send[0].copy()
-    window = config.window
+    window = min(config.window, packets)
 
     with np.errstate(over="ignore"):
         # Row k becomes the sample between received packets k and k + 1:
@@ -192,21 +193,11 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
         jitter[-1] = 0.0
         jitter[:-1][~front[1:]] = 0.0
 
-        # Window sums after each sample.  Sample k - window leaves the window
-        # as sample k enters.  Samples are non-negative, so the sum is kept
-        # from drifting below zero through float cancellation (it is never
-        # -0.0, so the clamp keeps every other value as it is).
-        sums = np.empty((packets, flows))
-        previous = np.zeros(flows)
-        for k in range(max(int(received_counts.max(initial=0)) - 1, 0)):
-            current = sums[k]
-            if k >= window:
-                np.subtract(previous, jitter[k - window], out=current)
-                np.add(current, jitter[k], out=current)
-                np.maximum(current, 0.0, out=current)
-            else:
-                np.add(previous, jitter[k], out=current)
-            previous = current
+        # Row k sums samples k - window + 1 .. k, oldest first, one pass per
+        # lag; each sum starts at 0.0, which the first sample adds to exactly.
+        sums = np.zeros((packets, flows))
+        for lag in range(window - 1, -1, -1):
+            sums[lag:] += jitter[: packets - lag]
 
         max_jitter = jitter.max(axis=0)
         # Means add left to right (np.add.accumulate), not pairwise (np.sum)

@@ -154,8 +154,6 @@ def reference_run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig(),
     late_flags: list[bool] = []
     playout_delays: list[float] = []
     jitter_samples: list[float] = []
-    window = config.window
-    window_sum = 0.0
     anchor = None
     prev_received = None
     last_held_playout = -math.inf
@@ -168,7 +166,12 @@ def reference_run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig(),
             continue
         if anchor is None:
             anchor = (send, arrival)
-        window_len = min(len(jitter_samples), window)
+        # The window sum by its definition: the last ``window`` samples,
+        # added oldest first.
+        window_len = min(len(jitter_samples), config.window)
+        window_sum = 0.0
+        for sample in jitter_samples[len(jitter_samples) - window_len :]:
+            window_sum += sample
         headroom = config.safety_factor * (window_sum / window_len) if window_len else 0.0
         scheduled = anchor[1] + config.initial_delay_ms + (send - anchor[0]) + headroom
         scheduled = max(scheduled, last_held_playout)
@@ -183,11 +186,7 @@ def reference_run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig(),
         late_flags.append(late)
         playout_delays.append(playout_time - send)
         if prev_received is not None:
-            jitter = abs((arrival - prev_received[1]) - (send - prev_received[0]))
-            if len(jitter_samples) >= window:
-                window_sum -= jitter_samples[-window]
-            jitter_samples.append(jitter)
-            window_sum = max(window_sum + jitter, 0.0)
+            jitter_samples.append(abs((arrival - prev_received[1]) - (send - prev_received[0])))
         prev_received = (send, arrival)
 
     received_count = len(playout_delays)

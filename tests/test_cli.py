@@ -196,6 +196,20 @@ def test_simulate_zero_flows(tmp_path):
     assert out.read_text() == "flow_id,codec,tx_packets,rx_packets,avg_jitter_ms,max_jitter_ms,r_factor\n"
 
 
+@pytest.mark.parametrize("window", [2**63, 10**30], ids=["2**63", "10**30"])
+def test_simulate_window_beyond_the_flow_is_the_flow_length(tmp_path, capsys, window):
+    text = (
+        "[sim]\nflows = 20\npackets_per_flow = 40\nseed = 3\nloss_models = bernoulli(0.1)\n"
+        "jitter_models = gamma(2, 30)\nbase_delay_ms = 30\nwindow = {}\n"
+    )
+    for name, value in (("wide", window), ("whole", 40)):
+        config = tmp_path / f"{name}.ini"
+        config.write_text(text.format(value))
+        assert run("simulate", "--config", config, "--output", tmp_path / f"{name}.csv") == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 def test_simulate_realized_mix_tracks_spec(tmp_path):
     config = tmp_path / "sim.ini"
     config.write_text(

@@ -1,5 +1,6 @@
 """Jitter computation and play-out buffer emulation tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,6 +164,20 @@ def test_jbe_window_slides_past_its_length():
     assert result.max_jitter_ms == 14.0
     # Play-out minus send: 60, 60, 66, 69, 78, 93, 81.
     assert result.mean_playout_delay_ms == 507.0 / 7
+
+
+def test_jbe_window_sum_is_the_sum_of_its_last_samples():
+    # Window 3, safety factor 3: the last packet's headroom is the sum of
+    # jitter samples 4, 5 and 6, added oldest first.  A running sum that
+    # subtracts the samples leaving the window rounds to 282.90000000000003.
+    arrivals = [47.2, 50.6, 92.9, 92.9, 135.8, 135.8, 153.3, 170.1, 191.9]
+    timeline = PacketTimeline(ptime_ms=20.0, seq=range(9), send_ms=np.arange(9) * 20.0, arrival_ms=arrivals)
+    config = JbeConfig(initial_delay_ms=50.0, window=3, safety_factor=3.0)
+    samples = [abs((b - a) - 20.0) for a, b in zip(arrivals, arrivals[1:])]
+    headroom = 3.0 * ((samples[4] + samples[5] + samples[6]) / 3)
+    assert 47.2 + 50.0 + 160.0 + headroom == 282.9
+    assert run_jbe(timeline, config).playout_ms[-1, 0] == 282.9
+    assert reference_run_jbe(timeline, config)["playout_ms"][-1] == 282.9
 
 
 def test_jbe_on_time_status_at_exact_schedule():
@@ -329,10 +344,14 @@ def test_jbe_block_matches_scalar_reference_per_flow(packets):
             window=int(rng.integers(1, 21)),
             safety_factor=float(rng.uniform(0.5, 4.0)),
         )
-        result = run_jbe(timeline, config)
-        assert result.playout_ms.shape == result.effective_lost.shape == (packets, flows)
-        for flow in range(flows):
-            assert jbe_figures(result, flow) == reference_run_jbe(timeline, config, flow)
+        # The drawn window and the edges: one sample, all but one, every
+        # packet, and far beyond the flow.
+        for window in (config.window, 1, max(packets - 1, 1), packets, 10**30):
+            edge = dataclasses.replace(config, window=window)
+            result = run_jbe(timeline, edge)
+            assert result.playout_ms.shape == result.effective_lost.shape == (packets, flows)
+            for flow in range(flows):
+                assert jbe_figures(result, flow) == reference_run_jbe(timeline, edge, flow)
         # The tracer reads block totals as ints.
         assert type(timeline.tx_count) is int and timeline.tx_count == packets * flows
         for total, per_flow in (
@@ -341,6 +360,16 @@ def test_jbe_block_matches_scalar_reference_per_flow(packets):
             (result.received_count, result.received_counts),
         ):
             assert type(total) is int and total == int(per_flow.sum())
+
+
+@pytest.mark.parametrize("window", [2**63, 10**30], ids=["2**63", "10**30"])
+def test_jbe_window_beyond_the_flow_is_the_flow_length(window):
+    # A window longer than the flow holds every sample: no int64 overflow.
+    timeline = _random_block(np.random.default_rng(4), 30, 6)
+    wide = run_jbe(timeline, JbeConfig(window=window))
+    whole = run_jbe(timeline, JbeConfig(window=30))
+    for flow in range(6):
+        assert jbe_figures(wide, flow) == jbe_figures(whole, flow)
 
 
 def test_jbe_flow_does_not_depend_on_its_block():
