@@ -43,7 +43,7 @@ from volteqa.ingest import (
     CdrTable,
     Codec,
     SchemaError,
-    cdr_columns,
+    cdr_lines,
     finite_floats,
     parse_cdr_csv,
     row_chunks,
@@ -81,6 +81,12 @@ def format_g6(value: float) -> str:
 
 def round_g6(value: float) -> float:
     return float(format_g6(value))
+
+
+def round_g6_column(column: np.ndarray) -> np.ndarray:
+    """``round_g6`` of each value, with one format for the whole column."""
+    text = "%.6g," * len(column) % tuple((column + 0.0).tolist())  # + 0.0 turns -0.0 into 0.0
+    return np.fromiter(map(float, text.split(",")[:-1]), dtype=float, count=len(column))
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
@@ -163,21 +169,41 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     output = Path(args.output)
     with _open(output, "OUTPUT") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SCORED_COLUMNS)
+        handle.write(",".join(SCORED_COLUMNS) + "\n")
         for start in range(0, len(table), SCORE_CHUNK):
             chunk = table.take(slice(start, start + SCORE_CHUNK))
             scores = _score_records(chunk, profiles)
             for lo in range(0, len(chunk), CHUNK_ROWS):
                 rows = slice(lo, lo + CHUNK_ROWS)
-                formatted = [list(map(format_g6, column[rows].tolist())) for column in scores]
-                writer.writerows(zip(*cdr_columns(chunk.take(rows)), *formatted))
+                handle.write(cdr_lines(chunk.take(rows), *(column[rows] for column in scores)))
 
     summary = summarize_dataset(table, rejects)
     summary["per_codec_shares"] = {k: round_g6(v) for k, v in summary["per_codec_shares"].items()}
     summary_path = Path(args.summary) if args.summary else output.with_suffix(output.suffix + ".summary.json")
-    _write_json(summary_path, summary)
+    with _open(summary_path, "OUTPUT") as handle:
+        handle.write(_summary_json(summary))
     return 0
+
+
+# A reject row of the summary as json.dumps(indent=2, sort_keys=True) lays
+# it out at its depth.
+_REJECT_ROW = '      {\n        "detail": %s,\n        "line_no": %d,\n        "reason": %s\n      }'
+
+
+def _summary_json(summary: dict) -> str:
+    """``json.dumps(summary, indent=2, sort_keys=True) + "\\n"`` for a
+    ``summarize_dataset`` document.  The reject rows are formatted from a
+    template: only their strings go through json.dumps, whose string
+    encoder is in C, and not its pure-Python indenting encoder."""
+    rejected = summary["rejected"]
+    text = json.dumps({**summary, "rejected": {**rejected, "rows": []}}, indent=2, sort_keys=True)
+    if rejected["rows"]:
+        rows = ",\n".join(
+            _REJECT_ROW % (json.dumps(row["detail"]), row["line_no"], json.dumps(row["reason"]))
+            for row in rejected["rows"]
+        )
+        text = text.replace('"rows": []', '"rows": [\n' + rows + "\n    ]")
+    return text + "\n"
 
 
 def _score_records(table: CdrTable, profiles: dict[Codec, CodecProfile]) -> tuple[np.ndarray, ...]:
@@ -213,8 +239,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except MemoryError:
         raise CliError("CONFIG", f"packets_per_flow: too large to simulate: {spec.packets_per_flow}") from None
     rounded = dataclasses.replace(table, **{
-        name: np.array([round_g6(v) for v in getattr(table, name).tolist()])
-        for name in ("avg_jitter_ms", "max_jitter_ms", "r_factor")
+        name: round_g6_column(getattr(table, name)) for name in ("avg_jitter_ms", "max_jitter_ms", "r_factor")
     })
     output = Path(args.output)
     with _open(output, "OUTPUT") as handle:
@@ -296,31 +321,41 @@ def _sample_chunk(
         skipped["unknown codec"] += unknown
     kept = code >= 0 if wanted is None else code == CODEC_INDEX[wanted.value]
 
-    *value_cells, measured = ([text.strip() for text in column] for column in cells[: len(columns) + 1])
-    # The recomputed quality stands in where the measured one is blank.
-    quality_cells = [m or c.strip() for m, c in zip(measured, cells[-1])] if len(quality) == 2 else measured
+    # The recomputed quality stands in where the measured one is blank: an
+    # empty cell here, so count-only input converts at once, and spaces below.
+    value_cells, measured, computed = cells[: len(columns)], cells[len(columns)], cells[-1]
+    quality_cells = [m or c for m, c in zip(measured, computed)] if len(quality) == 2 else measured
     values: list[np.ndarray] = []
     failed: dict[int, str] = {}  # row -> the reason of its first bad cell
     for name, texts in zip((*columns, None), (*value_cells, quality_cells)):
         column, bad = finite_floats(texts)
         values.append(column)
+        # float() ignores surrounding whitespace except \x1c-\x1f, which
+        # strip() removes: only cells that fail are stripped and read again.
         for row in bad:
-            cell_name = name or (quality[0] if measured[row] else quality[-1])
-            failed.setdefault(row, f"{cell_name} {_cell_fault(texts[row])}")
+            cell, cell_name = texts[row].strip(), name
+            if name is None:
+                cell, cell_name = measured[row].strip(), quality[0]
+                if not cell:
+                    cell, cell_name = computed[row].strip(), quality[-1]
+            column[row], fault = _cell_value(cell)
+            if fault:
+                failed.setdefault(row, f"{cell_name} {fault}")
     skipped.update(reason for row, reason in failed.items() if kept[row])
     kept[list(failed)] = False
     return code[kept], np.column_stack(values)[kept]
 
 
-def _cell_fault(cell: str) -> str:
-    """Why a stripped cell is not a finite number."""
+def _cell_value(cell: str) -> tuple[float, str | None]:
+    """The finite number in a stripped cell and None, or NaN and why the
+    cell is not a finite number."""
     if not cell:
-        return "empty"
+        return math.nan, "empty"
     try:
-        float(cell)
+        value = float(cell)
     except ValueError:
-        return "not a number"
-    return "not finite"
+        return math.nan, "not a number"
+    return (value, None) if math.isfinite(value) else (math.nan, "not finite")
 
 
 def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> None:

@@ -13,6 +13,7 @@ import csv
 import enum
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Sequence
@@ -248,15 +249,22 @@ def _int_column(texts: Sequence[str], name: str, fail: _Fail) -> np.ndarray:
     fails its row as a BAD_FIELD."""
     try:
         values = list(map(int, texts))
-    except ValueError:  # convert again, one text at a time
-        values = []
-        for row, text in enumerate(texts):
+    except ValueError:  # convert again without raising, then name the failed texts
+        values = list(map(_int_or_none, texts))
+        for row in [row for row, value in enumerate(values) if value is None]:
+            values[row] = 0
             try:
-                values.append(parse_int(text, name))
+                parse_int(texts[row], name)  # raises: the text is not an integer
             except ValueError as exc:
-                values.append(0)
                 fail(row, RejectReason.BAD_FIELD, str(exc))
     return _counts(values)
+
+
+def _int_or_none(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def _float_column(texts: Sequence[str], name: str, fail: _Fail, optional: bool = False) -> np.ndarray:
@@ -290,31 +298,45 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def cdr_columns(table: CdrTable) -> list[list]:
-    """The table's columns in CDR column order, ready for a CSV writer;
-    floats in their shortest round-trip form, an absent r_factor as an
-    empty field."""
+# A row's seven CDR fields.  Floats take their shortest round-trip form
+# (``%s`` of a float is its repr too), so an absent r_factor can be "".
+_CDR_LINE = "%s,%s,%d,%d,%r,%r,%s"
+# The characters that make a field need quotes.  csv.writer before Python
+# 3.13 leaves a CR bare, and a reader then splits the row there.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def cdr_lines(table: CdrTable, *scores: np.ndarray) -> str:
+    """The CSV lines of the table's rows, each row followed by its value of
+    each score column with 6 significant digits (``-0`` as ``0``).
+
+    The rows share one ``%`` format.  A flow id that holds a comma, a
+    quote, CR or LF is quoted, its quotes doubled; no other field needs
+    quoting.
+    """
+    flow_id = table.flow_id.tolist()
+    if _NEEDS_QUOTES.search("".join(flow_id)):
+        flow_id = ['"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES.search(s) else s for s in flow_id]
     codec = np.empty(len(table), dtype=object)
     for member in Codec:
         codec[table.codec == member] = member.value
-    return [
-        table.flow_id.tolist(),
-        codec.tolist(),
-        table.tx_packets.tolist(),
-        table.rx_packets.tolist(),
-        list(map(repr, table.avg_jitter_ms.tolist())),
-        list(map(repr, table.max_jitter_ms.tolist())),
-        ["" if r != r else repr(r) for r in table.r_factor.tolist()],
-    ]
+    r_factor = table.r_factor.tolist()
+    for row in np.flatnonzero(np.isnan(table.r_factor)).tolist():
+        r_factor[row] = ""
+    columns = (
+        flow_id, codec.tolist(), *(getattr(table, name).tolist() for name in CDR_COLUMNS[2:6]), r_factor,
+        *((score + 0.0).tolist() for score in scores),  # + 0.0 turns -0.0 into 0.0
+    )
+    line = _CDR_LINE + ",%.6g" * len(scores) + "\n"
+    return line * len(table) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 def write_cdr_csv(table: CdrTable, stream: IO[str]) -> None:
-    """Write a table in the CDR schema; a parse(write(table)) round trip
-    reproduces its rows exactly."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CDR_COLUMNS)
+    """Write a table in the CDR schema, ``CHUNK_ROWS`` rows at a time; a
+    parse(write(table)) round trip reproduces its rows exactly."""
+    stream.write(",".join(CDR_COLUMNS) + "\n")
     for start in range(0, len(table), CHUNK_ROWS):
-        writer.writerows(zip(*cdr_columns(table.take(slice(start, start + CHUNK_ROWS)))))
+        stream.write(cdr_lines(table.take(slice(start, start + CHUNK_ROWS))))
 
 
 def summarize_dataset(table: CdrTable, rejects: Sequence[RejectedRow]) -> dict:

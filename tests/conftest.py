@@ -4,6 +4,7 @@ scalar oracles of the array code."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from collections import Counter
@@ -12,7 +13,7 @@ from typing import IO
 import numpy as np
 
 from volteqa.analytics import BinnedSeries, SurfaceGrid, uniform_edges
-from volteqa.cli import CliError
+from volteqa.cli import CliError, format_g6
 from volteqa.emodel import LOSS_IMPAIRMENT_CEILING, CodecProfile
 from volteqa.ingest import (
     CDR_COLUMNS,
@@ -520,6 +521,23 @@ def reference_parse_cdr_csv(stream: IO[str]) -> tuple[list[tuple], list[Rejected
             continue
         rows.append((flow_id, *values))
     return rows, rejects
+
+
+def reference_cdr_lines(table: CdrTable, *scores: np.ndarray) -> str:
+    """Scalar oracle for ``ingest.cdr_lines``: a ``csv.writer`` row per
+    table row, floats by ``repr``, an absent r_factor as an empty field and
+    each score by ``format_g6``.  The writer ends its rows with CR LF, which
+    makes it quote a CR in a field as well as a LF on every Python; each
+    row's own CR LF then becomes LF."""
+    lines = []
+    for (flow_id, codec, tx, rx, avg_j, max_j, r), *values in zip(table.rows(), *(s.tolist() for s in scores)):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow([
+            flow_id, codec.value, tx, rx, repr(avg_j), repr(max_j), "" if r is None else repr(r),
+            *map(format_g6, values),
+        ])
+        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 def reference_read_samples(

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -20,10 +21,11 @@ from conftest import (
     burst_sweep,
     line_curve,
     reference_read_samples,
+    table_from_rows,
 )
 from volteqa import cli, ingest
 from volteqa.cli import CliError, main
-from volteqa.ingest import CDR_COLUMNS, Codec
+from volteqa.ingest import CDR_COLUMNS, Codec, RejectedRow, RejectReason, summarize_dataset
 
 DATA = Path(__file__).parent / "data"
 
@@ -132,6 +134,49 @@ def test_score_schema_error_is_fatal(tmp_path, capsys):
 def test_score_missing_input_is_fatal(tmp_path, capsys):
     assert run("score", "--input", tmp_path / "nope.csv", "--output", tmp_path / "o.csv") == 1
     assert "INPUT_NOT_FOUND" in capsys.readouterr().err
+
+
+def test_score_quotes_a_flow_id_with_a_carriage_return(tmp_path, capsys):
+    # An unquoted CR would end the row for fit's reader.
+    source = tmp_path / "cr.csv"
+    source.write_bytes((DATA / "cdr_golden.csv").read_bytes() + b'"a\rb",AMR,200,190,1.0,2.0,\n')
+    out_csv = tmp_path / "scored.csv"
+    assert run("score", "--input", source, "--output", out_csv) == 0
+    assert [r["flow_id"] for r in read_rows(out_csv)] == ["uplink-001", "uplink-002", "uplink-003", "a\rb"]
+    assert run("fit", "--input", out_csv, "--output", tmp_path / "fit.json",
+               "--model", "linear", "--codec", "AMR") == 0
+    assert "skipped rows" not in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    count=st.sampled_from([0, 1, 40]),
+    details=st.lists(st.one_of(st.text(), st.just('É"\\\x01')), min_size=40, max_size=40),
+    first_line=st.integers(2, 10**12),
+    codecs=st.lists(st.sampled_from(list(Codec)), max_size=5),
+)
+def test_summary_text_is_json_dumps(count, details, first_line, codecs):
+    reasons = itertools.cycle(RejectReason)
+    rejects = [RejectedRow(first_line + i, next(reasons), detail) for i, detail in enumerate(details[:count])]
+    table = table_from_rows([(f"f{i}", codec, 10, 9, 1.0, 2.0, 50.0) for i, codec in enumerate(codecs)])
+    summary = summarize_dataset(table, rejects)
+    assert cli._summary_json(summary) == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+def test_score_summary_is_json_dumps(tmp_path):
+    source = tmp_path / "rejects.csv"
+    source.write_text(
+        (DATA / "cdr_golden.csv").read_text() + 'e1,"É""\\\x01",10,9,1.0,2.0,\ne2,AMR,x,9,1.0,2.0,\n',
+        encoding="utf-8",
+    )
+    assert run("score", "--input", source, "--output", tmp_path / "scored.csv") == 0
+    text = (tmp_path / "scored.csv.summary.json").read_text(encoding="utf-8")
+    summary = json.loads(text)
+    assert summary["rejected"]["rows"] == [
+        {"line_no": 5, "reason": "UNSUPPORTED_CODEC", "detail": "codec 'É\"\\\\\\x01'"},
+        {"line_no": 6, "reason": "BAD_FIELD", "detail": "tx_packets: not an integer: 'x'"},
+    ]
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 def test_score_codec_filter(tmp_path):
@@ -545,9 +590,10 @@ def test_blank_cells_read_as_empty(tmp_path, capsys):
 SCORED_NAMES = ["codec", "p_loss", "max_jitter_ms", "r_factor", "r_factor_computed", "mos"]
 # Finite numbers (the Unicode one is Arabic-Indic 12) three times as often
 # as blank, padded, non-numeric and non-finite cells; codecs likewise.
+# \x1c-\x1f are whitespace to strip() but not to float().
 NUMBER_CELLS = st.sampled_from(
-    ["0.05", " 0.1 ", "-0.0", "7", "1e-3", "1_000", "+5", "\u0661\u0662", "0.15", "80"] * 3
-    + ["", "  ", "nan", "inf", "1e999", "abc"]
+    ["0.05", " 0.1 ", "-0.0", "7", "1e-3", "1_000", "+5", "\u0661\u0662", "\x1c0.15\x1f", "80"] * 3
+    + ["", "  ", "\x1d", "nan", "inf", "1e999", "abc"]
 )
 CODEC_CELLS = st.sampled_from(["AMR", "AMR-WB"] * 3 + ["EVS", "", " AMR"])
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_parse_cdr_csv, reference_validate_record, table_from_rows
+from conftest import reference_cdr_lines, reference_parse_cdr_csv, reference_validate_record, table_from_rows
 from volteqa import ingest
+from volteqa.cli import round_g6, round_g6_column
 from volteqa.ingest import (
     CDR_COLUMNS,
     Bandwidth,
@@ -130,12 +131,14 @@ def test_table_take_selects_rows_of_every_column():
 
 
 finite_floats = st.floats(min_value=0, max_value=1e6, allow_nan=False)
+# Flow ids with the characters a CSV field must quote, non-ASCII text, or nothing.
+FLOW_ID_TEXT = st.text(alphabet=st.one_of(st.characters(min_codepoint=32), st.sampled_from(',"\r\n')), max_size=12)
 
 
 @given(
     st.lists(
         st.tuples(
-            st.text(alphabet=st.characters(blacklist_characters=",\r\n\"", min_codepoint=32), max_size=12),
+            FLOW_ID_TEXT,
             st.sampled_from(list(Codec)),
             st.integers(min_value=0, max_value=10**9),
             st.integers(min_value=0, max_value=10**9),
@@ -164,6 +167,44 @@ def test_write_parse_round_trip(raw_rows, count_scale):
     assert rejects == []
     assert list(reparsed.rows()) == rows
     assert (reparsed.tx_packets.dtype == object) is big
+
+
+# Scores that test the 6-digit format: signed zeros, NaN, infinities,
+# subnormals and decimal ties at the 7th digit (exact for small exponents).
+SCORE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 2.2e-308 / 3]),
+    st.builds(lambda digits, exp: float(f"{digits}5e{exp}"), st.integers(100_000, 999_999), st.integers(-30, 30)),
+)
+
+
+@st.composite
+def tables_and_scores(draw):
+    """A table with any flow ids, counts in int64 or beyond it, any floats
+    and NaN for absent r_factors, and up to three score columns."""
+    width = draw(st.integers(0, 3))
+    counts = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-(10**30), 10**30))
+    rows = draw(st.lists(st.tuples(
+        FLOW_ID_TEXT, st.sampled_from(list(Codec)), counts, counts, st.floats(), st.floats(),
+        st.one_of(st.none(), st.floats()), st.lists(SCORE_FLOATS, min_size=width, max_size=width),
+    ), max_size=12))
+    scores = [np.array([row[-1][k] for row in rows], dtype=float) for k in range(width)]
+    return table_from_rows([row[:-1] for row in rows]), scores
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tables_and_scores())
+def test_written_lines_match_csv_writer_oracle(chunk, table_scores):
+    table, scores = table_scores
+    assert ingest.cdr_lines(table, *scores) == reference_cdr_lines(table, *scores)
+    buffer = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "CHUNK_ROWS", chunk)
+        write_cdr_csv(table, buffer)
+    assert buffer.getvalue() == HEADER + "\n" + reference_cdr_lines(table)
+    for column in scores:  # simulate rounds with the same format
+        assert repr(round_g6_column(column).tolist()) == repr([round_g6(v) for v in column.tolist()])
 
 
 def test_empty_table_writes_only_the_header():
