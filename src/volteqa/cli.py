@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import operator
 import sys
 from collections import Counter
 from datetime import datetime, timezone
@@ -42,11 +41,13 @@ from volteqa.ingest import (
     CODEC_INDEX,
     CdrTable,
     Codec,
+    CsvBlock,
     SchemaError,
     cdr_lines,
+    codec_codes,
+    csv_blocks,
     finite_floats,
     parse_cdr_csv,
-    row_chunks,
     summarize_dataset,
     write_cdr_csv,
 )
@@ -277,8 +278,8 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
     groups: dict[Codec, list[np.ndarray]] = {codec: [] for codec in Codec}
     skipped: Counter[str] = Counter()
     with _open(path, "INPUT") as handle:
-        reader = csv.reader(handle)
-        index = {name: i for i, name in enumerate(next(reader, []))}
+        header, blocks = csv_blocks(handle)
+        index = {name: i for i, name in enumerate(header or ())}
         missing = {"codec", *columns} - set(index)
         if missing:
             raise CliError(
@@ -288,8 +289,8 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
         if not quality:
             raise CliError("SCHEMA", "scored CSV needs an r_factor or r_factor_computed column")
         read = [index[c] for c in ("codec", *columns, *quality)]
-        for rows in row_chunks(reader):
-            code, samples = _sample_chunk(rows, read, columns, quality, wanted, skipped)
+        for block in blocks:
+            code, samples = _sample_chunk(block, read, columns, quality, wanted, skipped)
             for i, codec in enumerate(Codec):
                 part = samples[code == i]
                 if len(part):
@@ -301,21 +302,17 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
 
 
 def _sample_chunk(
-    rows: list[list[str]], read: list[int], columns: tuple[str, ...], quality: list[str],
+    block: CsvBlock, read: list[int], columns: tuple[str, ...], quality: list[str],
     wanted: Codec | None, skipped: Counter[str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The codec index (position in Codec) and the sample of each kept row
-    of a chunk; skipped rows are counted in ``skipped`` by reason.
+    of a block; skipped rows are counted in ``skipped`` by reason.
 
     ``read`` holds the indices of the codec cell, of each named column and
     of each quality column.
     """
-    rows = [row for row in rows if row]
-    top = max(read)
-    if rows and min(map(len, rows)) <= top:
-        rows = [row + [""] * (top + 1 - len(row)) for row in rows]
-    codec_cells, *cells = zip(*map(operator.itemgetter(*read), rows)) if rows else [()] * len(read)
-    code = np.array([CODEC_INDEX.get(text, -1) for text in codec_cells], dtype=np.intp)
+    codec_cells, *cells = _read_cells(block, read)
+    code = codec_codes(codec_cells)
     unknown = int(np.count_nonzero(code < 0))
     if unknown:
         skipped["unknown codec"] += unknown
@@ -344,6 +341,22 @@ def _sample_chunk(
     skipped.update(reason for row, reason in failed.items() if kept[row])
     kept[list(failed)] = False
     return code[kept], np.column_stack(values)[kept]
+
+
+def _read_cells(block: CsvBlock, read: list[int]) -> list[Sequence[str]]:
+    """The cells at each index in ``read`` of a block's rows that are not
+    blank, in file order; a row too short to have one gives an empty cell."""
+    if not block.others:
+        return [block.columns[i] for i in read]
+    fields = block.fields[block.fields > 0]
+    full = fields == len(block.columns)
+    cells = []
+    for i in read:
+        column = np.empty(len(fields), dtype=object)
+        column[full] = np.array(block.columns[i], dtype=object)
+        column[~full] = np.array([row[i] if i < len(row) else "" for row in block.others], dtype=object)
+        cells.append(column.tolist())
+    return cells
 
 
 def _cell_value(cell: str) -> tuple[float, str | None]:

@@ -16,7 +16,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class RejectReason(str, enum.Enum):
     R_OUT_OF_RANGE = "R_OUT_OF_RANGE"
 
 
-# No generated ==: arrays compare element by element.  Compare rows().
+# No generated ==: arrays compare element by element.
 @dataclass(frozen=True, eq=False)
 class CdrTable:
     """CDR rows as columns, one per CDR column.
@@ -97,11 +97,6 @@ class CdrTable:
     def take(self, rows) -> CdrTable:
         """The table of the rows that ``rows`` (a slice, mask or indices) selects."""
         return CdrTable(*(getattr(self, name)[rows] for name in CDR_COLUMNS))
-
-    def rows(self) -> Iterator[tuple]:
-        """The rows as tuples in column order, None for an absent r_factor."""
-        r_factor = [None if r != r else r for r in self.r_factor.tolist()]
-        return zip(*(getattr(self, name).tolist() for name in CDR_COLUMNS[:-1]), r_factor)
 
 
 def _counts(values: Sequence[int]) -> np.ndarray:
@@ -139,11 +134,79 @@ def parse_float(text: str, name: str) -> float:
     return value
 
 
-def row_chunks(reader: Iterator[list[str]]) -> Iterator[list[list[str]]]:
-    """The reader's rows in lists of up to ``CHUNK_ROWS``, blank rows
-    included, so a chunk may hold no data row."""
-    while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
-        yield chunk
+class CsvBlock(NamedTuple):
+    """Consecutive rows of a CSV file, split as ``csv.reader`` splits them.
+
+    ``fields`` holds each row's field count, 0 for a blank row.
+    ``columns`` holds the cells of the rows as wide as the header, one
+    sequence per column, and ``others`` the rows of any other width but 0,
+    in file order.
+    """
+
+    fields: np.ndarray
+    columns: Sequence[Sequence[str]]
+    others: list[list[str]]
+
+
+def csv_blocks(stream: IO[str]) -> tuple[list[str] | None, Iterator[CsvBlock]]:
+    """The header row of a CSV text stream, None if the stream is empty,
+    and the rows after it in blocks of up to ``CHUNK_ROWS``.
+
+    A block of lines that holds no quote, CR or NUL and no line longer
+    than ``csv.field_size_limit()`` is split on commas in one pass.  From
+    the first block that does, ``csv.reader`` reads the rest of the
+    stream: a quoted field may span lines.
+    """
+    lines = iter(stream)
+    # csv.reader takes only the lines of the header row, however many.
+    header = next(csv.reader(lines), None)
+    return header, _line_blocks(lines, len(header or ()))
+
+
+def _line_blocks(lines: Iterator[str], width: int) -> Iterator[CsvBlock]:
+    while block := list(itertools.islice(lines, CHUNK_ROWS)):
+        split = _split_lines(block, width)
+        if split is None:
+            yield from _reader_blocks(csv.reader(itertools.chain(block, lines)), width)
+            return
+        yield split
+
+
+def _split_lines(lines: list[str], width: int) -> CsvBlock | None:
+    """The block of ``lines``, or None when only csv.reader can split them."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    if not text.endswith("\n"):  # the last line of a file may have no newline
+        text += "\n"
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    sizes = np.diff(ends, prepend=-1)  # each line's bytes, its newline included
+    if sizes.max() > csv.field_size_limit():  # no field of a shorter line is longer
+        return None
+    fields = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0) + 1
+    fields[sizes == 1] = 0
+    full = fields == width
+    if not full.all():
+        text = "".join(itertools.compress(lines, full.tolist()))
+    parts = text.replace("\n", ",").split(",")
+    stop = width * int(np.count_nonzero(full))  # a final newline leaves one empty part beyond
+    others = np.flatnonzero(~full & (fields > 0)).tolist()
+    return CsvBlock(
+        fields,
+        [parts[column:stop:width] for column in range(width)],
+        [lines[row].rstrip("\n").split(",") for row in others],
+    )
+
+
+def _reader_blocks(reader: Iterator[list[str]], width: int) -> Iterator[CsvBlock]:
+    while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+        full = [row for row in rows if len(row) == width]
+        yield CsvBlock(
+            np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)),
+            list(zip(*full)) if full else [()] * width,
+            [row for row in rows if len(row) not in (0, width)],
+        )
 
 
 def parse_cdr_csv(stream: IO[str]) -> tuple[CdrTable, list[RejectedRow]]:
@@ -152,24 +215,23 @@ def parse_cdr_csv(stream: IO[str]) -> tuple[CdrTable, list[RejectedRow]]:
     Every data row becomes exactly one table row or one RejectedRow, in
     file order.  ``line_no`` is the 1-based line number (the header is
     line 1).  A missing or unknown header raises SchemaError.  Rows are
-    read ``CHUNK_ROWS`` at a time and checked column by column.
+    read in the blocks of ``csv_blocks`` and checked column by column.
     """
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty input: expected header " + ",".join(CDR_COLUMNS)) from None
+    header, blocks = csv_blocks(stream)
+    if header is None:
+        raise SchemaError("empty input: expected header " + ",".join(CDR_COLUMNS))
     if tuple(header) != CDR_COLUMNS:
         raise SchemaError(
             f"unexpected header {','.join(header)!r}; expected {','.join(CDR_COLUMNS)!r}"
         )
 
     rejects: list[RejectedRow] = []
-    tables = [_parse_chunk([], 2, rejects)]  # the empty table of a header-only file
+    # The empty table of a header-only file.
+    tables = [_parse_chunk(CsvBlock(np.zeros(0, dtype=np.intp), [()] * len(CDR_COLUMNS), []), 2, rejects)]
     line_no = 2
-    for rows in row_chunks(reader):
-        tables.append(_parse_chunk(rows, line_no, rejects))
-        line_no += len(rows)
+    for block in blocks:
+        tables.append(_parse_chunk(block, line_no, rejects))
+        line_no += len(block.fields)
     return CdrTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in CDR_COLUMNS)), rejects
 
 
@@ -178,8 +240,13 @@ _CODECS = tuple(Codec)
 CODEC_INDEX = {codec.value: index for index, codec in enumerate(_CODECS)}
 
 
-def _parse_chunk(rows: list[list[str]], first_line: int, rejects: list[RejectedRow]) -> CdrTable:
-    """The table of a chunk's accepted rows; its rejects go to ``rejects``
+def codec_codes(texts: Sequence[str]) -> np.ndarray:
+    """Each text's position in Codec, or -1 if it names no codec."""
+    return np.fromiter(map(CODEC_INDEX.get, texts, itertools.repeat(-1)), dtype=np.intp, count=len(texts))
+
+
+def _parse_chunk(block: CsvBlock, first_line: int, rejects: list[RejectedRow]) -> CdrTable:
+    """The table of a block's accepted rows; its rejects go to ``rejects``
     in line order.
 
     Each check runs on a whole column, and a row keeps the first one it
@@ -189,22 +256,20 @@ def _parse_chunk(rows: list[list[str]], first_line: int, rejects: list[RejectedR
     R-factor outside [0, r_max] for the row's codec.
     """
     width = len(CDR_COLUMNS)
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    positions = np.flatnonzero(lengths == width).tolist()
+    positions = np.flatnonzero(block.fields == width).tolist()
+    ragged = np.flatnonzero((block.fields != width) & (block.fields > 0))  # blank rows are skipped
     chunk_rejects = [
-        (i, RejectReason.BAD_FIELD, f"expected {width} fields, got {len(rows[i])}")
-        for i in np.flatnonzero((lengths != width) & (lengths > 0)).tolist()
+        (i, RejectReason.BAD_FIELD, f"expected {width} fields, got {n}")
+        for i, n in zip(ragged.tolist(), block.fields[ragged].tolist())
     ]
-    if len(positions) < len(rows):  # blank rows are skipped
-        rows = [rows[i] for i in positions]
 
     failed: dict[int, tuple[RejectReason, str]] = {}  # row -> its first failed check
 
     def fail(row: int, reason: RejectReason, detail: str) -> None:
         failed.setdefault(row, (reason, detail))
 
-    flow_id, codec_text, tx_text, rx_text, avg_text, max_text, r_text = zip(*rows) if rows else [()] * width
-    code = np.array([CODEC_INDEX.get(text, -1) for text in codec_text], dtype=np.intp)
+    flow_id, codec_text, tx_text, rx_text, avg_text, max_text, r_text = block.columns
+    code = codec_codes(codec_text)
     for row in np.flatnonzero(code < 0).tolist():
         fail(row, RejectReason.UNSUPPORTED_CODEC, f"codec {codec_text[row]!r}")
     tx = _int_column(tx_text, "tx_packets", fail)
@@ -226,7 +291,7 @@ def _parse_chunk(rows: list[list[str]], first_line: int, rejects: list[RejectedR
 
     chunk_rejects += [(positions[row], reason, detail) for row, (reason, detail) in failed.items()]
     rejects.extend(RejectedRow(first_line + i, reason, detail) for i, reason, detail in sorted(chunk_rejects))
-    keep = np.ones(len(rows), dtype=bool)
+    keep = np.ones(len(positions), dtype=bool)
     keep[list(failed)] = False
     # Counts are narrowed again after the selection: a count beyond int64
     # in a rejected row must not make the column an object array.
@@ -247,24 +312,22 @@ _Fail = Callable[[int, RejectReason, str], None]
 def _int_column(texts: Sequence[str], name: str, fail: _Fail) -> np.ndarray:
     """The integers in ``texts``; a text that is not one reads as 0 and
     fails its row as a BAD_FIELD."""
+    # Plain decimals convert at once; any other text, such as a sign,
+    # spaces or a typo, converts or fails on its own.
+    odd = [row for row, text in enumerate(texts) if not text.isdecimal()]
+    values = list(texts)
+    for row in odd:
+        values[row] = "0"
     try:
-        values = list(map(int, texts))
-    except ValueError:  # convert again without raising, then name the failed texts
-        values = list(map(_int_or_none, texts))
-        for row in [row for row, value in enumerate(values) if value is None]:
-            values[row] = 0
-            try:
-                parse_int(texts[row], name)  # raises: the text is not an integer
-            except ValueError as exc:
-                fail(row, RejectReason.BAD_FIELD, str(exc))
+        values = list(map(int, values))
+    except ValueError:  # a decimal beyond int()'s digit limit
+        odd, values = range(len(texts)), [0] * len(texts)
+    for row in odd:
+        try:
+            values[row] = parse_int(texts[row], name)
+        except ValueError as exc:
+            fail(row, RejectReason.BAD_FIELD, str(exc))
     return _counts(values)
-
-
-def _int_or_none(text: str) -> int | None:
-    try:
-        return int(text)
-    except ValueError:
-        return None
 
 
 def _float_column(texts: Sequence[str], name: str, fail: _Fail, optional: bool = False) -> np.ndarray:

@@ -454,6 +454,12 @@ def table_from_rows(rows) -> CdrTable:
     return CdrTable(*objects, counts(tx), counts(rx), *(np.array(c, dtype=float) for c in floats))
 
 
+def table_rows(table: CdrTable) -> list[tuple]:
+    """The table's rows as tuples in column order, None for an absent r_factor."""
+    r_factor = [None if r != r else r for r in table.r_factor.tolist()]
+    return list(zip(*(getattr(table, name).tolist() for name in CDR_COLUMNS[:-1]), r_factor))
+
+
 def reference_validate_record(
     codec: Codec, tx_packets: int, rx_packets: int, avg_jitter_ms: float, max_jitter_ms: float,
     r_factor: float | None,
@@ -530,7 +536,7 @@ def reference_cdr_lines(table: CdrTable, *scores: np.ndarray) -> str:
     makes it quote a CR in a field as well as a LF on every Python; each
     row's own CR LF then becomes LF."""
     lines = []
-    for (flow_id, codec, tx, rx, avg_j, max_j, r), *values in zip(table.rows(), *(s.tolist() for s in scores)):
+    for (flow_id, codec, tx, rx, avg_j, max_j, r), *values in zip(table_rows(table), *(s.tolist() for s in scores)):
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\r\n").writerow([
             flow_id, codec.value, tx, rx, repr(avg_j), repr(max_j), "" if r is None else repr(r),

@@ -439,6 +439,34 @@ def test_fit_reproduces_golden_on_scored_sim_dataset(tmp_path):
     assert (tmp_path / "fit.bins.csv").read_bytes() == (DATA / "sim_golden.fit.bins.csv").read_bytes()
 
 
+def _rewrite(source: Path, target: Path, how: str) -> Path:
+    """A copy of a CSV with CR LF line ends, or with every flow id quoted."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    if how == "quoted_ids":
+        lines[1:] = ['"' + line.replace(",", '",', 1) for line in lines[1:]]
+    target.write_bytes(("\r\n" if how == "crlf" else "\n").join(lines + [""]).encode())
+    return target
+
+
+@pytest.mark.parametrize("how", ["crlf", "quoted_ids"])
+def test_stages_reproduce_goldens_from_text_for_csv_reader(tmp_path, how):
+    # Such text leaves the comma splitter for csv.reader; the outputs are
+    # those of the plain text.
+    source = _rewrite(DATA / "cdr_golden.csv", tmp_path / "cdr.csv", how)
+    assert source.read_bytes() != (DATA / "cdr_golden.csv").read_bytes()
+    assert run("score", "--input", source, "--output", tmp_path / "s.csv", "--summary", tmp_path / "s.json") == 0
+    assert (tmp_path / "s.csv").read_bytes() == (DATA / "cdr_golden.scored.csv").read_bytes()
+    assert (tmp_path / "s.json").read_bytes() == (DATA / "cdr_golden.summary.json").read_bytes()
+
+    scored = _rewrite(_score_sim_golden(tmp_path), tmp_path / "sim_scored.csv", how)
+    assert run("fit", "--input", scored, "--output", tmp_path / "fit.json", "--model", "both") == 0
+    assert (tmp_path / "fit.json").read_bytes() == (DATA / "sim_golden.fit.json").read_bytes()
+    assert (tmp_path / "fit.bins.csv").read_bytes() == (DATA / "sim_golden.fit.bins.csv").read_bytes()
+    for extra, golden in (((), "sim_golden.report.csv"), (("--j-range", "0:20"), "sim_golden.report_j20.csv")):
+        assert run("report", "--input", scored, "--output", tmp_path / "grid.csv", *extra) == 0
+        assert (tmp_path / "grid.csv").read_bytes() == (DATA / golden).read_bytes()
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -601,7 +629,8 @@ CODEC_CELLS = st.sampled_from(["AMR", "AMR-WB"] * 3 + ["EVS", "", " AMR"])
 @st.composite
 def scored_csv(draw) -> str:
     """A scored CSV: the header names in any order, some left out and some
-    repeated; then blank, short, long and full rows."""
+    repeated; then blank, short, long and full rows.  Lines end in LF or
+    CR LF, and cells are quoted where they must be or all of them."""
     names = draw(st.permutations(SCORED_NAMES))
     header = names[: draw(st.integers(3, len(names)))]
     header += draw(st.lists(st.sampled_from(SCORED_NAMES), max_size=2))
@@ -609,7 +638,11 @@ def scored_csv(draw) -> str:
     short, long = full.map(lambda r: r[: len(r) // 2]), full.map(lambda r: r + ["x"])
     row = st.one_of(full, full, full, short, long, st.just([]))
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows([header, *draw(st.lists(row, max_size=12))])
+    csv.writer(
+        buffer,
+        lineterminator=draw(st.sampled_from(["\n", "\n", "\r\n"])),
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+    ).writerows([header, *draw(st.lists(row, max_size=12))])
     return buffer.getvalue()
 
 
@@ -668,6 +701,7 @@ def _bad_input_files(tmp_path: Path) -> None:
     (tmp_path / "dir").mkdir()
     # One field beyond the csv module's default 128 KiB field limit.
     (tmp_path / "huge_field.csv").write_text(f"{','.join(CDR_COLUMNS)}\n{'x' * 200_000},AMR\n")
+    (tmp_path / "huge_scored_field.csv").write_text(f"{SCORED_HEADER}\nf1,AMR\n{'x' * 200_000},AMR\n")
     # The largest jitter is the smallest subnormal float: the default
     # jitter range 0:max is too narrow to split into distinct bin edges.
     (tmp_path / "tiny_jitter.csv").write_text(
@@ -690,6 +724,8 @@ def _bad_input_files(tmp_path: Path) -> None:
         ("fit --input {tmp}/latin1.txt --output {tmp}/o.json", "SCHEMA"),
         ("report --input {tmp}/latin1.txt --output {tmp}/o.csv", "SCHEMA"),
         ("score --input {tmp}/huge_field.csv --output {tmp}/o.csv", "SCHEMA"),
+        ("fit --input {tmp}/huge_scored_field.csv --output {tmp}/o.json", "SCHEMA"),
+        ("report --input {tmp}/huge_scored_field.csv --output {tmp}/o.csv", "SCHEMA"),
         ("simulate --config {tmp}/dir --output {tmp}/o.csv", "CONFIG_UNREADABLE"),
         ("score --input {cdr} --output {tmp}/o.csv --config {tmp}/dir", "CONFIG_UNREADABLE"),
         ("score --input {tmp}/dir --output {tmp}/o.csv", "INPUT_UNREADABLE"),

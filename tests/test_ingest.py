@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_cdr_lines, reference_parse_cdr_csv, reference_validate_record, table_from_rows
+from conftest import (
+    reference_cdr_lines,
+    reference_parse_cdr_csv,
+    reference_validate_record,
+    table_from_rows,
+    table_rows,
+)
 from volteqa import ingest
 from volteqa.cli import round_g6, round_g6_column
 from volteqa.ingest import (
@@ -42,7 +48,7 @@ def test_codec_scale_ceilings():
 def test_parse_single_valid_row():
     table, rejects = parse_text(f"{HEADER}\nf1,AMR,1000,990,5.0,20.0,\n")
     assert rejects == []
-    assert list(table.rows()) == [("f1", Codec.AMR, 1000, 990, 5.0, 20.0, None)]
+    assert table_rows(table) == [("f1", Codec.AMR, 1000, 990, 5.0, 20.0, None)]
     assert table.tx_packets.dtype == np.int64
     assert np.isnan(table.r_factor[0])
 
@@ -124,10 +130,10 @@ def test_table_take_selects_rows_of_every_column():
          for i in range(5)]
     )
     assert len(table) == 5
-    expected = list(table.rows())
-    assert list(table.take(table.codec == Codec.AMR).rows()) == [expected[1], expected[3]]
-    assert list(table.take(slice(2, 4)).rows()) == expected[2:4]
-    assert list(table.take(np.array([4, 0])).rows()) == [expected[4], expected[0]]
+    expected = table_rows(table)
+    assert table_rows(table.take(table.codec == Codec.AMR)) == [expected[1], expected[3]]
+    assert table_rows(table.take(slice(2, 4))) == expected[2:4]
+    assert table_rows(table.take(np.array([4, 0]))) == [expected[4], expected[0]]
 
 
 finite_floats = st.floats(min_value=0, max_value=1e6, allow_nan=False)
@@ -165,7 +171,7 @@ def test_write_parse_round_trip(raw_rows, count_scale):
     buffer.seek(0)
     reparsed, rejects = parse_cdr_csv(buffer)
     assert rejects == []
-    assert list(reparsed.rows()) == rows
+    assert table_rows(reparsed) == rows
     assert (reparsed.tx_packets.dtype == object) is big
 
 
@@ -272,9 +278,9 @@ def parse_in_chunks(text: str, chunk: int):
 def assert_parse_matches_oracle(text: str, chunk: int) -> None:
     table, rejects = parse_in_chunks(text, chunk)
     rows, expected_rejects = reference_parse_cdr_csv(io.StringIO(text))
-    assert list(table.rows()) == rows
+    assert table_rows(table) == rows
     # repr tells -0.0 from 0.0 and a float from an equal int.
-    assert repr(list(table.rows())) == repr(rows)
+    assert repr(table_rows(table)) == repr(rows)
     assert rejects == expected_rejects
     expected = table_from_rows(rows)
     for name in CDR_COLUMNS:
@@ -288,7 +294,7 @@ BAD_COUNTS = ["-3", str(-(2**63) - 1), "abc", "", "1.5", "1e3"]
 GOOD_FLOATS = ["0", "1.5", "-0.0", " 2.5 ", "1_000", "+5", "\u0661\u0662", "20", "5e-324", "1e3"]
 BAD_FLOATS = ["nan", "inf", "-inf", "1e999", "-1", "abc", ""]
 GOOD_R = ["", "0", "-0.0", "99.5", "100", "100.5", "129", "130"]
-FLOW_IDS = st.sampled_from(["f1", "", " f 2 ", "a,b", 'q"t', "same"])
+FLOW_IDS = st.sampled_from(["f1", "", " f 2 ", "a,b", 'q"t', "same", "l\nf", "\u00e9t\u00e9"])
 good_row = st.tuples(
     FLOW_IDS, st.sampled_from(["AMR", "AMR-WB"]), *[st.sampled_from(GOOD_COUNTS)] * 2,
     *[st.sampled_from(GOOD_FLOATS)] * 2, st.sampled_from(GOOD_R),
@@ -307,17 +313,17 @@ cdr_rows = st.one_of(
 )
 
 
-def csv_text(rows) -> str:
+def csv_text(rows, line_end: str = "\n") -> str:
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows([CDR_COLUMNS, *rows])
+    csv.writer(buffer, lineterminator=line_end).writerows([CDR_COLUMNS, *rows])
     return buffer.getvalue()
 
 
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(rows=st.lists(cdr_rows, max_size=14))
-def test_parse_matches_per_row_oracle(chunk, rows):
-    assert_parse_matches_oracle(csv_text(rows), chunk)
+@given(rows=st.lists(cdr_rows, max_size=14), line_end=st.sampled_from(["\n", "\n", "\r\n"]))
+def test_parse_matches_per_row_oracle(chunk, rows, line_end):
+    assert_parse_matches_oracle(csv_text(rows, line_end), chunk)
 
 
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
@@ -350,8 +356,107 @@ def test_counts_beyond_int64_in_some_chunks_stay_exact(chunk):
 
 
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_count_beyond_the_int_digit_limit_matches_oracle(chunk):
+    # int() refuses a decimal of more than 4,300 digits by default since
+    # Python 3.11, so such a count is a BAD_FIELD there.
+    text = f"{HEADER}\nf1,AMR,10,-1,1.0,2.0,\nf2,AMR,{'9' * 5000},9,1.0,2.0,\nf3,AMR,1x,9,1.0,2.0,\n"
+    assert_parse_matches_oracle(text, chunk)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
 def test_count_beyond_int64_in_a_rejected_row_keeps_int64(chunk):
     text = f"{HEADER}\nf1,AMR,10,9,1.0,2.0,\nf2,EVS,{2**70},9,1.0,2.0,\nf3,AMR,{2**70},9,5.0,1.0,\n"
     table, rejects = parse_in_chunks(text, chunk)
     assert [r.reason for r in rejects] == [RejectReason.UNSUPPORTED_CODEC, RejectReason.INCONSISTENT_JITTER]
     assert table.tx_packets.dtype == np.int64
+
+
+# ------------------------------------------------------ block splitter
+
+
+def block_rows(block: ingest.CsvBlock) -> list[list[str]]:
+    """A block's rows as csv.reader gives them."""
+    full, others = zip(*block.columns), iter(block.others)
+    width = len(block.columns)
+    rows = [[] if n == 0 else list(next(full)) if n == width else next(others) for n in block.fields.tolist()]
+    assert next(full, None) is None and next(others, None) is None
+    return rows
+
+
+def split_text(text: str, chunk: int):
+    """The header and rows of ``csv_blocks`` over a stream that splits
+    lines as a file opened with ``newline=""`` does, or its csv.Error."""
+    sizes = []
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "CHUNK_ROWS", chunk)
+            header, blocks = ingest.csv_blocks(io.StringIO(text, newline=""))
+            rows = []
+            for block in blocks:
+                sizes.append(len(block.fields))
+                rows += block_rows(block)
+    except csv.Error as exc:
+        return "csv.Error", str(exc)
+    # Every block is full but the last, so a block's rows start where the
+    # one before ended.
+    assert sizes[:-1] == [chunk] * (len(sizes) - 1) and 0 not in sizes
+    return header, rows
+
+
+def read_text(text: str):
+    """The header and rows of ``csv.reader`` over the same stream, or its csv.Error."""
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        return "csv.Error", str(exc)
+    return (rows[0], rows[1:]) if rows else (None, [])
+
+
+# A field limit that short lines reach: a field beyond it is a csv.Error,
+# and a longer line of short fields is not.
+SHORT_FIELD_LIMIT = 16
+HEADERS = st.sampled_from(["h1,h2,h3\n"] * 4 + ["h\n", "\n", "", '"h1","h\n2"\n', "h1,h2\r\n"])
+# Plain pieces: cells, commas, newlines, spaces and non-ASCII text (one
+# character of four bytes in UTF-8).
+PLAIN_PIECES = st.sampled_from(["a", "1.5", "", ",", ",", "\n", "\n", " ", "\u00e9t\u00e9", "\u0661\u0662", "\U0001f600"])
+# Then what only csv.reader splits: quotes (one quoted field holds a
+# newline), CR LF and lone CR line ends, NUL and fields and lines beyond
+# the short limit.
+ANY_PIECES = st.one_of(
+    PLAIN_PIECES,
+    st.sampled_from(["\r\n", "\r", '"q,\n"', '"x""y"', '"', "\0", "x" * (SHORT_FIELD_LIMIT + 1), "b," * SHORT_FIELD_LIMIT]),
+)
+
+
+@pytest.mark.parametrize("limit", [None, SHORT_FIELD_LIMIT], ids=["default_limit", "short_limit"])
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(header=HEADERS, plain=st.lists(PLAIN_PIECES, max_size=30), tail=st.lists(ANY_PIECES, max_size=12))
+def test_csv_blocks_match_csv_reader(limit, chunk, header, plain, tail):
+    # Plain lines first, so that blocks before the first that csv.reader
+    # must read are split on commas.  NUL is an error of csv.reader up to
+    # Python 3.10 and a plain character since 3.11; either way the result
+    # is the running interpreter's.
+    text = header + "".join(plain) + "".join(tail)
+    default = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        assert split_text(text, chunk) == read_text(text)
+    finally:
+        csv.field_size_limit(default)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_quoted_newline_across_a_block_boundary(chunk):
+    text = 'h1,h2\np,q\n"x\ny",z\nr,s\n'
+    assert split_text(text, chunk) == (["h1", "h2"], [["p", "q"], ["x\ny", "z"], ["r", "s"]])
+    assert split_text(text, chunk) == read_text(text)
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_plain_ragged_text_never_reaches_csv_reader(chunk):
+    text = "h1,h2,h3\na,b,c\n\n  \nd,e\n\u00e9t\u00e9,f,g,h\ni,j,k"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_reader_blocks", None)  # calling it fails the test
+        assert split_text(text, chunk) == read_text(text)

@@ -13,6 +13,7 @@ from conftest import (
     reference_ge_sample,
     reference_pick_codec,
     reference_synthesize_dataset,
+    table_rows,
 )
 from volteqa import simulate
 from volteqa.emodel import DEFAULT_PROFILES, CodecProfile
@@ -320,12 +321,12 @@ def test_dataset_is_seed_deterministic():
     spec = SimSpec(flows=30, packets_per_flow=40, seed=11,
                    loss_models=(BernoulliLoss(0.1),),
                    jitter_models=(GaussianJitter(4.0, 25.0),))
-    first = list(synthesize_dataset(spec)[0].rows())
-    second = list(synthesize_dataset(spec)[0].rows())
+    first = table_rows(synthesize_dataset(spec)[0])
+    second = table_rows(synthesize_dataset(spec)[0])
     assert first == second
-    third = list(synthesize_dataset(SimSpec(flows=30, packets_per_flow=40, seed=12,
-                                            loss_models=(BernoulliLoss(0.1),),
-                                            jitter_models=(GaussianJitter(4.0, 25.0),)))[0].rows())
+    third = table_rows(synthesize_dataset(SimSpec(flows=30, packets_per_flow=40, seed=12,
+                                                  loss_models=(BernoulliLoss(0.1),),
+                                                  jitter_models=(GaussianJitter(4.0, 25.0),)))[0])
     assert first != third
 
 
@@ -344,7 +345,7 @@ def test_generated_records_pass_ingest_validation():
     buffer.seek(0)
     parsed, rejects = parse_cdr_csv(buffer)
     assert rejects == []
-    assert list(parsed.rows()) == list(table.rows())
+    assert table_rows(parsed) == table_rows(table)
 
 
 def test_sweep_mean_quality_strictly_decreasing_in_loss():
@@ -508,7 +509,7 @@ def test_dataset_matches_per_flow_oracle(monkeypatch, spec, block_packets):
     profiles = dict(DEFAULT_PROFILES)
     profiles[Codec.AMR_WB] = CodecProfile(codec=Codec.AMR_WB, ie=5.0, bpl=10.0, r0=120.0, advantage=2.0)
     table, rejected = synthesize_dataset(spec, profiles)
-    assert (list(table.rows()), rejected) == reference_synthesize_dataset(spec, profiles)
+    assert (table_rows(table), rejected) == reference_synthesize_dataset(spec, profiles)
     assert len(table) + len(rejected) == spec.flows
 
 
