@@ -1,9 +1,10 @@
 """Binned quality-versus-loss analysis: series binning, curve fits, surfaces.
 
 The regression side fits two model families to binned (loss, quality)
-points: an exponential decay ``y = offset + amplitude * exp(-x / decay)``
-solved by a damped Gauss-Newton (Levenberg-Marquardt) iteration with an
-analytic Jacobian, and a straight line solved in closed form.
+points: an exponential ``y = a + b * (1 - exp(-k x)) / k``, which is the
+straight line at k = 0, solved by a damped Gauss-Newton
+(Levenberg-Marquardt) iteration with an analytic Jacobian, and the
+straight line ``y = intercept + slope * x`` solved in closed form.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class FitResult:
     residual_sse: float
     iterations: int
     converged: bool
+    k_se: float | None = None  # exponential only: standard error of k
 
 
 @dataclass(frozen=True)
@@ -170,33 +172,115 @@ def bin_series(
 def _as_xyw(
     points: Iterable[tuple[float, float]],
     weights: Sequence[float] | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points as x and y columns and the weights as a third, all ones
+    when none are given.  Weights must be finite and non-negative with a
+    positive, finite sum, or ValueError is raised."""
     x, y = _columns(points, 2)
     if weights is None:
-        return x, y, None
+        return x, y, np.ones_like(x)
     w = np.asarray(weights, dtype=float)
     if w.shape != x.shape:
         raise ValueError("weights must match the number of points")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
+    with np.errstate(over="ignore"):
+        total = float(np.sum(w))
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"weights must have a positive, finite sum, got {total}")
     return x, y, w
 
 
-def _r_squared(y: np.ndarray, y_hat: np.ndarray, w: np.ndarray | None = None) -> float:
-    if w is None:
-        w = np.ones_like(y)
-    sse = float(w @ (y - y_hat) ** 2)
+def _sse(residuals: np.ndarray, w: np.ndarray) -> float:
+    return float(w @ (residuals * residuals))
+
+
+def _r_squared(y: np.ndarray, sse: float, w: np.ndarray) -> float:
     mean = float(w @ y) / float(np.sum(w))
-    sst = float(w @ (y - mean) ** 2)
+    sst = _sse(y - mean, w)
     if sst == 0.0:
         # Only reachable through exact fits of flat data.
         return 1.0 if sse == 0.0 else 0.0
     return 1.0 - sse / sst
 
 
-def exponential_model(x: np.ndarray, offset: float, amplitude: float, decay: float) -> np.ndarray:
-    with np.errstate(over="ignore", under="ignore"):
-        return offset + amplitude * np.exp(-np.asarray(x, dtype=float) / decay)
+def _line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Weighted least-squares (intercept, slope) in closed form; an x
+    spread whose squares underflow or overflow raises DegenerateDataError."""
+    x_mean = float(w @ x) / float(np.sum(w))
+    y_mean = float(w @ y) / float(np.sum(w))
+    with np.errstate(all="ignore"):
+        sxx = float(w @ ((x - x_mean) ** 2))
+    if not 0.0 < sxx < math.inf:
+        raise DegenerateDataError(f"x spread too small or too large to fit a slope: {sxx}")
+    sxy = float(w @ ((x - x_mean) * (y - y_mean)))
+    slope = sxy / sxx
+    return y_mean - slope * x_mean, slope
+
+
+# Below this |k x|, g and dg/dk come from their Taylor series in -k x: the
+# closed forms divide by k, and dg/dk also cancels.  Eight terms leave a
+# truncation error under 2**-52 of the sum there.
+_SERIES_BELOW = 0.05
+_SERIES_TERMS = 8
+# Highest power first:
+#   g / x           = sum_n (-k x)**n / (n + 1)!
+#   -(dg/dk) / x**2 = sum_n (n + 1) (-k x)**n / (n + 2)!
+_G_SERIES = [1.0 / math.factorial(n + 1) for n in reversed(range(_SERIES_TERMS))]
+_DG_SERIES = [(n + 1) / math.factorial(n + 2) for n in reversed(range(_SERIES_TERMS))]
+
+
+def _horner(coefficients: list[float], v: np.ndarray) -> np.ndarray:
+    """The polynomial with these coefficients, highest power first, at each
+    v, in one array (``np.polyval`` makes a temporary per term)."""
+    out = np.full_like(v, coefficients[0])
+    for c in coefficients[1:]:
+        out *= v
+        out += c
+    return out
+
+
+def saturation_shape(x: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """``g = (1 - exp(-k x)) / k`` at each x, and its derivative in k.
+
+    g is x at k = 0, so ``a + b * g`` holds the straight line as the case
+    k = 0, a convex decay for k > 0 and a concave bend for k < 0.  Both
+    come back as 1-d arrays, also for a scalar x.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(all="ignore"):  # k = 0 and overflow are handled below or by the caller
+        v = x * -k
+        near = np.abs(v) < _SERIES_BELOW
+        dg = np.expm1(v)
+        g = dg / -k
+        dg *= x  # in place from here: one array fewer at a time
+        dg += x
+        dg -= g
+        dg /= k  # (x exp(-k x) - g) / k
+    # A slice, so views rather than copies, when every point is near k x = 0.
+    near = slice(None) if near.all() else near
+    v, xs = v[near], x[near]
+    series = _horner(_G_SERIES, v)
+    series *= xs
+    g[near] = series
+    series = _horner(_DG_SERIES, v)
+    series *= xs
+    series *= xs
+    dg[near] = np.negative(series, out=series)
+    return g, dg
+
+
+def _stationary(normal: np.ndarray, gradient: np.ndarray, sse: float) -> bool:
+    """Whether a full Gauss-Newton step, ``normal^-1 gradient``, is predicted
+    to lower the SSE by at most ``LM_RELATIVE_SSE_TOL`` of it: then the SSE
+    is at its minimum to that tolerance, and damped steps would only be
+    rejected for rounding until the damping cap."""
+    try:
+        return float(gradient @ np.linalg.solve(normal, gradient)) <= LM_RELATIVE_SSE_TOL * sse
+    except np.linalg.LinAlgError:
+        return False
 
 
 def fit_exponential(
@@ -204,59 +288,56 @@ def fit_exponential(
     *,
     weights: Sequence[float] | None = None,
 ) -> FitResult:
-    """Fit ``y = offset + amplitude * exp(-x / decay)`` by Levenberg-Marquardt.
+    """Fit ``y = a + b * (1 - exp(-k x)) / k`` by Levenberg-Marquardt.
 
-    Starts from a data-driven heuristic (offset at the sample minimum,
-    amplitude spanning the y range, decay a third of the x span) and takes
-    damped Gauss-Newton steps: the damping factor is multiplied by 10 on a
-    rejected step and divided by 10 on an accepted one.  The decay is
-    optimized in log space so it stays positive.  Converged means an
+    The model holds the straight line ``a + b x`` as k = 0, so the fit
+    starts from the closed-form least-squares line there, and its SSE is
+    never above that line's.  Each damped Gauss-Newton step multiplies
+    the damping factor by 10 when it is rejected and divides it by 10
+    when it is accepted.  Converged means the start is an exact fit, an
     accepted step reduced the weighted SSE by less than
-    ``LM_RELATIVE_SSE_TOL`` of its previous value, or no damped step could
-    reduce it further; the ``MAX_LM_ITERATIONS`` cap leaves ``converged``
-    False.  Optional weights scale each point's squared residual; the
-    reported r_squared uses the same weights.
+    ``LM_RELATIVE_SSE_TOL`` of its previous value, a full Gauss-Newton step
+    is predicted to reduce it by less than that share, or no damped step
+    could reduce it further; the ``MAX_LM_ITERATIONS`` cap leaves
+    ``converged`` False.  Optional weights scale each point's squared
+    residual; the reported r_squared uses the same weights.
+
+    ``params`` holds a, b and k, plus the same curve as
+    ``offset + amplitude * exp(-x / decay)``, that is
+    ``(a + b / k, -b / k, 1 / k)``, whenever all three are finite.
+    ``k_se`` is k's standard error from ``(J^T W J)^-1 * SSE / (n - 3)``,
+    or None where that matrix is singular.
     """
     x, y, w = _as_xyw(points, weights)
     if x.size < 4:
         raise TooFewPointsError(f"exponential fit needs >= 4 points, got {x.size}")
     if np.ptp(x) == 0.0:
         raise DegenerateDataError("exponential fit needs spread in x")
+    theta = np.array([*_line(x, y, w), 0.0])  # raises where fit_linear does
     if np.ptp(y) == 0.0:
-        # Flat data: the decaying term vanishes, the offset carries everything.
-        params = {
-            "offset": float(y[0]),
-            "amplitude": 0.0,
-            "decay": float(np.ptp(x)) / 3.0,
-        }
-        return FitResult("exponential", params, 1.0, 0.0, 0, True)
+        # Flat data: a carries everything, and k is not identified.
+        return FitResult("exponential", {"a": float(y[0]), "b": 0.0, "k": 0.0}, 1.0, 0.0, 0, True)
 
-    sqrt_w = None if w is None else np.sqrt(w)
+    # Rows d/da, d/db and d/dk of the model, rewritten by each evaluation.
+    jacobian = np.ones((3, x.size))
 
-    def weighted_residuals(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        decay = float(np.exp(theta[2]))
-        residuals = y - exponential_model(x, theta[0], theta[1], decay)
-        if sqrt_w is not None:
-            residuals = residuals * sqrt_w
-        sse = float(residuals @ residuals)
-        return sse, residuals
+    def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """SSE, J^T W J and J^T W r at theta = (a, b, k), r the residuals;
+        an overflowing curve gives a non-finite SSE, which no step accepts."""
+        # Copied into the rows at once, g and dg/dk take no memory beyond them.
+        jacobian[1], jacobian[2] = saturation_shape(x, theta[2])
+        with np.errstate(all="ignore"):
+            jacobian[2] *= theta[1]
+            residuals = y - (theta[0] + theta[1] * jacobian[1])
+            weighted = jacobian if weights is None else jacobian * w
+            return _sse(residuals, w), weighted @ jacobian.T, weighted @ residuals
 
-    theta = np.array([float(np.min(y)), float(np.ptp(y)), math.log(float(np.ptp(x)) / 3.0)])
+    sse, normal, gradient = evaluate(theta)
     lam = _LAMBDA_START
-    sse, residuals = weighted_residuals(theta)
     iterations = 0
-    converged = False
+    converged = sse == 0.0 or _stationary(normal, gradient, sse)
     while iterations < MAX_LM_ITERATIONS and not converged:
         iterations += 1
-        decay = float(np.exp(theta[2]))
-        with np.errstate(over="ignore", under="ignore"):
-            shape = np.exp(-x / decay)
-            # Columns: d/d offset, d/d amplitude, d/d log(decay).
-            jacobian = np.column_stack([np.ones_like(x), shape, theta[1] * x * shape / decay])
-        if sqrt_w is not None:
-            jacobian = jacobian * sqrt_w[:, None]
-        gradient = jacobian.T @ residuals
-        normal = jacobian.T @ jacobian
         damping = np.diag(np.maximum(np.diag(normal), 1e-12))
         try:
             step = np.linalg.solve(normal + lam * damping, gradient)
@@ -266,29 +347,36 @@ def fit_exponential(
                 converged = True
             continue
         candidate = theta + step
-        candidate_sse, candidate_residuals = weighted_residuals(candidate)
+        candidate_sse, candidate_normal, candidate_gradient = evaluate(candidate)
         if math.isfinite(candidate_sse) and candidate_sse < sse:
             drop = sse - candidate_sse
-            theta, residuals = candidate, candidate_residuals
+            theta, normal, gradient = candidate, candidate_normal, candidate_gradient
             previous, sse = sse, candidate_sse
             lam = max(lam / 10.0, _LAMBDA_MIN)
-            if sse == 0.0 or drop <= LM_RELATIVE_SSE_TOL * previous:
+            if sse == 0.0 or drop <= LM_RELATIVE_SSE_TOL * previous or _stationary(normal, gradient, sse):
                 converged = True
         else:
             lam *= 10.0
             if lam > _LAMBDA_MAX:
                 converged = True  # no damped step improves: local minimum
 
-    decay = float(np.exp(theta[2]))
-    params = {"offset": float(theta[0]), "amplitude": float(theta[1]), "decay": decay}
-    y_hat = exponential_model(x, **params)
+    a, b, k = theta.tolist()
+    params = {"a": a, "b": b, "k": k}
+    classic = {"offset": a + b / k, "amplitude": -b / k, "decay": 1.0 / k} if k else {}
+    if all(math.isfinite(v) for v in classic.values()):
+        params.update(classic)
+    try:
+        k_var = float(np.linalg.inv(normal)[2, 2]) * sse / (x.size - 3)
+    except np.linalg.LinAlgError:
+        k_var = math.nan
     return FitResult(
         model="exponential",
         params=params,
-        r_squared=_r_squared(y, y_hat, w),
+        r_squared=_r_squared(y, sse, w),
         residual_sse=sse,
         iterations=iterations,
         converged=converged,
+        k_se=math.sqrt(k_var) if 0.0 <= k_var < math.inf else None,
     )
 
 
@@ -307,21 +395,12 @@ def fit_linear(
         raise TooFewPointsError(f"linear fit needs >= 2 points, got {x.size}")
     if np.ptp(x) == 0.0:
         raise DegenerateDataError("linear fit needs at least two distinct x values")
-    ww = np.ones_like(x) if w is None else w
-    x_mean = float(ww @ x) / float(np.sum(ww))
-    y_mean = float(ww @ y) / float(np.sum(ww))
-    sxx = float(ww @ ((x - x_mean) ** 2))
-    sxy = float(ww @ ((x - x_mean) * (y - y_mean)))
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    params = {"intercept": intercept, "slope": slope}
-    y_hat = intercept + slope * x
-    residuals = y - y_hat
-    sse = float(ww @ residuals**2)
+    intercept, slope = _line(x, y, w)
+    sse = _sse(y - (intercept + slope * x), w)
     return FitResult(
         model="linear",
-        params=params,
-        r_squared=_r_squared(y, y_hat, w),
+        params={"intercept": intercept, "slope": slope},
+        r_squared=_r_squared(y, sse, w),
         residual_sse=sse,
         iterations=0,
         converged=True,

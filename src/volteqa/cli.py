@@ -449,7 +449,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _fit_doc(fit: FitResult) -> dict:
-    return {
+    doc = {
         "model": fit.model,
         "params": {k: round_g6(v) for k, v in fit.params.items()},
         "r_squared": round_g6(fit.r_squared),
@@ -457,6 +457,9 @@ def _fit_doc(fit: FitResult) -> dict:
         "iterations": fit.iterations,
         "converged": fit.converged,
     }
+    if fit.model == "exponential":
+        doc["k_se"] = None if fit.k_se is None else round_g6(fit.k_se)
+    return doc
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -60,9 +60,6 @@ class BernoulliLoss:
         draws, one column per flow."""
         return uniforms < self.p
 
-    def spec_string(self) -> str:
-        return f"bernoulli({self.p:g})"
-
 
 @dataclass(frozen=True)
 class GilbertElliottLoss:
@@ -133,12 +130,6 @@ class GilbertElliottLoss:
         state_bad = np.take_along_axis(set_bad, last_force, axis=0) ^ flipped
         return emissions < np.where(state_bad[:n], self.loss_bad, self.loss_good)
 
-    def spec_string(self) -> str:
-        return (
-            f"gilbert_elliott({self.p_good_to_bad:g},{self.p_bad_to_good:g},"
-            f"{self.loss_good:g},{self.loss_bad:g})"
-        )
-
 
 LossModel = Union[BernoulliLoss, GilbertElliottLoss]
 
@@ -160,9 +151,6 @@ class NoJitter:
         """Network delays of a block of flows, shaped like their
         ``(packets, flows)`` draws, whose values it does not read."""
         return np.full(draws.shape, self.base_delay_ms)
-
-    def spec_string(self) -> str:
-        return "none"
 
 
 @dataclass(frozen=True)
@@ -190,9 +178,6 @@ class GaussianJitter:
         # Negative total delays are truncated to zero.
         return np.maximum(0.0, self.base_delay_ms + variation)
 
-    def spec_string(self) -> str:
-        return f"gaussian({self.sigma_ms:g})"
-
 
 @dataclass(frozen=True)
 class GammaJitter:
@@ -217,9 +202,6 @@ class GammaJitter:
         draws, one column per flow."""
         # scale * g, as Generator.gamma(shape, scale) computes it.
         return self.base_delay_ms + self.scale_ms * draws
-
-    def spec_string(self) -> str:
-        return f"gamma({self.shape:g},{self.scale_ms:g})"
 
 
 JitterModel = Union[NoJitter, GaussianJitter, GammaJitter]
@@ -294,19 +276,9 @@ class SimSpec:
         return list(itertools.product(self.loss_models, self.jitter_models))
 
     def digest(self) -> str:
-        text = "|".join(
-            [
-                f"flows={self.flows}",
-                f"packets={self.packets_per_flow}",
-                f"seed={self.seed}",
-                f"ptime={self.ptime_ms:g}",
-                "mix=" + ",".join(f"{c.value}:{f:g}" for c, f in self.codec_mix),
-                "loss=" + ",".join(m.spec_string() for m in self.loss_models),
-                "jitter=" + ",".join(m.spec_string() for m in self.jitter_models),
-                f"jbe={self.jbe.initial_delay_ms:g}/{self.jbe.window}/{self.jbe.safety_factor:g}",
-            ]
-        )
-        return hashlib.sha256(text.encode()).hexdigest()
+        """SHA-256 of the spec's repr, which names every field of the spec
+        and of its models, floats as their shortest round-trip repr."""
+        return hashlib.sha256(repr(self).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

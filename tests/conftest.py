@@ -4,6 +4,7 @@ scalar oracles of the array code."""
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import math
 import sys
@@ -370,6 +371,21 @@ def reference_synthesize_dataset(spec: SimSpec, profiles) -> tuple[list[tuple], 
             )
             rows.append((flow_id, codec, packets, figures["received_count"], *jitter, r_factor))
     return rows, rejected
+
+
+def reference_saturation_shape(x: float, k: float) -> tuple[float, float]:
+    """Decimal oracle for ``analytics.saturation_shape``: the closed forms
+    g = (1 - e^(-kx)) / k and dg/dk = (x e^(-kx) - g) / k, at a precision
+    that leaves 40 digits after the cancellation of both differences; at
+    k = 0 the limits x and -x**2 / 2."""
+    X, K = decimal.Decimal(x), decimal.Decimal(k)
+    if K == 0:
+        return float(X), float(-X * X / 2)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40 + 2 * max(0, -(K * X).adjusted())
+        e = (-K * X).exp()
+        g = (1 - e) / K
+        return float(g), float((X * e - g) / K)
 
 
 def reference_bin_index(edges: np.ndarray, x: float) -> int | None:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     BIN_MEDIANS,
@@ -15,17 +16,19 @@ from conftest import (
     exp_curve,
     line_curve,
     reference_bin_series,
+    reference_saturation_shape,
     reference_surface_grid,
 )
 from volteqa.analytics import (
     MAX_BINS,
+    MAX_LM_ITERATIONS,
     DegenerateDataError,
     FitResult,
     TooFewPointsError,
     bin_series,
-    exponential_model,
     fit_exponential,
     fit_linear,
+    saturation_shape,
     surface_grid,
     uniform_edges,
 )
@@ -174,6 +177,38 @@ def test_binning_rejects_points_of_the_wrong_width():
 # ---------------------------------------------------------- exponential fit
 
 
+def curve_at(fit: FitResult, x) -> np.ndarray:
+    """The fitted a + b * g(x, k)."""
+    g, _ = saturation_shape(np.asarray(x, dtype=float), fit.params["k"])
+    return fit.params["a"] + fit.params["b"] * g
+
+
+# x values on both sides of the switch between the series and the closed
+# forms (|k x| = 0.05), k of both signs, k = 0 and a denormal k.
+SHAPE_X = (0.0, 0.013, 0.1, 0.2, 1.0, 3.7)
+SHAPE_KX = (0.0, 1e-12, 0.01, 0.0499999, 0.05, 0.0500001, 0.051, 0.7, 2.0, 10.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_saturation_shape_matches_decimal_oracle(sign):
+    for x in SHAPE_X:
+        ks = [sign * kx / x for kx in SHAPE_KX] if x else [sign * 8.0]
+        for k in [*ks, sign * 5e-324, sign * 1e-300]:
+            g, dg = saturation_shape(np.array([x]), k)
+            want_g, want_dg = reference_saturation_shape(x, k)
+            # g within 10 ulp; dg/dk within 100 ulp, which the closed form's
+            # cancellation costs just above the switch.
+            assert g[0] == pytest.approx(want_g, rel=2e-15, abs=1e-300), (x, k)
+            assert dg[0] == pytest.approx(want_dg, rel=2e-14, abs=1e-300), (x, k)
+
+
+def test_saturation_shape_is_the_line_at_k_zero():
+    x = np.asarray(BIN_MEDIANS)
+    g, dg = saturation_shape(x, 0.0)
+    assert np.array_equal(g, x)
+    assert np.array_equal(dg, -(x * x) / 2)
+
+
 def test_exponential_fit_recovers_reference_curve():
     points = list(zip(BIN_MEDIANS, exp_curve(BIN_MEDIANS)))
     fit = fit_exponential(points)
@@ -181,17 +216,17 @@ def test_exponential_fit_recovers_reference_curve():
     assert fit.converged
     relative_error = np.abs(exp_params(fit) - EXP_TARGET) / EXP_TARGET
     assert np.max(relative_error) <= 1e-6
+    assert fit.params["k"] == pytest.approx(1.0 / EXP_DECAY, rel=1e-6)
     assert fit.params["decay"] > 0
 
 
 def test_exponential_fit_constant_data_degenerates():
     fit = fit_exponential([(x, 5.0) for x in (0.0, 0.1, 0.2, 0.3)])
     assert fit.converged
-    assert fit.params["amplitude"] == 0.0
-    assert fit.params["offset"] == 5.0
-    assert fit.params["decay"] > 0
+    assert fit.params == {"a": 5.0, "b": 0.0, "k": 0.0}  # no finite offset/amplitude/decay
     assert fit.residual_sse == 0.0
     assert fit.r_squared == 1.0
+    assert fit.k_se is None
 
 
 def test_exponential_fit_input_validation():
@@ -201,28 +236,48 @@ def test_exponential_fit_input_validation():
         fit_exponential([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0), (0.1, 4.0)])
 
 
-def _grid_search_oracle(x, y, levels=5, points_per_axis=13):
-    """Independent brute-force fit: nested grid refinement over all three
-    parameters, no gradients shared with the implementation under test."""
+@pytest.mark.parametrize("fit", [fit_exponential, fit_linear])
+@pytest.mark.parametrize("spread", [1e-307, 1e200])
+def test_fits_reject_an_x_spread_whose_squares_underflow_or_overflow(fit, spread):
+    points = [(0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (spread, 3.0)]
+    with pytest.raises(DegenerateDataError):
+        fit(points)
 
-    def sse_at(offset, amplitude, decay):
-        residuals = y - (offset + amplitude * np.exp(-x / decay))
+
+@pytest.mark.parametrize("fit", [fit_exponential, fit_linear])
+@pytest.mark.parametrize(
+    "weights", [[0.0] * 5, [1.0, math.nan, 1.0, 1.0, 1.0], [1.0, math.inf, 1.0, 1.0, 1.0], [1e308] * 5]
+)
+def test_fits_reject_degenerate_weights(fit, weights):
+    points = list(zip(BIN_MEDIANS[:5], exp_curve(BIN_MEDIANS[:5])))
+    with pytest.raises(ValueError, match="weights must"):
+        fit(points, weights=weights)
+
+
+def _grid_search_oracle(x, y, levels=8, points_per_axis=13):
+    """Independent brute-force fit: nested grid refinement over all three
+    parameters (a, b, k), with the plain closed form of the model and no
+    gradients shared with the implementation under test."""
+
+    def sse_at(a, b, k):
+        g = x if k == 0.0 else (1.0 - np.exp(-k * x)) / k
+        residuals = y - (a + b * g)
         return float(residuals @ residuals)
 
-    lo = np.array([np.min(y) - 20.0, np.ptp(y) * 0.3, 0.01])
-    hi = np.array([np.min(y) + 25.0, np.ptp(y) * 2.5, 0.5])
+    chord = np.ptp(y) / np.ptp(x)
+    lo = np.array([np.max(y) - 20.0, -4.0 * chord, -20.0])
+    hi = np.array([np.max(y) + 25.0, 0.0, 40.0])
     best_sse, best = np.inf, None
     for _ in range(levels):
-        grids = [np.linspace(lo[k], hi[k], points_per_axis) for k in range(3)]
-        for offset in grids[0]:
-            for amplitude in grids[1]:
-                for decay in grids[2]:
-                    sse = sse_at(offset, amplitude, decay)
+        grids = [np.linspace(lo[i], hi[i], points_per_axis) for i in range(3)]
+        for a in grids[0]:
+            for b in grids[1]:
+                for k in grids[2]:
+                    sse = sse_at(a, b, k)
                     if sse < best_sse:
-                        best_sse, best = sse, np.array([offset, amplitude, decay])
+                        best_sse, best = sse, np.array([a, b, k])
         span = (hi - lo) / 6.0
         lo, hi = best - span, best + span
-        lo[2] = max(lo[2], 1e-4)
     return best_sse, best
 
 
@@ -235,17 +290,92 @@ def test_exponential_fit_on_noisy_curve_matches_oracle():
     assert np.max(relative_error) <= 0.05
     oracle_sse, oracle_params = _grid_search_oracle(x, y)
     assert fit.residual_sse <= oracle_sse + 1e-9
-    assert np.allclose(exp_params(fit), oracle_params, rtol=0.02)
+    fitted = np.array([fit.params["a"], fit.params["b"], fit.params["k"]])
+    assert np.allclose(fitted, oracle_params, rtol=0.02)
 
 
 def test_exponential_fit_never_worse_than_initial_guess():
+    # The initial guess is the least-squares line, at k = 0.
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 1.0, 12)
     y = 4.0 + 10.0 * np.exp(-x / 0.3) + rng.normal(0, 0.5, x.size)
-    initial = np.array([np.min(y), np.ptp(y), np.ptp(x) / 3.0])
-    initial_sse = float(np.sum((y - exponential_model(x, *initial)) ** 2))
+    points = list(zip(x, y))
+    assert fit_exponential(points).residual_sse <= fit_linear(points).residual_sse
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0, **finite),
+            st.floats(-200.0, 200.0, **finite),
+            st.floats(0.01, 100.0, **finite),
+        ),
+        min_size=4,
+        max_size=40,
+    ),
+    weighted=st.booleans(),
+)
+def test_exponential_fit_sse_never_exceeds_the_lines(rows, weighted):
+    # The fit starts from the line at k = 0 and accepts only steps that
+    # lower the SSE, so it can end no worse, however bent the data.
+    points = [(x, y) for x, y, _ in rows]
+    assume(np.ptp([x for x, _ in points]) > 0.0)
+    weights = [w for *_, w in rows] if weighted else None
+    try:
+        line = fit_linear(points, weights=weights)
+    except DegenerateDataError:  # an x spread whose squares underflow
+        with pytest.raises(DegenerateDataError):
+            fit_exponential(points, weights=weights)
+        return
+    fit = fit_exponential(points, weights=weights)
+    assert fit.residual_sse <= line.residual_sse
+    assert fit.iterations <= MAX_LM_ITERATIONS
+    assert all(math.isfinite(v) for v in fit.params.values())
+
+
+def test_exponential_fit_reaches_concave_curves():
+    x = np.asarray(BIN_MEDIANS)
+    y = 100.0 - 30.0 * np.expm1(6.0 * x) / 6.0  # k = -6
     fit = fit_exponential(list(zip(x, y)))
-    assert fit.residual_sse <= initial_sse
+    assert fit.converged
+    assert fit.params["k"] == pytest.approx(-6.0, rel=1e-6)
+    assert fit.params["decay"] < 0
+
+
+def test_exponential_fit_reports_k_standard_error():
+    # (J^T J)^-1 * SSE / (n - 3) at the fitted parameters, J by hand.
+    rng = np.random.default_rng(5)
+    x = np.asarray(BIN_MEDIANS)
+    y = exp_curve(x) + rng.normal(0.0, 1.0, x.size)
+    fit = fit_exponential(list(zip(x, y)))
+    a, b, k = fit.params["a"], fit.params["b"], fit.params["k"]
+    e = np.exp(-k * x)
+    g = (1.0 - e) / k
+    jacobian = np.column_stack([np.ones_like(x), g, b * (x * e - g) / k])
+    sse = float(np.sum((y - a - b * g) ** 2))
+    covariance = np.linalg.inv(jacobian.T @ jacobian) * sse / (x.size - 3)
+    assert fit.k_se == pytest.approx(math.sqrt(covariance[2, 2]), rel=1e-6)
+
+
+def test_k_standard_error_is_calibrated_on_noisy_lines():
+    # k's z-score k / k_se, over 200 seeded draws of 1,200 points around
+    # conftest's line with noise of 2 R points, should be about standard
+    # normal: |z| > 2 in about 1 draw in 20.
+    z = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 0.2, 1200)
+        fit = fit_exponential(np.column_stack([x, line_curve(x) + rng.normal(0.0, 2.0, x.size)]))
+        assert fit.converged and fit.iterations <= 20
+        z.append(fit.params["k"] / fit.k_se)
+    z = np.array(z)
+    assert abs(np.mean(z)) < 0.25
+    assert 0.8 < np.std(z) < 1.2
+    assert np.mean(np.abs(z) > 2.0) <= 0.1
 
 
 def test_exponential_fit_weighted_moves_toward_heavy_points():
@@ -257,8 +387,8 @@ def test_exponential_fit_weighted_moves_toward_heavy_points():
         list(zip(x, y_perturbed)), weights=[1.0, 1.0, 1.0, 1.0, 50.0]
     )
     plain = fit_exponential(list(zip(x, y_perturbed)))
-    heavy_residual = abs(exponential_model(x[-1], **heavy_last.params) - y_perturbed[-1])
-    plain_residual = abs(exponential_model(x[-1], **plain.params) - y_perturbed[-1])
+    heavy_residual = abs(curve_at(heavy_last, x[-1]) - y_perturbed[-1])
+    plain_residual = abs(curve_at(plain, x[-1]) - y_perturbed[-1])
     assert heavy_residual < plain_residual
 
 
@@ -329,7 +459,12 @@ def test_model_families_win_on_their_own_curves():
     exp_points = list(zip(BIN_MEDIANS, exp_curve(BIN_MEDIANS)))
     lin_points = list(zip(BIN_MEDIANS, line_curve(BIN_MEDIANS)))
     assert fit_exponential(exp_points).r_squared > fit_linear(exp_points).r_squared
-    assert fit_linear(lin_points).r_squared > fit_exponential(lin_points).r_squared
+    # The exponential holds the line as k = 0, so on a line it finds that
+    # line, up to rounding: the noiseless line's SSE is about 1e-27.
+    exponential, linear = fit_exponential(lin_points), fit_linear(lin_points)
+    assert exponential.params["k"] == pytest.approx(0.0, abs=1e-9)
+    assert exponential.residual_sse == pytest.approx(linear.residual_sse, abs=1e-20)
+    assert exponential.r_squared == pytest.approx(linear.r_squared, abs=1e-15)
 
 
 # -------------------------------------------------------------- surface grid

@@ -16,9 +16,11 @@ from conftest import (
     AMR_CURVE_BURST_R,
     AMR_CURVE_PROFILE,
     BIN_MEDIANS,
+    EXP_DECAY,
     WB_LINE_BURST_R,
     WB_LINE_PROFILE,
     burst_sweep,
+    exp_curve,
     line_curve,
     reference_read_samples,
     table_from_rows,
@@ -437,6 +439,52 @@ def test_fit_reproduces_golden_on_scored_sim_dataset(tmp_path):
     assert run("fit", "--input", _score_sim_golden(tmp_path), "--output", out, "--model", "both") == 0
     assert out.read_bytes() == (DATA / "sim_golden.fit.json").read_bytes()
     assert (tmp_path / "fit.bins.csv").read_bytes() == (DATA / "sim_golden.fit.bins.csv").read_bytes()
+
+
+def test_golden_fits_converge_and_never_lose_to_the_line(tmp_path):
+    # The log-decay model of old ran both of these fits into the
+    # 200-iteration cap, ending above the line's SSE for AMR (87.27 > 86.17).
+    golden = json.loads((DATA / "sim_golden.fit.json").read_text())
+    for codec in ("AMR", "AMR-WB"):
+        fits = golden["codecs"][codec]["fits"]
+        assert fits["exponential"]["converged"]
+        assert fits["exponential"]["iterations"] <= 50
+        assert fits["exponential"]["sse"] <= fits["linear"]["sse"]
+
+
+def test_raw_point_fits_tell_the_curve_from_the_line(tmp_path):
+    # CDRs whose R follows the target exponential (AMR) or the target line
+    # (AMR-WB) of conftest over a loss of (tx - rx) / rx in [0, 0.2], with
+    # noise of 2 R points; one seeded draw.
+    rng = np.random.default_rng(1)
+    rows = 4000
+    wideband = rng.random(rows) < 0.3
+    tx = rng.integers(1000, 3001, rows)
+    rx = np.rint(tx / (1.0 + rng.uniform(0.0, 0.2, rows))).astype(np.int64)
+    p_loss = (tx - rx) / rx
+    r = np.where(wideband, line_curve(p_loss), exp_curve(p_loss)) + rng.normal(0.0, 2.0, rows)
+    cdr = tmp_path / "cdr.csv"
+    cdr.write_text(
+        ",".join(CDR_COLUMNS) + "\n" + "".join(
+            f"f{i},{'AMR-WB' if wb else 'AMR'},{t},{x},2.0,4.0,{q!r}\n"
+            for i, (wb, t, x, q) in enumerate(zip(wideband.tolist(), tx.tolist(), rx.tolist(), r.tolist()))
+        )
+    )
+    scored, fit_json = tmp_path / "scored.csv", tmp_path / "fit.json"
+    assert run("score", "--input", cdr, "--output", scored) == 0
+    assert run("fit", "--input", scored, "--output", fit_json, "--raw-points", "--model", "both") == 0
+    fits = {codec: entry["fits"] for codec, entry in json.loads(fit_json.read_text())["codecs"].items()}
+    for codec in ("AMR", "AMR-WB"):
+        assert fits[codec]["exponential"]["converged"]
+        assert fits[codec]["exponential"]["iterations"] <= 20
+        assert fits[codec]["exponential"]["sse"] <= fits[codec]["linear"]["sse"]
+    # One draw lands outside 2 standard errors 1 time in 20 (this one gives
+    # AMR-WB k = -0.275 +- 0.110); test_analytics checks that calibration
+    # over many draws, so here the bound is 3.
+    amr, wb = fits["AMR"]["exponential"], fits["AMR-WB"]["exponential"]
+    assert amr["params"]["k"] == pytest.approx(1.0 / EXP_DECAY, abs=3.0 * amr["k_se"])
+    assert amr["k_se"] < 0.5
+    assert abs(wb["params"]["k"]) <= 3.0 * wb["k_se"]
 
 
 def _rewrite(source: Path, target: Path, how: str) -> Path:

@@ -401,6 +401,24 @@ def test_spec_digest_tracks_content():
     assert base.digest() != other.digest()
 
 
+@pytest.mark.parametrize(
+    "one, other",
+    [
+        # The digest once held neither the base delay nor more than six
+        # significant digits of a float.
+        ("base_delay_ms = 30", "base_delay_ms = 130"),
+        ("jitter_models = gamma(2,3)", "jitter_models = gamma(2,3.0000004)"),
+    ],
+)
+def test_spec_digest_tells_apart_specs_that_differ_in_one_field(one, other):
+    def spec(line):
+        return load_sim_config(f"[sim]\nflows = 4\npackets_per_flow = 10\nseed = 1\n{line}\n")[0]
+
+    assert spec(one) != spec(other)
+    assert spec(one).digest() != spec(other).digest()
+    assert spec(one).digest() == spec(one).digest()
+
+
 SIM_CONFIG = """
 [sim]
 flows = 12
