@@ -311,7 +311,7 @@ def _sample_chunk(
     ``read`` holds the indices of the codec cell, of each named column and
     of each quality column.
     """
-    codec_cells, *cells = _read_cells(block, read)
+    codec_cells, *cells = [block.columns[i] for i in read]
     code = codec_codes(codec_cells)
     unknown = int(np.count_nonzero(code < 0))
     if unknown:
@@ -341,22 +341,6 @@ def _sample_chunk(
     skipped.update(reason for row, reason in failed.items() if kept[row])
     kept[list(failed)] = False
     return code[kept], np.column_stack(values)[kept]
-
-
-def _read_cells(block: CsvBlock, read: list[int]) -> list[Sequence[str]]:
-    """The cells at each index in ``read`` of a block's rows that are not
-    blank, in file order; a row too short to have one gives an empty cell."""
-    if not block.others:
-        return [block.columns[i] for i in read]
-    fields = block.fields[block.fields > 0]
-    full = fields == len(block.columns)
-    cells = []
-    for i in read:
-        column = np.empty(len(fields), dtype=object)
-        column[full] = np.array(block.columns[i], dtype=object)
-        column[~full] = np.array([row[i] if i < len(row) else "" for row in block.others], dtype=object)
-        cells.append(column.tolist())
-    return cells
 
 
 def _cell_value(cell: str) -> tuple[float, str | None]:
@@ -510,13 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    codecs = [codec.value for codec in Codec] + ["all"]  # the values of --codec
 
     score = sub.add_parser("score", help="Score a CDR CSV: append p_loss, MOS, R-factor")
     score.add_argument("--input", required=True, help="CDR CSV to score")
     score.add_argument("--output", required=True, help="Scored CSV output path")
     score.add_argument("--summary", help="Summary JSON path (default: <output>.summary.json)")
     score.add_argument("--config", help="Codec profile config file")
-    score.add_argument("--codec", choices=["AMR", "AMR-WB", "all"], default="all")
+    score.add_argument("--codec", choices=codecs, default="all")
     score.set_defaults(handler=cmd_score)
 
     simulate = sub.add_parser("simulate", help="Generate a synthetic CDR dataset")
@@ -531,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--output", required=True, help="Fit JSON output path")
     fit.add_argument("--bins-output", help="Binned-series CSV path (default: <output>.bins.csv)")
     fit.add_argument("--model", choices=["exp", "linear", "both"], default="both")
-    fit.add_argument("--codec", choices=["AMR", "AMR-WB", "all"], default="all")
+    fit.add_argument("--codec", choices=codecs, default="all")
     fit.add_argument("--bins", type=int, default=10, help="Number of uniform loss bins")
     fit.add_argument("--range", default="0:0.2", help="Loss range LO:HI for binning")
     fit.add_argument("--weighted", action="store_true", help="Weight bins by sample count")
@@ -541,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="Export a loss-by-jitter surface grid CSV")
     report.add_argument("--input", required=True, help="Scored CSV input path")
     report.add_argument("--output", required=True, help="Grid CSV output path")
-    report.add_argument("--codec", choices=["AMR", "AMR-WB", "all"], default="all")
+    report.add_argument("--codec", choices=codecs, default="all")
     report.add_argument("--bins", type=int, default=10, help="Loss-axis bins")
     report.add_argument("--range", default="0:0.2", help="Loss range LO:HI")
     report.add_argument("--j-bins", type=int, default=10, help="Jitter-axis bins")

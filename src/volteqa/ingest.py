@@ -138,14 +138,13 @@ class CsvBlock(NamedTuple):
     """Consecutive rows of a CSV file, split as ``csv.reader`` splits them.
 
     ``fields`` holds each row's field count, 0 for a blank row.
-    ``columns`` holds the cells of the rows as wide as the header, one
-    sequence per column, and ``others`` the rows of any other width but 0,
-    in file order.
+    ``columns`` holds the cells of the rows that are not blank, in file
+    order, one sequence per header column: as ``csv.DictReader`` reads
+    them, a short row is padded with empty cells and a long row is cut.
     """
 
     fields: np.ndarray
     columns: Sequence[Sequence[str]]
-    others: list[list[str]]
 
 
 def csv_blocks(stream: IO[str]) -> tuple[list[str] | None, Iterator[CsvBlock]]:
@@ -184,28 +183,28 @@ def _split_lines(lines: list[str], width: int) -> CsvBlock | None:
     sizes = np.diff(ends, prepend=-1)  # each line's bytes, its newline included
     if sizes.max() > csv.field_size_limit():  # no field of a shorter line is longer
         return None
-    fields = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0) + 1
-    fields[sizes == 1] = 0
-    full = fields == width
-    if not full.all():
-        text = "".join(itertools.compress(lines, full.tolist()))
+    parts_per_line = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0) + 1
+    fields = np.where(sizes == 1, 0, parts_per_line)
     parts = text.replace("\n", ",").split(",")
-    stop = width * int(np.count_nonzero(full))  # a final newline leaves one empty part beyond
-    others = np.flatnonzero(~full & (fields > 0)).tolist()
-    return CsvBlock(
-        fields,
-        [parts[column:stop:width] for column in range(width)],
-        [lines[row].rstrip("\n").split(",") for row in others],
-    )
+    # Pad or cut each row of another width to the header's width and drop
+    # the one empty part of each blank row, from the last row back, so the
+    # parts of the rows before stay where they are.
+    starts = np.cumsum(parts_per_line) - parts_per_line
+    padding = [""] * width
+    for row in np.flatnonzero(fields != width)[::-1]:
+        start, n = starts[row], fields[row]
+        parts[start:start + parts_per_line[row]] = (parts[start:start + n] + padding)[:width] if n else []
+    stop = width * int(np.count_nonzero(fields))  # a final newline leaves one empty part beyond
+    return CsvBlock(fields, [parts[column:stop:width] for column in range(width)])
 
 
 def _reader_blocks(reader: Iterator[list[str]], width: int) -> Iterator[CsvBlock]:
+    padding = [""] * width
     while rows := list(itertools.islice(reader, CHUNK_ROWS)):
-        full = [row for row in rows if len(row) == width]
+        cells = [(row + padding)[:width] for row in rows if row]
         yield CsvBlock(
             np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)),
-            list(zip(*full)) if full else [()] * width,
-            [row for row in rows if len(row) not in (0, width)],
+            list(zip(*cells)) if cells else [()] * width,
         )
 
 
@@ -227,7 +226,7 @@ def parse_cdr_csv(stream: IO[str]) -> tuple[CdrTable, list[RejectedRow]]:
 
     rejects: list[RejectedRow] = []
     # The empty table of a header-only file.
-    tables = [_parse_chunk(CsvBlock(np.zeros(0, dtype=np.intp), [()] * len(CDR_COLUMNS), []), 2, rejects)]
+    tables = [_parse_chunk(CsvBlock(np.zeros(0, dtype=np.intp), [()] * len(CDR_COLUMNS)), 2, rejects)]
     line_no = 2
     for block in blocks:
         tables.append(_parse_chunk(block, line_no, rejects))
@@ -256,18 +255,14 @@ def _parse_chunk(block: CsvBlock, first_line: int, rejects: list[RejectedRow]) -
     R-factor outside [0, r_max] for the row's codec.
     """
     width = len(CDR_COLUMNS)
-    positions = np.flatnonzero(block.fields == width).tolist()
-    ragged = np.flatnonzero((block.fields != width) & (block.fields > 0))  # blank rows are skipped
-    chunk_rejects = [
-        (i, RejectReason.BAD_FIELD, f"expected {width} fields, got {n}")
-        for i, n in zip(ragged.tolist(), block.fields[ragged].tolist())
-    ]
-
+    fields = block.fields[block.fields > 0]  # blank rows are skipped
     failed: dict[int, tuple[RejectReason, str]] = {}  # row -> its first failed check
 
     def fail(row: int, reason: RejectReason, detail: str) -> None:
         failed.setdefault(row, (reason, detail))
 
+    for row in np.flatnonzero(fields != width).tolist():
+        fail(row, RejectReason.BAD_FIELD, f"expected {width} fields, got {fields[row]}")
     flow_id, codec_text, tx_text, rx_text, avg_text, max_text, r_text = block.columns
     code = codec_codes(codec_text)
     for row in np.flatnonzero(code < 0).tolist():
@@ -289,9 +284,11 @@ def _parse_chunk(block: CsvBlock, first_line: int, rejects: list[RejectedRow]) -
         for row in np.flatnonzero(broken).tolist():
             fail(row, reason, reason.value)
 
-    chunk_rejects += [(positions[row], reason, detail) for row, (reason, detail) in failed.items()]
-    rejects.extend(RejectedRow(first_line + i, reason, detail) for i, reason, detail in sorted(chunk_rejects))
-    keep = np.ones(len(positions), dtype=bool)
+    lines = np.flatnonzero(block.fields)  # each row's place in the block
+    rejects.extend(
+        RejectedRow(first_line + int(lines[row]), reason, detail) for row, (reason, detail) in sorted(failed.items())
+    )
+    keep = np.ones(len(fields), dtype=bool)
     keep[list(failed)] = False
     # Counts are narrowed again after the selection: a count beyond int64
     # in a rejected row must not make the column an object array.

@@ -42,7 +42,7 @@ def run(*argv) -> int:
 
 
 def read_rows(path: Path) -> list[dict[str, str]]:
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
 
 
@@ -99,11 +99,11 @@ def test_score_reproduces_golden_fixture(tmp_path):
 
 def test_score_empty_cdr(tmp_path):
     source = tmp_path / "empty.csv"
-    source.write_text("flow_id,codec,tx_packets,rx_packets,avg_jitter_ms,max_jitter_ms,r_factor\n")
+    source.write_text("flow_id,codec,tx_packets,rx_packets,avg_jitter_ms,max_jitter_ms,r_factor\n", encoding="utf-8")
     out_csv = tmp_path / "scored.csv"
     assert run("score", "--input", source, "--output", out_csv) == 0
-    assert out_csv.read_text() == SCORED_HEADER + "\n"
-    summary = json.loads((tmp_path / "scored.csv.summary.json").read_text())
+    assert out_csv.read_text(encoding="utf-8") == SCORED_HEADER + "\n"
+    summary = json.loads((tmp_path / "scored.csv.summary.json").read_text(encoding="utf-8"))
     assert summary["total_flows"] == 0
     assert summary["per_codec_shares"] == {}
 
@@ -113,12 +113,13 @@ def test_score_rejects_every_evs_row(tmp_path):
     source.write_text(
         "flow_id,codec,tx_packets,rx_packets,avg_jitter_ms,max_jitter_ms,r_factor\n"
         "e1,EVS,10,9,1.0,2.0,\n"
-        "e2,EVS,20,19,1.0,2.0,\n"
+        "e2,EVS,20,19,1.0,2.0,\n",
+        encoding="utf-8",
     )
     out_csv = tmp_path / "scored.csv"
     assert run("score", "--input", source, "--output", out_csv) == 0
-    assert out_csv.read_text() == SCORED_HEADER + "\n"
-    summary = json.loads((tmp_path / "scored.csv.summary.json").read_text())
+    assert out_csv.read_text(encoding="utf-8") == SCORED_HEADER + "\n"
+    summary = json.loads((tmp_path / "scored.csv.summary.json").read_text(encoding="utf-8"))
     assert summary["total_flows"] == 0
     assert summary["rejected"]["total"] == 2
     assert summary["rejected"]["by_reason"] == {"UNSUPPORTED_CODEC": 2}
@@ -127,7 +128,7 @@ def test_score_rejects_every_evs_row(tmp_path):
 
 def test_score_schema_error_is_fatal(tmp_path, capsys):
     source = tmp_path / "bad.csv"
-    source.write_text("totally,wrong,header\n1,2,3\n")
+    source.write_text("totally,wrong,header\n1,2,3\n", encoding="utf-8")
     out_csv = tmp_path / "scored.csv"
     assert run("score", "--input", source, "--output", out_csv) == 1
     assert "SCHEMA" in capsys.readouterr().err
@@ -168,7 +169,7 @@ def test_summary_text_is_json_dumps(count, details, first_line, codecs):
 def test_score_summary_is_json_dumps(tmp_path):
     source = tmp_path / "rejects.csv"
     source.write_text(
-        (DATA / "cdr_golden.csv").read_text() + 'e1,"É""\\\x01",10,9,1.0,2.0,\ne2,AMR,x,9,1.0,2.0,\n',
+        (DATA / "cdr_golden.csv").read_text(encoding="utf-8") + 'e1,"É""\\\x01",10,9,1.0,2.0,\ne2,AMR,x,9,1.0,2.0,\n',
         encoding="utf-8",
     )
     assert run("score", "--input", source, "--output", tmp_path / "scored.csv") == 0
@@ -196,13 +197,14 @@ def test_simulate_is_byte_deterministic(tmp_path):
     config = tmp_path / "sim.ini"
     config.write_text(
         "[sim]\nflows = 25\npackets_per_flow = 40\nseed = 5\n"
-        "loss_models = bernoulli(0.1)\njitter_models = gaussian(4)\nbase_delay_ms = 30\n"
+        "loss_models = bernoulli(0.1)\njitter_models = gaussian(4)\nbase_delay_ms = 30\n",
+        encoding="utf-8",
     )
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run("simulate", "--config", config, "--output", first) == 0
     assert run("simulate", "--config", config, "--output", second) == 0
     assert first.read_bytes() == second.read_bytes()
-    meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+    meta = json.loads((tmp_path / "a.csv.meta.json").read_text(encoding="utf-8"))
     assert meta["generator"] == "numpy.random.PCG64"
     assert meta["seed"] == 5
     assert meta["flows_written"] == 25
@@ -214,7 +216,7 @@ def test_simulate_reproduces_golden_dataset(tmp_path):
     out = tmp_path / "sim.csv"
     assert run("simulate", "--config", DATA / "sim_golden.ini", "--output", out) == 0
     assert out.read_bytes() == (DATA / "sim_golden.csv").read_bytes()
-    meta = json.loads((tmp_path / "sim.csv.meta.json").read_text())
+    meta = json.loads((tmp_path / "sim.csv.meta.json").read_text(encoding="utf-8"))
     assert meta["flows_written"] == 30
     assert meta["flows_rejected"] == 18
     rejected_ids = (4, 5, 9, 10, 11, 16, 21, 22, 23, 27, 29, 34, 35, 39, 40, 41, 45, 47)
@@ -226,21 +228,23 @@ def test_simulate_reproduces_golden_dataset(tmp_path):
 def test_simulate_seed_flag_overrides_config(tmp_path):
     config = tmp_path / "sim.ini"
     config.write_text(
-        "[sim]\nflows = 10\npackets_per_flow = 30\nseed = 5\nloss_models = bernoulli(0.2)\n"
+        "[sim]\nflows = 10\npackets_per_flow = 30\nseed = 5\nloss_models = bernoulli(0.2)\n",
+        encoding="utf-8",
     )
     base, overridden = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run("simulate", "--config", config, "--output", base) == 0
     assert run("simulate", "--config", config, "--output", overridden, "--seed", 6) == 0
     assert base.read_bytes() != overridden.read_bytes()
-    assert json.loads((tmp_path / "b.csv.meta.json").read_text())["seed"] == 6
+    assert json.loads((tmp_path / "b.csv.meta.json").read_text(encoding="utf-8"))["seed"] == 6
 
 
 def test_simulate_zero_flows(tmp_path):
     config = tmp_path / "sim.ini"
-    config.write_text("[sim]\nflows = 0\npackets_per_flow = 10\nseed = 1\n")
+    config.write_text("[sim]\nflows = 0\npackets_per_flow = 10\nseed = 1\n", encoding="utf-8")
     out = tmp_path / "empty.csv"
     assert run("simulate", "--config", config, "--output", out) == 0
-    assert out.read_text() == "flow_id,codec,tx_packets,rx_packets,avg_jitter_ms,max_jitter_ms,r_factor\n"
+    header = "flow_id,codec,tx_packets,rx_packets,avg_jitter_ms,max_jitter_ms,r_factor\n"
+    assert out.read_text(encoding="utf-8") == header
 
 
 @pytest.mark.parametrize("window", [2**63, 10**30], ids=["2**63", "10**30"])
@@ -251,7 +255,7 @@ def test_simulate_window_beyond_the_flow_is_the_flow_length(tmp_path, capsys, wi
     )
     for name, value in (("wide", window), ("whole", 40)):
         config = tmp_path / f"{name}.ini"
-        config.write_text(text.format(value))
+        config.write_text(text.format(value), encoding="utf-8")
         assert run("simulate", "--config", config, "--output", tmp_path / f"{name}.csv") == 0
     assert capsys.readouterr().err == ""
     assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
@@ -261,7 +265,8 @@ def test_simulate_realized_mix_tracks_spec(tmp_path):
     config = tmp_path / "sim.ini"
     config.write_text(
         "[sim]\nflows = 10000\npackets_per_flow = 4\nseed = 8\n"
-        "codec_mix = AMR:0.7, AMR-WB:0.3\nloss_models = bernoulli(0)\n"
+        "codec_mix = AMR:0.7, AMR-WB:0.3\nloss_models = bernoulli(0)\n",
+        encoding="utf-8",
     )
     out = tmp_path / "mix.csv"
     assert run("simulate", "--config", config, "--output", out) == 0
@@ -272,7 +277,7 @@ def test_simulate_realized_mix_tracks_spec(tmp_path):
 
 def test_simulate_invalid_key_names_it(tmp_path, capsys):
     config = tmp_path / "sim.ini"
-    config.write_text("[sim]\nflows = 1\npackets_per_flow = 10\nseed = 1\nbogus_key = 3\n")
+    config.write_text("[sim]\nflows = 1\npackets_per_flow = 10\nseed = 1\nbogus_key = 3\n", encoding="utf-8")
     assert run("simulate", "--config", config, "--output", tmp_path / "x.csv") == 1
     err = capsys.readouterr().err
     assert "CONFIG" in err and "bogus_key" in err
@@ -282,13 +287,14 @@ def test_simulated_dataset_scores_cleanly(tmp_path):
     config = tmp_path / "sim.ini"
     config.write_text(
         "[sim]\nflows = 40\npackets_per_flow = 50\nseed = 13\n"
-        "loss_models = bernoulli(0.05)\njitter_models = gaussian(5)\nbase_delay_ms = 30\n"
+        "loss_models = bernoulli(0.05)\njitter_models = gaussian(5)\nbase_delay_ms = 30\n",
+        encoding="utf-8",
     )
     dataset = tmp_path / "dataset.csv"
     scored = tmp_path / "scored.csv"
     assert run("simulate", "--config", config, "--output", dataset) == 0
     assert run("score", "--input", dataset, "--output", scored) == 0
-    summary = json.loads((tmp_path / "scored.csv.summary.json").read_text())
+    summary = json.loads((tmp_path / "scored.csv.summary.json").read_text(encoding="utf-8"))
     assert summary["rejected"]["total"] == 0
     assert summary["total_flows"] == 40
 
@@ -306,7 +312,8 @@ def _pipeline_fit(tmp_path, codec, profile, burst_r, flows, packets, seed):
             codec=codec,
             loss_models=burst_sweep(burst_r),
             profiles={codec: profile},
-        )
+        ),
+        encoding="utf-8",
     )
     dataset = tmp_path / "dataset.csv"
     scored = tmp_path / "scored.csv"
@@ -314,7 +321,7 @@ def _pipeline_fit(tmp_path, codec, profile, burst_r, flows, packets, seed):
     assert run("simulate", "--config", config, "--output", dataset) == 0
     assert run("score", "--input", dataset, "--output", scored) == 0
     assert run("fit", "--input", scored, "--output", fit_json, "--model", "both") == 0
-    doc = json.loads(fit_json.read_text())
+    doc = json.loads(fit_json.read_text(encoding="utf-8"))
     return doc["codecs"][codec.value]["fits"]
 
 
@@ -342,7 +349,7 @@ def test_fit_recovers_linear_coefficients_through_pipeline(tmp_path):
 
 
 def _write_scored(path: Path, rows):
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SCORED_HEADER.split(","))
         for flow_id, codec, p_loss, r in rows:
@@ -358,7 +365,7 @@ def test_fit_errors_when_loss_never_varies(tmp_path, capsys):
 
 def test_fit_requires_p_loss_column(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("flow_id,codec,r_factor\nf,AMR,90\n")
+    bad.write_text("flow_id,codec,r_factor\nf,AMR,90\n", encoding="utf-8")
     assert run("fit", "--input", bad, "--output", tmp_path / "fit.json") == 1
     assert "SCHEMA" in capsys.readouterr().err
 
@@ -371,11 +378,11 @@ def test_fit_emits_bins_table_and_points(tmp_path):
     _write_scored(scored, rows)
     fit_json = tmp_path / "fit.json"
     assert run("fit", "--input", scored, "--output", fit_json, "--model", "linear") == 0
-    doc = json.loads(fit_json.read_text())
+    doc = json.loads(fit_json.read_text(encoding="utf-8"))
     wb = doc["codecs"]["AMR-WB"]
     assert len(wb["points"]) == 10
     assert wb["fits"]["linear"]["params"]["intercept"] == pytest.approx(99.01, rel=1e-4)
-    bins_csv = (tmp_path / "fit.bins.csv").read_text().splitlines()
+    bins_csv = (tmp_path / "fit.bins.csv").read_text(encoding="utf-8").splitlines()
     assert bins_csv[0] == "codec,bin_index,p_loss_lo,p_loss_hi,count,p_loss_median,r_mean,r_std"
     assert len(bins_csv) == 11
     counts = [int(line.split(",")[4]) for line in bins_csv[1:]]
@@ -391,11 +398,11 @@ def test_fit_splits_codecs_automatically(tmp_path):
     _write_scored(scored, rows)
     fit_json = tmp_path / "fit.json"
     assert run("fit", "--input", scored, "--output", fit_json, "--model", "linear") == 0
-    doc = json.loads(fit_json.read_text())
+    doc = json.loads(fit_json.read_text(encoding="utf-8"))
     assert set(doc["codecs"]) == {"AMR", "AMR-WB"}
     assert run("fit", "--input", scored, "--output", fit_json,
                "--model", "linear", "--codec", "AMR") == 0
-    doc = json.loads(fit_json.read_text())
+    doc = json.loads(fit_json.read_text(encoding="utf-8"))
     assert set(doc["codecs"]) == {"AMR"}
 
 
@@ -444,7 +451,7 @@ def test_fit_reproduces_golden_on_scored_sim_dataset(tmp_path):
 def test_golden_fits_converge_and_never_lose_to_the_line(tmp_path):
     # The log-decay model of old ran both of these fits into the
     # 200-iteration cap, ending above the line's SSE for AMR (87.27 > 86.17).
-    golden = json.loads((DATA / "sim_golden.fit.json").read_text())
+    golden = json.loads((DATA / "sim_golden.fit.json").read_text(encoding="utf-8"))
     for codec in ("AMR", "AMR-WB"):
         fits = golden["codecs"][codec]["fits"]
         assert fits["exponential"]["converged"]
@@ -468,12 +475,13 @@ def test_raw_point_fits_tell_the_curve_from_the_line(tmp_path):
         ",".join(CDR_COLUMNS) + "\n" + "".join(
             f"f{i},{'AMR-WB' if wb else 'AMR'},{t},{x},2.0,4.0,{q!r}\n"
             for i, (wb, t, x, q) in enumerate(zip(wideband.tolist(), tx.tolist(), rx.tolist(), r.tolist()))
-        )
+        ),
+        encoding="utf-8",
     )
     scored, fit_json = tmp_path / "scored.csv", tmp_path / "fit.json"
     assert run("score", "--input", cdr, "--output", scored) == 0
     assert run("fit", "--input", scored, "--output", fit_json, "--raw-points", "--model", "both") == 0
-    fits = {codec: entry["fits"] for codec, entry in json.loads(fit_json.read_text())["codecs"].items()}
+    fits = {codec: entry["fits"] for codec, entry in json.loads(fit_json.read_text(encoding="utf-8"))["codecs"].items()}
     for codec in ("AMR", "AMR-WB"):
         assert fits[codec]["exponential"]["converged"]
         assert fits[codec]["exponential"]["iterations"] <= 20
@@ -556,7 +564,8 @@ def test_report_wideband_dominates_narrowband_cellwise(tmp_path):
         config.write_text(
             f"[sim]\nflows = 400\npackets_per_flow = 80\nseed = 17\n"
             f"codec_mix = {codec.value}:1.0\nloss_models = {sweeps}\n"
-            f"jitter_models = gaussian(6)\nbase_delay_ms = 30\n"
+            f"jitter_models = gaussian(6)\nbase_delay_ms = 30\n",
+            encoding="utf-8",
         )
         dataset = tmp_path / f"data_{codec.name}.csv"
         scored = tmp_path / f"scored_{codec.name}.csv"
@@ -609,7 +618,7 @@ def _scored_rows():
 
 
 def _write_rows(path: Path, rows):
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, SCORED_HEADER.split(","), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -661,6 +670,34 @@ def test_blank_cells_read_as_empty(tmp_path, capsys):
     _write_rows(tmp_path / "blank.csv", _scored_rows()[2:] + rows)
     assert run("fit", "--input", tmp_path / "blank.csv", "--output", tmp_path / "o.json") == 0
     assert "skipped rows: r_factor_computed empty=2\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["split", "csv_reader"])
+@pytest.mark.parametrize("chunk", (1, 2, 3, ingest.CHUNK_ROWS))
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_short_scored_row_counts_its_missing_cell_as_empty(tmp_path, capsys, command, chunk, path):
+    _write_rows(tmp_path / "clean.csv", _scored_rows())
+    lines = (tmp_path / "clean.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    if path == "csv_reader":  # a quoted field sends the whole file to csv.reader
+        lines[1] = '"' + lines[1].replace(",", '",', 1)
+    # The row ends after r_factor: its p_loss, mos and r_factor_computed are missing.
+    short = "short," + ",".join(lines[2].split(",")[1:7]) + "\n"
+    (tmp_path / "clean.csv").write_text("".join(lines), encoding="utf-8")
+    (tmp_path / "dirty.csv").write_text("".join(lines[:6] + [short] + lines[6:]), encoding="utf-8")
+    suffixes = (".json", ".bins.csv") if command == "fit" else (".csv",)
+    outputs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "CHUNK_ROWS", chunk)
+        if path == "split":
+            patch.setattr(ingest, "_reader_blocks", None)  # calling it fails the test
+        for stem in ("clean", "dirty"):
+            out = tmp_path / f"out_{stem}{suffixes[0]}"
+            assert run(command, "--input", tmp_path / f"{stem}.csv", "--output", out) == 0
+            outputs[stem] = [out.with_suffix(s).read_bytes() for s in suffixes]
+            assert capsys.readouterr().err == (
+                f"warning: {tmp_path / 'dirty.csv'}: skipped rows: p_loss empty=1\n" if stem == "dirty" else ""
+            )
+    assert outputs["dirty"] == outputs["clean"]
 
 
 SCORED_NAMES = ["codec", "p_loss", "max_jitter_ms", "r_factor", "r_factor_computed", "mos"]
@@ -739,21 +776,22 @@ SCORED = str(DATA / "cdr_golden.scored.csv")
 
 
 def _bad_input_files(tmp_path: Path) -> None:
-    (tmp_path / "sim.ini").write_text(SIM_CONFIG)
-    (tmp_path / "no_section.ini").write_text("flows = 3\n")
-    (tmp_path / "dup_sim.ini").write_text(SIM_CONFIG + "seed = 2\n")
-    (tmp_path / "dup_profile.ini").write_text("[AMR]\nie = 1\nie = 2\n")
-    (tmp_path / "nan_profile.ini").write_text("[AMR]\nbpl = nan\n")
-    (tmp_path / "nan_profile_sim.ini").write_text(SIM_CONFIG + "[AMR]\nbpl = nan\n")
+    (tmp_path / "sim.ini").write_text(SIM_CONFIG, encoding="utf-8")
+    (tmp_path / "no_section.ini").write_text("flows = 3\n", encoding="utf-8")
+    (tmp_path / "dup_sim.ini").write_text(SIM_CONFIG + "seed = 2\n", encoding="utf-8")
+    (tmp_path / "dup_profile.ini").write_text("[AMR]\nie = 1\nie = 2\n", encoding="utf-8")
+    (tmp_path / "nan_profile.ini").write_text("[AMR]\nbpl = nan\n", encoding="utf-8")
+    (tmp_path / "nan_profile_sim.ini").write_text(SIM_CONFIG + "[AMR]\nbpl = nan\n", encoding="utf-8")
     (tmp_path / "latin1.txt").write_bytes("[sim]\nflows = 3\n# caf\u00e9\n".encode("latin-1"))
     (tmp_path / "dir").mkdir()
     # One field beyond the csv module's default 128 KiB field limit.
-    (tmp_path / "huge_field.csv").write_text(f"{','.join(CDR_COLUMNS)}\n{'x' * 200_000},AMR\n")
-    (tmp_path / "huge_scored_field.csv").write_text(f"{SCORED_HEADER}\nf1,AMR\n{'x' * 200_000},AMR\n")
+    (tmp_path / "huge_field.csv").write_text(f"{','.join(CDR_COLUMNS)}\n{'x' * 200_000},AMR\n", encoding="utf-8")
+    (tmp_path / "huge_scored_field.csv").write_text(f"{SCORED_HEADER}\nf1,AMR\n{'x' * 200_000},AMR\n", encoding="utf-8")
     # The largest jitter is the smallest subnormal float: the default
     # jitter range 0:max is too narrow to split into distinct bin edges.
     (tmp_path / "tiny_jitter.csv").write_text(
-        SCORED_HEADER + "\n" + "".join(f"f{i},AMR,100,99,0.0,5e-324,80,0.0{i},,\n" for i in range(3))
+        SCORED_HEADER + "\n" + "".join(f"f{i},AMR,100,99,0.0,5e-324,80,0.0{i},,\n" for i in range(3)),
+        encoding="utf-8",
     )
 
 
@@ -857,7 +895,7 @@ def test_bad_sim_config_value_is_rejected_at_load(tmp_path, capsys, line):
     key = line.split()[0]
     rows = [row for row in SIM_CONFIG.splitlines() if not row.startswith(key)]
     config = tmp_path / "sim.ini"
-    config.write_text("\n".join(rows + [line]) + "\n")
+    config.write_text("\n".join(rows + [line]) + "\n", encoding="utf-8")
     assert run("simulate", "--config", config, "--output", tmp_path / "o.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: CONFIG: ") and key in err
@@ -866,7 +904,7 @@ def test_bad_sim_config_value_is_rejected_at_load(tmp_path, capsys, line):
 
 def test_model_list_error_names_the_key_and_text(tmp_path, capsys):
     config = tmp_path / "sim.ini"
-    config.write_text(SIM_CONFIG + "jitter_models = gaussian(4) 12\n")
+    config.write_text(SIM_CONFIG + "jitter_models = gaussian(4) 12\n", encoding="utf-8")
     assert run("simulate", "--config", config, "--output", tmp_path / "o.csv") == 1
     assert capsys.readouterr().err == (
         "error: CONFIG: jitter_models: not a comma-separated list of name or name(args): "
@@ -878,7 +916,7 @@ def test_huge_packets_per_flow_is_a_config_error(tmp_path, capsys):
     # 10**18 packets exceed any address space, so the first allocation
     # fails at once.
     config = tmp_path / "sim.ini"
-    config.write_text("[sim]\nflows = 1\npackets_per_flow = 1000000000000000000\nseed = 1\n")
+    config.write_text("[sim]\nflows = 1\npackets_per_flow = 1000000000000000000\nseed = 1\n", encoding="utf-8")
     assert run("simulate", "--config", config, "--output", tmp_path / "o.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: CONFIG: packets_per_flow") and "Traceback" not in err
@@ -887,7 +925,7 @@ def test_huge_packets_per_flow_is_a_config_error(tmp_path, capsys):
 
 def test_integer_sim_key_error_names_the_key(tmp_path, capsys):
     config = tmp_path / "sim.ini"
-    config.write_text(SIM_CONFIG.replace("flows = 3", "flows = 10.0"))
+    config.write_text(SIM_CONFIG.replace("flows = 3", "flows = 10.0"), encoding="utf-8")
     assert run("simulate", "--config", config, "--output", tmp_path / "o.csv") == 1
     assert capsys.readouterr().err == "error: CONFIG: flows: not an integer: '10.0'\n"
 
@@ -908,18 +946,18 @@ def test_simulate_overflowing_flows_are_counted_rejects(tmp_path, capsys, lines,
     keys = {line.split()[0] for line in lines}
     rows = [row for row in SIM_CONFIG.splitlines() if row.split(" ")[0] not in keys]
     config = tmp_path / "sim.ini"
-    config.write_text("\n".join(rows + lines) + "\n")
+    config.write_text("\n".join(rows + lines) + "\n", encoding="utf-8")
     out = tmp_path / "o.csv"
     assert run("simulate", "--config", config, "--output", out) == 0
     assert capsys.readouterr().err == ""
-    meta = json.loads((tmp_path / "o.csv.meta.json").read_text())
+    meta = json.loads((tmp_path / "o.csv.meta.json").read_text(encoding="utf-8"))
     assert {r["reason"] for r in meta["rejected"]} == reasons
     assert meta["flows_written"] == len(read_rows(out)) == 0
 
 
 def test_score_huge_packet_counts_do_not_overflow(tmp_path):
     source = tmp_path / "huge.csv"
-    source.write_text(f"{','.join(CDR_COLUMNS)}\nf1,AMR,{10 ** 400},1,1.0,2.0,\n")
+    source.write_text(f"{','.join(CDR_COLUMNS)}\nf1,AMR,{10 ** 400},1,1.0,2.0,\n", encoding="utf-8")
     assert run("score", "--input", source, "--output", tmp_path / "o.csv") == 0
     assert read_rows(tmp_path / "o.csv")[0]["p_loss"] == "1"
 
@@ -928,7 +966,7 @@ def test_score_huge_packet_counts_do_not_overflow(tmp_path):
 def test_score_counts_beyond_int64_are_exact(tmp_path, codec):
     # 2**63 fits no int64; the exact loss is 808 / (2**63 - 808).
     source = tmp_path / "huge.csv"
-    source.write_text(f"{','.join(CDR_COLUMNS)}\nf1,AMR-WB,{2 ** 63},{2 ** 63 - 808},1.0,2.0,\n")
+    source.write_text(f"{','.join(CDR_COLUMNS)}\nf1,AMR-WB,{2 ** 63},{2 ** 63 - 808},1.0,2.0,\n", encoding="utf-8")
     assert run("score", "--input", source, "--output", tmp_path / "o.csv", "--codec", codec) == 0
     assert read_rows(tmp_path / "o.csv")[0]["p_loss"] == "8.76035e-17"
 

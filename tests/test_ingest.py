@@ -371,16 +371,42 @@ def test_count_beyond_int64_in_a_rejected_row_keeps_int64(chunk):
     assert table.tx_packets.dtype == np.int64
 
 
+@pytest.mark.parametrize("path", ["split", "csv_reader"])
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_short_and_long_rows_reject_with_their_own_field_count(chunk, path):
+    # Padded, the 3-field row has empty counts and jitter; cut, the 8-field
+    # row names an unknown codec and has max jitter below average.  Only
+    # the field count may name either.  A quoted field sends the whole
+    # file to csv.reader.
+    first = '"f1"' if path == "csv_reader" else "f1"
+    text = (
+        f"{HEADER}\n{first},AMR,10,9,1.0,2.0,\n"
+        "f2,AMR,10\n\nf3,EVS,10,9,5.0,1.0,,extra\nf4,AMR-WB,10,9,1.0,2.0,120\n"
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "split":
+            patch.setattr(ingest, "_reader_blocks", None)  # calling it fails the test
+        table, rejects = parse_in_chunks(text, chunk)
+    assert table.flow_id.tolist() == ["f1", "f4"]
+    assert rejects == [
+        RejectedRow(3, RejectReason.BAD_FIELD, "expected 7 fields, got 3"),
+        RejectedRow(5, RejectReason.BAD_FIELD, "expected 7 fields, got 8"),
+    ]
+    # json.dumps of the summary refuses numpy integers.
+    assert all(type(r.line_no) is int for r in rejects)
+    assert_parse_matches_oracle(text, chunk)
+
+
 # ------------------------------------------------------ block splitter
 
 
-def block_rows(block: ingest.CsvBlock) -> list[list[str]]:
-    """A block's rows as csv.reader gives them."""
-    full, others = zip(*block.columns), iter(block.others)
-    width = len(block.columns)
-    rows = [[] if n == 0 else list(next(full)) if n == width else next(others) for n in block.fields.tolist()]
-    assert next(full, None) is None and next(others, None) is None
-    return rows
+def block_rows(block: ingest.CsvBlock) -> list[tuple[int, list[str]]]:
+    """A block's rows, each as its field count and its cells at the
+    header's width; a blank row has no cells."""
+    nonblank = int(np.count_nonzero(block.fields))
+    assert all(len(column) == nonblank for column in block.columns)
+    cells = iter([[column[row] for column in block.columns] for row in range(nonblank)])
+    return [(n, next(cells) if n else []) for n in block.fields.tolist()]
 
 
 def split_text(text: str, chunk: int):
@@ -404,12 +430,19 @@ def split_text(text: str, chunk: int):
 
 
 def read_text(text: str):
-    """The header and rows of ``csv.reader`` over the same stream, or its csv.Error."""
+    """The header and rows of ``csv.reader`` over the same stream, or its
+    csv.Error.  Each row is its field count and its cells at the header's
+    width, as ``csv.DictReader`` reads them: a short row padded with empty
+    cells, a long row cut; a blank row has no cells."""
     try:
         rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         return "csv.Error", str(exc)
-    return (rows[0], rows[1:]) if rows else (None, [])
+    if not rows:
+        return None, []
+    width = len(rows[0])
+    cells = [[row[i] if i < len(row) else "" for i in range(width)] if row else [] for row in rows[1:]]
+    return rows[0], [(len(row), row_cells) for row, row_cells in zip(rows[1:], cells)]
 
 
 # A field limit that short lines reach: a field beyond it is a csv.Error,
@@ -450,7 +483,7 @@ def test_csv_blocks_match_csv_reader(limit, chunk, header, plain, tail):
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
 def test_quoted_newline_across_a_block_boundary(chunk):
     text = 'h1,h2\np,q\n"x\ny",z\nr,s\n'
-    assert split_text(text, chunk) == (["h1", "h2"], [["p", "q"], ["x\ny", "z"], ["r", "s"]])
+    assert split_text(text, chunk) == (["h1", "h2"], [(2, ["p", "q"]), (2, ["x\ny", "z"]), (2, ["r", "s"])])
     assert split_text(text, chunk) == read_text(text)
 
 
