@@ -16,6 +16,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 from collections import Counter
 from datetime import datetime, timezone
@@ -37,12 +39,13 @@ from volteqa.analytics import (
 from volteqa.emodel import DEFAULT_PROFILES, CodecProfile, compute_r_factor, load_profiles
 from volteqa.ingest import (
     CDR_COLUMNS,
-    CHUNK_ROWS,
     CODEC_INDEX,
     CdrTable,
     Codec,
     CsvBlock,
+    RejectedRow,
     SchemaError,
+    cdr_blocks,
     cdr_lines,
     codec_codes,
     csv_blocks,
@@ -57,10 +60,6 @@ from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
 SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
 
 MIN_BINS_FOR_EXPONENTIAL = 4
-
-# Rows scored at a time by `score`: it keeps the score arrays small
-# beside the parsed table.
-SCORE_CHUNK = 8192
 
 T = TypeVar("T")
 
@@ -125,7 +124,8 @@ def _open(path: str | Path, kind: str) -> Iterator[IO[str]]:
     text; OUTPUT is opened for writing.
 
     A file that cannot be opened, and input that is not UTF-8 text or not
-    CSV, end the command with a CliError that names the file.
+    CSV, end the command with a CliError that names the file.  An output
+    file whose writing an error cuts short is removed.
     """
     # A config keeps universal newlines: simulate hashes its text into the meta.
     try:
@@ -139,11 +139,18 @@ def _open(path: str | Path, kind: str) -> Iterator[IO[str]]:
         if isinstance(exc, FileNotFoundError):
             raise CliError(f"{kind}_NOT_FOUND", f"{kind.lower()} file not found: {path}") from None
         raise CliError(f"{kind}_UNREADABLE", f"cannot read {path}: {exc.strerror}") from None
-    with handle:
-        try:
+    regular = kind == "OUTPUT" and stat.S_ISREG(os.fstat(handle.fileno()).st_mode)  # not a device or pipe
+    try:
+        with handle:
             yield handle
-        except (UnicodeDecodeError, csv.Error) as exc:
+    except BaseException as exc:
+        if regular:
+            Path(path).unlink(missing_ok=True)
+        # Only the file being read names itself in its decoding and CSV
+        # errors: an output opened while reading must not take them over.
+        if kind != "OUTPUT" and isinstance(exc, (UnicodeDecodeError, csv.Error)):
             raise CliError("CONFIG" if kind == "CONFIG" else "SCHEMA", f"{path}: {exc}") from None
+        raise
 
 
 def _load_config(path: str, load: Callable[[str], T]) -> tuple[str, T]:
@@ -159,26 +166,29 @@ def _load_config(path: str, load: Callable[[str], T]) -> tuple[str, T]:
 def cmd_score(args: argparse.Namespace) -> int:
     profiles = DEFAULT_PROFILES if args.config is None else _load_config(args.config, load_profiles)[1]
     wanted = _codec_filter(args.codec)
-    with _open(args.input, "INPUT") as handle:
+    output = Path(args.output)
+    counts: Counter[Codec] = Counter()
+    rejects: list[RejectedRow] = []
+    # One pass: each block is parsed, scored and written before the next
+    # is read, so only the counts and the rejects outlive it.
+    with _open(args.input, "INPUT") as source:
         try:
-            table, rejects = parse_cdr_csv(handle)
+            blocks = cdr_blocks(source)
         except SchemaError as exc:
             raise CliError("SCHEMA", str(exc)) from None
+        if output.is_file() and output.samefile(args.input):  # writing would truncate what is read
+            raise CliError("OUTPUT_UNWRITABLE", f"cannot write {output}: it is the input file")
+        with _open(output, "OUTPUT") as sink:
+            sink.write(",".join(SCORED_COLUMNS) + "\n")
+            for first_line, block in blocks:
+                table, block_rejects = parse_cdr_csv(block, first_line)
+                rejects += block_rejects
+                if wanted is not None:
+                    table = table.take(table.codec == wanted)
+                counts.update(table.codec_counts())
+                sink.write(cdr_lines(table, *_score_records(table, profiles)))
 
-    if wanted is not None:
-        table = table.take(table.codec == wanted)
-
-    output = Path(args.output)
-    with _open(output, "OUTPUT") as handle:
-        handle.write(",".join(SCORED_COLUMNS) + "\n")
-        for start in range(0, len(table), SCORE_CHUNK):
-            chunk = table.take(slice(start, start + SCORE_CHUNK))
-            scores = _score_records(chunk, profiles)
-            for lo in range(0, len(chunk), CHUNK_ROWS):
-                rows = slice(lo, lo + CHUNK_ROWS)
-                handle.write(cdr_lines(chunk.take(rows), *(column[rows] for column in scores)))
-
-    summary = summarize_dataset(table, rejects)
+    summary = summarize_dataset(counts, rejects)
     summary["per_codec_shares"] = {k: round_g6(v) for k, v in summary["per_codec_shares"].items()}
     summary_path = Path(args.summary) if args.summary else output.with_suffix(output.suffix + ".summary.json")
     with _open(summary_path, "OUTPUT") as handle:
@@ -233,6 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         spec, profiles = load_sim_config(text)
         return (spec if args.seed is None else dataclasses.replace(spec, seed=args.seed)), profiles
 
+    timestamp = _timestamp()  # before any output, which a bad SOURCE_DATE_EPOCH would leave behind
     config_text, (spec, profiles) = _load_config(args.config, load)
 
     try:
@@ -256,11 +267,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "flows_written": len(rounded),
         "flows_rejected": len(rejected),
         "rejected": [{"flow_id": r.flow_id, "reason": r.reason} for r in rejected],
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": timestamp,
     }
     meta_path = Path(args.meta) if args.meta else output.with_suffix(output.suffix + ".meta.json")
     _write_json(meta_path, manifest)
     return 0
+
+
+def _timestamp() -> str:
+    """The time of the run, or the one that SOURCE_DATE_EPOCH pins (whole
+    seconds since 1970, UTC) so that whole runs can be diffed."""
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    if not epoch:
+        return datetime.now(timezone.utc).isoformat()
+    try:
+        if epoch.isascii() and epoch.isdigit():
+            return datetime.fromtimestamp(int(epoch), timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):  # beyond the years datetime can hold
+        pass
+    raise CliError("CONFIG", f"SOURCE_DATE_EPOCH must be whole seconds since 1970, got {epoch!r}")
 
 
 def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> dict[Codec, np.ndarray]:
@@ -451,8 +476,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     p_bins, j_bins = _bin_count(args.bins, "--bins"), _bin_count(args.j_bins, "--j-bins")
     cells = _bin_count(p_bins * j_bins, "--bins x --j-bins")
     groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss", "max_jitter_ms"))
-    # Cells aggregate sorted values, so sample order does not matter.
+    # Cells aggregate sorted values, so sample order does not matter.  The
+    # per-codec arrays are let go once they are joined.
     samples = np.concatenate([*groups.values(), np.empty((0, 3))])
+    del groups
 
     if args.j_range is not None:
         j_lo, j_hi = _parse_range(args.j_range, "--j-range")

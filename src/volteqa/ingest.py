@@ -16,7 +16,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,6 +97,10 @@ class CdrTable:
     def take(self, rows) -> CdrTable:
         """The table of the rows that ``rows`` (a slice, mask or indices) selects."""
         return CdrTable(*(getattr(self, name)[rows] for name in CDR_COLUMNS))
+
+    def codec_counts(self) -> dict[Codec, int]:
+        """The number of rows of each codec."""
+        return {codec: int(np.count_nonzero(self.codec == codec)) for codec in Codec}
 
 
 def _counts(values: Sequence[int]) -> np.ndarray:
@@ -208,13 +212,12 @@ def _reader_blocks(reader: Iterator[list[str]], width: int) -> Iterator[CsvBlock
         )
 
 
-def parse_cdr_csv(stream: IO[str]) -> tuple[CdrTable, list[RejectedRow]]:
-    """Parse a CDR CSV into the table of accepted rows and per-row rejects.
+def cdr_blocks(stream: IO[str]) -> Iterator[tuple[int, CsvBlock]]:
+    """The data rows of a CDR CSV in the blocks of ``csv_blocks``, each
+    with the 1-based line number of its first row (the header is line 1).
 
-    Every data row becomes exactly one table row or one RejectedRow, in
-    file order.  ``line_no`` is the 1-based line number (the header is
-    line 1).  A missing or unknown header raises SchemaError.  Rows are
-    read in the blocks of ``csv_blocks`` and checked column by column.
+    A missing or unknown header raises SchemaError at once, before any
+    data row is read.
     """
     header, blocks = csv_blocks(stream)
     if header is None:
@@ -223,15 +226,14 @@ def parse_cdr_csv(stream: IO[str]) -> tuple[CdrTable, list[RejectedRow]]:
         raise SchemaError(
             f"unexpected header {','.join(header)!r}; expected {','.join(CDR_COLUMNS)!r}"
         )
+    return _numbered(blocks)
 
-    rejects: list[RejectedRow] = []
-    # The empty table of a header-only file.
-    tables = [_parse_chunk(CsvBlock(np.zeros(0, dtype=np.intp), [()] * len(CDR_COLUMNS)), 2, rejects)]
+
+def _numbered(blocks: Iterator[CsvBlock]) -> Iterator[tuple[int, CsvBlock]]:
     line_no = 2
     for block in blocks:
-        tables.append(_parse_chunk(block, line_no, rejects))
+        yield line_no, block
         line_no += len(block.fields)
-    return CdrTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in CDR_COLUMNS)), rejects
 
 
 _CODECS = tuple(Codec)
@@ -244,14 +246,16 @@ def codec_codes(texts: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(CODEC_INDEX.get, texts, itertools.repeat(-1)), dtype=np.intp, count=len(texts))
 
 
-def _parse_chunk(block: CsvBlock, first_line: int, rejects: list[RejectedRow]) -> CdrTable:
-    """The table of a block's accepted rows; its rejects go to ``rejects``
-    in line order.
+def parse_cdr_csv(block: CsvBlock, first_line: int) -> tuple[CdrTable, list[RejectedRow]]:
+    """Parse a block of CDR rows, the first on line ``first_line``, into
+    the table of its accepted rows and its rejects.
 
-    Each check runs on a whole column, and a row keeps the first one it
-    fails, in this order: the field count, the codec, the conversion of
-    each field in column order, negative packet counts, a fully empty
-    flow, inconsistent jitter (negative, or max below average), and an
+    Every data row becomes exactly one table row or one RejectedRow, in
+    file order; ``line_no`` counts the block's blank rows too.  Each check
+    runs on a whole column, and a row keeps the first one it fails, in
+    this order: the field count, the codec, the conversion of each field
+    in column order, negative packet counts, a fully empty flow,
+    inconsistent jitter (negative, or max below average), and an
     R-factor outside [0, r_max] for the row's codec.
     """
     width = len(CDR_COLUMNS)
@@ -285,9 +289,9 @@ def _parse_chunk(block: CsvBlock, first_line: int, rejects: list[RejectedRow]) -
             fail(row, reason, reason.value)
 
     lines = np.flatnonzero(block.fields)  # each row's place in the block
-    rejects.extend(
+    rejects = [
         RejectedRow(first_line + int(lines[row]), reason, detail) for row, (reason, detail) in sorted(failed.items())
-    )
+    ]
     keep = np.ones(len(fields), dtype=bool)
     keep[list(failed)] = False
     # Counts are narrowed again after the selection: a count beyond int64
@@ -300,7 +304,7 @@ def _parse_chunk(block: CsvBlock, first_line: int, rejects: list[RejectedRow]) -
         avg[keep],
         max_j[keep],
         r_factor[keep],
-    )
+    ), rejects
 
 
 _Fail = Callable[[int, RejectReason, str], None]
@@ -399,20 +403,20 @@ def write_cdr_csv(table: CdrTable, stream: IO[str]) -> None:
         stream.write(cdr_lines(table.take(slice(start, start + CHUNK_ROWS))))
 
 
-def summarize_dataset(table: CdrTable, rejects: Sequence[RejectedRow]) -> dict:
-    """The JSON summary document of a parsed CDR file.
+def summarize_dataset(counts: Mapping[Codec, int], rejects: Sequence[RejectedRow]) -> dict:
+    """The JSON summary document of a parsed CDR file, from its accepted
+    flows per codec and its rejected rows.
 
-    Flow counts and shares per codec over the table's rows (no entry for
-    an absent codec), and the rejected rows with their count by reason.
-    Counts and shares do not depend on row order.
+    Flow counts and shares per codec (no entry for a codec without
+    flows), and the rejected rows with their count by reason.
     """
-    counts = {codec: int(np.count_nonzero(table.codec == codec)) for codec in Codec}
+    total = sum(counts.values())
     reasons = Counter(row.reason for row in rejects)
-    present = [codec for codec in Codec if counts[codec]]
+    present = [codec for codec in Codec if counts.get(codec)]
     return {
-        "total_flows": len(table),
+        "total_flows": total,
         "per_codec_counts": {codec.value: counts[codec] for codec in present},
-        "per_codec_shares": {codec.value: counts[codec] / len(table) for codec in present},
+        "per_codec_shares": {codec.value: counts[codec] / total for codec in present},
         "rejected": {
             "total": len(rejects),
             "by_reason": {r.value: reasons[r] for r in RejectReason if reasons[r]},

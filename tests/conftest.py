@@ -24,6 +24,8 @@ from volteqa.ingest import (
     RejectedRow,
     RejectReason,
     SchemaError,
+    cdr_blocks,
+    parse_cdr_csv,
     parse_float,
     parse_int,
 )
@@ -468,6 +470,18 @@ def table_from_rows(rows) -> CdrTable:
     objects = [np.array(column, dtype=object) for column in (flow_id, codec)]
     # As float64, an absent r_factor (None) becomes NaN.
     return CdrTable(*objects, counts(tx), counts(rx), *(np.array(c, dtype=float) for c in floats))
+
+
+def parse_cdr_stream(stream: IO[str]) -> tuple[CdrTable, list[RejectedRow]]:
+    """A whole CDR CSV parsed block by block: one table of the accepted
+    rows of every block, a count column of Python ints if any block's is,
+    and every reject."""
+    tables, rejects = [table_from_rows([])], []
+    for first_line, block in cdr_blocks(stream):
+        table, block_rejects = parse_cdr_csv(block, first_line)
+        tables.append(table)
+        rejects += block_rejects
+    return CdrTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in CDR_COLUMNS)), rejects
 
 
 def table_rows(table: CdrTable) -> list[tuple]:

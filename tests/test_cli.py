@@ -6,6 +6,8 @@ import io
 import itertools
 import json
 import tempfile
+import tracemalloc
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from conftest import (
     burst_sweep,
     exp_curve,
     line_curve,
+    reference_parse_cdr_csv,
     reference_read_samples,
     table_from_rows,
 )
@@ -162,7 +165,7 @@ def test_summary_text_is_json_dumps(count, details, first_line, codecs):
     reasons = itertools.cycle(RejectReason)
     rejects = [RejectedRow(first_line + i, next(reasons), detail) for i, detail in enumerate(details[:count])]
     table = table_from_rows([(f"f{i}", codec, 10, 9, 1.0, 2.0, 50.0) for i, codec in enumerate(codecs)])
-    summary = summarize_dataset(table, rejects)
+    summary = summarize_dataset(table.codec_counts(), rejects)
     assert cli._summary_json(summary) == json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
@@ -190,6 +193,116 @@ def test_score_codec_filter(tmp_path):
     assert [r["codec"] for r in rows] == ["AMR-WB"]
 
 
+def _cdr_lines(rows: int, start: int = 0) -> list[str]:
+    """``rows`` valid CDR lines of both codecs, every field in its range."""
+    return [
+        f"f{i:07d},{'AMR-WB' if i % 3 == 0 else 'AMR'},{1000 + i % 97},{990 - i % 89},"
+        f"{1 + i % 7 / 4},{3 + i % 11 / 2},{'' if i % 5 else 60 + i % 13}\n"
+        for i in range(start, start + rows)
+    ]
+
+
+def _score_outputs(source: Path, out: Path, *flags, chunk: int = ingest.CHUNK_ROWS) -> tuple[bytes, bytes]:
+    """The scored CSV and summary JSON of ``score`` read in blocks of ``chunk`` rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "CHUNK_ROWS", chunk)
+        assert run("score", "--input", source, "--output", out, *flags) == 0
+    return out.read_bytes(), out.with_suffix(".csv.summary.json").read_bytes()
+
+
+# Rows that are blank, short, long or rejected, each between valid ones,
+# so that blocks of 1, 2 and 7 rows start and end on each kind.
+ODD_ROWS = [
+    "\n", "short,AMR,10,9\n", "long,AMR,10,9,1.0,2.0,,x\n", "e1,EVS,10,9,1.0,2.0,\n",
+    "n1,AMR,-1,9,1.0,2.0,\n", "j1,AMR-WB,10,9,5.0,2.0,\n", "\n", "\n", "b1,AMR,x,9,1.0,2.0,\n",
+    "r1,AMR,10,9,1.0,2.0,101\n", "z1,AMR-WB,0,0,1.0,2.0,\n",
+]
+
+
+@pytest.mark.parametrize("flags", [(), ("--codec", "AMR")], ids=["all", "AMR"])
+@pytest.mark.parametrize("kind", ["odd_rows", "quoted_mid_file"])
+def test_score_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, kind, flags):
+    if kind == "odd_rows":
+        good = _cdr_lines(3 * len(ODD_ROWS))
+        lines = [line for i, odd in enumerate(ODD_ROWS) for line in (*good[3 * i: 3 * i + 3], odd)]
+    else:
+        # The quote at row 3,100 hands the rest of the file to csv.reader.
+        lines = _cdr_lines(3200)
+        lines[3099] = '"q,1"' + lines[3099][len("f0003099"):]
+    source = tmp_path / "cdr.csv"
+    source.write_text(",".join(CDR_COLUMNS) + "\n" + "".join(lines), encoding="utf-8")
+    reader_blocks = ingest._reader_blocks
+    switches = []
+    monkeypatch.setattr(ingest, "_reader_blocks", lambda *a: switches.append(1) or reader_blocks(*a))
+
+    expected = _score_outputs(source, tmp_path / "default.csv", *flags)
+    for chunk in (1, 2, 7, 1024):
+        assert _score_outputs(source, tmp_path / f"chunk{chunk}.csv", *flags, chunk=chunk) == expected
+    assert len(switches) == (5 if kind == "quoted_mid_file" else 0)
+    # Reject line numbers are those of the per-row oracle.
+    with source.open(encoding="utf-8", newline="") as handle:
+        rows, rejects = reference_parse_cdr_csv(handle)
+    summary = json.loads(expected[1])
+    assert summary["rejected"]["rows"] == [
+        {"line_no": r.line_no, "reason": r.reason.value, "detail": r.detail} for r in rejects
+    ]
+    wanted = [row for row in rows if not flags or row[1].value == flags[1]]
+    assert summary["total_flows"] == len(wanted) == len(expected[0].splitlines()) - 1
+    assert (kind == "odd_rows") == bool(rejects)
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [b"f\xff,AMR,10,9,1.0,2.0,\n", b"x" * 200_000 + b",AMR,10,9,1.0,2.0,\n"],
+    ids=["non_utf8", "over_field_limit"],
+)
+def test_score_input_error_after_the_first_block_leaves_no_output(tmp_path, capsys, bad_row):
+    source = tmp_path / "cdr.csv"
+    good = "".join(_cdr_lines(5000)).encode()
+    source.write_bytes(",".join(CDR_COLUMNS).encode() + b"\n" + good + bad_row + good)
+    out_csv = tmp_path / "scored.csv"
+    assert run("score", "--input", source, "--output", out_csv) == 1
+    # The input's error, named by the input's path, not the output's.
+    assert capsys.readouterr().err.startswith(f"error: SCHEMA: {source}: ")
+    assert sorted(tmp_path.iterdir()) == [source]
+
+
+def test_score_bad_header_fails_before_the_output_is_opened(tmp_path, capsys):
+    source = tmp_path / "bad.csv"
+    source.write_text("totally,wrong,header\n1,2,3\n", encoding="utf-8")
+    out_csv = tmp_path / "scored.csv"
+    out_csv.write_text("kept\n", encoding="utf-8")
+    assert run("score", "--input", source, "--output", out_csv) == 1
+    assert capsys.readouterr().err.startswith("error: SCHEMA: unexpected header")
+    assert out_csv.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_score_refuses_to_write_over_its_input(tmp_path, capsys):
+    source = tmp_path / "cdr.csv"
+    text = ",".join(CDR_COLUMNS) + "\n" + "".join(_cdr_lines(10))
+    source.write_text(text, encoding="utf-8")
+    assert run("score", "--input", source, "--output", source) == 1
+    assert capsys.readouterr().err == f"error: OUTPUT_UNWRITABLE: cannot write {source}: it is the input file\n"
+    assert source.read_text(encoding="utf-8") == text
+
+
+def _score_peak_bytes(tmp_path: Path, rows: int) -> int:
+    source = tmp_path / f"cdr{rows}.csv"
+    source.write_text(",".join(CDR_COLUMNS) + "\n" + "".join(_cdr_lines(rows)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert run("score", "--input", source, "--output", tmp_path / f"scored{rows}.csv") == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_score_memory_does_not_grow_with_the_row_count(tmp_path):
+    # score holds one block at a time; only its rejects grow with the
+    # file, and this file has none.
+    assert _score_peak_bytes(tmp_path, 40_000) <= 1.5 * _score_peak_bytes(tmp_path, 4_000)
+
+
 # -------------------------------------------------------------- simulate
 
 
@@ -208,6 +321,32 @@ def test_simulate_is_byte_deterministic(tmp_path):
     assert meta["generator"] == "numpy.random.PCG64"
     assert meta["seed"] == 5
     assert meta["flows_written"] == 25
+
+
+def test_source_date_epoch_pins_the_meta_timestamp(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "sim.ini"
+    config.write_text(SIM_CONFIG, encoding="utf-8")
+
+    def meta(name: str) -> bytes:
+        assert run("simulate", "--config", config, "--output", tmp_path / f"{name}.csv") == 0
+        return (tmp_path / f"{name}.csv.meta.json").read_bytes()
+
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    unpinned = json.loads(meta("now"))["timestamp"]
+    assert datetime.fromisoformat(unpinned).tzinfo is not None and "." in unpinned
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    first = meta("a")
+    assert json.loads(first)["timestamp"] == "2023-11-14T22:13:20+00:00"
+    assert meta("b") == first
+    # Unset, the meta differs only in its timestamp.
+    assert json.loads(first) == dict(json.loads(meta("now")), timestamp="2023-11-14T22:13:20+00:00")
+    for bad in ("-1", "1.5", "x", "\u0661", "9" * 30):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", bad)
+        assert run("simulate", "--config", config, "--output", tmp_path / "bad.csv") == 1
+        assert capsys.readouterr().err == (
+            f"error: CONFIG: SOURCE_DATE_EPOCH must be whole seconds since 1970, got {bad!r}\n"
+        )
+        assert not (tmp_path / "bad.csv").exists()
 
 
 def test_simulate_reproduces_golden_dataset(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    parse_cdr_stream,
     reference_cdr_lines,
     reference_parse_cdr_csv,
     reference_validate_record,
@@ -24,7 +25,6 @@ from volteqa.ingest import (
     RejectedRow,
     RejectReason,
     SchemaError,
-    parse_cdr_csv,
     summarize_dataset,
     write_cdr_csv,
 )
@@ -35,7 +35,7 @@ CHUNK_SIZES = (1, 2, 3, ingest.CHUNK_ROWS)
 
 
 def parse_text(text: str):
-    return parse_cdr_csv(io.StringIO(text))
+    return parse_cdr_stream(io.StringIO(text))
 
 
 def test_codec_scale_ceilings():
@@ -169,7 +169,7 @@ def test_write_parse_round_trip(raw_rows, count_scale):
     buffer = io.StringIO()
     write_cdr_csv(table, buffer)
     buffer.seek(0)
-    reparsed, rejects = parse_cdr_csv(buffer)
+    reparsed, rejects = parse_cdr_stream(buffer)
     assert rejects == []
     assert table_rows(reparsed) == rows
     assert (reparsed.tx_packets.dtype == object) is big
@@ -217,10 +217,15 @@ def test_empty_table_writes_only_the_header():
     table, rejects = parse_text(f"{HEADER}\n")
     assert len(table) == 0 and rejects == []
     assert table.tx_packets.dtype == np.int64 and table.r_factor.dtype == np.float64
+    # A block of blank rows parses to the same empty columns.
+    (first_line, block), = ingest.cdr_blocks(io.StringIO(f"{HEADER}\n\n\n"))
+    blank, blank_rejects = ingest.parse_cdr_csv(block, first_line)
+    assert table_rows(blank) == [] and blank_rejects == []
+    assert [getattr(blank, name).dtype for name in CDR_COLUMNS] == [getattr(table, name).dtype for name in CDR_COLUMNS]
     buffer = io.StringIO()
     write_cdr_csv(table, buffer)
     assert buffer.getvalue() == f"{HEADER}\n"
-    summary = summarize_dataset(table, rejects)
+    summary = summarize_dataset(table.codec_counts(), rejects)
     assert summary["total_flows"] == 0
     assert summary["per_codec_counts"] == {} and summary["per_codec_shares"] == {}
     assert summary["rejected"]["total"] == 0
@@ -231,7 +236,7 @@ def _table(codecs) -> CdrTable:
 
 
 def test_summarize_shares_match_mix():
-    summary = summarize_dataset(_table([Codec.AMR] * 71 + [Codec.AMR_WB] * 29), [])
+    summary = summarize_dataset(_table([Codec.AMR] * 71 + [Codec.AMR_WB] * 29).codec_counts(), [])
     assert summary["total_flows"] == 100
     assert summary["per_codec_counts"] == {"AMR": 71, "AMR-WB": 29}
     assert summary["per_codec_shares"] == {"AMR": 0.71, "AMR-WB": 0.29}
@@ -239,24 +244,26 @@ def test_summarize_shares_match_mix():
 
 
 def test_summarize_single_codec_and_empty():
-    assert summarize_dataset(_table([Codec.AMR] * 10), [])["per_codec_shares"] == {"AMR": 1.0}
-    empty = summarize_dataset(_table([]), [])
+    assert summarize_dataset(_table([Codec.AMR] * 10).codec_counts(), [])["per_codec_shares"] == {"AMR": 1.0}
+    empty = summarize_dataset(_table([]).codec_counts(), [])
     assert empty["total_flows"] == 0
     assert empty["per_codec_shares"] == {}
 
 
 def test_summarize_is_permutation_invariant():
     table = _table([Codec.AMR if i % 3 else Codec.AMR_WB for i in range(40)])
-    base = summarize_dataset(table, [])
+    base = summarize_dataset(table.codec_counts(), [])
     rng = np.random.default_rng(7)
     for _ in range(5):
-        assert summarize_dataset(table.take(rng.permutation(len(table))), []) == base
+        assert summarize_dataset(table.take(rng.permutation(len(table))).codec_counts(), []) == base
+    # Nor on the order of the counts.
+    assert summarize_dataset(dict(reversed(table.codec_counts().items())), []) == base
 
 
 def test_summary_reports_reject_breakdown():
     text = f"{HEADER}\nf1,EVS,10,9,1,2,\nf2,AMR,10,9,5,1,\nf3,AMR,10,9,1,2,\n"
     table, rejects = parse_text(text)
-    summary = summarize_dataset(table, rejects)
+    summary = summarize_dataset(table.codec_counts(), rejects)
     assert summary["rejected"]["total"] == 2
     assert summary["rejected"]["by_reason"] == {"UNSUPPORTED_CODEC": 1, "INCONSISTENT_JITTER": 1}
     assert summary["rejected"]["rows"] == [

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    parse_cdr_stream,
     reference_arrivals,
     reference_delays,
     reference_ge_sample,
@@ -17,7 +18,7 @@ from conftest import (
 )
 from volteqa import simulate
 from volteqa.emodel import DEFAULT_PROFILES, CodecProfile
-from volteqa.ingest import Codec, parse_cdr_csv, write_cdr_csv
+from volteqa.ingest import Codec, write_cdr_csv
 from volteqa.jitter_buffer import JbeConfig
 from volteqa.simulate import (
     BernoulliLoss,
@@ -343,7 +344,7 @@ def test_generated_records_pass_ingest_validation():
     buffer = io.StringIO()
     write_cdr_csv(table, buffer)
     buffer.seek(0)
-    parsed, rejects = parse_cdr_csv(buffer)
+    parsed, rejects = parse_cdr_stream(buffer)
     assert rejects == []
     assert table_rows(parsed) == table_rows(table)
 
