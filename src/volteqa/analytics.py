@@ -20,6 +20,10 @@ import numpy as np
 # this may still be too many to allocate.
 MAX_BINS = sys.maxsize // 8 - 1
 
+# The fewest points an exponential fit takes: one more than its three
+# parameters, so that k has a standard error.
+MIN_EXPONENTIAL_POINTS = 4
+
 MAX_LM_ITERATIONS = 200
 LM_RELATIVE_SSE_TOL = 1e-10
 _LAMBDA_START = 1e-3
@@ -311,8 +315,8 @@ def fit_exponential(
     or None where that matrix is singular.
     """
     x, y, w = _as_xyw(points, weights)
-    if x.size < 4:
-        raise TooFewPointsError(f"exponential fit needs >= 4 points, got {x.size}")
+    if x.size < MIN_EXPONENTIAL_POINTS:
+        raise TooFewPointsError(f"exponential fit needs >= {MIN_EXPONENTIAL_POINTS} points, got {x.size}")
     if np.ptp(x) == 0.0:
         raise DegenerateDataError("exponential fit needs spread in x")
     theta = np.array([*_line(x, y, w), 0.0])  # raises where fit_linear does

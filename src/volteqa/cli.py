@@ -29,6 +29,7 @@ import numpy as np
 from volteqa import __version__
 from volteqa.analytics import (
     MAX_BINS,
+    MIN_EXPONENTIAL_POINTS,
     BinnedSeries,
     FitResult,
     bin_series,
@@ -50,6 +51,7 @@ from volteqa.ingest import (
     codec_codes,
     csv_blocks,
     finite_floats,
+    finite_number,
     parse_cdr_csv,
     summarize_dataset,
     write_cdr_csv,
@@ -58,8 +60,6 @@ from volteqa.jitter_buffer import effective_loss
 from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
 
 SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
-
-MIN_BINS_FOR_EXPONENTIAL = 4
 
 T = TypeVar("T")
 
@@ -93,11 +93,10 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     lo_text, sep, hi_text = text.partition(":")
     if not sep:
         raise CliError("BAD_RANGE", f"{flag} must be LO:HI, got {text!r}")
-    try:
-        lo, hi = float(lo_text), float(hi_text)
-    except ValueError:
-        raise CliError("BAD_RANGE", f"{flag} must be numeric LO:HI, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    (lo, lo_fault), (hi, hi_fault) = finite_number(lo_text), finite_number(hi_text)
+    if "not a number" in (lo_fault, hi_fault):
+        raise CliError("BAD_RANGE", f"{flag} must be numeric LO:HI, got {text!r}")
+    if lo_fault or hi_fault:
         raise CliError("BAD_RANGE", f"{flag} needs finite bounds, got {text!r}")
     if not hi > lo:
         raise CliError("BAD_RANGE", f"{flag} needs HI > LO, got {text!r}")
@@ -360,24 +359,12 @@ def _sample_chunk(
                 cell, cell_name = measured[row].strip(), quality[0]
                 if not cell:
                     cell, cell_name = computed[row].strip(), quality[-1]
-            column[row], fault = _cell_value(cell)
+            column[row], fault = finite_number(cell) if cell else (math.nan, "empty")
             if fault:
                 failed.setdefault(row, f"{cell_name} {fault}")
     skipped.update(reason for row, reason in failed.items() if kept[row])
     kept[list(failed)] = False
     return code[kept], np.column_stack(values)[kept]
-
-
-def _cell_value(cell: str) -> tuple[float, str | None]:
-    """The finite number in a stripped cell and None, or NaN and why the
-    cell is not a finite number."""
-    if not cell:
-        return math.nan, "empty"
-    try:
-        value = float(cell)
-    except ValueError:
-        return math.nan, "not a number"
-    return (value, None) if math.isfinite(value) else (math.nan, "not finite")
 
 
 def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> None:
@@ -428,10 +415,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
         fits: dict[str, dict] = {}
         if args.model in ("exp", "both"):
-            if len(binned_points) < MIN_BINS_FOR_EXPONENTIAL:
+            if len(binned_points) < MIN_EXPONENTIAL_POINTS:
                 raise CliError(
                     "EXPLAINED_TOO_FEW_BINS",
-                    f"exponential fit for {codec.value} needs >= {MIN_BINS_FOR_EXPONENTIAL} "
+                    f"exponential fit for {codec.value} needs >= {MIN_EXPONENTIAL_POINTS} "
                     f"non-empty bins, got {len(binned_points)}",
                 )
             try:

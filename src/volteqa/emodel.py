@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -171,29 +171,13 @@ def profiles_from_parser(parser: configparser.ConfigParser) -> dict[Codec, Codec
             codec = Codec(section)
         except ValueError:
             continue  # non-codec sections (e.g. [sim]) belong to other loaders
-        base = profiles[codec]
-        values = {
-            "ie": base.ie,
-            "bpl": base.bpl,
-            "r0": base.r0,
-            "is": base.simultaneous,
-            "advantage": base.advantage,
-            "r_max": codec.r_max,
-        }
+        values = {}  # by CodecProfile field name; key "is" sets simultaneous
         for key, text in parser.items(section):
             if key not in PROFILE_KEYS:
                 raise ValueError(f"unknown profile key {key!r} in [{section}]")
-            values[key] = parse_float(text, f"[{section}] {key}")
-        if values["r_max"] != codec.r_max:
-            raise ValueError(
-                f"r_max for {codec.value} is fixed at {codec.r_max}, got {values['r_max']}"
-            )
-        profiles[codec] = CodecProfile(
-            codec=codec,
-            ie=values["ie"],
-            bpl=values["bpl"],
-            r0=values["r0"],
-            simultaneous=values["is"],
-            advantage=values["advantage"],
-        )
+            values["simultaneous" if key == "is" else key] = parse_float(text, f"[{section}] {key}")
+        r_max = values.pop("r_max", codec.r_max)
+        if r_max != codec.r_max:
+            raise ValueError(f"r_max for {codec.value} is fixed at {codec.r_max}, got {r_max}")
+        profiles[codec] = replace(profiles[codec], **values)
     return profiles

@@ -127,14 +127,21 @@ def parse_int(text: str, name: str) -> int:
         raise ValueError(f"{name}: not an integer: {text!r}") from None
 
 
-def parse_float(text: str, name: str) -> float:
-    """The finite number in ``text``; ValueError, naming ``name``, otherwise."""
+def finite_number(text: str) -> tuple[float, str | None]:
+    """The finite number in ``text`` and None, or NaN and why ``text`` is
+    not one: ``"not a number"`` or ``"not finite"``."""
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"{name}: not a number: {text!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ValueError(f"{name}: not finite: {text!r}")
+        return math.nan, "not a number"
+    return (value, None) if math.isfinite(value) else (math.nan, "not finite")
+
+
+def parse_float(text: str, name: str) -> float:
+    """The finite number in ``text``; ValueError, naming ``name``, otherwise."""
+    value, fault = finite_number(text)
+    if fault:
+        raise ValueError(f"{name}: {fault}: {text!r}")
     return value
 
 
@@ -337,11 +344,9 @@ def _float_column(texts: Sequence[str], name: str, fail: _Fail, optional: bool =
     absent value and reads as NaN."""
     values, bad = finite_floats([text or "nan" for text in texts] if optional else texts)
     for row in bad:
-        if texts[row] or not optional:
-            try:
-                parse_float(texts[row], name)  # raises: the text is not a finite number
-            except ValueError as exc:
-                fail(row, RejectReason.BAD_FIELD, str(exc))
+        text = texts[row]
+        if text or not optional:
+            fail(row, RejectReason.BAD_FIELD, f"{name}: {finite_number(text)[1]}: {text!r}")
     return values
 
 
@@ -355,6 +360,7 @@ def finite_floats(texts: Sequence[str]) -> tuple[np.ndarray, list[int]]:
     return values, np.flatnonzero(~np.isfinite(values)).tolist()
 
 
+# Not finite_number: no fault is needed, and plain float() is faster.
 def _float_or_nan(text: str) -> float:
     try:
         return float(text)

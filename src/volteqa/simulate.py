@@ -271,6 +271,9 @@ class SimSpec:
         total = sum(fractions)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"codec mix fractions must sum to 1, got {total}")
+        codecs = [codec.value for codec, _ in self.codec_mix]
+        if len(set(codecs)) < len(codecs):
+            raise ValueError(f"codec_mix names a codec more than once: {', '.join(codecs)}")
 
     def sweep_cells(self) -> list[tuple[LossModel, JitterModel]]:
         return list(itertools.product(self.loss_models, self.jitter_models))
@@ -491,55 +494,44 @@ _ITEM_COMMA = re.compile(r",(?![^(]*\))")
 
 
 def _parse_model_list(text: str, key: str) -> list[tuple[str, list[float]]]:
-    """The ``name`` or ``name(args)`` items of a comma-separated model list."""
+    """The ``name`` or ``name(args)`` items of a comma-separated model list;
+    ``name()`` takes no arguments, and every argument must be a number."""
     found = []
     for item in _ITEM_COMMA.split(text):
         match = _MODEL_ITEM.fullmatch(item)
         if match is None:
             raise ValueError(f"{key}: not a comma-separated list of name or name(args): {text!r}")
         name, args_text = match.groups()
-        chunks = [chunk.strip() for chunk in (args_text or "").split(",")]
-        args = [parse_float(chunk, f"{key}: {name}(...)") for chunk in chunks if chunk]
+        chunks = args_text.split(",") if args_text and args_text.strip() else []
+        args = [parse_float(chunk.strip(), f"{key}: {name}(...)") for chunk in chunks]
         found.append((name.lower(), args))
     return found
 
 
-def _build_loss_models(text: str) -> tuple[LossModel, ...]:
-    models: list[LossModel] = []
-    for name, args in _parse_model_list(text, "loss_models"):
-        if name == "bernoulli":
-            if len(args) != 1:
-                raise ValueError("loss_models: bernoulli takes exactly one probability")
-            models.append(BernoulliLoss(args[0]))
-        elif name == "gilbert_elliott":
-            if len(args) != 4:
-                raise ValueError(
-                    "loss_models: gilbert_elliott takes (p_good_to_bad, p_bad_to_good,"
-                    " loss_good, loss_bad)"
-                )
-            models.append(GilbertElliottLoss(*args))
-        else:
-            raise ValueError(f"loss_models: unknown model {name!r}")
-    return tuple(models)
+# The models of each model-list key: its class, the number of arguments it
+# takes from the config and what its error message says it takes.
+LOSS_MODELS = {
+    "bernoulli": (BernoulliLoss, 1, "exactly one probability"),
+    "gilbert_elliott": (GilbertElliottLoss, 4, "(p_good_to_bad, p_bad_to_good, loss_good, loss_bad)"),
+}
+JITTER_MODELS = {
+    "none": (NoJitter, 0, "no arguments"),
+    "gaussian": (GaussianJitter, 1, "exactly one sigma"),
+    "gamma": (GammaJitter, 2, "(shape, scale_ms)"),
+}
 
 
-def _build_jitter_models(text: str, base_delay_ms: float) -> tuple[JitterModel, ...]:
-    models: list[JitterModel] = []
-    for name, args in _parse_model_list(text, "jitter_models"):
-        if name == "none":
-            if args:
-                raise ValueError("jitter_models: none takes no arguments")
-            models.append(NoJitter(base_delay_ms))
-        elif name == "gaussian":
-            if len(args) != 1:
-                raise ValueError("jitter_models: gaussian takes exactly one sigma")
-            models.append(GaussianJitter(args[0], base_delay_ms))
-        elif name == "gamma":
-            if len(args) != 2:
-                raise ValueError("jitter_models: gamma takes (shape, scale_ms)")
-            models.append(GammaJitter(args[0], args[1], base_delay_ms))
-        else:
-            raise ValueError(f"jitter_models: unknown model {name!r}")
+def _build_models(text: str, key: str, table: dict, *extra: float) -> tuple:
+    """The models of a model list from ``table``, each built from its
+    arguments followed by ``extra``."""
+    models = []
+    for name, args in _parse_model_list(text, key):
+        if name not in table:
+            raise ValueError(f"{key}: unknown model {name!r}")
+        model, count, takes = table[name]
+        if len(args) != count:
+            raise ValueError(f"{key}: {name} takes {takes}")
+        models.append(model(*args, *extra))
     return tuple(models)
 
 
@@ -605,8 +597,10 @@ def load_sim_config(text: str) -> tuple[SimSpec, dict[Codec, CodecProfile]]:
         seed=parse_int(section["seed"], "seed"),
         ptime_ms=parse_float(section.get("ptime_ms", "20"), "ptime_ms"),
         codec_mix=_parse_codec_mix(section.get("codec_mix", "AMR:0.71, AMR-WB:0.29")),
-        loss_models=_build_loss_models(section.get("loss_models", "bernoulli(0)")),
-        jitter_models=_build_jitter_models(section.get("jitter_models", "none"), base_delay),
+        loss_models=_build_models(section.get("loss_models", "bernoulli(0)"), "loss_models", LOSS_MODELS),
+        jitter_models=_build_models(
+            section.get("jitter_models", "none"), "jitter_models", JITTER_MODELS, base_delay
+        ),
         jbe=jbe,
     )
     return spec, profiles_from_parser(parser)

@@ -1069,6 +1069,63 @@ def test_integer_sim_key_error_names_the_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: CONFIG: flows: not an integer: '10.0'\n"
 
 
+def _config_error(tmp_path, capsys, command: str, config: str) -> str:
+    """The stderr of ``command`` (simulate or score) run with ``config``,
+    which must fail."""
+    path = tmp_path / "config.ini"
+    path.write_text(config, encoding="utf-8")
+    out = tmp_path / "o.csv"
+    if command == "simulate":
+        assert run("simulate", "--config", path, "--output", out) == 1
+    else:
+        assert run("score", "--input", CDR, "--output", out, "--config", path) == 1
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("simulate", SIM_CONFIG + "loss_models = bernoulli(0.1), pareto(1)\n", "loss_models: unknown model 'pareto'"),
+        ("simulate", SIM_CONFIG + "jitter_models = Uniform(1, 2)\n", "jitter_models: unknown model 'uniform'"),
+        ("simulate", SIM_CONFIG + "loss_models = bernoulli(0.1, 0.2)\n",
+         "loss_models: bernoulli takes exactly one probability"),
+        ("simulate", SIM_CONFIG + "loss_models = gilbert_elliott(0.1, 0.2, 0)\n",
+         "loss_models: gilbert_elliott takes (p_good_to_bad, p_bad_to_good, loss_good, loss_bad)"),
+        ("simulate", SIM_CONFIG + "jitter_models = none(3)\n", "jitter_models: none takes no arguments"),
+        ("simulate", SIM_CONFIG + "jitter_models = gaussian\n", "jitter_models: gaussian takes exactly one sigma"),
+        ("simulate", SIM_CONFIG + "jitter_models = gamma(2)\n", "jitter_models: gamma takes (shape, scale_ms)"),
+        ("score", "[AMR]\nbogus = 1\n", "unknown profile key 'bogus' in [AMR]"),
+        ("simulate", SIM_CONFIG + "[AMR-WB]\nBogus = 1\n", "unknown profile key 'bogus' in [AMR-WB]"),
+        ("score", "[AMR-WB]\nr_max = 100\n", "r_max for AMR-WB is fixed at 129.0, got 100.0"),
+        ("simulate", SIM_CONFIG + "[AMR]\nr_max = 1e2\nr0 = 101\n", "r0 - is = 101.0 exceeds r_max = 100.0 for AMR"),
+        ("score", "[AMR]\nie = high\n", "[AMR] ie: not a number: 'high'"),
+        ("simulate", SIM_CONFIG + "[AMR]\nis = 1e999\n", "[AMR] is: not finite: '1e999'"),
+        ("simulate", SIM_CONFIG + "safety_factor = -inf\n", "safety_factor: not finite: '-inf'"),
+        ("simulate", SIM_CONFIG + "jitter_models = gamma(2, NaN)\n", "jitter_models: gamma(...): not finite: 'NaN'"),
+        ("simulate", SIM_CONFIG + "codec_mix = AMR:1.0, AMR-WB:half\n", "codec_mix: not a number: 'half'"),
+    ],
+)
+def test_config_error_message(tmp_path, capsys, command, config, message):
+    assert _config_error(tmp_path, capsys, command, config) == f"error: CONFIG: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # Every argument between the parentheses is one, an empty one too.
+        ("jitter_models = gamma(2,,3)", "jitter_models: gamma(...): not a number: ''"),
+        ("jitter_models = gamma(2,3,)", "jitter_models: gamma(...): not a number: ''"),
+        ("jitter_models = gaussian( , 4)", "jitter_models: gaussian(...): not a number: ''"),
+        ("loss_models = bernoulli(,)", "loss_models: bernoulli(...): not a number: ''"),
+        ("codec_mix = AMR:0.5, AMR:0.5", "codec_mix names a codec more than once: AMR, AMR"),
+    ],
+)
+def test_empty_model_argument_or_repeated_codec_is_a_config_error(tmp_path, capsys, line, message):
+    err = _config_error(tmp_path, capsys, "simulate", SIM_CONFIG + line + "\n")
+    assert err == f"error: CONFIG: {message}\n"
+
+
 @pytest.mark.parametrize(
     "lines, reasons",
     [

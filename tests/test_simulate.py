@@ -472,6 +472,17 @@ def test_load_sim_config_requires_core_keys():
         load_sim_config("[AMR]\nie = 1\n")
 
 
+def test_spec_rejects_a_codec_named_twice():
+    with pytest.raises(ValueError, match="codec_mix names a codec more than once"):
+        SimSpec(flows=4, packets_per_flow=10, seed=1, codec_mix=((Codec.AMR, 0.5), (Codec.AMR, 0.5)))
+
+
+@pytest.mark.parametrize("models", ["none", "none()", "none( )", "NONE ()"])
+def test_model_without_arguments_loads(models):
+    spec, _ = load_sim_config(f"[sim]\nflows=1\npackets_per_flow=5\nseed=1\njitter_models = {models}\n")
+    assert spec.jitter_models == (NoJitter(),)
+
+
 def test_load_sim_config_rejects_bad_models():
     with pytest.raises(ValueError, match="loss_models"):
         load_sim_config("[sim]\nflows=1\npackets_per_flow=5\nseed=1\nloss_models = wibble(1)\n")
