@@ -333,15 +333,63 @@ def _sample_chunk(
     of a block; skipped rows are counted in ``skipped`` by reason.
 
     ``read`` holds the indices of the codec cell, of each named column and
-    of each quality column.
+    of each quality column.  numpy's C text reader reads a block of plain
+    lines; a block it refuses is split into cells and read cell by cell.
     """
-    codec_cells, *cells = [block.columns[i] for i in read]
-    code = codec_codes(codec_cells)
+    code, samples, failed = (
+        _loadtxt_samples(block.lines, read[: len(columns) + 2])
+        or _cell_samples(block, read, columns, quality)
+    )
     unknown = int(np.count_nonzero(code < 0))
     if unknown:
         skipped["unknown codec"] += unknown
     kept = code >= 0 if wanted is None else code == CODEC_INDEX[wanted.value]
+    skipped.update(reason for row, reason in failed.items() if kept[row])
+    kept[list(failed)] = False
+    return code[kept], samples[kept]
 
+
+# One character longer than the longest codec name: a longer cell is cut
+# to a text that names no codec.
+_CODEC_CELL = f"U{max(map(len, CODEC_INDEX)) + 1}"
+
+
+def _loadtxt_samples(
+    lines: list[str] | None, usecols: list[int],
+) -> tuple[np.ndarray, np.ndarray, dict[int, str]] | None:
+    """The codec index and sample of every row of a block of plain
+    ``lines`` and no failed row, read by ``np.loadtxt`` from the codec
+    cell, the named columns and the first quality column in ``usecols``.
+
+    None when there are no lines, or only blank ones (of which loadtxt
+    warns), and when loadtxt refuses a row or reads a value that is not
+    finite: a short row, a blank, padded-blank or non-numeric cell
+    (``1_000`` and non-ASCII digits among them), NaN or infinity.  The
+    cell-by-cell reader then substitutes a blank quality and counts each
+    bad cell by reason.  Numbers convert as ``float()`` converts them.
+    """
+    if not lines or lines.count("\n") == len(lines):
+        return None
+    dtype = [("codec", _CODEC_CELL)] + [(f"v{i}", np.float64) for i in range(len(usecols) - 1)]
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+    except ValueError:
+        return None
+    samples = np.column_stack([rows[name] for name, _ in dtype[1:]])
+    if not np.isfinite(samples).all():
+        return None
+    code = np.full(len(rows), -1, dtype=np.intp)
+    for text, index in CODEC_INDEX.items():
+        code[rows["codec"] == text] = index
+    return code, samples, {}
+
+
+def _cell_samples(
+    block: CsvBlock, read: list[int], columns: tuple[str, ...], quality: list[str],
+) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """The codec index and sample of every row of a block, read from its
+    cells, and the reason of each row's first bad cell."""
+    codec_cells, *cells = [block.columns[i] for i in read]
     # The recomputed quality stands in where the measured one is blank: an
     # empty cell here, so count-only input converts at once, and spaces below.
     value_cells, measured, computed = cells[: len(columns)], cells[len(columns)], cells[-1]
@@ -362,9 +410,7 @@ def _sample_chunk(
             column[row], fault = finite_number(cell) if cell else (math.nan, "empty")
             if fault:
                 failed.setdefault(row, f"{cell_name} {fault}")
-    skipped.update(reason for row, reason in failed.items() if kept[row])
-    kept[list(failed)] = False
-    return code[kept], np.column_stack(values)[kept]
+    return codec_codes(codec_cells), np.column_stack(values), failed
 
 
 def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> None:

@@ -156,6 +156,7 @@ def load_profiles(text: str) -> dict[Codec, CodecProfile]:
 
     Keys: ie, bpl, r0, is, advantage, r_max.  Missing keys fall back to
     ``DEFAULT_PROFILES``; an r_max key must match the codec's fixed scale ceiling.
+    A [sim] section is allowed and left alone; any other section is an error.
     """
     parser = configparser.ConfigParser()
     parser.read_string(text)
@@ -164,13 +165,16 @@ def load_profiles(text: str) -> dict[Codec, CodecProfile]:
 
 def profiles_from_parser(parser: configparser.ConfigParser) -> dict[Codec, CodecProfile]:
     """Codec profiles from the codec sections of an already parsed config
-    (see :func:`load_profiles`); other sections are ignored."""
+    (see :func:`load_profiles`).  A [sim] section, which profiles share a
+    file with, is left to the sim loader; any other section is an error."""
     profiles = dict(DEFAULT_PROFILES)
     for section in parser.sections():
+        if section == "sim":
+            continue
         try:
             codec = Codec(section)
         except ValueError:
-            continue  # non-codec sections (e.g. [sim]) belong to other loaders
+            raise ValueError(f"unknown section [{section}]") from None
         values = {}  # by CodecProfile field name; key "is" sets simultaneous
         for key, text in parser.items(section):
             if key not in PROFILE_KEYS:

@@ -16,7 +16,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -145,17 +145,39 @@ def parse_float(text: str, name: str) -> float:
     return value
 
 
-class CsvBlock(NamedTuple):
+class CsvBlock:
     """Consecutive rows of a CSV file, split as ``csv.reader`` splits them.
 
     ``fields`` holds each row's field count, 0 for a blank row.
     ``columns`` holds the cells of the rows that are not blank, in file
     order, one sequence per header column: as ``csv.DictReader`` reads
     them, a short row is padded with empty cells and a long row is cut.
+
+    ``lines`` holds the lines of a block that is split on commas, and is
+    None for a block that ``csv.reader`` read.  Such a block is split when
+    ``fields`` or ``columns`` is first read, so a reader that takes the
+    lines as they are makes no ``str`` of each cell.
     """
 
-    fields: np.ndarray
-    columns: Sequence[Sequence[str]]
+    def __init__(
+        self, lines: list[str] | None = None, text: str = "", width: int = 0,
+        cells: tuple[np.ndarray, Sequence[Sequence[str]]] | None = None,
+    ):
+        self.lines = lines
+        self._text, self._width, self._cells = text, width, cells
+
+    @property
+    def fields(self) -> np.ndarray:
+        return self._split()[0]
+
+    @property
+    def columns(self) -> Sequence[Sequence[str]]:
+        return self._split()[1]
+
+    def _split(self) -> tuple[np.ndarray, Sequence[Sequence[str]]]:
+        if self._cells is None:
+            self._cells = _split_lines(self._text, self._width)
+        return self._cells
 
 
 def csv_blocks(stream: IO[str]) -> tuple[list[str] | None, Iterator[CsvBlock]]:
@@ -163,9 +185,10 @@ def csv_blocks(stream: IO[str]) -> tuple[list[str] | None, Iterator[CsvBlock]]:
     and the rows after it in blocks of up to ``CHUNK_ROWS``.
 
     A block of lines that holds no quote, CR or NUL and no line longer
-    than ``csv.field_size_limit()`` is split on commas in one pass.  From
-    the first block that does, ``csv.reader`` reads the rest of the
-    stream: a quoted field may span lines.
+    than ``csv.field_size_limit()`` keeps its lines, and is split on
+    commas in one pass when its cells are first read.  From the first
+    block that does, ``csv.reader`` reads the rest of the stream: a quoted
+    field may span lines.
     """
     lines = iter(stream)
     # csv.reader takes only the lines of the header row, however many.
@@ -174,28 +197,28 @@ def csv_blocks(stream: IO[str]) -> tuple[list[str] | None, Iterator[CsvBlock]]:
 
 
 def _line_blocks(lines: Iterator[str], width: int) -> Iterator[CsvBlock]:
+    limit = csv.field_size_limit()
     while block := list(itertools.islice(lines, CHUNK_ROWS)):
-        split = _split_lines(block, width)
-        if split is None:
+        text = "".join(block)
+        # No field of a line within the limit is beyond it, and no line is
+        # longer than the block.
+        long = len(text) > limit and max(map(len, block)) > limit
+        if long or '"' in text or "\r" in text or "\0" in text:
             yield from _reader_blocks(csv.reader(itertools.chain(block, lines)), width)
             return
-        yield split
+        yield CsvBlock(block, text, width)
 
 
-def _split_lines(lines: list[str], width: int) -> CsvBlock | None:
-    """The block of ``lines``, or None when only csv.reader can split them."""
-    text = "".join(lines)
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
+def _split_lines(text: str, width: int) -> tuple[np.ndarray, list[list[str]]]:
+    """The field count of each line of ``text`` and the cells of its rows
+    that are not blank as columns at ``width``; no line may hold a quote,
+    CR or NUL."""
     if not text.endswith("\n"):  # the last line of a file may have no newline
         text += "\n"
     data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
-    sizes = np.diff(ends, prepend=-1)  # each line's bytes, its newline included
-    if sizes.max() > csv.field_size_limit():  # no field of a shorter line is longer
-        return None
     parts_per_line = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0) + 1
-    fields = np.where(sizes == 1, 0, parts_per_line)
+    fields = np.where(np.diff(ends, prepend=-1) == 1, 0, parts_per_line)  # a blank line is its newline
     parts = text.replace("\n", ",").split(",")
     # Pad or cut each row of another width to the header's width and drop
     # the one empty part of each blank row, from the last row back, so the
@@ -206,17 +229,17 @@ def _split_lines(lines: list[str], width: int) -> CsvBlock | None:
         start, n = starts[row], fields[row]
         parts[start:start + parts_per_line[row]] = (parts[start:start + n] + padding)[:width] if n else []
     stop = width * int(np.count_nonzero(fields))  # a final newline leaves one empty part beyond
-    return CsvBlock(fields, [parts[column:stop:width] for column in range(width)])
+    return fields, [parts[column:stop:width] for column in range(width)]
 
 
 def _reader_blocks(reader: Iterator[list[str]], width: int) -> Iterator[CsvBlock]:
     padding = [""] * width
     while rows := list(itertools.islice(reader, CHUNK_ROWS)):
         cells = [(row + padding)[:width] for row in rows if row]
-        yield CsvBlock(
+        yield CsvBlock(cells=(
             np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)),
             list(zip(*cells)) if cells else [()] * width,
-        )
+        ))
 
 
 def cdr_blocks(stream: IO[str]) -> Iterator[tuple[int, CsvBlock]]:
@@ -239,8 +262,9 @@ def cdr_blocks(stream: IO[str]) -> Iterator[tuple[int, CsvBlock]]:
 def _numbered(blocks: Iterator[CsvBlock]) -> Iterator[tuple[int, CsvBlock]]:
     line_no = 2
     for block in blocks:
+        rows = len(block.fields)  # a block is split as it is read: every cell is parsed
         yield line_no, block
-        line_no += len(block.fields)
+        line_no += rows
 
 
 _CODECS = tuple(Codec)

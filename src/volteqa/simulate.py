@@ -540,15 +540,13 @@ def _parse_codec_mix(text: str) -> tuple[tuple[Codec, float], ...]:
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise ValueError(f"codec_mix: not a comma-separated list of codec:fraction: {text!r}")
         name, _, fraction = chunk.partition(":")
         try:
             codec = Codec(name.strip())
         except ValueError:
             raise ValueError(f"codec_mix: unknown codec {name.strip()!r}") from None
         mix.append((codec, parse_float(fraction, "codec_mix")))
-    if not mix:
-        raise ValueError("codec_mix: empty")
     order = {codec: k for k, codec in enumerate(Codec)}
     return tuple(sorted(mix, key=lambda item: order[item[0]]))
 

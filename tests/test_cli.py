@@ -7,6 +7,7 @@ import itertools
 import json
 import tempfile
 import tracemalloc
+import warnings
 from datetime import datetime
 from pathlib import Path
 
@@ -848,24 +849,35 @@ NUMBER_CELLS = st.sampled_from(
     + ["", "  ", "\x1d", "nan", "inf", "1e999", "abc"]
 )
 CODEC_CELLS = st.sampled_from(["AMR", "AMR-WB"] * 3 + ["EVS", "", " AMR"])
+# Cells that numpy's C reader reads as they are: finite numbers with no
+# padding, and codec texts, one of them unknown and one cut to a text
+# that names no codec.
+PLAIN_NUMBER_CELLS = st.sampled_from(["0.05", "-0.0", "7", "1e-3", "+5", "0.15", "80"])
+PLAIN_CODEC_CELLS = st.sampled_from(["AMR", "AMR-WB"] * 3 + ["EVS", "AMR-WB-2"])
 
 
 @st.composite
-def scored_csv(draw) -> str:
+def scored_csv(draw, plain: bool = False) -> str:
     """A scored CSV: the header names in any order, some left out and some
     repeated; then blank, short, long and full rows.  Lines end in LF or
-    CR LF, and cells are quoted where they must be or all of them."""
+    CR LF, and cells are quoted where they must be or all of them.
+
+    A ``plain`` file holds only plain cells in full and long rows, with LF
+    line ends and no quotes."""
     names = draw(st.permutations(SCORED_NAMES))
     header = names[: draw(st.integers(3, len(names)))]
     header += draw(st.lists(st.sampled_from(SCORED_NAMES), max_size=2))
-    full = st.tuples(*(CODEC_CELLS if name == "codec" else NUMBER_CELLS for name in header)).map(list)
+    codecs, numbers = (PLAIN_CODEC_CELLS, PLAIN_NUMBER_CELLS) if plain else (CODEC_CELLS, NUMBER_CELLS)
+    full = st.tuples(*(codecs if name == "codec" else numbers for name in header)).map(list)
     short, long = full.map(lambda r: r[: len(r) // 2]), full.map(lambda r: r + ["x"])
-    row = st.one_of(full, full, full, short, long, st.just([]))
+    row = st.one_of(full, full, long) if plain else st.one_of(full, full, full, short, long, st.just([]))
     buffer = io.StringIO()
     csv.writer(
         buffer,
-        lineterminator=draw(st.sampled_from(["\n", "\n", "\r\n"])),
-        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+        lineterminator="\n" if plain else draw(st.sampled_from(["\n", "\n", "\r\n"])),
+        quoting=csv.QUOTE_MINIMAL if plain else draw(
+            st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+        ),
     ).writerows([header, *draw(st.lists(row, max_size=12))])
     return buffer.getvalue()
 
@@ -880,21 +892,16 @@ def _samples_or_error(read, path, wanted, columns):
     return result, err.getvalue()
 
 
-@pytest.mark.parametrize("chunk", (1, 2, 3, ingest.CHUNK_ROWS))
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    text=scored_csv(),
-    wanted=st.sampled_from([None, Codec.AMR, Codec.AMR_WB]),
-    columns=st.sampled_from([("p_loss",), ("p_loss", "max_jitter_ms")]),
-)
-def test_read_samples_matches_per_row_oracle(chunk, text, wanted, columns):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / "scored.csv")
-        Path(path).write_text(text, encoding="utf-8")
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "CHUNK_ROWS", chunk)
-            got, err = _samples_or_error(cli._read_samples, path, wanted, columns)
-        expected, expected_err = _samples_or_error(reference_read_samples, path, wanted, columns)
+def _assert_read_samples_match_oracle(path, wanted, columns, chunk: int, **patches) -> None:
+    """``cli._read_samples`` in blocks of ``chunk`` rows, with the names of
+    ``ingest`` in ``patches`` replaced, gives the samples, their order and
+    the stderr of ``reference_read_samples``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "CHUNK_ROWS", chunk)
+        for name, value in patches.items():
+            patch.setattr(ingest, name, value)
+        got, err = _samples_or_error(cli._read_samples, path, wanted, columns)
+    expected, expected_err = _samples_or_error(reference_read_samples, path, wanted, columns)
     assert err == expected_err
     if isinstance(expected, tuple):
         assert got == expected
@@ -904,6 +911,100 @@ def test_read_samples_matches_per_row_oracle(chunk, text, wanted, columns):
         assert samples.dtype == np.float64 and samples.shape == (len(expected[codec]), len(columns) + 1)
         # repr tells -0.0 from 0.0.
         assert repr(samples.tolist()) == repr([list(sample) for sample in expected[codec]])
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 3, ingest.CHUNK_ROWS))
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    plain=st.booleans(),
+    data=st.data(),
+    wanted=st.sampled_from([None, Codec.AMR, Codec.AMR_WB]),
+    columns=st.sampled_from([("p_loss",), ("p_loss", "max_jitter_ms")]),
+)
+def test_read_samples_matches_per_row_oracle(chunk, plain, data, wanted, columns):
+    text = data.draw(scored_csv(plain), label="text")
+    # numpy's C reader reads every block of a plain file: splitting one fails the test.
+    patches = {"_split_lines": None} if plain else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "scored.csv")
+        Path(path).write_text(text, encoding="utf-8")
+        _assert_read_samples_match_oracle(path, wanted, columns, chunk, **patches)
+
+
+def _counting(calls: list, function):
+    """``function``, which appends its arguments to ``calls`` first."""
+    return lambda *args: calls.append(args) or function(*args)
+
+
+CLEAN_SCORED_ROW = "f1,AMR,100,90,1.5,3.25,80.5,0.1,4.1,79.5"
+
+
+def _scored_line(**cells: str) -> str:
+    """The clean scored row with ``cells`` put in, as one line."""
+    row = dict(zip(SCORED_HEADER.split(","), CLEAN_SCORED_ROW.split(","))) | cells
+    return ",".join(row.values()) + "\n"
+
+
+# One line of each kind that might throw numpy's C reader, and whether it
+# refuses it, so that the block is split and read cell by cell.  Neither
+# a long row nor a blank one is refused, nor is a codec cell that names no
+# codec: the oracle skips it as an unknown codec.
+BLOCK_TRIGGERS = [
+    (_scored_line(r_factor=""), True),  # r_factor_computed stands in
+    (_scored_line(p_loss="nan"), True),
+    (_scored_line(r_factor="1e999"), True),
+    ("f2,AMR,100,90\n", True),  # short
+    (_scored_line().replace("\n", ",x\n"), False),  # long
+    ("   \n", True),
+    ("\n", False),
+    (_scored_line(codec=" AMR"), False),
+    (_scored_line(codec="AMR-WBX"), False),
+    (_scored_line(p_loss="1_000"), True),
+    (_scored_line(r_factor="\u0661\u0662"), True),  # Arabic-Indic 12, which float() reads
+]
+
+
+@pytest.mark.parametrize("wanted", [None, Codec.AMR])
+@pytest.mark.parametrize("columns", [("p_loss",), ("p_loss", "max_jitter_ms")])
+def test_read_samples_splits_only_the_blocks_the_c_reader_refuses(tmp_path, wanted, columns):
+    # Blocks of two rows: a clean block, then a clean row and one trigger
+    # in each, then a quoted cell, which hands the rest to csv.reader.
+    clean = [_scored_line(), _scored_line(codec="AMR-WB", r_factor="110.25", p_loss="0.05")]
+    lines = clean + [line for i, (trigger, _) in enumerate(BLOCK_TRIGGERS) for line in (clean[i % 2], trigger)]
+    lines += ['"f3"' + _scored_line()[2:], *clean]
+    path = tmp_path / "scored.csv"
+    path.write_text(SCORED_HEADER + "\n" + "".join(lines), encoding="utf-8")
+    split, read = [], []
+    _assert_read_samples_match_oracle(
+        str(path), wanted, columns, 2,
+        _split_lines=_counting(split, ingest._split_lines),
+        _reader_blocks=_counting(read, ingest._reader_blocks),
+    )
+    assert len(split) == sum(refused for _, refused in BLOCK_TRIGGERS)
+    assert len(read) == 1
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_a_block_of_blank_lines_raises_no_warning(tmp_path, chunk):
+    # In blocks of 1 or 2 rows, the blank lines make blocks of their own.
+    path = tmp_path / "scored.csv"
+    path.write_text(SCORED_HEADER + "\n" + _scored_line() * 2 + "\n\n" + _scored_line(), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_read_samples_match_oracle(str(path), None, ("p_loss",), chunk)
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_fit_and_report_read_a_clean_scored_file_without_splitting_it(tmp_path, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(ingest, "_split_lines", _counting(calls, ingest._split_lines))
+    scored = _score_sim_golden(tmp_path)
+    assert calls  # score splits every block: it parses every cell
+    calls.clear()
+    out = tmp_path / ("fit.json" if command == "fit" else "grid.csv")
+    assert run(command, "--input", scored, "--output", out) == 0
+    assert calls == []
+    assert out.read_bytes() == (DATA / f"sim_golden.{command}{out.suffix}").read_bytes()
 
 
 # ------------------------------------------------------------ bad input
@@ -1104,6 +1205,10 @@ def _config_error(tmp_path, capsys, command: str, config: str) -> str:
         ("simulate", SIM_CONFIG + "safety_factor = -inf\n", "safety_factor: not finite: '-inf'"),
         ("simulate", SIM_CONFIG + "jitter_models = gamma(2, NaN)\n", "jitter_models: gamma(...): not finite: 'NaN'"),
         ("simulate", SIM_CONFIG + "codec_mix = AMR:1.0, AMR-WB:half\n", "codec_mix: not a number: 'half'"),
+        # A misspelt section is no codec's and not the sim spec's.
+        ("score", "[amr]\nie = 5\n", "unknown section [amr]"),
+        ("score", "[AMR_WB]\nbpl = 5\n", "unknown section [AMR_WB]"),
+        ("simulate", SIM_CONFIG + "[simm]\nflows = 4\n", "unknown section [simm]"),
     ],
 )
 def test_config_error_message(tmp_path, capsys, command, config, message):
@@ -1119,11 +1224,27 @@ def test_config_error_message(tmp_path, capsys, command, config, message):
         ("jitter_models = gaussian( , 4)", "jitter_models: gaussian(...): not a number: ''"),
         ("loss_models = bernoulli(,)", "loss_models: bernoulli(...): not a number: ''"),
         ("codec_mix = AMR:0.5, AMR:0.5", "codec_mix names a codec more than once: AMR, AMR"),
+        # An empty item of the codec mix is an error, as it is in a model list.
+        ("codec_mix = AMR:0.71,, AMR-WB:0.29",
+         "codec_mix: not a comma-separated list of codec:fraction: 'AMR:0.71,, AMR-WB:0.29'"),
+        ("codec_mix = AMR:0.71, AMR-WB:0.29,",
+         "codec_mix: not a comma-separated list of codec:fraction: 'AMR:0.71, AMR-WB:0.29,'"),
     ],
 )
 def test_empty_model_argument_or_repeated_codec_is_a_config_error(tmp_path, capsys, line, message):
     err = _config_error(tmp_path, capsys, "simulate", SIM_CONFIG + line + "\n")
     assert err == f"error: CONFIG: {message}\n"
+
+
+def test_score_config_may_share_a_file_with_a_sim_spec(tmp_path):
+    # README: profiles and sim specs share one file format.
+    outputs = []
+    for name, text in (("profile", "[AMR]\nie = 5\n"), ("shared", SIM_CONFIG + "[AMR]\nie = 5\n")):
+        config, out = tmp_path / f"{name}.ini", tmp_path / f"{name}.csv"
+        config.write_text(text, encoding="utf-8")
+        assert run("score", "--input", CDR, "--output", out, "--config", config) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] != (DATA / "cdr_golden.scored.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,3 +288,15 @@ def test_profile_config_rejects_unknown_key_and_wrong_r_max():
         load_profiles("[AMR]\nwibble = 3\n")
     with pytest.raises(ValueError):
         load_profiles("[AMR]\nr_max = 110\n")
+
+
+@pytest.mark.parametrize("text, section", [("[amr]\nie = 5\n", "amr"), ("[AMR_WB]\nbpl = 5\n", "AMR_WB")])
+def test_profile_config_rejects_an_unknown_section(text, section):
+    # A misspelt codec section would otherwise leave the defaults in force.
+    with pytest.raises(ValueError, match=rf"^unknown section \[{section}\]$"):
+        load_profiles(text)
+
+
+def test_profile_config_may_share_a_file_with_a_sim_spec():
+    profiles = load_profiles("[sim]\nflows = 3\n[AMR]\nbpl = 17\n")
+    assert profiles[Codec.AMR] == replace(DEFAULT_PROFILES[Codec.AMR], bpl=17.0)

@@ -472,6 +472,18 @@ def test_load_sim_config_requires_core_keys():
         load_sim_config("[AMR]\nie = 1\n")
 
 
+@pytest.mark.parametrize("mix", ["AMR:0.71,, AMR-WB:0.29", "AMR:0.71, AMR-WB:0.29,", ", AMR:1", ""])
+def test_codec_mix_rejects_an_empty_item(mix):
+    # As a model list rejects "bernoulli(0.1),": an empty item is no codec.
+    with pytest.raises(ValueError, match=r"^codec_mix: not a comma-separated list of codec:fraction: "):
+        load_sim_config(f"[sim]\nflows = 1\npackets_per_flow = 5\nseed = 1\ncodec_mix = {mix}\n")
+
+
+def test_load_sim_config_rejects_an_unknown_section():
+    with pytest.raises(ValueError, match=r"^unknown section \[simm\]$"):
+        load_sim_config("[sim]\nflows = 1\npackets_per_flow = 5\nseed = 1\n[simm]\nflows = 2\n")
+
+
 def test_spec_rejects_a_codec_named_twice():
     with pytest.raises(ValueError, match="codec_mix names a codec more than once"):
         SimSpec(flows=4, packets_per_flow=10, seed=1, codec_mix=((Codec.AMR, 0.5), (Codec.AMR, 0.5)))
