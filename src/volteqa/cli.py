@@ -13,7 +13,6 @@ import configparser
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -256,6 +255,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with _open(output, "OUTPUT") as handle:
         write_cdr_csv(rounded, handle)
 
+    import hashlib  # here, not at the top: OpenSSL loads on no command's path but simulate's
     manifest = {
         "command": "simulate",
         "tool_version": __version__,
@@ -456,8 +456,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         labelled_series.append((codec.value, series))
         binned_points = series.points()
         weights = [n for n in series.counts if n > 0] if args.weighted else None
-        fit_points = points if args.raw_points else binned_points
-        fit_weights = None if args.raw_points else weights
+        fit_points, fit_weights = binned_points, weights
+        if args.raw_points:
+            # The rows the bins count: _cells places exactly those in [lo, hi].
+            fit_points, fit_weights = points[(points[:, 0] >= lo) & (points[:, 0] <= hi)], None
 
         fits: dict[str, dict] = {}
         if args.model in ("exp", "both"):
@@ -482,6 +484,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "raw_point_count": len(points),
             "fits": fits,
         }
+        if args.raw_points:
+            doc["codecs"][codec.value]["raw_points_out_of_range"] = series.out_of_range
 
     output = Path(args.output)
     _write_json(output, doc)

@@ -13,7 +13,6 @@ bulk with array arithmetic (:func:`child_states`) and match
 from __future__ import annotations
 
 import configparser
-import hashlib
 import itertools
 import math
 import re
@@ -231,7 +230,9 @@ def synthesize_timeline(
     np.maximum.accumulate(arrival, axis=0, out=arrival)
     arrival[lost] = np.nan
     kept = ~np.isinf(arrival).any(axis=0)
-    timeline = PacketTimeline(ptime_ms=ptime_ms, seq=seq, send_ms=send, arrival_ms=arrival[:, kept])
+    # The timeline copies what it is given: a selection of every flow would be one copy more.
+    arrival = arrival if kept.all() else arrival[:, kept]
+    timeline = PacketTimeline(ptime_ms=ptime_ms, seq=seq, send_ms=send, arrival_ms=arrival)
     return timeline, kept
 
 
@@ -281,6 +282,7 @@ class SimSpec:
     def digest(self) -> str:
         """SHA-256 of the spec's repr, which names every field of the spec
         and of its models, floats as their shortest round-trip repr."""
+        import hashlib  # here, not at the top: OpenSSL loads on no command's path but simulate's
         return hashlib.sha256(repr(self).encode()).hexdigest()
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
     BIN_MEDIANS,
@@ -25,6 +26,7 @@ from volteqa.analytics import (
     DegenerateDataError,
     FitResult,
     TooFewPointsError,
+    _median,
     bin_series,
     fit_exponential,
     fit_linear,
@@ -158,6 +160,37 @@ def test_surface_grid_matches_reference_loop(p_bins, j_bins):
             zip(_axis_values(rng, p_edges, n), _axis_values(rng, j_edges, n), _qualities(rng, n))
         )
         assert surface_grid(samples, **spec) == reference_surface_grid(samples, **spec)
+
+
+# Values at which the bin median's arithmetic could part from np.median's:
+# signed zeros, subnormals, and pairs near the top of the float range
+# whose sum overflows to infinity.  Drawn from often, they also make ties.
+MEDIAN_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, 0.1, 1.7e308, -1.7e308, 1.7976931348623157e308,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 3000),
+        elements=st.one_of(
+            st.sampled_from(MEDIAN_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+        ),
+    )
+)
+def test_bin_median_equals_np_median_bit_for_bit(x):
+    def bits(value):
+        return np.float64(value).tobytes()
+
+    with np.errstate(over="ignore"):  # both overflow alike where the middle pair does
+        assert bits(_median(x)) == bits(np.median(x))
+        # In a bin, after the reordering by cell and quality.
+        inside = x[np.abs(x) <= 1.0]
+        if inside.size:
+            series = bin_series(zip(inside, -inside), bins=1, lo=-1.0, hi=1.0)
+            assert bits(series.median_x[0]) == bits(np.median(inside))
 
 
 def test_binning_rejects_points_of_the_wrong_width():

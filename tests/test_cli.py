@@ -2,9 +2,13 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -32,6 +36,7 @@ from conftest import (
 from volteqa import cli, ingest
 from volteqa.cli import CliError, main
 from volteqa.ingest import CDR_COLUMNS, Codec, RejectedRow, RejectReason, summarize_dataset
+from volteqa.simulate import load_sim_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -573,6 +578,64 @@ def test_fit_warns_that_raw_points_ignore_weights(tmp_path, capsys):
     assert outputs["both"] == outputs["raw"]
     assert run("fit", "--input", scored, "--output", tmp_path / "fit.json", "--weighted") == 0
     assert "ignored" not in capsys.readouterr().err
+
+
+def test_raw_point_fits_leave_out_rows_beyond_the_range(tmp_path):
+    # Rows outside --range, with wild R, are counted but not fitted; rows
+    # on either bound are fitted, as the bins count them.
+    rows = [(f"f{i}", "AMR", repr(float(x)), repr(float(90 - 150 * x + (i % 3))))
+            for i, x in enumerate([0.0, 0.2, *np.repeat(BIN_MEDIANS, 4)])]
+    wild = [("w0", "AMR", "0.5", "-400"), ("w1", "AMR", "0.2000001", "900"), ("w2", "AMR", "-0.01", "1000")]
+    docs = {}
+    for name, table in (("in", rows), ("all", rows + wild)):
+        _write_scored(tmp_path / f"{name}.csv", table)
+        assert run("fit", "--input", tmp_path / f"{name}.csv", "--output", tmp_path / f"{name}.json",
+                   "--raw-points") == 0
+        docs[name] = json.loads((tmp_path / f"{name}.json").read_text(encoding="utf-8"))["codecs"]["AMR"]
+    assert docs["all"]["fits"] == docs["in"]["fits"]
+    assert docs["all"]["points"] == docs["in"]["points"]
+    assert (docs["in"]["raw_point_count"], docs["in"]["raw_points_out_of_range"]) == (len(rows), 0)
+    assert (docs["all"]["raw_point_count"], docs["all"]["raw_points_out_of_range"]) == (len(rows) + 3, 3)
+    # Binned fits report no such count.
+    assert run("fit", "--input", tmp_path / "all.csv", "--output", tmp_path / "binned.json") == 0
+    binned = json.loads((tmp_path / "binned.json").read_text(encoding="utf-8"))["codecs"]["AMR"]
+    assert "raw_points_out_of_range" not in binned
+
+
+# Run in a fresh interpreter: the modules that score, fit and report
+# import beyond numpy's own, then a simulate run.
+_IMPORTS_SCRIPT = """
+import json, sys
+import numpy
+baseline = set(sys.modules)
+from volteqa.cli import main
+for argv in (
+    ["score", "--input", sys.argv[1], "--output", "scored.csv"],
+    ["fit", "--input", "scored.csv", "--output", "fit.json"],
+    ["report", "--input", "scored.csv", "--output", "grid.csv"],
+):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(set(sys.modules) - baseline)))
+assert main(["simulate", "--config", sys.argv[2], "--output", "sim.csv"]) == 0
+"""
+
+
+def test_only_simulate_loads_numpy_random_and_openssl(tmp_path):
+    # np.median's NaN check once imported numpy.ma into fit, and every
+    # command imported hashlib.  numpy 1.24 imports its masked arrays and
+    # random package itself: what numpy imports is the baseline.
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_SCRIPT, DATA / "sim_golden.csv", DATA / "sim_golden.ini"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, encoding="utf-8",
+    )
+    assert done.returncode == 0, done.stderr
+    assert {"numpy.ma", "numpy.random", "hashlib", "_hashlib"}.isdisjoint(json.loads(done.stdout))
+    # The hashes that simulate imports hashlib for are those of before.
+    meta = json.loads((tmp_path / "sim.csv.meta.json").read_text(encoding="utf-8"))
+    spec = load_sim_config((DATA / "sim_golden.ini").read_text(encoding="utf-8"))[0]
+    assert meta["spec_sha256"] == hashlib.sha256(repr(spec).encode()).hexdigest()
+    assert meta["config_sha256"] == "e9ebf4ef8bbd1b1a5c60863d61dd06a6b6c23a9020253fa3c7e3c33d10ceafa9"
 
 
 def _score_sim_golden(tmp_path: Path) -> Path:
