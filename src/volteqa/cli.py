@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,11 +39,13 @@ from volteqa.analytics import (
 from volteqa.emodel import DEFAULT_PROFILES, CodecProfile, compute_r_factor, load_profiles
 from volteqa.ingest import (
     CDR_COLUMNS,
+    CHUNK_ROWS,
     CODEC_INDEX,
     CdrTable,
     Codec,
     CsvBlock,
     RejectedRow,
+    RejectReason,
     SchemaError,
     cdr_blocks,
     cdr_lines,
@@ -52,7 +54,6 @@ from volteqa.ingest import (
     finite_floats,
     finite_number,
     parse_cdr_csv,
-    summarize_dataset,
     write_cdr_csv,
 )
 from volteqa.jitter_buffer import effective_loss
@@ -186,11 +187,9 @@ def cmd_score(args: argparse.Namespace) -> int:
                 counts.update(table.codec_counts())
                 sink.write(cdr_lines(table, *_score_records(table, profiles)))
 
-    summary = summarize_dataset(counts, rejects)
-    summary["per_codec_shares"] = {k: round_g6(v) for k, v in summary["per_codec_shares"].items()}
     summary_path = Path(args.summary) if args.summary else output.with_suffix(output.suffix + ".summary.json")
     with _open(summary_path, "OUTPUT") as handle:
-        handle.write(_summary_json(summary))
+        summarize_dataset(counts, rejects, handle)
     return 0
 
 
@@ -199,20 +198,33 @@ def cmd_score(args: argparse.Namespace) -> int:
 _REJECT_ROW = '      {\n        "detail": %s,\n        "line_no": %d,\n        "reason": %s\n      }'
 
 
-def _summary_json(summary: dict) -> str:
-    """``json.dumps(summary, indent=2, sort_keys=True) + "\\n"`` for a
-    ``summarize_dataset`` document.  The reject rows are formatted from a
-    template: only their strings go through json.dumps, whose string
-    encoder is in C, and not its pure-Python indenting encoder."""
-    rejected = summary["rejected"]
-    text = json.dumps({**summary, "rejected": {**rejected, "rows": []}}, indent=2, sort_keys=True)
-    if rejected["rows"]:
-        rows = ",\n".join(
-            _REJECT_ROW % (json.dumps(row["detail"]), row["line_no"], json.dumps(row["reason"]))
-            for row in rejected["rows"]
-        )
-        text = text.replace('"rows": []', '"rows": [\n' + rows + "\n    ]")
-    return text + "\n"
+def summarize_dataset(counts: Mapping[Codec, int], rejects: Sequence[RejectedRow], stream: IO[str]) -> None:
+    """Write the summary of a scored CDR file as ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"`` would: the flow count and ``round_g6`` share
+    of each codec with flows, and the rejected rows in file order with
+    their count by reason.  The rows are formatted from a template straight
+    from the RejectedRows, ``CHUNK_ROWS`` at a time: only their strings go
+    through json.dumps, whose string encoder is in C."""
+    total = sum(counts.values())
+    present = [codec for codec in Codec if counts.get(codec)]
+    reasons = Counter(row.reason for row in rejects)
+    head, _, tail = json.dumps({
+        "total_flows": total,
+        "per_codec_counts": {codec.value: counts[codec] for codec in present},
+        "per_codec_shares": {codec.value: round_g6(counts[codec] / total) for codec in present},
+        "rejected": {
+            "total": len(rejects),
+            "by_reason": {r.value: reasons[r] for r in RejectReason if reasons[r]},
+            "rows": [],
+        },
+    }, indent=2, sort_keys=True).partition('"rows": []')
+    stream.write(head + '"rows": [')
+    for start in range(0, len(rejects), CHUNK_ROWS):
+        stream.write((",\n" if start else "\n") + ",\n".join(
+            _REJECT_ROW % (json.dumps(row.detail), row.line_no, json.dumps(row.reason.value))
+            for row in rejects[start:start + CHUNK_ROWS]
+        ))
+    stream.write(("\n    ]" if rejects else "]") + tail + "\n")
 
 
 def _score_records(table: CdrTable, profiles: dict[Codec, CodecProfile]) -> tuple[np.ndarray, ...]:

@@ -1,4 +1,4 @@
-"""CDR ingestion: column-wise parsing and validation, and dataset summaries.
+"""CDR ingestion: column-wise parsing, validation and writing.
 
 The on-disk format is a CSV with the fixed column set
 ``flow_id,codec,tx_packets,rx_packets,avg_jitter_ms,max_jitter_ms,r_factor``.
@@ -14,9 +14,8 @@ import enum
 import itertools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -110,7 +109,7 @@ def _counts(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RejectedRow:
     """A filtered-out CSV row: where it is and why it was rejected."""
 
@@ -432,26 +431,3 @@ def write_cdr_csv(table: CdrTable, stream: IO[str]) -> None:
     for start in range(0, len(table), CHUNK_ROWS):
         stream.write(cdr_lines(table.take(slice(start, start + CHUNK_ROWS))))
 
-
-def summarize_dataset(counts: Mapping[Codec, int], rejects: Sequence[RejectedRow]) -> dict:
-    """The JSON summary document of a parsed CDR file, from its accepted
-    flows per codec and its rejected rows.
-
-    Flow counts and shares per codec (no entry for a codec without
-    flows), and the rejected rows with their count by reason.
-    """
-    total = sum(counts.values())
-    reasons = Counter(row.reason for row in rejects)
-    present = [codec for codec in Codec if counts.get(codec)]
-    return {
-        "total_flows": total,
-        "per_codec_counts": {codec.value: counts[codec] for codec in present},
-        "per_codec_shares": {codec.value: counts[codec] / total for codec in present},
-        "rejected": {
-            "total": len(rejects),
-            "by_reason": {r.value: reasons[r] for r in RejectReason if reasons[r]},
-            "rows": [
-                {"line_no": r.line_no, "reason": r.reason.value, "detail": r.detail} for r in rejects
-            ],
-        },
-    }

@@ -6,15 +6,16 @@ from __future__ import annotations
 import csv
 import decimal
 import io
+import json
 import math
 import sys
 from collections import Counter
-from typing import IO
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from volteqa.analytics import BinnedSeries, SurfaceGrid, uniform_edges
-from volteqa.cli import CliError, format_g6
+from volteqa.cli import CliError, format_g6, summarize_dataset
 from volteqa.emodel import LOSS_IMPAIRMENT_CEILING, CodecProfile
 from volteqa.ingest import (
     CDR_COLUMNS,
@@ -488,6 +489,35 @@ def table_rows(table: CdrTable) -> list[tuple]:
     """The table's rows as tuples in column order, None for an absent r_factor."""
     r_factor = [None if r != r else r for r in table.r_factor.tolist()]
     return list(zip(*(getattr(table, name).tolist() for name in CDR_COLUMNS[:-1]), r_factor))
+
+
+def reference_summary(counts: Mapping[Codec, int], rejects: Sequence[RejectedRow]) -> dict:
+    """The summary document of ``cli.summarize_dataset``, built as a dict."""
+    total = sum(counts.values())
+    reasons = Counter(row.reason for row in rejects)
+    present = [codec for codec in Codec if counts.get(codec)]
+    return {
+        "total_flows": total,
+        "per_codec_counts": {codec.value: counts[codec] for codec in present},
+        "per_codec_shares": {codec.value: float(format_g6(counts[codec] / total)) for codec in present},
+        "rejected": {
+            "total": len(rejects),
+            "by_reason": {r.value: reasons[r] for r in RejectReason if reasons[r]},
+            "rows": [{"line_no": r.line_no, "reason": r.reason.value, "detail": r.detail} for r in rejects],
+        },
+    }
+
+
+def written_summary(counts: Mapping[Codec, int], rejects: Sequence[RejectedRow]) -> dict:
+    """The document ``cli.summarize_dataset`` writes, parsed, once its text
+    is checked to be json.dumps's layout of it and to equal the oracle's."""
+    stream = io.StringIO()
+    summarize_dataset(counts, rejects, stream)
+    text = stream.getvalue()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert doc == reference_summary(counts, rejects)
+    return doc
 
 
 def reference_validate_record(

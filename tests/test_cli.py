@@ -32,10 +32,11 @@ from conftest import (
     reference_parse_cdr_csv,
     reference_read_samples,
     table_from_rows,
+    written_summary,
 )
 from volteqa import cli, ingest
 from volteqa.cli import CliError, main
-from volteqa.ingest import CDR_COLUMNS, Codec, RejectedRow, RejectReason, summarize_dataset
+from volteqa.ingest import CDR_COLUMNS, Codec, RejectedRow, RejectReason
 from volteqa.simulate import load_sim_config
 
 DATA = Path(__file__).parent / "data"
@@ -171,8 +172,23 @@ def test_summary_text_is_json_dumps(count, details, first_line, codecs):
     reasons = itertools.cycle(RejectReason)
     rejects = [RejectedRow(first_line + i, next(reasons), detail) for i, detail in enumerate(details[:count])]
     table = table_from_rows([(f"f{i}", codec, 10, 9, 1.0, 2.0, 50.0) for i, codec in enumerate(codecs)])
-    summary = summarize_dataset(table.codec_counts(), rejects)
-    assert cli._summary_json(summary) == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    summary = written_summary(table.codec_counts(), rejects)
+    assert [row["detail"] for row in summary["rejected"]["rows"]] == details[:count]
+
+
+# Details that json.dumps must escape, or that it leaves as they are.
+AWKWARD_DETAILS = ('say "hi"', "C:\\dir\\", "Übertragung ☎", "bell\x07", "two\nlines", "cr\r", "tab\t", "", "\u2028")
+
+
+@pytest.mark.parametrize("count", (0, 1, ingest.CHUNK_ROWS, ingest.CHUNK_ROWS + 1))
+def test_summary_rows_cross_a_write_block(count):
+    # CHUNK_ROWS + 1 puts the last reject alone in a second write.
+    reasons, details = itertools.cycle(RejectReason), itertools.cycle(AWKWARD_DETAILS)
+    rejects = [RejectedRow(2 + 3 * i, next(reasons), f"{i}: {next(details)}") for i in range(count)]
+    summary = written_summary({Codec.AMR: 7, Codec.AMR_WB: 3}, rejects)
+    assert summary["per_codec_shares"] == {"AMR": 0.7, "AMR-WB": 0.3}
+    assert [row["line_no"] for row in summary["rejected"]["rows"]] == list(range(2, 2 + 3 * count, 3))
+    assert summary["rejected"]["total"] == sum(summary["rejected"]["by_reason"].values()) == count
 
 
 def test_score_summary_is_json_dumps(tmp_path):
@@ -292,12 +308,12 @@ def test_score_refuses_to_write_over_its_input(tmp_path, capsys):
     assert source.read_text(encoding="utf-8") == text
 
 
-def _score_peak_bytes(tmp_path: Path, rows: int) -> int:
-    source = tmp_path / f"cdr{rows}.csv"
-    source.write_text(",".join(CDR_COLUMNS) + "\n" + "".join(_cdr_lines(rows)), encoding="utf-8")
+def _score_peak_bytes(tmp_path: Path, name: str, lines: list[str]) -> int:
+    source = tmp_path / f"{name}.csv"
+    source.write_text(",".join(CDR_COLUMNS) + "\n" + "".join(lines), encoding="utf-8")
     tracemalloc.start()
     try:
-        assert run("score", "--input", source, "--output", tmp_path / f"scored{rows}.csv") == 0
+        assert run("score", "--input", source, "--output", tmp_path / f"{name}.scored.csv") == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -306,7 +322,19 @@ def _score_peak_bytes(tmp_path: Path, rows: int) -> int:
 def test_score_memory_does_not_grow_with_the_row_count(tmp_path):
     # score holds one block at a time; only its rejects grow with the
     # file, and this file has none.
-    assert _score_peak_bytes(tmp_path, 40_000) <= 1.5 * _score_peak_bytes(tmp_path, 4_000)
+    small, large = (_score_peak_bytes(tmp_path, f"cdr{rows}", _cdr_lines(rows)) for rows in (4_000, 40_000))
+    assert large <= 1.5 * small
+
+
+def test_score_memory_grows_by_little_more_than_a_rejected_row_per_reject(tmp_path):
+    # Each reject is held as its RejectedRow, about 120 B here, until the
+    # summary is written straight from it; a per-row dict or JSON text
+    # alongside it would add several hundred bytes more.
+    def rejected(rows: int) -> list[str]:
+        return [f"f{i:07d},EVS,1000,990,1.0,2.0,\n" for i in range(rows)]
+
+    small, large = (_score_peak_bytes(tmp_path, f"evs{rows}", rejected(rows)) for rows in (2_000, 20_000))
+    assert (large - small) / 18_000 < 300
 
 
 # -------------------------------------------------------------- simulate

@@ -14,6 +14,7 @@ from conftest import (
     reference_validate_record,
     table_from_rows,
     table_rows,
+    written_summary,
 )
 from volteqa import ingest
 from volteqa.cli import round_g6, round_g6_column
@@ -25,7 +26,6 @@ from volteqa.ingest import (
     RejectedRow,
     RejectReason,
     SchemaError,
-    summarize_dataset,
     write_cdr_csv,
 )
 
@@ -225,7 +225,7 @@ def test_empty_table_writes_only_the_header():
     buffer = io.StringIO()
     write_cdr_csv(table, buffer)
     assert buffer.getvalue() == f"{HEADER}\n"
-    summary = summarize_dataset(table.codec_counts(), rejects)
+    summary = written_summary(table.codec_counts(), rejects)
     assert summary["total_flows"] == 0
     assert summary["per_codec_counts"] == {} and summary["per_codec_shares"] == {}
     assert summary["rejected"]["total"] == 0
@@ -236,7 +236,7 @@ def _table(codecs) -> CdrTable:
 
 
 def test_summarize_shares_match_mix():
-    summary = summarize_dataset(_table([Codec.AMR] * 71 + [Codec.AMR_WB] * 29).codec_counts(), [])
+    summary = written_summary(_table([Codec.AMR] * 71 + [Codec.AMR_WB] * 29).codec_counts(), [])
     assert summary["total_flows"] == 100
     assert summary["per_codec_counts"] == {"AMR": 71, "AMR-WB": 29}
     assert summary["per_codec_shares"] == {"AMR": 0.71, "AMR-WB": 0.29}
@@ -244,26 +244,26 @@ def test_summarize_shares_match_mix():
 
 
 def test_summarize_single_codec_and_empty():
-    assert summarize_dataset(_table([Codec.AMR] * 10).codec_counts(), [])["per_codec_shares"] == {"AMR": 1.0}
-    empty = summarize_dataset(_table([]).codec_counts(), [])
+    assert written_summary(_table([Codec.AMR] * 10).codec_counts(), [])["per_codec_shares"] == {"AMR": 1.0}
+    empty = written_summary(_table([]).codec_counts(), [])
     assert empty["total_flows"] == 0
     assert empty["per_codec_shares"] == {}
 
 
 def test_summarize_is_permutation_invariant():
     table = _table([Codec.AMR if i % 3 else Codec.AMR_WB for i in range(40)])
-    base = summarize_dataset(table.codec_counts(), [])
+    base = written_summary(table.codec_counts(), [])
     rng = np.random.default_rng(7)
     for _ in range(5):
-        assert summarize_dataset(table.take(rng.permutation(len(table))).codec_counts(), []) == base
+        assert written_summary(table.take(rng.permutation(len(table))).codec_counts(), []) == base
     # Nor on the order of the counts.
-    assert summarize_dataset(dict(reversed(table.codec_counts().items())), []) == base
+    assert written_summary(dict(reversed(table.codec_counts().items())), []) == base
 
 
 def test_summary_reports_reject_breakdown():
     text = f"{HEADER}\nf1,EVS,10,9,1,2,\nf2,AMR,10,9,5,1,\nf3,AMR,10,9,1,2,\n"
     table, rejects = parse_text(text)
-    summary = summarize_dataset(table.codec_counts(), rejects)
+    summary = written_summary(table.codec_counts(), rejects)
     assert summary["rejected"]["total"] == 2
     assert summary["rejected"]["by_reason"] == {"UNSUPPORTED_CODEC": 1, "INCONSISTENT_JITTER": 1}
     assert summary["rejected"]["rows"] == [
