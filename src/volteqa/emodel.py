@@ -18,8 +18,9 @@ import numpy as np
 
 from volteqa.ingest import Bandwidth, Codec, parse_float
 
-# ie_eff saturates toward this value as loss approaches 100%.
-LOSS_IMPAIRMENT_CEILING = 95.0
+# ie_eff saturates toward its scale's ceiling as loss approaches 100%:
+# G.107's 95 on the narrowband scale, G.107.1's 129 on the wideband one.
+LOSS_IMPAIRMENT_CEILING = {Bandwidth.NARROWBAND: 95.0, Bandwidth.WIDEBAND: 129.0}
 
 PROFILE_KEYS = ("ie", "bpl", "r0", "is", "advantage", "r_max")
 
@@ -44,8 +45,9 @@ class CodecProfile:
         for name in ("ie", "bpl", "r0", "simultaneous", "advantage"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 <= self.ie < LOSS_IMPAIRMENT_CEILING:
-            raise ValueError(f"ie must be in [0, 95), got {self.ie}")
+        ceiling = LOSS_IMPAIRMENT_CEILING[self.codec.bandwidth]
+        if not 0.0 <= self.ie < ceiling:
+            raise ValueError(f"ie must be in [0, {ceiling:g}) for {self.codec.value}, got {self.ie}")
         if self.bpl <= 0:
             raise ValueError(f"bpl must be positive, got {self.bpl}")
         if self.advantage < 0:
@@ -111,7 +113,8 @@ def compute_r_factor(
     arithmetic, element by element and in the same order.  The delay
     impairment is zero up to 100 ms, then grows by 0.024 per ms, plus 0.11
     per ms beyond 177.3 ms.  ``ie_eff`` equals ``ie`` at zero loss, grows
-    with loss and burstiness and stays strictly below 95: its loss term
+    with loss and burstiness and stays strictly below the loss-impairment
+    ceiling of the codec's scale, 95 narrowband or 129 wideband: its loss term
     ``ppl / (ppl/burst_r + bpl)`` saturates just under 1, which bursty loss
     at extreme rates would otherwise exceed.  MOS maps R onto 1..4.5; the
     wideband scale rescales R by 100/129 first, and the raw cubic, which
@@ -129,7 +132,7 @@ def compute_r_factor(
         delay > 177.3, delay_impairment + 0.11 * (delay - 177.3), delay_impairment
     )
     term = np.minimum(ppl / (ppl / burst_r + profile.bpl), math.nextafter(1.0, 0.0))
-    equipment = profile.ie + (LOSS_IMPAIRMENT_CEILING - profile.ie) * term
+    equipment = profile.ie + (LOSS_IMPAIRMENT_CEILING[profile.codec.bandwidth] - profile.ie) * term
     raw = profile.r0 - profile.simultaneous - delay_impairment - equipment + profile.advantage
     # Comparisons rather than np.maximum / np.minimum keep the scalar
     # max() / min() choice between equal values, -0.0 included.

@@ -16,7 +16,7 @@ import numpy as np
 
 from volteqa.analytics import BinnedSeries, SurfaceGrid, uniform_edges
 from volteqa.cli import CliError, format_g6, summarize_dataset
-from volteqa.emodel import LOSS_IMPAIRMENT_CEILING, CodecProfile
+from volteqa.emodel import CodecProfile
 from volteqa.ingest import (
     CDR_COLUMNS,
     Bandwidth,
@@ -64,7 +64,7 @@ AMR_CURVE_PROFILE = CodecProfile(
     r0=90.47605821,
 )
 
-WB_LINE_BURST_R = 248.4126752 / 95.0
+WB_LINE_BURST_R = 248.4126752 / 129.0
 WB_LINE_PROFILE = CodecProfile(
     codec=Codec.AMR_WB,
     ie=0.0,
@@ -293,7 +293,8 @@ def reference_compute_r_factor(
             delay += 0.11 * (one_way_delay_ms - 177.3)
     term = ppl / (ppl / burst_r + profile.bpl)
     term = min(term, math.nextafter(1.0, 0.0))
-    equipment = profile.ie + (LOSS_IMPAIRMENT_CEILING - profile.ie) * term
+    ceiling = 95.0 if profile.codec.bandwidth is Bandwidth.NARROWBAND else 129.0
+    equipment = profile.ie + (ceiling - profile.ie) * term
     raw = profile.r0 - profile.simultaneous - delay - equipment + profile.advantage
     r_factor = min(max(raw, 0.0), profile.codec.r_max)
     scaled = r_factor if profile.codec.bandwidth is Bandwidth.NARROWBAND else r_factor * 100.0 / 129.0

@@ -149,10 +149,25 @@ def test_component_accounting_is_exact():
                            simultaneous=1.4, advantage=5.0)
     r, _ = _score(profile, ppl=13.0, burst_r=2.0, delay=180.0)
     delay = 0.024 * (180.0 - 100.0) + 0.11 * (180.0 - 177.3)
-    equipment = 12.0 + (95.0 - 12.0) * 13.0 / (13.0 / 2.0 + 25.0)
+    equipment = 12.0 + (129.0 - 12.0) * 13.0 / (13.0 / 2.0 + 25.0)  # the wideband ceiling
     budget = 120.0 - 1.4 - delay - equipment + 5.0
     assert 0.0 < budget < Codec.AMR_WB.r_max  # inside the scale: no clamping
     assert abs(r - budget) < 1e-9
+
+
+
+# R and MOS of the default profiles: the loss impairment saturates toward
+# 95 on the narrowband scale and 129 on the wideband one (G.107.1), so a
+# call with every packet lost lands near each scale's floor alike.
+@pytest.mark.parametrize(
+    "codec, ppl, r, mos",
+    [(Codec.AMR, 20.0, 35.62, 1.856), (Codec.AMR, 100.0, 9.13, 1.024),
+     (Codec.AMR_WB, 20.0, 86.00, 3.437), (Codec.AMR_WB, 100.0, 36.86, 1.551)],
+)
+def test_loss_impairment_ceiling_of_each_scale(codec, ppl, r, mos):
+    profile = DEFAULT_PROFILES[codec]
+    assert _score(profile, ppl=ppl) == reference_compute_r_factor(profile, ppl)
+    assert _score(profile, ppl=ppl) == pytest.approx((r, mos), abs=0.005)
 
 
 def test_r_to_mos_endpoints_and_midpoint():
@@ -245,8 +260,12 @@ def test_compute_r_factor_checks_every_entry(ppl, burst_r, delay):
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ie must be in \[0, 95\) for AMR, got 95.0"):
         CodecProfile(codec=Codec.AMR, ie=95.0, bpl=10.0, r0=93.2)
+    # The wideband ceiling is 129: an ie of 100 is on its scale.
+    assert CodecProfile(codec=Codec.AMR_WB, ie=100.0, bpl=10.0, r0=129.0).ie == 100.0
+    with pytest.raises(ValueError, match=r"ie must be in \[0, 129\) for AMR-WB, got 129.0"):
+        CodecProfile(codec=Codec.AMR_WB, ie=129.0, bpl=10.0, r0=129.0)
     with pytest.raises(ValueError):
         CodecProfile(codec=Codec.AMR, ie=0.0, bpl=0.0, r0=93.2)
     with pytest.raises(ValueError):
