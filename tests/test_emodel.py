@@ -155,10 +155,8 @@ def test_component_accounting_is_exact():
     assert abs(r - budget) < 1e-9
 
 
-
 # R and MOS of the default profiles: the loss impairment saturates toward
-# 95 on the narrowband scale and 129 on the wideband one (G.107.1), so a
-# call with every packet lost lands near each scale's floor alike.
+# 95 on the narrowband scale (G.107) and 129 on the wideband one (G.107.1).
 @pytest.mark.parametrize(
     "codec, ppl, r, mos",
     [(Codec.AMR, 20.0, 35.62, 1.856), (Codec.AMR, 100.0, 9.13, 1.024),
