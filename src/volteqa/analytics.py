@@ -443,7 +443,12 @@ def surface_grid(
     j_edges = uniform_edges(j_bins, *j_range)
     p, j, r = _columns(samples, 3, copy=False)  # no dot product here: views spare a copy of the samples
     p_cell, j_cell = _cells(p_edges, p), _cells(j_edges, j)
-    cell = np.where((p_cell >= 0) & (j_cell >= 0), p_cell * j_bins + j_cell, -1)
+    outside = (p_cell < 0) | (j_cell < 0)
+    # In place: an index array the size of the samples is not made twice more.
+    cell = p_cell
+    cell *= j_bins
+    cell += j_cell
+    cell[outside] = -1
     out_of_range, slices, (r,) = _by_cell(cell, p_bins * j_bins, r)
     rows = [slices[i : i + j_bins] for i in range(0, len(slices), j_bins)]
     return SurfaceGrid(

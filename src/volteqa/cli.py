@@ -152,6 +152,24 @@ def _open(path: str | Path, kind: str) -> Iterator[IO[str]]:
         raise
 
 
+def _check_writable(path: Path, **others: str | Path | None) -> None:
+    """End the command if ``path`` names another of its files, one it reads
+    or one it writes before ``path``; ``others`` gives each by its role,
+    such as ``input=args.input``, or None if the command has no such file.
+
+    Two paths that exist name one file when they are one regular file; a
+    path yet to be made names the file its resolved path names."""
+    for role, other in others.items():
+        if other is None:
+            continue
+        if os.path.exists(path) and os.path.exists(other):
+            same = path.is_file() and path.samefile(other)  # a device or pipe is no file to keep
+        else:
+            same = path.resolve() == Path(other).resolve()
+        if same:
+            raise CliError("OUTPUT_UNWRITABLE", f"cannot write {path}: it is the {role} file")
+
+
 def _load_config(path: str, load: Callable[[str], T]) -> tuple[str, T]:
     """The text of a config file and what ``load`` makes of it."""
     with _open(path, "CONFIG") as handle:
@@ -166,6 +184,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     profiles = DEFAULT_PROFILES if args.config is None else _load_config(args.config, load_profiles)[1]
     wanted = _codec_filter(args.codec)
     output = Path(args.output)
+    summary_path = Path(args.summary) if args.summary else output.with_suffix(output.suffix + ".summary.json")
     counts: Counter[Codec] = Counter()
     rejects: list[RejectedRow] = []
     # One pass: each block is parsed, scored and written before the next
@@ -175,8 +194,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             blocks = cdr_blocks(source)
         except SchemaError as exc:
             raise CliError("SCHEMA", str(exc)) from None
-        if output.is_file() and output.samefile(args.input):  # writing would truncate what is read
-            raise CliError("OUTPUT_UNWRITABLE", f"cannot write {output}: it is the input file")
+        _check_writable(output, input=args.input, config=args.config)
+        _check_writable(summary_path, input=args.input, config=args.config, output=output)
         with _open(output, "OUTPUT") as sink:
             sink.write(",".join(SCORED_COLUMNS) + "\n")
             for first_line, block in blocks:
@@ -187,7 +206,6 @@ def cmd_score(args: argparse.Namespace) -> int:
                 counts.update(table.codec_counts())
                 sink.write(cdr_lines(table, *_score_records(table, profiles)))
 
-    summary_path = Path(args.summary) if args.summary else output.with_suffix(output.suffix + ".summary.json")
     with _open(summary_path, "OUTPUT") as handle:
         summarize_dataset(counts, rejects, handle)
     return 0
@@ -256,16 +274,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     timestamp = _timestamp()  # before any output, which a bad SOURCE_DATE_EPOCH would leave behind
     config_text, (spec, profiles) = _load_config(args.config, load)
 
-    try:
-        table, rejected = synthesize_dataset(spec, profiles)
-    except MemoryError:
-        raise CliError("CONFIG", f"packets_per_flow: too large to simulate: {spec.packets_per_flow}") from None
-    rounded = dataclasses.replace(table, **{
-        name: round_g6_column(getattr(table, name)) for name in ("avg_jitter_ms", "max_jitter_ms", "r_factor")
-    })
     output = Path(args.output)
+    meta_path = Path(args.meta) if args.meta else output.with_suffix(output.suffix + ".meta.json")
+    _check_writable(output, config=args.config)
+    _check_writable(meta_path, config=args.config, output=output)
+
+    # Each chunk is rounded and written as synthesize_dataset makes it.
     with _open(output, "OUTPUT") as handle:
-        write_cdr_csv(rounded, handle)
+        def write(table: CdrTable) -> None:
+            write_cdr_csv(dataclasses.replace(table, **{
+                name: round_g6_column(getattr(table, name)) for name in ("avg_jitter_ms", "max_jitter_ms", "r_factor")
+            }), handle)
+
+        handle.write(",".join(CDR_COLUMNS) + "\n")
+        try:
+            flows_written, rejected = synthesize_dataset(spec, profiles, write)
+        except MemoryError:
+            raise CliError("CONFIG", f"packets_per_flow: too large to simulate: {spec.packets_per_flow}") from None
 
     import hashlib  # here, not at the top: OpenSSL loads on no command's path but simulate's
     manifest = {
@@ -275,12 +300,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": spec.seed,
         "spec_sha256": spec.digest(),
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-        "flows_written": len(rounded),
+        "flows_written": flows_written,
         "flows_rejected": len(rejected),
         "rejected": [{"flow_id": r.flow_id, "reason": r.reason} for r in rejected],
         "timestamp": timestamp,
     }
-    meta_path = Path(args.meta) if args.meta else output.with_suffix(output.suffix + ".meta.json")
     _write_json(meta_path, manifest)
     return 0
 
@@ -451,7 +475,11 @@ def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> Non
 def cmd_fit(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range, "--range")
     bins = _bin_count(args.bins, "--bins")
+    output = Path(args.output)
+    bins_path = Path(args.bins_output) if args.bins_output else output.with_suffix(".bins.csv")
     groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss",))
+    _check_writable(output, input=args.input)
+    _check_writable(bins_path, input=args.input, output=output)
     if args.weighted and args.raw_points:
         print("warning: --weighted is ignored with --raw-points: raw points are fitted unweighted",
               file=sys.stderr)
@@ -499,9 +527,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if args.raw_points:
             doc["codecs"][codec.value]["raw_points_out_of_range"] = series.out_of_range
 
-    output = Path(args.output)
     _write_json(output, doc)
-    bins_path = Path(args.bins_output) if args.bins_output else output.with_suffix(".bins.csv")
     _write_bins_csv(bins_path, labelled_series)
     return 0
 
@@ -525,6 +551,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     p_bins, j_bins = _bin_count(args.bins, "--bins"), _bin_count(args.j_bins, "--j-bins")
     cells = _bin_count(p_bins * j_bins, "--bins x --j-bins")
     groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss", "max_jitter_ms"))
+    _check_writable(Path(args.output), input=args.input)
     # Cells aggregate sorted values, so sample order does not matter.  The
     # per-codec arrays are let go once they are joined.
     samples = np.concatenate([*groups.values(), np.empty((0, 3))])

@@ -13,7 +13,6 @@ import csv
 import enum
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Sequence
 
@@ -394,9 +393,14 @@ def _float_or_nan(text: str) -> float:
 # A row's seven CDR fields.  Floats take their shortest round-trip form
 # (``%s`` of a float is its repr too), so an absent r_factor can be "".
 _CDR_LINE = "%s,%s,%d,%d,%r,%r,%s"
-# The characters that make a field need quotes.  csv.writer before Python
-# 3.13 leaves a CR bare, and a reader then splits the row there.
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _needs_quotes(text: str) -> bool:
+    """Whether a field holding ``text`` needs quotes: it holds a comma, a
+    double quote, CR or LF.  csv.writer before Python 3.13 leaves a CR
+    bare, and a reader then splits the row there.  Four scans in C are
+    faster than one regex search."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
 def cdr_lines(table: CdrTable, *scores: np.ndarray) -> str:
@@ -408,8 +412,8 @@ def cdr_lines(table: CdrTable, *scores: np.ndarray) -> str:
     quoting.
     """
     flow_id = table.flow_id.tolist()
-    if _NEEDS_QUOTES.search("".join(flow_id)):
-        flow_id = ['"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES.search(s) else s for s in flow_id]
+    if _needs_quotes("".join(flow_id)):
+        flow_id = ['"' + s.replace('"', '""') + '"' if _needs_quotes(s) else s for s in flow_id]
     codec = np.empty(len(table), dtype=object)
     for member in Codec:
         codec[table.codec == member] = member.value
@@ -425,9 +429,9 @@ def cdr_lines(table: CdrTable, *scores: np.ndarray) -> str:
 
 
 def write_cdr_csv(table: CdrTable, stream: IO[str]) -> None:
-    """Write a table in the CDR schema, ``CHUNK_ROWS`` rows at a time; a
-    parse(write(table)) round trip reproduces its rows exactly."""
-    stream.write(",".join(CDR_COLUMNS) + "\n")
+    """Write a table's rows in the CDR schema, without the header,
+    ``CHUNK_ROWS`` rows at a time; parsing the header and the rows
+    reproduces the table's rows exactly."""
     for start in range(0, len(table), CHUNK_ROWS):
         stream.write(cdr_lines(table.take(slice(start, start + CHUNK_ROWS))))
 

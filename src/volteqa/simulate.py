@@ -17,18 +17,17 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
 from volteqa.emodel import (
-    DEFAULT_PROFILES,
     CodecProfile,
     burst_ratio,
     compute_r_factor,
     profiles_from_parser,
 )
-from volteqa.ingest import CdrTable, Codec, parse_float, parse_int
+from volteqa.ingest import CHUNK_ROWS, CdrTable, Codec, parse_float, parse_int
 from volteqa.jitter_buffer import JbeConfig, PacketTimeline, run_jbe
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -425,10 +424,17 @@ def _draw_block(
     return codec_u, timeline, kept
 
 
+# Why a flow is rejected, by the code _synthesize_chunk gives it; code 0
+# accepts the flow.
+_REJECT_REASONS = ("", "ARRIVAL_NOT_FINITE", "NOT_ENOUGH_PACKETS", "JITTER_NOT_FINITE", "PLAYOUT_NOT_FINITE")
+
+
 def synthesize_dataset(
-    spec: SimSpec, profiles: dict[Codec, CodecProfile] | None = None
-) -> tuple[CdrTable, list[RejectedFlow]]:
-    """Generate the spec's flows as a CDR table; per-flow failures become rejects.
+    spec: SimSpec, profiles: dict[Codec, CodecProfile], write: Callable[[CdrTable], object]
+) -> tuple[int, list[RejectedFlow]]:
+    """Generate the spec's flows as CDR tables, one chunk at a time, and
+    hand each chunk's accepted flows to ``write``; return the number of
+    flows written and the rejects, in flow order.
 
     Per flow: synthesize a timeline, replay it through the jitter buffer
     (which measures effective loss, jitter and play-out delay in one pass),
@@ -445,20 +451,41 @@ def synthesize_dataset(
     ``SeedSequence.spawn`` plus ``PCG64`` bit for bit.  The replay runs on
     blocks of up to ``BLOCK_PACKETS`` packets and the scoring on the
     accepted flows of each codec, element by element, so the dataset does
-    not depend on the block size.
+    not depend on the block size.  A chunk is a run of whole blocks that
+    holds at least ``CHUNK_ROWS`` flows, or the flows left: only one
+    chunk's per-flow figures are held at a time.
     """
-    profiles = profiles if profiles is not None else DEFAULT_PROFILES
     per_block = max(1, BLOCK_PACKETS // spec.packets_per_flow)
+    per_chunk = per_block * -(-CHUNK_ROWS // per_block)
     # Its own stream is never drawn: it is re-pointed at each flow's in turn.
     generator = np.random.Generator(np.random.PCG64(0))
+    written, rejected = 0, []
+    for first in range(0, spec.flows, per_chunk):
+        table, chunk_rejected = _synthesize_chunk(
+            spec, profiles, generator, first, min(per_chunk, spec.flows - first), per_block
+        )
+        written += len(table)
+        rejected += chunk_rejected
+        write(table)
+        del table  # not held while the next chunk is made
+    return written, rejected
+
+
+def _synthesize_chunk(
+    spec: SimSpec, profiles: dict[Codec, CodecProfile], generator: np.random.Generator,
+    start: int, size: int, per_block: int,
+) -> tuple[CdrTable, list[RejectedFlow]]:
+    """The table of the accepted flows among flows ``start`` to
+    ``start + size - 1``, replayed ``per_block`` flows at a time, and the
+    rejects among them."""
     # Per-flow figures; -1 received packets marks a flow left out of its
     # block's timeline.
-    codec_u = np.empty(spec.flows)
-    received = np.full(spec.flows, -1)
-    p_loss, burst_r, avg_jitter, max_jitter, delay = np.full((5, spec.flows), np.nan)
-    for first in range(0, spec.flows, per_block):
-        size = min(per_block, spec.flows - first)
-        codec_u[first : first + size], timeline, kept = _draw_block(spec, generator, first, size)
+    codec_u = np.empty(size)
+    received = np.full(size, -1)
+    p_loss, burst_r, avg_jitter, max_jitter, delay = np.full((5, size), np.nan)
+    for first in range(0, size, per_block):
+        block = min(per_block, size - first)
+        codec_u[first : first + block], timeline, kept = _draw_block(spec, generator, start + first, block)
         result = run_jbe(timeline, spec.jbe)
         flows = first + np.flatnonzero(kept)
         received[flows], p_loss[flows] = result.received_counts, result.p_loss
@@ -467,16 +494,15 @@ def synthesize_dataset(
         delay[flows] = result.mean_playout_delay_ms
 
     jitter_ok = np.isfinite(avg_jitter) & np.isfinite(max_jitter)
-    reasons = np.select(
-        [received < 0, received < 2, ~jitter_ok, ~np.isfinite(delay)],
-        ["ARRIVAL_NOT_FINITE", "NOT_ENOUGH_PACKETS", "JITTER_NOT_FINITE", "PLAYOUT_NOT_FINITE"],
-        "",
-    )
-    good = reasons == ""
+    reason = np.select([received < 0, received < 2, ~jitter_ok, ~np.isfinite(delay)], [1, 2, 3, 4], 0)
+    good = reason == 0
     codec_at = pick_codecs(spec.codec_mix, codec_u)
-    flow_ids = np.array([f"flow-{i:06d}" for i in range(spec.flows)], dtype=object)
-    rejected = list(map(RejectedFlow, flow_ids[~good].tolist(), reasons[~good].tolist()))
-    r_factor = np.empty(spec.flows)
+    flow_ids = np.array([f"flow-{i:06d}" for i in range(start, start + size)], dtype=object)
+    rejected = [
+        RejectedFlow(flow_id, _REJECT_REASONS[code])
+        for flow_id, code in zip(flow_ids[~good].tolist(), reason[~good].tolist())
+    ]
+    r_factor = np.empty(size)
     for index, (codec, _) in enumerate(spec.codec_mix):
         flows = good & (codec_at == index)
         if flows.any():
@@ -484,7 +510,7 @@ def synthesize_dataset(
                 profiles[codec], 100.0 * p_loss[flows], burst_r[flows], delay[flows]
             ).r_factor
     codecs = np.array([codec for codec, _ in spec.codec_mix], dtype=object)
-    tx = np.full(spec.flows, spec.packets_per_flow, dtype=np.int64)
+    tx = np.full(size, spec.packets_per_flow, dtype=np.int64)
     table = CdrTable(flow_ids, codecs[codec_at], tx, received, avg_jitter, max_jitter, r_factor).take(good)
     return table, rejected
 

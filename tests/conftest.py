@@ -16,7 +16,7 @@ import numpy as np
 
 from volteqa.analytics import BinnedSeries, SurfaceGrid, uniform_edges
 from volteqa.cli import CliError, format_g6, summarize_dataset
-from volteqa.emodel import CodecProfile
+from volteqa.emodel import DEFAULT_PROFILES, CodecProfile
 from volteqa.ingest import (
     CDR_COLUMNS,
     Bandwidth,
@@ -29,6 +29,7 @@ from volteqa.ingest import (
     parse_cdr_csv,
     parse_float,
     parse_int,
+    write_cdr_csv,
 )
 from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketTimeline
 from volteqa.simulate import (
@@ -37,6 +38,7 @@ from volteqa.simulate import (
     NoJitter,
     RejectedFlow,
     SimSpec,
+    synthesize_dataset,
 )
 
 # Exponential decay targeted by the narrowband quality-versus-loss analysis.
@@ -474,16 +476,42 @@ def table_from_rows(rows) -> CdrTable:
     return CdrTable(*objects, counts(tx), counts(rx), *(np.array(c, dtype=float) for c in floats))
 
 
+def joined_tables(tables: Sequence[CdrTable]) -> CdrTable:
+    """The rows of the tables in turn as one table, a count column of
+    Python ints if any table's is."""
+    tables = [table_from_rows([]), *tables]
+    return CdrTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in CDR_COLUMNS))
+
+
 def parse_cdr_stream(stream: IO[str]) -> tuple[CdrTable, list[RejectedRow]]:
     """A whole CDR CSV parsed block by block: one table of the accepted
-    rows of every block, a count column of Python ints if any block's is,
-    and every reject."""
-    tables, rejects = [table_from_rows([])], []
+    rows of every block, and every reject."""
+    tables, rejects = [], []
     for first_line, block in cdr_blocks(stream):
         table, block_rejects = parse_cdr_csv(block, first_line)
         tables.append(table)
         rejects += block_rejects
-    return CdrTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in CDR_COLUMNS)), rejects
+    return joined_tables(tables), rejects
+
+
+def written_cdr(table: CdrTable) -> io.StringIO:
+    """The table as a CDR file, read from its start: the header, then the
+    rows ``write_cdr_csv`` writes."""
+    stream = io.StringIO()
+    stream.write(",".join(CDR_COLUMNS) + "\n")
+    write_cdr_csv(table, stream)
+    stream.seek(0)
+    return stream
+
+
+def synthesized(spec: SimSpec, profiles=DEFAULT_PROFILES) -> tuple[CdrTable, list[RejectedFlow]]:
+    """The chunks ``synthesize_dataset`` writes, joined into one table,
+    and its rejects; the table holds as many rows as it reports written."""
+    chunks: list[CdrTable] = []
+    written, rejected = synthesize_dataset(spec, profiles, chunks.append)
+    table = joined_tables(chunks)
+    assert len(table) == written
+    return table, rejected
 
 
 def table_rows(table: CdrTable) -> list[tuple]:

@@ -18,6 +18,7 @@ from conftest import (
     line_curve,
     reference_compute_r_factor,
     reference_run_jbe,
+    synthesized,
     timeline_from_delays,
 )
 from volteqa.analytics import bin_series, fit_exponential, fit_linear
@@ -25,7 +26,7 @@ from volteqa.cli import _write_bins_csv, main
 from volteqa.emodel import DEFAULT_PROFILES, CodecProfile, compute_r_factor
 from volteqa.ingest import Codec
 from volteqa.jitter_buffer import JbeConfig, effective_loss, run_jbe
-from volteqa.simulate import GilbertElliottLoss, NoJitter, SimSpec, synthesize_dataset
+from volteqa.simulate import GilbertElliottLoss, NoJitter, SimSpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -82,7 +83,7 @@ def test_criterion_3_end_to_end_curve_shape():
     profiles = dict(DEFAULT_PROFILES)
     profiles[Codec.AMR] = AMR_CURVE_PROFILE
     start = time.perf_counter()
-    table, _ = synthesize_dataset(spec, profiles)
+    table, _ = synthesized(spec, profiles)
     # Without jitter no packet is late, so the counts give the effective loss.
     p_loss = effective_loss(table.tx_packets - table.rx_packets, 0, table.rx_packets)
     points = list(zip(p_loss.tolist(), table.r_factor.tolist()))

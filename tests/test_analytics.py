@@ -19,6 +19,7 @@ from conftest import (
     reference_bin_series,
     reference_saturation_shape,
     reference_surface_grid,
+    synthesized,
 )
 from volteqa.analytics import (
     MAX_BINS,
@@ -563,7 +564,7 @@ def test_surface_grid_non_increasing_along_loss_axis():
     from volteqa.emodel import DEFAULT_PROFILES
     from volteqa.ingest import Codec
     from volteqa.jitter_buffer import effective_loss
-    from volteqa.simulate import BernoulliLoss, GaussianJitter, SimSpec, synthesize_dataset
+    from volteqa.simulate import BernoulliLoss, GaussianJitter, SimSpec
 
     spec = SimSpec(
         flows=600,
@@ -573,7 +574,7 @@ def test_surface_grid_non_increasing_along_loss_axis():
         loss_models=tuple(BernoulliLoss(p) for p in (0.01, 0.05, 0.09, 0.13, 0.17)),
         jitter_models=(GaussianJitter(3.0, 30.0), GaussianJitter(8.0, 30.0)),
     )
-    table, _ = synthesize_dataset(spec, DEFAULT_PROFILES)
+    table, _ = synthesized(spec, DEFAULT_PROFILES)
     # The loss that score computes from the CDR counts.
     p_loss = effective_loss(table.tx_packets - table.rx_packets, 0, table.rx_packets)
     samples = list(zip(p_loss.tolist(), table.max_jitter_ms.tolist(), table.r_factor.tolist()))

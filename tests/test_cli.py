@@ -307,6 +307,40 @@ def test_score_refuses_to_write_over_its_input(tmp_path, capsys):
     assert source.read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize(
+    "argv,written",
+    [
+        ("simulate --config c.ini --output c.ini", "c.ini: it is the config file"),
+        ("simulate --config c.ini --output d.csv --meta d.csv", "d.csv: it is the output file"),
+        ("score --input cdr.csv --output o.csv --summary cdr.csv", "cdr.csv: it is the input file"),
+        ("score --input cdr.csv --output o.csv --summary o.csv", "o.csv: it is the output file"),
+        ("score --input cdr.csv --output p.ini --config p.ini", "p.ini: it is the config file"),
+        ("score --input cdr.csv --output o.csv --summary p.ini --config p.ini", "p.ini: it is the config file"),
+        # A linear AMR fit of the golden scored file succeeds: only the overwrite can fail it.
+        ("fit --model linear --codec AMR --input scored.csv --output scored.csv", "scored.csv: it is the input file"),
+        ("fit --model linear --codec AMR --input scored.csv --output f.json --bins-output f.json",
+         "f.json: it is the output file"),
+        ("fit --model linear --codec AMR --input scored.csv --output f.json --bins-output scored.csv",
+         "scored.csv: it is the input file"),
+        ("report --input scored.csv --output scored.csv", "scored.csv: it is the input file"),
+        # The same file by another name.
+        ("score --input cdr.csv --output sub/../cdr.csv", "sub/../cdr.csv: it is the input file"),
+    ],
+)
+def test_no_command_writes_over_another_of_its_files(tmp_path, capsys, argv, written):
+    (tmp_path / "c.ini").write_text(SIM_CONFIG, encoding="utf-8")
+    (tmp_path / "p.ini").write_text("[AMR]\nie = 0\n", encoding="utf-8")
+    (tmp_path / "cdr.csv").write_bytes(Path(CDR).read_bytes())
+    (tmp_path / "scored.csv").write_bytes(Path(SCORED).read_bytes())
+    (tmp_path / "sub").mkdir()
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    # Each file named in tmp_path: the paths the message names are the ones given.
+    assert main([str(tmp_path / arg) if "." in arg else arg for arg in argv.split()]) == 1
+    assert capsys.readouterr().err == f"error: OUTPUT_UNWRITABLE: cannot write {tmp_path / written}\n"
+    # No file is written, made or removed.
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
 def _score_peak_bytes(tmp_path: Path, name: str, lines: list[str]) -> int:
     source = tmp_path / f"{name}.csv"
     source.write_text(",".join(CDR_COLUMNS) + "\n" + "".join(lines), encoding="utf-8")
@@ -337,6 +371,24 @@ def test_score_memory_grows_by_little_more_than_a_rejected_row_per_reject(tmp_pa
 
 
 # -------------------------------------------------------------- simulate
+
+
+def test_simulate_memory_does_not_grow_with_the_flow_count(tmp_path):
+    # simulate replays, scores and writes one chunk of flows at a time;
+    # only its rejects grow with the flow count, and this dataset has none.
+    def peak(flows: int) -> int:
+        config = tmp_path / f"sim{flows}.ini"
+        config.write_text(f"[sim]\nflows = {flows}\npackets_per_flow = 40\nseed = 1\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert run("simulate", "--config", config, "--output", tmp_path / f"sim{flows}.csv") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2_000), peak(20_000)
+    assert json.loads((tmp_path / "sim20000.csv.meta.json").read_text(encoding="utf-8"))["flows_rejected"] == 0
+    assert large <= 1.5 * small
 
 
 def test_simulate_is_byte_deterministic(tmp_path):

@@ -1,6 +1,6 @@
 """Synthetic timeline and dataset generation tests."""
 
-import io
+import dataclasses
 import itertools
 import math
 
@@ -8,17 +8,20 @@ import numpy as np
 import pytest
 
 from conftest import (
+    joined_tables,
     parse_cdr_stream,
     reference_arrivals,
     reference_delays,
     reference_ge_sample,
     reference_pick_codec,
     reference_synthesize_dataset,
+    synthesized,
     table_rows,
+    written_cdr,
 )
 from volteqa import simulate
 from volteqa.emodel import DEFAULT_PROFILES, CodecProfile
-from volteqa.ingest import Codec, write_cdr_csv
+from volteqa.ingest import Codec
 from volteqa.jitter_buffer import JbeConfig
 from volteqa.simulate import (
     BernoulliLoss,
@@ -309,7 +312,7 @@ def test_clean_dataset_scores_at_profile_maximum():
         loss_models=(BernoulliLoss(0.0),),
         jitter_models=(NoJitter(30.0),),
     )
-    table, rejected = synthesize_dataset(spec)
+    table, rejected = synthesized(spec)
     assert rejected == []
     assert len(table) == 20
     assert all(codec is Codec.AMR for codec in table.codec)
@@ -322,12 +325,12 @@ def test_dataset_is_seed_deterministic():
     spec = SimSpec(flows=30, packets_per_flow=40, seed=11,
                    loss_models=(BernoulliLoss(0.1),),
                    jitter_models=(GaussianJitter(4.0, 25.0),))
-    first = table_rows(synthesize_dataset(spec)[0])
-    second = table_rows(synthesize_dataset(spec)[0])
+    first = table_rows(synthesized(spec)[0])
+    second = table_rows(synthesized(spec)[0])
     assert first == second
-    third = table_rows(synthesize_dataset(SimSpec(flows=30, packets_per_flow=40, seed=12,
-                                                  loss_models=(BernoulliLoss(0.1),),
-                                                  jitter_models=(GaussianJitter(4.0, 25.0),)))[0])
+    third = table_rows(synthesized(SimSpec(flows=30, packets_per_flow=40, seed=12,
+                                           loss_models=(BernoulliLoss(0.1),),
+                                           jitter_models=(GaussianJitter(4.0, 25.0),)))[0])
     assert first != third
 
 
@@ -339,12 +342,9 @@ def test_generated_records_pass_ingest_validation():
         loss_models=(BernoulliLoss(0.05), GilbertElliottLoss(0.05, 0.4)),
         jitter_models=(NoJitter(30.0), GaussianJitter(6.0, 30.0)),
     )
-    table, _ = synthesize_dataset(spec)
+    table, _ = synthesized(spec)
     assert len(table)
-    buffer = io.StringIO()
-    write_cdr_csv(table, buffer)
-    buffer.seek(0)
-    parsed, rejects = parse_cdr_stream(buffer)
+    parsed, rejects = parse_cdr_stream(written_cdr(table))
     assert rejects == []
     assert table_rows(parsed) == table_rows(table)
 
@@ -361,7 +361,7 @@ def test_sweep_mean_quality_strictly_decreasing_in_loss():
             loss_models=(BernoulliLoss(p),),
             jitter_models=(NoJitter(30.0),),
         )
-        table, _ = synthesize_dataset(spec)
+        table, _ = synthesized(spec)
         means.append(float(np.mean(table.r_factor)))
     assert all(b < a for a, b in zip(means, means[1:]))
 
@@ -374,7 +374,7 @@ def test_fully_lost_flows_are_rejected_with_reason():
         loss_models=(BernoulliLoss(1.0),),
         jitter_models=(NoJitter(30.0),),
     )
-    table, rejected = synthesize_dataset(spec)
+    table, rejected = synthesized(spec)
     assert len(table) == 0
     assert len(rejected) == 5
     assert all(r.reason == "NOT_ENOUGH_PACKETS" for r in rejected)
@@ -389,7 +389,7 @@ def test_codec_mix_shares_close_to_spec():
         loss_models=(BernoulliLoss(0.0),),
         jitter_models=(NoJitter(30.0),),
     )
-    table, _ = synthesize_dataset(spec)
+    table, _ = synthesized(spec)
     share = np.count_nonzero(table.codec == Codec.AMR) / len(table)
     assert abs(share - 0.7) <= 0.02
 
@@ -550,13 +550,36 @@ def test_dataset_matches_per_flow_oracle(monkeypatch, spec, block_packets):
     monkeypatch.setattr(simulate, "BLOCK_PACKETS", block_packets)
     profiles = dict(DEFAULT_PROFILES)
     profiles[Codec.AMR_WB] = CodecProfile(codec=Codec.AMR_WB, ie=5.0, bpl=10.0, r0=120.0, advantage=2.0)
-    table, rejected = synthesize_dataset(spec, profiles)
+    table, rejected = synthesized(spec, profiles)
     assert (table_rows(table), rejected) == reference_synthesize_dataset(spec, profiles)
     assert len(table) + len(rejected) == spec.flows
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [dataclasses.replace(OVERFLOW_SPEC, flows=2_100), SimSpec(flows=2_100, packets_per_flow=3, seed=75, **LATE_SPEC)],
+    ids=["overflow", "3-packets"],
+)
+# A chunk is a run of whole blocks of at least CHUNK_ROWS (1,024) flows:
+# one block of 1,024 flows, or 11 blocks of 100.  Neither divides 2,100.
+@pytest.mark.parametrize("per_block,per_chunk", [(1_024, 1_024), (100, 1_100)], ids=["one-block", "11-blocks"])
+def test_chunks_match_per_flow_oracle(monkeypatch, spec, per_block, per_chunk):
+    monkeypatch.setattr(simulate, "BLOCK_PACKETS", per_block * spec.packets_per_flow)
+    chunks = []
+    written, rejected = synthesize_dataset(spec, DEFAULT_PROFILES, chunks.append)
+    starts = range(0, spec.flows, per_chunk)
+    assert len(chunks) == len(starts)
+    for start, chunk in zip(starts, chunks):
+        assert all(start <= int(flow_id[5:]) < start + per_chunk for flow_id in chunk.flow_id)
+    # Every chunk has rejects, so some fall on each side of each boundary.
+    assert {int(r.flow_id[5:]) // per_chunk for r in rejected} == set(range(len(chunks)))
+    table = joined_tables(chunks)
+    assert written == len(table)
+    assert (table_rows(table), rejected) == reference_synthesize_dataset(spec, DEFAULT_PROFILES)
+
+
 def test_overflowing_flows_are_rejected_with_reasons():
-    table, rejected = synthesize_dataset(OVERFLOW_SPEC)
+    table, rejected = synthesized(OVERFLOW_SPEC)
     reasons = {r.reason for r in rejected}
     assert reasons == {"ARRIVAL_NOT_FINITE", "JITTER_NOT_FINITE", "PLAYOUT_NOT_FINITE"}
     assert np.isfinite([table.avg_jitter_ms, table.max_jitter_ms, table.r_factor]).all()
