@@ -1,8 +1,8 @@
 """Binned quality-versus-loss analysis: series binning, curve fits, surfaces.
 
-The regression side fits two model families to binned (loss, quality)
-points: an exponential ``y = a + b * (1 - exp(-k x)) / k``, which is the
-straight line at k = 0, solved by a damped Gauss-Newton
+The regression side fits two model families to (loss, quality) points,
+bin medians or raw rows: an exponential ``y = a + b * (1 - exp(-k x)) / k``,
+which is the straight line at k = 0, solved by a damped Gauss-Newton
 (Levenberg-Marquardt) iteration with an analytic Jacobian, and the
 straight line ``y = intercept + slope * x`` solved in closed form.
 """
@@ -187,53 +187,34 @@ def bin_series(
     )
 
 
-def _as_xyw(
-    points: Iterable[tuple[float, float]],
-    weights: Sequence[float] | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points as x and y columns and the weights as a third, all ones
-    when none are given.  Weights must be finite and non-negative with a
-    positive, finite sum, or ValueError is raised."""
-    x, y = _columns(points, 2)
-    if weights is None:
-        return x, y, np.ones_like(x)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != x.shape:
-        raise ValueError("weights must match the number of points")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    with np.errstate(over="ignore"):
-        total = float(np.sum(w))
-    if not 0.0 < total < math.inf:
-        raise ValueError(f"weights must have a positive, finite sum, got {total}")
-    return x, y, w
+def _sum(v: np.ndarray) -> float:
+    """The sum of v as ``ones @ v``, the dot product that every sum of the
+    fits rounds as: ``np.sum(v)``, or ``r @ r`` for a sum of squares, can
+    differ from it in the last bit."""
+    return float(np.ones_like(v) @ v)
 
 
-def _sse(residuals: np.ndarray, w: np.ndarray) -> float:
-    return float(w @ (residuals * residuals))
+def _sse(residuals: np.ndarray) -> float:
+    return _sum(residuals * residuals)
 
 
-def _r_squared(y: np.ndarray, sse: float, w: np.ndarray) -> float:
-    mean = float(w @ y) / float(np.sum(w))
-    sst = _sse(y - mean, w)
+def _r_squared(y: np.ndarray, sse: float) -> float:
+    sst = _sse(y - _sum(y) / y.size)
     if sst == 0.0:
         # Only reachable through exact fits of flat data.
         return 1.0 if sse == 0.0 else 0.0
     return 1.0 - sse / sst
 
 
-def _line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Weighted least-squares (intercept, slope) in closed form; an x
-    spread whose squares underflow or overflow raises DegenerateDataError."""
-    x_mean = float(w @ x) / float(np.sum(w))
-    y_mean = float(w @ y) / float(np.sum(w))
+def _line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares (intercept, slope) in closed form; an x spread whose
+    squares underflow or overflow raises DegenerateDataError."""
+    x_mean, y_mean = _sum(x) / x.size, _sum(y) / y.size
     with np.errstate(all="ignore"):
-        sxx = float(w @ ((x - x_mean) ** 2))
+        sxx = _sum((x - x_mean) ** 2)
     if not 0.0 < sxx < math.inf:
         raise DegenerateDataError(f"x spread too small or too large to fit a slope: {sxx}")
-    sxy = float(w @ ((x - x_mean) * (y - y_mean)))
+    sxy = _sum((x - x_mean) * (y - y_mean))
     slope = sxy / sxx
     return y_mean - slope * x_mean, slope
 
@@ -301,11 +282,7 @@ def _stationary(normal: np.ndarray, gradient: np.ndarray, sse: float) -> bool:
         return False
 
 
-def fit_exponential(
-    points: Iterable[tuple[float, float]],
-    *,
-    weights: Sequence[float] | None = None,
-) -> FitResult:
+def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     """Fit ``y = a + b * (1 - exp(-k x)) / k`` by Levenberg-Marquardt.
 
     The model holds the straight line ``a + b x`` as k = 0, so the fit
@@ -313,25 +290,24 @@ def fit_exponential(
     never above that line's.  Each damped Gauss-Newton step multiplies
     the damping factor by 10 when it is rejected and divides it by 10
     when it is accepted.  Converged means the start is an exact fit, an
-    accepted step reduced the weighted SSE by less than
+    accepted step reduced the SSE by less than
     ``LM_RELATIVE_SSE_TOL`` of its previous value, a full Gauss-Newton step
     is predicted to reduce it by less than that share, or no damped step
     could reduce it further; the ``MAX_LM_ITERATIONS`` cap leaves
-    ``converged`` False.  Optional weights scale each point's squared
-    residual; the reported r_squared uses the same weights.
+    ``converged`` False.
 
     ``params`` holds a, b and k, plus the same curve as
     ``offset + amplitude * exp(-x / decay)``, that is
     ``(a + b / k, -b / k, 1 / k)``, whenever all three are finite.
-    ``k_se`` is k's standard error from ``(J^T W J)^-1 * SSE / (n - 3)``,
+    ``k_se`` is k's standard error from ``(J^T J)^-1 * SSE / (n - 3)``,
     or None where that matrix is singular.
     """
-    x, y, w = _as_xyw(points, weights)
+    x, y = _columns(points, 2)
     if x.size < MIN_EXPONENTIAL_POINTS:
         raise TooFewPointsError(f"exponential fit needs >= {MIN_EXPONENTIAL_POINTS} points, got {x.size}")
     if np.ptp(x) == 0.0:
         raise DegenerateDataError("exponential fit needs spread in x")
-    theta = np.array([*_line(x, y, w), 0.0])  # raises where fit_linear does
+    theta = np.array([*_line(x, y), 0.0])  # raises where fit_linear does
     if np.ptp(y) == 0.0:
         # Flat data: a carries everything, and k is not identified.
         return FitResult("exponential", {"a": float(y[0]), "b": 0.0, "k": 0.0}, 1.0, 0.0, 0, True)
@@ -340,15 +316,14 @@ def fit_exponential(
     jacobian = np.ones((3, x.size))
 
     def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """SSE, J^T W J and J^T W r at theta = (a, b, k), r the residuals;
+        """SSE, J^T J and J^T r at theta = (a, b, k), r the residuals;
         an overflowing curve gives a non-finite SSE, which no step accepts."""
         # Copied into the rows at once, g and dg/dk take no memory beyond them.
         jacobian[1], jacobian[2] = saturation_shape(x, theta[2])
         with np.errstate(all="ignore"):
             jacobian[2] *= theta[1]
             residuals = y - (theta[0] + theta[1] * jacobian[1])
-            weighted = jacobian if weights is None else jacobian * w
-            return _sse(residuals, w), weighted @ jacobian.T, weighted @ residuals
+            return _sse(residuals), jacobian @ jacobian.T, jacobian @ residuals
 
     sse, normal, gradient = evaluate(theta)
     lam = _LAMBDA_START
@@ -390,7 +365,7 @@ def fit_exponential(
     return FitResult(
         model="exponential",
         params=params,
-        r_squared=_r_squared(y, sse, w),
+        r_squared=_r_squared(y, sse),
         residual_sse=sse,
         iterations=iterations,
         converged=converged,
@@ -398,27 +373,23 @@ def fit_exponential(
     )
 
 
-def fit_linear(
-    points: Iterable[tuple[float, float]],
-    *,
-    weights: Sequence[float] | None = None,
-) -> FitResult:
-    """Ordinary (optionally weighted) least squares for ``y = intercept + slope * x``.
+def fit_linear(points: Iterable[tuple[float, float]]) -> FitResult:
+    """Ordinary least squares for ``y = intercept + slope * x``.
 
     Closed form, no iteration; identical x values leave the slope
     unidentifiable and raise DegenerateDataError.
     """
-    x, y, w = _as_xyw(points, weights)
+    x, y = _columns(points, 2)
     if x.size < 2:
         raise TooFewPointsError(f"linear fit needs >= 2 points, got {x.size}")
     if np.ptp(x) == 0.0:
         raise DegenerateDataError("linear fit needs at least two distinct x values")
-    intercept, slope = _line(x, y, w)
-    sse = _sse(y - (intercept + slope * x), w)
+    intercept, slope = _line(x, y)
+    sse = _sse(y - (intercept + slope * x))
     return FitResult(
         model="linear",
         params={"intercept": intercept, "slope": slope},
-        r_squared=_r_squared(y, sse, w),
+        r_squared=_r_squared(y, sse),
         residual_sse=sse,
         iterations=0,
         converged=True,

@@ -3,7 +3,8 @@
 Each command is deterministic given its inputs, config, and seed; data
 goes to the declared output files and diagnostics go to stderr.  Derived
 floats are formatted with 6 significant digits so outputs are stable
-across platforms.
+across platforms.  A command opens every output before it writes any:
+an error then removes them all, and a failed command leaves none.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             raise CliError("SCHEMA", str(exc)) from None
         _check_writable(output, input=args.input, config=args.config)
         _check_writable(summary_path, input=args.input, config=args.config, output=output)
-        with _open(output, "OUTPUT") as sink:
+        with _open(output, "OUTPUT") as sink, _open(summary_path, "OUTPUT") as summary:
             sink.write(",".join(SCORED_COLUMNS) + "\n")
             for first_line, block in blocks:
                 table, block_rejects = parse_cdr_csv(block, first_line)
@@ -205,9 +206,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                     table = table.take(table.codec == wanted)
                 counts.update(table.codec_counts())
                 sink.write(cdr_lines(table, *_score_records(table, profiles)))
-
-    with _open(summary_path, "OUTPUT") as handle:
-        summarize_dataset(counts, rejects, handle)
+            summarize_dataset(counts, rejects, summary)
     return 0
 
 
@@ -261,9 +260,8 @@ def _score_records(table: CdrTable, profiles: dict[Codec, CodecProfile]) -> tupl
     return p_loss, mos, r_factor
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with _open(path, "OUTPUT") as handle:
-        handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _write_json(handle: IO[str], doc: dict) -> None:
+    handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -280,7 +278,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _check_writable(meta_path, config=args.config, output=output)
 
     # Each chunk is rounded and written as synthesize_dataset makes it.
-    with _open(output, "OUTPUT") as handle:
+    with _open(output, "OUTPUT") as handle, _open(meta_path, "OUTPUT") as meta:
         def write(table: CdrTable) -> None:
             write_cdr_csv(dataclasses.replace(table, **{
                 name: round_g6_column(getattr(table, name)) for name in ("avg_jitter_ms", "max_jitter_ms", "r_factor")
@@ -292,20 +290,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except MemoryError:
             raise CliError("CONFIG", f"packets_per_flow: too large to simulate: {spec.packets_per_flow}") from None
 
-    import hashlib  # here, not at the top: OpenSSL loads on no command's path but simulate's
-    manifest = {
-        "command": "simulate",
-        "tool_version": __version__,
-        "generator": GENERATOR_NAME,
-        "seed": spec.seed,
-        "spec_sha256": spec.digest(),
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-        "flows_written": flows_written,
-        "flows_rejected": len(rejected),
-        "rejected": [{"flow_id": r.flow_id, "reason": r.reason} for r in rejected],
-        "timestamp": timestamp,
-    }
-    _write_json(meta_path, manifest)
+        import hashlib  # here, not at the top: OpenSSL loads on no command's path but simulate's
+        _write_json(meta, {
+            "command": "simulate",
+            "tool_version": __version__,
+            "generator": GENERATOR_NAME,
+            "seed": spec.seed,
+            "spec_sha256": spec.digest(),
+            "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+            "flows_written": flows_written,
+            "flows_rejected": len(rejected),
+            "rejected": [{"flow_id": r.flow_id, "reason": r.reason} for r in rejected],
+            "timestamp": timestamp,
+        })
     return 0
 
 
@@ -449,27 +446,26 @@ def _cell_samples(
     return codec_codes(codec_cells), np.column_stack(values), failed
 
 
-def _write_bins_csv(path: Path, labelled: list[tuple[str, BinnedSeries]]) -> None:
-    with _open(path, "OUTPUT") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["codec", "bin_index", "p_loss_lo", "p_loss_hi", "count",
-             "p_loss_median", "r_mean", "r_std"]
-        )
-        for label, series in labelled:
-            edges = series.edges
-            stats = zip(series.counts, series.median_x, series.mean_y, series.std_y)
-            for index, (count, *values) in enumerate(stats):
-                writer.writerow(
-                    [
-                        label,
-                        index,
-                        format_g6(edges[index]),
-                        format_g6(edges[index + 1]),
-                        count,
-                        *("" if v is None else format_g6(v) for v in values),
-                    ]
-                )
+def _write_bins_csv(handle: IO[str], labelled: list[tuple[str, BinnedSeries]]) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(
+        ["codec", "bin_index", "p_loss_lo", "p_loss_hi", "count",
+         "p_loss_median", "r_mean", "r_std"]
+    )
+    for label, series in labelled:
+        edges = series.edges
+        stats = zip(series.counts, series.median_x, series.mean_y, series.std_y)
+        for index, (count, *values) in enumerate(stats):
+            writer.writerow(
+                [
+                    label,
+                    index,
+                    format_g6(edges[index]),
+                    format_g6(edges[index + 1]),
+                    count,
+                    *("" if v is None else format_g6(v) for v in values),
+                ]
+            )
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -480,9 +476,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss",))
     _check_writable(output, input=args.input)
     _check_writable(bins_path, input=args.input, output=output)
-    if args.weighted and args.raw_points:
-        print("warning: --weighted is ignored with --raw-points: raw points are fitted unweighted",
-              file=sys.stderr)
 
     doc: dict = {"bins": bins, "range": [lo, hi], "codecs": {}}
     labelled_series: list[tuple[str, BinnedSeries]] = []
@@ -494,12 +487,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         except MemoryError:
             raise CliError("BAD_BINS", f"--bins: too many bins to allocate: {bins}") from None
         labelled_series.append((codec.value, series))
-        binned_points = series.points()
-        weights = [n for n in series.counts if n > 0] if args.weighted else None
-        fit_points, fit_weights = binned_points, weights
+        binned_points = fit_points = series.points()
         if args.raw_points:
             # The rows the bins count: _cells places exactly those in [lo, hi].
-            fit_points, fit_weights = points[(points[:, 0] >= lo) & (points[:, 0] <= hi)], None
+            fit_points = points[(points[:, 0] >= lo) & (points[:, 0] <= hi)]
 
         fits: dict[str, dict] = {}
         if args.model in ("exp", "both"):
@@ -510,12 +501,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
                     f"non-empty bins, got {len(binned_points)}",
                 )
             try:
-                fits["exponential"] = _fit_doc(fit_exponential(fit_points, weights=fit_weights))
+                fits["exponential"] = _fit_doc(fit_exponential(fit_points))
             except ValueError as exc:
                 raise CliError("FIT", f"exponential fit for {codec.value}: {exc}") from None
         if args.model in ("linear", "both"):
             try:
-                fits["linear"] = _fit_doc(fit_linear(fit_points, weights=fit_weights))
+                fits["linear"] = _fit_doc(fit_linear(fit_points))
             except ValueError as exc:
                 raise CliError("FIT", f"linear fit for {codec.value}: {exc}") from None
 
@@ -527,8 +518,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if args.raw_points:
             doc["codecs"][codec.value]["raw_points_out_of_range"] = series.out_of_range
 
-    _write_json(output, doc)
-    _write_bins_csv(bins_path, labelled_series)
+    with _open(output, "OUTPUT") as handle, _open(bins_path, "OUTPUT") as bins_handle:
+        _write_json(handle, doc)
+        _write_bins_csv(bins_handle, labelled_series)
     return 0
 
 
@@ -548,6 +540,7 @@ def _fit_doc(fit: FitResult) -> dict:
 
 def cmd_report(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range, "--range")
+    j_range = None if args.j_range is None else _parse_range(args.j_range, "--j-range")
     p_bins, j_bins = _bin_count(args.bins, "--bins"), _bin_count(args.j_bins, "--j-bins")
     cells = _bin_count(p_bins * j_bins, "--bins x --j-bins")
     groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss", "max_jitter_ms"))
@@ -557,13 +550,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     samples = np.concatenate([*groups.values(), np.empty((0, 3))])
     del groups
 
-    if args.j_range is not None:
-        j_lo, j_hi = _parse_range(args.j_range, "--j-range")
-    else:
+    if j_range is None:
         j_hi_data = float(samples[:, 1].max(initial=0.0))
-        j_lo, j_hi = 0.0, j_hi_data if j_hi_data > 0 else 1.0
+        j_range = 0.0, j_hi_data if j_hi_data > 0 else 1.0
     try:
-        grid = surface_grid(samples, p_bins=p_bins, p_range=(lo, hi), j_bins=j_bins, j_range=(j_lo, j_hi))
+        grid = surface_grid(samples, p_bins=p_bins, p_range=(lo, hi), j_bins=j_bins, j_range=j_range)
     except ValueError as exc:  # a range too narrow to split into distinct edges
         raise CliError("BAD_RANGE", str(exc)) from None
     except MemoryError:
@@ -622,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--codec", choices=codecs, default="all")
     fit.add_argument("--bins", type=int, default=10, help="Number of uniform loss bins")
     fit.add_argument("--range", default="0:0.2", help="Loss range LO:HI for binning")
-    fit.add_argument("--weighted", action="store_true", help="Weight bins by sample count")
     fit.add_argument("--raw-points", action="store_true", help="Fit raw flows instead of bins")
     fit.set_defaults(handler=cmd_fit)
 

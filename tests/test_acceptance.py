@@ -248,7 +248,8 @@ def test_criterion_7_golden_pipeline(tmp_path):
     y = 17.953 + 71.63 * np.exp(-x / 0.12) + rng.normal(0.0, 2.0, 1000)
     series = bin_series(list(zip(map(float, x), map(float, y))))
     bins_csv = tmp_path / "bins.csv"
-    _write_bins_csv(bins_csv, [("ALL", series)])
+    with bins_csv.open("w", encoding="utf-8", newline="") as handle:
+        _write_bins_csv(handle, [("ALL", series)])
     table_ok = bins_csv.read_bytes() == (DATA / "binned_golden.csv").read_bytes()
     counts_ok = sum(series.counts) == 1000
     edges_ok = all(abs(edge - 0.02 * k) < 1e-12 for k, edge in enumerate(series.edges))

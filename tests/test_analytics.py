@@ -211,12 +211,6 @@ def test_binning_rejects_points_of_the_wrong_width():
 # ---------------------------------------------------------- exponential fit
 
 
-def curve_at(fit: FitResult, x) -> np.ndarray:
-    """The fitted a + b * g(x, k)."""
-    g, _ = saturation_shape(np.asarray(x, dtype=float), fit.params["k"])
-    return fit.params["a"] + fit.params["b"] * g
-
-
 # x values on both sides of the switch between the series and the closed
 # forms (|k x| = 0.05), k of both signs, k = 0 and a denormal k.
 SHAPE_X = (0.0, 0.013, 0.1, 0.2, 1.0, 3.7)
@@ -278,16 +272,6 @@ def test_fits_reject_an_x_spread_whose_squares_underflow_or_overflow(fit, spread
         fit(points)
 
 
-@pytest.mark.parametrize("fit", [fit_exponential, fit_linear])
-@pytest.mark.parametrize(
-    "weights", [[0.0] * 5, [1.0, math.nan, 1.0, 1.0, 1.0], [1.0, math.inf, 1.0, 1.0, 1.0], [1e308] * 5]
-)
-def test_fits_reject_degenerate_weights(fit, weights):
-    points = list(zip(BIN_MEDIANS[:5], exp_curve(BIN_MEDIANS[:5])))
-    with pytest.raises(ValueError, match="weights must"):
-        fit(points, weights=weights)
-
-
 def _grid_search_oracle(x, y, levels=8, points_per_axis=13):
     """Independent brute-force fit: nested grid refinement over all three
     parameters (a, b, k), with the plain closed form of the model and no
@@ -342,30 +326,26 @@ finite = dict(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=200, deadline=None)
 @given(
-    rows=st.lists(
+    points=st.lists(
         st.tuples(
             st.floats(0.0, 1.0, **finite),
             st.floats(-200.0, 200.0, **finite),
-            st.floats(0.01, 100.0, **finite),
         ),
         min_size=4,
         max_size=40,
     ),
-    weighted=st.booleans(),
 )
-def test_exponential_fit_sse_never_exceeds_the_lines(rows, weighted):
+def test_exponential_fit_sse_never_exceeds_the_lines(points):
     # The fit starts from the line at k = 0 and accepts only steps that
     # lower the SSE, so it can end no worse, however bent the data.
-    points = [(x, y) for x, y, _ in rows]
     assume(np.ptp([x for x, _ in points]) > 0.0)
-    weights = [w for *_, w in rows] if weighted else None
     try:
-        line = fit_linear(points, weights=weights)
+        line = fit_linear(points)
     except DegenerateDataError:  # an x spread whose squares underflow
         with pytest.raises(DegenerateDataError):
-            fit_exponential(points, weights=weights)
+            fit_exponential(points)
         return
-    fit = fit_exponential(points, weights=weights)
+    fit = fit_exponential(points)
     assert fit.residual_sse <= line.residual_sse
     assert fit.iterations <= MAX_LM_ITERATIONS
     assert all(math.isfinite(v) for v in fit.params.values())
@@ -410,20 +390,6 @@ def test_k_standard_error_is_calibrated_on_noisy_lines():
     assert abs(np.mean(z)) < 0.25
     assert 0.8 < np.std(z) < 1.2
     assert np.mean(np.abs(z) > 2.0) <= 0.1
-
-
-def test_exponential_fit_weighted_moves_toward_heavy_points():
-    x = np.array([0.01, 0.05, 0.1, 0.15, 0.19])
-    y = exp_curve(x)
-    y_perturbed = y.copy()
-    y_perturbed[-1] += 5.0
-    heavy_last = fit_exponential(
-        list(zip(x, y_perturbed)), weights=[1.0, 1.0, 1.0, 1.0, 50.0]
-    )
-    plain = fit_exponential(list(zip(x, y_perturbed)))
-    heavy_residual = abs(curve_at(heavy_last, x[-1]) - y_perturbed[-1])
-    plain_residual = abs(curve_at(plain, x[-1]) - y_perturbed[-1])
-    assert heavy_residual < plain_residual
 
 
 # --------------------------------------------------------------- linear fit

@@ -635,28 +635,18 @@ def test_fit_weighted_and_raw_flags(tmp_path):
     rows = [(f"f{i}", "AMR", repr(float(x)), repr(float(90 - 150 * x + (i % 3))))
             for i, x in enumerate(np.repeat(BIN_MEDIANS, 4))]
     _write_scored(scored, rows)
-    for extra in ([], ["--weighted"], ["--raw-points"]):
+    for extra in ([], ["--raw-points"]):
         assert run("fit", "--input", scored, "--output", tmp_path / "fit.json",
                    "--model", "both", *extra) == 0
 
 
-def test_fit_warns_that_raw_points_ignore_weights(tmp_path, capsys):
-    scored = tmp_path / "scored.csv"
-    rows = [(f"f{i}", "AMR", repr(float(x)), repr(float(90 - 150 * x + (i % 3))))
-            for i, x in enumerate(np.repeat(BIN_MEDIANS, 4))]
-    _write_scored(scored, rows)
-    outputs = {}
-    for name, extra in (("raw", []), ("both", ["--weighted"])):
-        out = tmp_path / name
-        out.mkdir()
-        assert run("fit", "--input", scored, "--output", out / "fit.json",
-                   "--model", "both", "--raw-points", *extra) == 0
-        outputs[name] = [(out / f).read_bytes() for f in ("fit.json", "fit.bins.csv")]
-        err = capsys.readouterr().err
-        assert ("--weighted is ignored with --raw-points" in err) == (name == "both")
-    assert outputs["both"] == outputs["raw"]
-    assert run("fit", "--input", scored, "--output", tmp_path / "fit.json", "--weighted") == 0
-    assert "ignored" not in capsys.readouterr().err
+def test_fit_has_no_weighted_flag(tmp_path, capsys):
+    # Bins are fitted plain; --raw-points is the fit that counts every call.
+    with pytest.raises(SystemExit) as exit_info:
+        run("fit", "--input", SCORED, "--output", tmp_path / "fit.json", "--weighted")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --weighted" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
 
 
 def test_raw_point_fits_leave_out_rows_beyond_the_range(tmp_path):
@@ -727,6 +717,16 @@ def test_fit_reproduces_golden_on_scored_sim_dataset(tmp_path):
     out = tmp_path / "fit.json"
     assert run("fit", "--input", _score_sim_golden(tmp_path), "--output", out, "--model", "both") == 0
     assert out.read_bytes() == (DATA / "sim_golden.fit.json").read_bytes()
+    assert (tmp_path / "fit.bins.csv").read_bytes() == (DATA / "sim_golden.fit.bins.csv").read_bytes()
+
+
+def test_raw_point_fit_reproduces_golden_on_scored_sim_dataset(tmp_path):
+    # AMR fits the 14 of its 21 rows inside --range.  The bins count the
+    # same rows as the binned fit's do, so the bins CSV is that golden.
+    out = tmp_path / "fit.json"
+    assert run("fit", "--input", _score_sim_golden(tmp_path), "--output", out, "--model", "both",
+               "--raw-points") == 0
+    assert out.read_bytes() == (DATA / "sim_golden.fit_raw.json").read_bytes()
     assert (tmp_path / "fit.bins.csv").read_bytes() == (DATA / "sim_golden.fit.bins.csv").read_bytes()
 
 
@@ -1222,6 +1222,8 @@ def _bad_input_files(tmp_path: Path) -> None:
         ("report --input {scored} --output {tmp}/o.csv --bins 1 --j-bins 100000000000000000", "BAD_BINS"),
         ("report --input {scored} --output {tmp}/o.csv --j-range 0:inf", "BAD_RANGE"),
         ("report --input {scored} --output {tmp}/o.csv --range=-inf:0.2", "BAD_RANGE"),
+        # --j-range is checked before the input is read, as --range is.
+        ("report --input {tmp}/nope.csv --output {tmp}/o.csv --j-range 5:1", "BAD_RANGE"),
         ("fit --input {scored} --output {tmp}/o.json --range 0:inf", "BAD_RANGE"),
         ("fit --input {scored} --output {tmp}/o.json --range 0:5e-324", "BAD_RANGE"),
         ("fit --input {scored} --output {tmp}/o.json --range 0:5e-324 --model linear", "BAD_RANGE"),
@@ -1236,6 +1238,27 @@ def test_bad_input_is_a_coded_error(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {code}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, failed",
+    [
+        ("score --input {cdr} --output {tmp}/o.csv --summary {tmp}/nodir/x.json", "nodir/x.json"),
+        ("simulate --config {tmp}/sim.ini --output {tmp}/d.csv --meta {tmp}/nodir/m.json", "nodir/m.json"),
+        ("fit --model linear --codec AMR --input {scored} --output {tmp}/fit.json --bins-output {tmp}/nodir/b.csv",
+         "nodir/b.csv"),
+    ],
+    ids=["score", "simulate", "fit"],
+)
+def test_a_failed_output_leaves_none_of_the_commands_outputs(tmp_path, capsys, argv, failed):
+    # Every output is opened before any is written, so the first is
+    # removed with the rest when a later one cannot be opened.
+    (tmp_path / "sim.ini").write_text(SIM_CONFIG, encoding="utf-8")
+    assert main(argv.format(tmp=tmp_path, cdr=CDR, scored=SCORED).split()) == 1
+    assert capsys.readouterr().err == (
+        f"error: OUTPUT_UNWRITABLE: cannot write {tmp_path / failed}: No such file or directory\n"
+    )
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "sim.ini"]
 
 
 @pytest.mark.parametrize(
