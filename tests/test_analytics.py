@@ -272,6 +272,19 @@ def test_fits_reject_an_x_spread_whose_squares_underflow_or_overflow(fit, spread
         fit(points)
 
 
+@pytest.mark.parametrize("fit", [fit_exponential, fit_linear])
+@pytest.mark.parametrize(
+    "points",
+    [[(0.1, 1.0, 2.0)] * 5, [(0.1,), (0.2,), (0.3,), (0.4,), (0.5,)], [(0.1, 1.0)] * 4 + [(0.5,)]],
+    ids=["three_wide", "one_wide", "ragged"],
+)
+def test_fits_reject_points_of_the_wrong_width(fit, points):
+    # Five rows, enough for either fit: only the width is wrong.  numpy
+    # itself refuses the ragged rows.
+    with pytest.raises(ValueError, match="expected rows of 2 values|inhomogeneous"):
+        fit(points)
+
+
 def _grid_search_oracle(x, y, levels=8, points_per_axis=13):
     """Independent brute-force fit: nested grid refinement over all three
     parameters (a, b, k), with the plain closed form of the model and no
