@@ -29,13 +29,13 @@ import numpy as np
 from volteqa import __version__
 from volteqa.analytics import (
     MAX_BINS,
-    MIN_EXPONENTIAL_POINTS,
     BinnedSeries,
     FitResult,
     bin_series,
     fit_exponential,
     fit_linear,
     surface_grid,
+    uniform_edges,
 )
 from volteqa.emodel import DEFAULT_PROFILES, CodecProfile, compute_r_factor, load_profiles
 from volteqa.ingest import (
@@ -112,6 +112,17 @@ def _bin_count(bins: int, flag: str) -> int:
     return bins
 
 
+def _check_edges(bins: int, lo: float, hi: float, bins_flag: str, range_flag: str) -> None:
+    """End the command unless ``bins`` uniform bins split [lo, hi] into
+    distinct edges that can be allocated."""
+    try:
+        uniform_edges(bins, lo, hi)
+    except ValueError as exc:
+        raise CliError("BAD_RANGE", f"{range_flag}: {exc}") from None
+    except MemoryError:
+        raise CliError("BAD_BINS", f"{bins_flag}: too many bins to allocate: {bins}") from None
+
+
 def _codec_filter(name: str) -> Codec | None:
     if name == "all":
         return None
@@ -154,12 +165,15 @@ def _open(path: str | Path, kind: str) -> Iterator[IO[str]]:
 
 
 def _check_writable(path: Path, **others: str | Path | None) -> None:
-    """End the command if ``path`` names another of its files, one it reads
-    or one it writes before ``path``; ``others`` gives each by its role,
-    such as ``input=args.input``, or None if the command has no such file.
+    """End the command if ``path`` has no file name (``.``, ``''`` or
+    ``/``) or names another of its files, one it reads or one it writes
+    before ``path``; ``others`` gives each by its role, such as
+    ``input=args.input``, or None if the command has no such file.
 
     Two paths that exist name one file when they are one regular file; a
     path yet to be made names the file its resolved path names."""
+    if not path.name:  # a directory, and no name to put a sidecar's suffix on
+        raise CliError("OUTPUT_UNWRITABLE", f"cannot write {path}: it names a directory")
     for role, other in others.items():
         if other is None:
             continue
@@ -185,7 +199,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     profiles = DEFAULT_PROFILES if args.config is None else _load_config(args.config, load_profiles)[1]
     wanted = _codec_filter(args.codec)
     output = Path(args.output)
-    summary_path = Path(args.summary) if args.summary else output.with_suffix(output.suffix + ".summary.json")
     counts: Counter[Codec] = Counter()
     rejects: list[RejectedRow] = []
     # One pass: each block is parsed, scored and written before the next
@@ -196,6 +209,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         except SchemaError as exc:
             raise CliError("SCHEMA", str(exc)) from None
         _check_writable(output, input=args.input, config=args.config)
+        summary_path = Path(args.summary) if args.summary else output.with_suffix(output.suffix + ".summary.json")
         _check_writable(summary_path, input=args.input, config=args.config, output=output)
         with _open(output, "OUTPUT") as sink, _open(summary_path, "OUTPUT") as summary:
             sink.write(",".join(SCORED_COLUMNS) + "\n")
@@ -273,8 +287,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config_text, (spec, profiles) = _load_config(args.config, load)
 
     output = Path(args.output)
-    meta_path = Path(args.meta) if args.meta else output.with_suffix(output.suffix + ".meta.json")
     _check_writable(output, config=args.config)
+    meta_path = Path(args.meta) if args.meta else output.with_suffix(output.suffix + ".meta.json")
     _check_writable(meta_path, config=args.config, output=output)
 
     # Each chunk is rounded and written as synthesize_dataset makes it.
@@ -331,6 +345,8 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
     of codecs other than ``wanted`` are left out.  Rows with an unknown
     codec or with an empty, non-numeric or non-finite cell are skipped,
     and one line on stderr counts them by the first such cell of each.
+    numpy's C text reader reads a block of plain lines; a block it refuses
+    is split into cells and read cell by cell.
     """
     groups: dict[Codec, list[np.ndarray]] = {codec: [] for codec in Codec}
     skipped: Counter[str] = Counter()
@@ -347,39 +363,24 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
             raise CliError("SCHEMA", "scored CSV needs an r_factor or r_factor_computed column")
         read = [index[c] for c in ("codec", *columns, *quality)]
         for block in blocks:
-            code, samples = _sample_chunk(block, read, columns, quality, wanted, skipped)
+            code, samples, failed = (
+                _loadtxt_samples(block.lines, read[: len(columns) + 2])
+                or _cell_samples(block, read, columns, quality)
+            )
+            unknown = int(np.count_nonzero(code < 0))
+            if unknown:
+                skipped["unknown codec"] += unknown
+            kept = code >= 0 if wanted is None else code == CODEC_INDEX[wanted.value]
+            skipped.update(reason for row, reason in failed.items() if kept[row])
+            kept[list(failed)] = False
             for i, codec in enumerate(Codec):
-                part = samples[code == i]
+                part = samples[kept & (code == i)]
                 if len(part):
                     groups[codec].append(part)
     if skipped:
         reasons = ", ".join(f"{reason}={n}" for reason, n in sorted(skipped.items()))
         print(f"warning: {path}: skipped rows: {reasons}", file=sys.stderr)
     return {codec: np.concatenate(parts) for codec, parts in groups.items() if parts}
-
-
-def _sample_chunk(
-    block: CsvBlock, read: list[int], columns: tuple[str, ...], quality: list[str],
-    wanted: Codec | None, skipped: Counter[str],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The codec index (position in Codec) and the sample of each kept row
-    of a block; skipped rows are counted in ``skipped`` by reason.
-
-    ``read`` holds the indices of the codec cell, of each named column and
-    of each quality column.  numpy's C text reader reads a block of plain
-    lines; a block it refuses is split into cells and read cell by cell.
-    """
-    code, samples, failed = (
-        _loadtxt_samples(block.lines, read[: len(columns) + 2])
-        or _cell_samples(block, read, columns, quality)
-    )
-    unknown = int(np.count_nonzero(code < 0))
-    if unknown:
-        skipped["unknown codec"] += unknown
-    kept = code >= 0 if wanted is None else code == CODEC_INDEX[wanted.value]
-    skipped.update(reason for row, reason in failed.items() if kept[row])
-    kept[list(failed)] = False
-    return code[kept], samples[kept]
 
 
 # One character longer than the longest codec name: a longer cell is cut
@@ -471,19 +472,18 @@ def _write_bins_csv(handle: IO[str], labelled: list[tuple[str, BinnedSeries]]) -
 def cmd_fit(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range, "--range")
     bins = _bin_count(args.bins, "--bins")
+    _check_edges(bins, lo, hi, "--bins", "--range")
     output = Path(args.output)
-    bins_path = Path(args.bins_output) if args.bins_output else output.with_suffix(".bins.csv")
-    groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss",))
     _check_writable(output, input=args.input)
+    bins_path = Path(args.bins_output) if args.bins_output else output.with_suffix(".bins.csv")
     _check_writable(bins_path, input=args.input, output=output)
+    groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss",))
 
     doc: dict = {"bins": bins, "range": [lo, hi], "codecs": {}}
     labelled_series: list[tuple[str, BinnedSeries]] = []
     for codec, points in groups.items():
         try:
             series = bin_series(points, bins=bins, lo=lo, hi=hi)
-        except ValueError as exc:  # a range too narrow to split into distinct edges
-            raise CliError("BAD_RANGE", f"--range: {exc}") from None
         except MemoryError:
             raise CliError("BAD_BINS", f"--bins: too many bins to allocate: {bins}") from None
         labelled_series.append((codec.value, series))
@@ -494,12 +494,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
         fits: dict[str, dict] = {}
         if args.model in ("exp", "both"):
-            if len(binned_points) < MIN_EXPONENTIAL_POINTS:
-                raise CliError(
-                    "EXPLAINED_TOO_FEW_BINS",
-                    f"exponential fit for {codec.value} needs >= {MIN_EXPONENTIAL_POINTS} "
-                    f"non-empty bins, got {len(binned_points)}",
-                )
             try:
                 fits["exponential"] = _fit_doc(fit_exponential(fit_points))
             except ValueError as exc:
@@ -543,8 +537,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     j_range = None if args.j_range is None else _parse_range(args.j_range, "--j-range")
     p_bins, j_bins = _bin_count(args.bins, "--bins"), _bin_count(args.j_bins, "--j-bins")
     cells = _bin_count(p_bins * j_bins, "--bins x --j-bins")
-    groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss", "max_jitter_ms"))
+    _check_edges(p_bins, lo, hi, "--bins", "--range")
+    if j_range is not None:
+        _check_edges(j_bins, *j_range, "--j-bins", "--j-range")
     _check_writable(Path(args.output), input=args.input)
+    groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss", "max_jitter_ms"))
     # Cells aggregate sorted values, so sample order does not matter.  The
     # per-codec arrays are let go once they are joined.
     samples = np.concatenate([*groups.values(), np.empty((0, 3))])
@@ -553,10 +550,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     if j_range is None:
         j_hi_data = float(samples[:, 1].max(initial=0.0))
         j_range = 0.0, j_hi_data if j_hi_data > 0 else 1.0
+        _check_edges(j_bins, *j_range, "--j-bins", "--j-range default")
     try:
         grid = surface_grid(samples, p_bins=p_bins, p_range=(lo, hi), j_bins=j_bins, j_range=j_range)
-    except ValueError as exc:  # a range too narrow to split into distinct edges
-        raise CliError("BAD_RANGE", str(exc)) from None
     except MemoryError:
         raise CliError("BAD_BINS", f"--bins x --j-bins: too many cells to allocate: {cells}") from None
 

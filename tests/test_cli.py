@@ -584,7 +584,9 @@ def test_fit_errors_when_loss_never_varies(tmp_path, capsys):
     scored = tmp_path / "scored.csv"
     _write_scored(scored, [(f"f{i}", "AMR", "0", "93.2") for i in range(50)])
     assert run("fit", "--input", scored, "--output", tmp_path / "fit.json") == 1
-    assert "EXPLAINED_TOO_FEW_BINS" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: FIT: exponential fit for AMR: exponential fit needs >= 4 points, got 1\n"
+    )
 
 
 def test_fit_requires_p_loss_column(tmp_path, capsys):
@@ -671,6 +673,29 @@ def test_raw_point_fits_leave_out_rows_beyond_the_range(tmp_path):
     assert "raw_points_out_of_range" not in binned
 
 
+def test_raw_point_fit_needs_points_not_bins(tmp_path, capsys):
+    # Rows that fill 3 bins give a raw-point fit of every row in range, the
+    # same as with 4 bins: each fit keeps its own rule on the points it
+    # fits.  Their 3 bin points are too few for a binned exponential fit.
+    xs = np.linspace(0.0, 0.2, 30)
+    rows = [(f"f{i}", "AMR", repr(float(x)), repr(float(exp_curve(x) + i % 3))) for i, x in enumerate(xs)]
+    _write_scored(tmp_path / "scored.csv", rows + [("w", "AMR", "0.5", "-400")])
+    in_range = np.array([[float(x), float(r)] for _, _, x, r in rows])
+    expected = {"exponential": cli._fit_doc(cli.fit_exponential(in_range)),
+                "linear": cli._fit_doc(cli.fit_linear(in_range))}
+    for bins in (3, 4):
+        out = tmp_path / f"fit{bins}.json"
+        assert run("fit", "--input", tmp_path / "scored.csv", "--output", out, "--raw-points", "--bins", bins) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))["codecs"]["AMR"]
+        assert len(doc["points"]) == bins
+        assert (doc["raw_point_count"], doc["raw_points_out_of_range"]) == (len(rows) + 1, 1)
+        assert doc["fits"] == expected
+    assert run("fit", "--input", tmp_path / "scored.csv", "--output", tmp_path / "binned.json", "--bins", 3) == 1
+    assert capsys.readouterr().err == (
+        "error: FIT: exponential fit for AMR: exponential fit needs >= 4 points, got 3\n"
+    )
+
+
 # Run in a fresh interpreter: the modules that score, fit and report
 # import beyond numpy's own, then a simulate run.
 _IMPORTS_SCRIPT = """
@@ -728,6 +753,47 @@ def test_raw_point_fit_reproduces_golden_on_scored_sim_dataset(tmp_path):
                "--raw-points") == 0
     assert out.read_bytes() == (DATA / "sim_golden.fit_raw.json").read_bytes()
     assert (tmp_path / "fit.bins.csv").read_bytes() == (DATA / "sim_golden.fit.bins.csv").read_bytes()
+
+
+def test_every_traced_name_is_called_where_the_tracer_wraps_it(tmp_path, monkeypatch, capsys):
+    # The benchmark's tracer wraps module and class attributes, such as
+    # cli.fit_exponential: a caller that bound one of them at import would
+    # drop out of the per-layer metrics unseen.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.tracing import Tracer, instrument
+
+    class PairTracer(Tracer):
+        """Names each span after its layer and the (owner, attribute) pair it wraps."""
+
+        def __init__(self):
+            super().__init__()
+            self.wrapped: set[str] = set()
+
+        def wrap(self, owner, attr, name, count=None):
+            pair = f"{getattr(owner, '__name__', owner)}.{attr}"
+            if getattr(owner, attr, None) is not None:
+                self.wrapped.add(pair)
+            super().wrap(owner, attr, f"{name} {pair}", count)
+
+    tracer = PairTracer()
+    instrument(tracer)
+    try:
+        sim, scored = tmp_path / "sim.csv", tmp_path / "scored.csv"
+        assert run("simulate", "--config", DATA / "sim_golden.ini", "--output", sim) == 0
+        assert run("score", "--input", sim, "--output", scored) == 0
+        assert run("fit", "--input", scored, "--output", tmp_path / "fit.json") == 0
+        assert run("fit", "--input", scored, "--output", tmp_path / "raw.json", "--raw-points") == 0
+        assert run("report", "--input", scored, "--output", tmp_path / "grid.csv") == 0
+    finally:
+        tracer.unwrap_all()
+    called = {span[0] for span in tracer.spans}
+    assert {name.split()[1] for name in called} == tracer.wrapped
+    assert len({name.split()[0] for name in called}) == 15
+    untraced = [line for line in capsys.readouterr().err.splitlines() if "not traced" in line]
+    assert untraced == [
+        "trace: volteqa.simulate.compute_transit_jitter not found, not traced",
+        "trace: volteqa.simulate.estimate_ploss not found, not traced",
+    ]
 
 
 def test_golden_fits_converge_and_never_lose_to_the_line(tmp_path):
@@ -1228,6 +1294,17 @@ def _bad_input_files(tmp_path: Path) -> None:
         ("fit --input {scored} --output {tmp}/o.json --range 0:5e-324", "BAD_RANGE"),
         ("fit --input {scored} --output {tmp}/o.json --range 0:5e-324 --model linear", "BAD_RANGE"),
         ("report --input {tmp}/tiny_jitter.csv --output {tmp}/o.csv", "BAD_RANGE"),
+        # Every argument is checked before the input is read, and a range
+        # too narrow for its bins names its flag.
+        ("fit --input {scored} --output {tmp}/o.json --range 0:5e-324", "BAD_RANGE: --range"),
+        ("report --input {scored} --output {tmp}/o.csv --range 0:5e-324", "BAD_RANGE: --range"),
+        ("report --input {scored} --output {tmp}/o.csv --j-range 0:5e-324", "BAD_RANGE: --j-range"),
+        ("report --input {tmp}/tiny_jitter.csv --output {tmp}/o.csv", "BAD_RANGE: --j-range default"),
+        ("fit --input {tmp}/nope.csv --output {tmp}/o.json --range 0:5e-324", "BAD_RANGE"),
+        ("report --input {tmp}/latin1.txt --output {tmp}/o.csv --j-range 0:5e-324", "BAD_RANGE"),
+        ("fit --input {tmp}/nope.csv --output {tmp}/nope.csv", "OUTPUT_UNWRITABLE"),
+        ("fit --input {tmp}/latin1.txt --output {tmp}/o.json --bins-output {tmp}/latin1.txt", "OUTPUT_UNWRITABLE"),
+        ("report --input {tmp}/nope.csv --output {tmp}/nope.csv", "OUTPUT_UNWRITABLE"),
         ("simulate --config {tmp}/sim.ini --output {tmp}/o.csv --seed -1", "CONFIG"),
     ],
 )
@@ -1238,6 +1315,29 @@ def test_bad_input_is_a_coded_error(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {code}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--input", CDR, "--output", "."],
+        ["score", "--input", CDR, "--output", ""],
+        ["fit", "--input", SCORED, "--output", "."],
+        ["fit", "--input", SCORED, "--output", "/"],
+        ["simulate", "--config", "sim.ini", "--output", "/"],
+        ["report", "--input", SCORED, "--output", "."],
+    ],
+    ids=["score-dot", "score-empty", "fit-dot", "fit-root", "simulate-root", "report-dot"],
+)
+def test_an_output_with_no_file_name_is_a_coded_error(tmp_path, monkeypatch, capsys, argv):
+    # "", "." and "/" name a directory, and no sidecar name can be made from them.
+    (tmp_path / "sim.ini").write_text(SIM_CONFIG, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: OUTPUT_UNWRITABLE: cannot write {Path(argv[-1])}: it names a directory\n"
+    )
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "sim.ini"]
 
 
 @pytest.mark.parametrize(
