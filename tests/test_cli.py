@@ -34,7 +34,7 @@ from conftest import (
     table_from_rows,
     written_summary,
 )
-from volteqa import cli, ingest
+from volteqa import cli, ingest, simulate
 from volteqa.cli import CliError, main
 from volteqa.ingest import CDR_COLUMNS, Codec, RejectedRow, RejectReason
 from volteqa.simulate import load_sim_config
@@ -447,6 +447,22 @@ def test_simulate_reproduces_golden_dataset(tmp_path):
     assert meta["rejected"] == [
         {"flow_id": f"flow-{i:06d}", "reason": "NOT_ENOUGH_PACKETS"} for i in rejected_ids
     ]
+
+
+def test_simulate_reproduces_golden_dataset_across_chunks(monkeypatch, tmp_path):
+    # Five chunks of 3-flow blocks, each chunk with rejects.  The floats
+    # take every form a simulated dataset writes: integral (0.0, 20.0,
+    # 129.0), below 1e-4 (gaussian(0.00001)) and rounded to 1e6 or more,
+    # which leaves exponent form (gamma with a scale of 1e6).
+    monkeypatch.setattr(simulate, "BLOCK_PACKETS", 3 * 30)
+    monkeypatch.setattr(simulate, "CHUNK_ROWS", 7)
+    chunks = []
+    monkeypatch.setattr(cli, "write_cdr_csv", lambda table, handle: chunks.append(ingest.write_cdr_csv(table, handle)))
+    out = tmp_path / "sim.csv"
+    assert run("simulate", "--config", DATA / "sim_chunks_golden.ini", "--output", out) == 0
+    assert out.read_bytes() == (DATA / "sim_chunks_golden.csv").read_bytes()
+    assert len(chunks) == 5
+    assert json.loads((tmp_path / "sim.csv.meta.json").read_text(encoding="utf-8"))["flows_rejected"] == 12
 
 
 def test_simulate_seed_flag_overrides_config(tmp_path):
