@@ -84,10 +84,21 @@ def round_g6(value: float) -> float:
     return float(format_g6(value))
 
 
-def round_g6_column(column: np.ndarray) -> np.ndarray:
-    """``round_g6`` of each value, with one format for the whole column."""
-    text = "%.6g," * len(column) % tuple((column + 0.0).tolist())  # + 0.0 turns -0.0 into 0.0
-    return np.fromiter(map(float, text.split(",")[:-1]), dtype=float, count=len(column))
+def repr_g6_column(column: np.ndarray) -> np.ndarray:
+    """``repr(round_g6(v))`` of each value, ``""`` for NaN, as str objects,
+    from one ``%.6g`` pass.  Its text is that repr but where it is integral
+    (``.0`` is added), from 1e6 to 1e16 (exponent form) or subnormal (a
+    shorter form): zeros are set at once, and the other cells within
+    rounding of an integer (all from 5e4 on) or below 2.3e-308 redone."""
+    column = column + 0.0  # turns -0.0 into 0.0
+    texts = np.array(("%.6g," * len(column) % tuple(column.tolist())).split(",")[:-1], dtype=object)
+    size = np.abs(column)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        redo = (size != 0) & ((size < 2.3e-308) | (np.abs(column - np.rint(column)) <= 1e-5 * size))
+    texts[redo] = [repr(float(text)) for text in texts[redo].tolist()]
+    texts[size == 0] = "0.0"
+    texts[np.isnan(column)] = ""
+    return texts
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
@@ -291,11 +302,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     meta_path = Path(args.meta) if args.meta else output.with_suffix(output.suffix + ".meta.json")
     _check_writable(meta_path, config=args.config, output=output)
 
-    # Each chunk is rounded and written as synthesize_dataset makes it.
+    # Each chunk is written as synthesize_dataset makes it.
     with _open(output, "OUTPUT") as handle, _open(meta_path, "OUTPUT") as meta:
         def write(table: CdrTable) -> None:
             write_cdr_csv(dataclasses.replace(table, **{
-                name: round_g6_column(getattr(table, name)) for name in ("avg_jitter_ms", "max_jitter_ms", "r_factor")
+                name: repr_g6_column(getattr(table, name)) for name in ("avg_jitter_ms", "max_jitter_ms", "r_factor")
             }), handle)
 
         handle.write(",".join(CDR_COLUMNS) + "\n")

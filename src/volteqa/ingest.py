@@ -78,7 +78,8 @@ class CdrTable:
     ``flow_id`` and ``codec`` are object arrays of str and Codec.  The
     packet counts are int64, or object arrays of Python ints when a count
     does not fit.  The jitter columns and ``r_factor`` are float64, with
-    NaN for an absent r_factor.
+    NaN for an absent r_factor, or str objects that ``cdr_lines`` writes
+    as they are.
     """
 
     flow_id: np.ndarray
@@ -391,8 +392,9 @@ def _float_or_nan(text: str) -> float:
 
 
 # A row's seven CDR fields.  Floats take their shortest round-trip form
-# (``%s`` of a float is its repr too), so an absent r_factor can be "".
-_CDR_LINE = "%s,%s,%d,%d,%r,%r,%s"
+# (``%s`` of a float is its repr), so an absent r_factor can be "" and a
+# float column can also be given as its text.
+_CDR_LINE = "%s,%s,%d,%d,%s,%s,%s"
 
 
 def _needs_quotes(text: str) -> bool:
@@ -418,7 +420,8 @@ def cdr_lines(table: CdrTable, *scores: np.ndarray) -> str:
     for member in Codec:
         codec[table.codec == member] = member.value
     r_factor = table.r_factor.tolist()
-    for row in np.flatnonzero(np.isnan(table.r_factor)).tolist():
+    # NaN, an absent r_factor, is the one value unequal to itself; text is never.
+    for row in np.flatnonzero(table.r_factor != table.r_factor).tolist():
         r_factor[row] = ""
     columns = (
         flow_id, codec.tolist(), *(getattr(table, name).tolist() for name in CDR_COLUMNS[2:6]), r_factor,

@@ -5,14 +5,15 @@ two-state Gilbert-Elliott Markov chain; network delay is a base value
 plus an optional jitter distribution.  All randomness flows from one
 seed through numpy's PCG64 generator.  Flow i draws from child i of
 ``SeedSequence(seed)``, so flows are reproducible independently of
-generation order.  The child streams of a block of flows are derived in
-bulk with array arithmetic (:func:`child_states`) and match
-``SeedSequence.spawn`` plus ``PCG64`` bit for bit.
+generation order.  The seed words of a block of flows' children are
+derived in bulk with array arithmetic (:func:`child_words`), and PCG64
+seeded with them matches ``SeedSequence.spawn`` plus ``PCG64`` bit for bit.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import itertools
 import math
 import re
@@ -300,16 +301,14 @@ def pick_codecs(mix: tuple[tuple[Codec, float], ...], u: np.ndarray) -> np.ndarr
     return np.minimum(np.searchsorted(cumulative, u, side="right"), len(mix) - 1)
 
 
-# The constants of numpy's SeedSequence hash (pool of four 32-bit words)
-# and the multiplier of PCG64's 128-bit LCG.  numpy keeps both algorithms
-# fixed so that seeded streams stay reproducible (NEP 19).
+# The constants of numpy's SeedSequence hash (pool of four 32-bit words).
+# numpy keeps it and PCG64's seeding fixed so that seeded streams stay
+# reproducible (NEP 19).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hasher(const: int, mult: int):
@@ -332,16 +331,16 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def child_states(seed: int, flows: np.ndarray) -> list[dict]:
-    """The PCG64 states that ``PCG64(SeedSequence(seed, spawn_key=(i,)))``
-    starts from, for each child index i in the uint64 array ``flows``.
+def child_words(seed: int, flows: np.ndarray) -> np.ndarray:
+    """The seed words ``SeedSequence(seed, spawn_key=(i,)).generate_state(4,
+    np.uint64)`` for each child index i in the uint64 array ``flows``, one
+    row of four uint64 words per child.
 
     The root entropy (``seed`` in 32-bit words, least significant first,
     padded to the pool size) is hashed once; the spawn key (i in one word,
-    or two from 2**32 on) is mixed in as uint32 vectors, the pool is
-    expanded into four 64-bit words as ``generate_state(4, np.uint64)``
-    does, and PCG64's seeding step runs on 128-bit Python ints.  Each state
-    is a ``bit_generator.state`` dict.
+    or two from 2**32 on) is mixed in as uint32 vectors, and the pool is
+    expanded into four 64-bit words as ``generate_state`` does.  PCG64
+    seeded with a child's words starts from that child's state.
     """
     words = []
     while True:
@@ -367,15 +366,23 @@ def child_states(seed: int, flows: np.ndarray) -> list[dict]:
         pool = [np.where(wide, _mix(p, hashmix(high)), p) for p in pool]
     hashmix = _hasher(_INIT_B, _MULT_B)
     halves = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(2 * _POOL_SIZE)]
-    seeds = [(halves[2 * k] | halves[2 * k + 1] << 32).astype(object) for k in range(_POOL_SIZE)]
-    # pcg64_set_seed: state 0, one step, add initstate, one more step.
-    initstate = seeds[0] << 64 | seeds[1]
-    inc = (seeds[2] << 65 | seeds[3] << 1 | 1) & _MASK128
-    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
-    return [
-        {"bit_generator": "PCG64", "state": {"state": s, "inc": i}, "has_uint32": 0, "uinteger": 0}
-        for s, i in zip(state.tolist(), inc.tolist())
-    ]
+    return np.stack([halves[2 * k] | halves[2 * k + 1] << 32 for k in range(_POOL_SIZE)], axis=1)
+
+
+@functools.cache
+def _seed_words() -> type:
+    """The seed sequence type that gives PCG64 one child's row of seed words."""
+    # Imported here, not at the top: numpy.random loads on no command's path but simulate's.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return SeedWords
 
 
 # Packets per block of flows that are replayed and scored together.  It
@@ -384,21 +391,19 @@ def child_states(seed: int, flows: np.ndarray) -> list[dict]:
 BLOCK_PACKETS = 32_768
 
 
-def _draw_block(
-    spec: SimSpec, generator: np.random.Generator, first: int, size: int
-) -> tuple[np.ndarray, PacketTimeline, np.ndarray]:
+def _draw_block(spec: SimSpec, first: int, size: int) -> tuple[np.ndarray, PacketTimeline, np.ndarray]:
     """Draw flows ``first`` to ``first + size - 1`` of the spec and build
     their timeline: each flow's codec variate, the timeline, and the flags
     of the flows in it (see :func:`synthesize_timeline`).
 
-    ``generator`` is re-pointed at each flow's child stream, from which the
-    flow draws its codec variate and its loss uniforms in one run, then its
-    jitter variates.
+    Each flow draws from a generator seeded with its child's words: its
+    codec variate and its loss uniforms in one run, then its jitter
+    variates.
     """
     packets = spec.packets_per_flow
     cells = spec.sweep_cells()
-    states = child_states(spec.seed, np.arange(first, first + size, dtype=np.uint64))
-    bit_generator = generator.bit_generator
+    words = child_words(spec.seed, np.arange(first, first + size, dtype=np.uint64))
+    seed_words = _seed_words()
     codec_u = np.empty(size)
     lost = np.empty((packets, size), dtype=bool)
     delays = np.empty((packets, size))
@@ -407,14 +412,14 @@ def _draw_block(
     with np.errstate(over="ignore"):
         for cell, (loss_model, jitter_model) in enumerate(cells):
             flows = slice((cell - first) % len(cells), size, len(cells))
-            group = states[flows]
-            if not group:
+            group = words[flows]
+            if not len(group):
                 continue
             # One row per flow, so that each flow's draws fill a contiguous run.
             uniforms = np.empty((len(group), 1 + loss_model.uniforms(packets)))
             draws = np.empty((len(group), packets))
-            for state, flow_uniforms, flow_draws in zip(group, uniforms, draws):
-                bit_generator.state = state
+            for row, flow_uniforms, flow_draws in zip(group, uniforms, draws):
+                generator = np.random.Generator(np.random.PCG64(seed_words(row)))
                 generator.random(out=flow_uniforms)
                 jitter_model.draw(generator, flow_draws)
             codec_u[flows] = uniforms[:, 0]
@@ -424,7 +429,7 @@ def _draw_block(
     return codec_u, timeline, kept
 
 
-# Why a flow is rejected, by the code _synthesize_chunk gives it; code 0
+# Why a flow is rejected, by the code synthesize_dataset gives it; code 0
 # accepts the flow.
 _REJECT_REASONS = ("", "ARRIVAL_NOT_FINITE", "NOT_ENOUGH_PACKETS", "JITTER_NOT_FINITE", "PLAYOUT_NOT_FINITE")
 
@@ -446,73 +451,61 @@ def synthesize_dataset(
     jitter (JITTER_NOT_FINITE) or mean play-out delay (PLAYOUT_NOT_FINITE)
     overflows.
 
-    Flow i draws from child i of ``SeedSequence(spec.seed)``; the child
-    streams of each block are derived in bulk and match
-    ``SeedSequence.spawn`` plus ``PCG64`` bit for bit.  The replay runs on
-    blocks of up to ``BLOCK_PACKETS`` packets and the scoring on the
-    accepted flows of each codec, element by element, so the dataset does
-    not depend on the block size.  A chunk is a run of whole blocks that
-    holds at least ``CHUNK_ROWS`` flows, or the flows left: only one
-    chunk's per-flow figures are held at a time.
+    Flow i draws from child i of ``SeedSequence(spec.seed)``; the seed
+    words of each block's children are derived in bulk and seed PCG64 as
+    ``SeedSequence.spawn`` does, bit for bit.  The replay runs on blocks of
+    up to ``BLOCK_PACKETS`` packets and the scoring on the accepted flows
+    of each codec, element by element, so the dataset does not depend on
+    the block size.  A chunk is a run of whole blocks that holds at least
+    ``CHUNK_ROWS`` flows, or the flows left: only one chunk's per-flow
+    figures are held at a time.
     """
     per_block = max(1, BLOCK_PACKETS // spec.packets_per_flow)
     per_chunk = per_block * -(-CHUNK_ROWS // per_block)
-    # Its own stream is never drawn: it is re-pointed at each flow's in turn.
-    generator = np.random.Generator(np.random.PCG64(0))
+    codecs = np.array([codec for codec, _ in spec.codec_mix], dtype=object)
     written, rejected = 0, []
-    for first in range(0, spec.flows, per_chunk):
-        table, chunk_rejected = _synthesize_chunk(
-            spec, profiles, generator, first, min(per_chunk, spec.flows - first), per_block
-        )
+    for start in range(0, spec.flows, per_chunk):
+        size = min(per_chunk, spec.flows - start)
+        # Per-flow figures; -1 received packets marks a flow left out of its
+        # block's timeline.
+        codec_u = np.empty(size)
+        received = np.full(size, -1)
+        p_loss, burst_r, avg_jitter, max_jitter, delay = np.full((5, size), np.nan)
+        # A block's timeline and replay are let go only when the next
+        # block's replace them, also across a chunk's end: freed there, the
+        # heap they held would be given back and faulted in again.
+        for first in range(0, size, per_block):
+            block = min(per_block, size - first)
+            codec_u[first : first + block], timeline, kept = _draw_block(spec, start + first, block)
+            result = run_jbe(timeline, spec.jbe)
+            flows = first + np.flatnonzero(kept)
+            received[flows], p_loss[flows] = result.received_counts, result.p_loss
+            burst_r[flows] = burst_ratio(result.effective_lost)
+            avg_jitter[flows], max_jitter[flows] = result.avg_jitter_ms, result.max_jitter_ms
+            delay[flows] = result.mean_playout_delay_ms
+
+        jitter_ok = np.isfinite(avg_jitter) & np.isfinite(max_jitter)
+        reason = np.select([received < 0, received < 2, ~jitter_ok, ~np.isfinite(delay)], [1, 2, 3, 4], 0)
+        good = reason == 0
+        codec_at = pick_codecs(spec.codec_mix, codec_u)
+        flow_ids = np.array([f"flow-{i:06d}" for i in range(start, start + size)], dtype=object)
+        rejected += [
+            RejectedFlow(flow_id, _REJECT_REASONS[code])
+            for flow_id, code in zip(flow_ids[~good].tolist(), reason[~good].tolist())
+        ]
+        r_factor = np.empty(size)
+        for index, (codec, _) in enumerate(spec.codec_mix):
+            flows = good & (codec_at == index)
+            if flows.any():
+                r_factor[flows] = compute_r_factor(
+                    profiles[codec], 100.0 * p_loss[flows], burst_r[flows], delay[flows]
+                ).r_factor
+        tx = np.full(size, spec.packets_per_flow, dtype=np.int64)
+        table = CdrTable(flow_ids, codecs[codec_at], tx, received, avg_jitter, max_jitter, r_factor).take(good)
         written += len(table)
-        rejected += chunk_rejected
         write(table)
         del table  # not held while the next chunk is made
     return written, rejected
-
-
-def _synthesize_chunk(
-    spec: SimSpec, profiles: dict[Codec, CodecProfile], generator: np.random.Generator,
-    start: int, size: int, per_block: int,
-) -> tuple[CdrTable, list[RejectedFlow]]:
-    """The table of the accepted flows among flows ``start`` to
-    ``start + size - 1``, replayed ``per_block`` flows at a time, and the
-    rejects among them."""
-    # Per-flow figures; -1 received packets marks a flow left out of its
-    # block's timeline.
-    codec_u = np.empty(size)
-    received = np.full(size, -1)
-    p_loss, burst_r, avg_jitter, max_jitter, delay = np.full((5, size), np.nan)
-    for first in range(0, size, per_block):
-        block = min(per_block, size - first)
-        codec_u[first : first + block], timeline, kept = _draw_block(spec, generator, start + first, block)
-        result = run_jbe(timeline, spec.jbe)
-        flows = first + np.flatnonzero(kept)
-        received[flows], p_loss[flows] = result.received_counts, result.p_loss
-        burst_r[flows] = burst_ratio(result.effective_lost)
-        avg_jitter[flows], max_jitter[flows] = result.avg_jitter_ms, result.max_jitter_ms
-        delay[flows] = result.mean_playout_delay_ms
-
-    jitter_ok = np.isfinite(avg_jitter) & np.isfinite(max_jitter)
-    reason = np.select([received < 0, received < 2, ~jitter_ok, ~np.isfinite(delay)], [1, 2, 3, 4], 0)
-    good = reason == 0
-    codec_at = pick_codecs(spec.codec_mix, codec_u)
-    flow_ids = np.array([f"flow-{i:06d}" for i in range(start, start + size)], dtype=object)
-    rejected = [
-        RejectedFlow(flow_id, _REJECT_REASONS[code])
-        for flow_id, code in zip(flow_ids[~good].tolist(), reason[~good].tolist())
-    ]
-    r_factor = np.empty(size)
-    for index, (codec, _) in enumerate(spec.codec_mix):
-        flows = good & (codec_at == index)
-        if flows.any():
-            r_factor[flows] = compute_r_factor(
-                profiles[codec], 100.0 * p_loss[flows], burst_r[flows], delay[flows]
-            ).r_factor
-    codecs = np.array([codec for codec, _ in spec.codec_mix], dtype=object)
-    tx = np.full(size, spec.packets_per_flow, dtype=np.int64)
-    table = CdrTable(flow_ids, codecs[codec_at], tx, received, avg_jitter, max_jitter, r_factor).take(good)
-    return table, rejected
 
 
 _MODEL_ITEM = re.compile(r"\s*([A-Za-z_]+)\s*(?:\(([^)]*)\))?\s*")

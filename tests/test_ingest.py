@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from conftest import (
     written_summary,
 )
 from volteqa import ingest
-from volteqa.cli import round_g6, round_g6_column
+from volteqa.cli import repr_g6_column, round_g6
 from volteqa.ingest import (
     CDR_COLUMNS,
     Bandwidth,
@@ -207,8 +208,36 @@ def test_written_lines_match_csv_writer_oracle(chunk, table_scores):
         patch.setattr(ingest, "CHUNK_ROWS", chunk)
         write_cdr_csv(table, buffer)
     assert buffer.getvalue() == reference_cdr_lines(table)
-    for column in scores:  # simulate rounds with the same format
-        assert repr(round_g6_column(column).tolist()) == repr([round_g6(v) for v in column.tolist()])
+
+
+# Floats at the edges of the renderer's fix-ups as well: integers, values
+# within rounding of one, the steps at 1e6 and 1e16 and the smallest normal.
+RENDER_FLOATS = st.one_of(
+    SCORE_FLOATS,
+    st.integers(-(10**17), 10**17).map(float),
+    st.builds(lambda n, d: n + d, st.integers(-(10**6), 10**6), st.floats(-2e-5, 2e-5)),
+    st.floats(999_990.0, 1_000_010.0),
+    st.floats(9.9e15, 1.1e16),
+    st.floats(2.2e-308, 2.3e-308),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(RENDER_FLOATS, max_size=8))
+def test_rendered_floats_match_repr_of_round_g6(values):
+    # simulate writes its floats as this text; NaN is an absent r_factor.
+    expected = ["" if math.isnan(v) else repr(round_g6(v)) for v in values]
+    assert repr_g6_column(np.array(values, dtype=float)).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [(5e-324, "5e-324"), (999_999.5, "1000000.0"), (100.0, "100.0"), (1e-05, "1e-05"), (-0.0, "0.0"),
+     (float("nan"), "")],
+)
+def test_rendered_float_cases(value, text):
+    assert repr_g6_column(np.array([value])).tolist() == [text]
+    assert math.isnan(value) or repr(round_g6(value)) == text
 
 
 def test_empty_table_writes_only_the_header():

@@ -30,7 +30,7 @@ from volteqa.simulate import (
     GilbertElliottLoss,
     NoJitter,
     SimSpec,
-    child_states,
+    child_words,
     load_sim_config,
     pick_codecs,
     synthesize_dataset,
@@ -151,18 +151,41 @@ def test_block_bernoulli_sample_matches_per_flow_draws():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
-def test_child_states_match_numpy_seeding(seed):
+def test_child_words_match_numpy_seeding(seed):
     # 2**130 + 7 spans five entropy words, one more than the pool; from
     # 2**32 on a spawn key takes two words.
     flows = [*range(300), 2**32 - 1, 2**32, 2**40 + 3]
-    expected = [np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state for i in flows]
-    assert child_states(seed, np.array(flows, dtype=np.uint64)) == expected
+    children = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in flows]
+    words = child_words(seed, np.array(flows, dtype=np.uint64))
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, [child.generate_state(4, np.uint64) for child in children])
+    seed_words = simulate._seed_words()
+    assert [np.random.PCG64(seed_words(row)).state for row in words] == [
+        np.random.PCG64(child).state for child in children
+    ]
 
 
-def test_child_states_continue_spawned_children():
+def test_child_words_continue_spawned_children():
     children = np.random.SeedSequence(5).spawn(40)
-    states = child_states(5, np.arange(20, 40, dtype=np.uint64))
-    assert states == [np.random.PCG64(child).state for child in children[20:]]
+    words = child_words(5, np.arange(20, 40, dtype=np.uint64))
+    assert np.array_equal(words, [child.generate_state(4, np.uint64) for child in children[20:]])
+
+
+@pytest.mark.parametrize("seed", [7, 2**130 + 7])
+def test_generators_seeded_with_child_words_draw_as_spawned_children(seed):
+    children = np.random.SeedSequence(seed).spawn(12)
+    words = child_words(seed, np.arange(12, dtype=np.uint64))
+    seed_words = simulate._seed_words()
+    draws = (
+        lambda generator: generator.random(1_000),
+        lambda generator: generator.standard_normal(1_000),
+        lambda generator: generator.standard_gamma(2, 1_000),
+    )
+    for flow in (0, 5, 11):
+        for draw in draws:
+            ours = np.random.Generator(np.random.PCG64(seed_words(words[flow])))
+            spawned = np.random.Generator(np.random.PCG64(children[flow]))
+            assert np.array_equal(draw(ours), draw(spawned))
 
 
 @pytest.mark.parametrize(
