@@ -42,6 +42,7 @@ from volteqa.ingest import (
     CDR_COLUMNS,
     CHUNK_ROWS,
     CODEC_INDEX,
+    CODEC_R_MAX,
     CdrTable,
     Codec,
     CsvBlock,
@@ -354,8 +355,9 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
     ``csv.DictReader`` would: the last of repeated header names counts, a
     blank row is skipped and a short row's missing cells are empty.  Rows
     of codecs other than ``wanted`` are left out.  Rows with an unknown
-    codec or with an empty, non-numeric or non-finite cell are skipped,
-    and one line on stderr counts them by the first such cell of each.
+    codec, with an empty, non-numeric or non-finite cell, or with a
+    quality outside [0, r_max] of its codec are skipped, and one line on
+    stderr counts them by the first such cell of each.
     numpy's C text reader reads a block of plain lines; a block it refuses
     is split into cells and read cell by cell.
     """
@@ -409,9 +411,10 @@ def _loadtxt_samples(
     None when there are no lines, or only blank ones (of which loadtxt
     warns), and when loadtxt refuses a row or reads a value that is not
     finite: a short row, a blank, padded-blank or non-numeric cell
-    (``1_000`` and non-ASCII digits among them), NaN or infinity.  The
-    cell-by-cell reader then substitutes a blank quality and counts each
-    bad cell by reason.  Numbers convert as ``float()`` converts them.
+    (``1_000`` and non-ASCII digits among them), NaN or infinity; and
+    when a quality lies off its codec's R scale.  The cell-by-cell reader
+    then substitutes a blank quality and counts each bad cell by reason.
+    Numbers convert as ``float()`` converts them.
     """
     if not lines or lines.count("\n") == len(lines):
         return None
@@ -426,6 +429,8 @@ def _loadtxt_samples(
     code = np.full(len(rows), -1, dtype=np.intp)
     for text, index in CODEC_INDEX.items():
         code[rows["codec"] == text] = index
+    if ((samples[:, -1] < 0.0) | (samples[:, -1] > CODEC_R_MAX[code])).any():
+        return None
     return code, samples, {}
 
 
@@ -455,7 +460,11 @@ def _cell_samples(
             column[row], fault = finite_number(cell) if cell else (math.nan, "empty")
             if fault:
                 failed.setdefault(row, f"{cell_name} {fault}")
-    return codec_codes(codec_cells), np.column_stack(values), failed
+    code = codec_codes(codec_cells)
+    # A failed quality is NaN, which no comparison selects.
+    for row in np.flatnonzero((values[-1] < 0.0) | (values[-1] > CODEC_R_MAX[code])).tolist():
+        failed.setdefault(row, f"{quality[0] if measured[row].strip() else quality[-1]} out of range")
+    return code, np.column_stack(values), failed
 
 
 def _write_bins_csv(handle: IO[str], labelled: list[tuple[str, BinnedSeries]]) -> None:

@@ -269,6 +269,8 @@ def _numbered(blocks: Iterator[CsvBlock]) -> Iterator[tuple[int, CsvBlock]]:
 _CODECS = tuple(Codec)
 # Each codec's text and its position in Codec.
 CODEC_INDEX = {codec.value: index for index, codec in enumerate(_CODECS)}
+# Each codec's R scale ceiling, by its position in Codec.
+CODEC_R_MAX = np.array([codec.r_max for codec in _CODECS])
 
 
 def codec_codes(texts: Sequence[str]) -> np.ndarray:
@@ -306,13 +308,12 @@ def parse_cdr_csv(block: CsvBlock, first_line: int) -> tuple[CdrTable, list[Reje
     avg = _float_column(avg_text, "avg_jitter_ms", fail)
     max_j = _float_column(max_text, "max_jitter_ms", fail)
     r_factor = _float_column(r_text, "r_factor", fail, optional=True)
-    r_max = np.array([codec.r_max for codec in _CODECS])[code]
     rules = (
         (RejectReason.NEGATIVE_COUNT, (tx < 0) | (rx < 0)),
         (RejectReason.EMPTY_FLOW, (tx == 0) & (rx == 0)),
         (RejectReason.INCONSISTENT_JITTER, (avg < 0) | (max_j < avg)),
         # An absent r_factor is NaN, which no comparison selects.
-        (RejectReason.R_OUT_OF_RANGE, (r_factor < 0.0) | (r_factor > r_max)),
+        (RejectReason.R_OUT_OF_RANGE, (r_factor < 0.0) | (r_factor > CODEC_R_MAX[code])),
     )
     for reason, broken in rules:
         for row in np.flatnonzero(broken).tolist():

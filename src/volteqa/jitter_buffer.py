@@ -11,11 +11,9 @@ replayed together as a block, one array column per flow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-SEND_GRID_TOLERANCE_MS = 1e-6
 
 
 class EmptyFlowError(ValueError):
@@ -26,44 +24,34 @@ class EmptyFlowError(ValueError):
 class PacketTimeline:
     """A block of flows sent on one packetization grid, as columns.
 
-    ``seq`` and ``send_ms`` hold one entry per transmitted packet, in send
-    order, shared by every flow of the block.  ``arrival_ms`` has shape
-    (packets, flows): one column per flow, with NaN marking a lost packet.
-    A 1-D ``arrival_ms`` is a block of one flow.  The columns are stored as
-    read-only int64/float64 copies.
+    Packet k of every flow is sent at k * ``ptime_ms``, held in ``send_ms``.
+    ``arrival_ms`` has shape (packets, flows): one column per flow, with NaN
+    marking a lost packet.  A 1-D ``arrival_ms`` is a block of one flow.
+    Both columns are read-only float64 arrays, ``arrival_ms`` a copy.
     """
 
     ptime_ms: float
-    seq: np.ndarray
-    send_ms: np.ndarray
     arrival_ms: np.ndarray
+    send_ms: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.ptime_ms) and self.ptime_ms > 0):
             raise ValueError(f"ptime_ms must be positive and finite, got {self.ptime_ms}")
-        seq = np.array(self.seq, dtype=np.int64)
-        send = np.array(self.send_ms, dtype=np.float64)
         arrival = np.array(self.arrival_ms, dtype=np.float64)
         if arrival.ndim == 1:
             arrival = arrival.reshape(-1, 1)
-        if seq.ndim != 1 or send.shape != seq.shape or arrival.ndim != 2 or len(arrival) != seq.size:
-            raise ValueError(
-                f"seq and send_ms must be 1-D, with one arrival row per packet, got shapes "
-                f"{seq.shape}, {send.shape}, {arrival.shape}"
-            )
-        for name, column in (("seq", seq), ("send_ms", send), ("arrival_ms", arrival)):
+        if arrival.ndim != 2:
+            raise ValueError(f"arrival_ms must be 1-D or 2-D, got shape {arrival.shape}")
+        # Sends rise with k, so the last is the first that can overflow.
+        if not math.isfinite((len(arrival) - 1) * self.ptime_ms):
+            raise ValueError(f"send time not finite at packet {len(arrival) - 1}")
+        send = np.arange(len(arrival), dtype=np.float64) * self.ptime_ms
+        for name, column in (("send_ms", send), ("arrival_ms", arrival)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        _first_failure(np.diff(seq) <= 0, seq[1:], "seq not strictly increasing")
-        _first_failure(~np.isfinite(send), seq, "send time not finite")
-        _first_failure(np.isinf(arrival).any(axis=1), seq, "arrival time infinite")
-        if seq.size:
-            expected = send[0] + (seq - seq[0]) * self.ptime_ms
-            _first_failure(
-                np.abs(send - expected) > SEND_GRID_TOLERANCE_MS, seq, "send time off the ptime grid"
-            )
+        _first_failure(np.isinf(arrival).any(axis=1), "arrival time infinite")
         # NaN (lost) compares false, so only received packets can fail.
-        _first_failure((arrival < send[:, None]).any(axis=1), seq, "arrival before send")
+        _first_failure((arrival < send[:, None]).any(axis=1), "arrival before send")
 
     @property
     def tx_count(self) -> int:
@@ -71,9 +59,9 @@ class PacketTimeline:
         return self.arrival_ms.size
 
 
-def _first_failure(failed: np.ndarray, seq: np.ndarray, message: str) -> None:
+def _first_failure(failed: np.ndarray, message: str) -> None:
     if failed.any():
-        raise ValueError(f"{message} at seq={seq[np.argmax(failed)]}")
+        raise ValueError(f"{message} at packet {np.argmax(failed)}")
 
 
 @dataclass(frozen=True)

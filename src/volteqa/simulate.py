@@ -220,8 +220,7 @@ def synthesize_timeline(
     mark, per column, the flows that are in it.
     """
     packets = lost.shape[0]
-    seq = np.arange(packets)
-    send = seq * ptime_ms
+    send = np.arange(packets) * ptime_ms
     with np.errstate(over="ignore"):
         arrival = np.add(delays, send[:, None])
     np.maximum(arrival, send[:, None], out=arrival)
@@ -232,7 +231,7 @@ def synthesize_timeline(
     kept = ~np.isinf(arrival).any(axis=0)
     # The timeline copies what it is given: a selection of every flow would be one copy more.
     arrival = arrival if kept.all() else arrival[:, kept]
-    timeline = PacketTimeline(ptime_ms=ptime_ms, seq=seq, send_ms=send, arrival_ms=arrival)
+    timeline = PacketTimeline(ptime_ms=ptime_ms, arrival_ms=arrival)
     return timeline, kept
 
 

@@ -103,25 +103,20 @@ def burst_sweep(burst_r: float, targets=BIN_MEDIANS) -> list[GilbertElliottLoss]
     return models
 
 
-def make_timeline(rows, ptime_ms: float = 20.0) -> PacketTimeline:
-    """Timeline from (seq, send, arrival-or-None) triples."""
-    rows = list(rows)
+def make_timeline(arrivals, ptime_ms: float = 20.0) -> PacketTimeline:
+    """Timeline of one flow from its arrivals, None marking a lost packet;
+    packet k is sent at k*ptime."""
     return PacketTimeline(
-        ptime_ms=ptime_ms,
-        seq=[seq for seq, _, _ in rows],
-        send_ms=[send for _, send, _ in rows],
-        arrival_ms=[math.nan if arrival is None else arrival for _, _, arrival in rows],
+        ptime_ms=ptime_ms, arrival_ms=[math.nan if arrival is None else arrival for arrival in arrivals]
     )
 
 
 def timeline_from_delays(delays, ptime_ms: float = 20.0) -> PacketTimeline:
     """Timeline with packet k sent at k*ptime; delays[k] is the network delay
     in ms or None for a lost packet."""
-    rows = []
-    for seq, delay in enumerate(delays):
-        send = seq * ptime_ms
-        rows.append((seq, send, None if delay is None else send + delay))
-    return make_timeline(rows, ptime_ms)
+    return make_timeline(
+        [None if delay is None else k * ptime_ms + delay for k, delay in enumerate(delays)], ptime_ms
+    )
 
 
 def jbe_figures(result: JbeResult, flow: int = 0) -> dict:
@@ -249,12 +244,12 @@ def reference_arrivals(lost, delays, ptime_ms: float) -> list[float | None]:
     its loss flags and network delays; None marks a lost packet."""
     arrivals: list[float | None] = []
     last_arrival = -math.inf
-    for seq in range(len(lost)):
-        send = seq * ptime_ms
-        if lost[seq]:
+    for k in range(len(lost)):
+        send = k * ptime_ms
+        if lost[k]:
             arrivals.append(None)
             continue
-        arrival = max(send + delays[seq], last_arrival, send)
+        arrival = max(send + delays[k], last_arrival, send)
         last_arrival = arrival
         arrivals.append(arrival)
     return arrivals
@@ -354,12 +349,7 @@ def reference_synthesize_dataset(spec: SimSpec, profiles) -> tuple[list[tuple], 
         if any(a is not None and math.isinf(a) for a in arrivals):
             rejected.append(RejectedFlow(flow_id, "ARRIVAL_NOT_FINITE"))
             continue
-        timeline = PacketTimeline(
-            ptime_ms=spec.ptime_ms,
-            seq=range(packets),
-            send_ms=[k * spec.ptime_ms for k in range(packets)],
-            arrival_ms=[math.nan if a is None else a for a in arrivals],
-        )
+        timeline = make_timeline(arrivals, spec.ptime_ms)
         figures = reference_run_jbe(timeline, spec.jbe)
         jitter = (figures["avg_jitter_ms"], figures["max_jitter_ms"])
         if figures["received_count"] < 2:
@@ -668,6 +658,9 @@ def reference_read_samples(
                 sample = tuple(_finite_cell(row, c) for c in (*columns, quality))
             except ValueError as exc:
                 skipped[str(exc)] += 1
+                continue
+            if not 0.0 <= sample[-1] <= codec.r_max:
+                skipped[f"{quality} out of range"] += 1
                 continue
             groups.setdefault(codec, []).append(sample)
     if skipped:

@@ -668,11 +668,11 @@ def test_fit_has_no_weighted_flag(tmp_path, capsys):
 
 
 def test_raw_point_fits_leave_out_rows_beyond_the_range(tmp_path):
-    # Rows outside --range, with wild R, are counted but not fitted; rows
-    # on either bound are fitted, as the bins count them.
+    # Rows outside --range, with R at the ends of AMR's scale, are counted
+    # but not fitted; rows on either bound are fitted, as the bins count them.
     rows = [(f"f{i}", "AMR", repr(float(x)), repr(float(90 - 150 * x + (i % 3))))
             for i, x in enumerate([0.0, 0.2, *np.repeat(BIN_MEDIANS, 4)])]
-    wild = [("w0", "AMR", "0.5", "-400"), ("w1", "AMR", "0.2000001", "900"), ("w2", "AMR", "-0.01", "1000")]
+    wild = [("w0", "AMR", "0.5", "0"), ("w1", "AMR", "0.2000001", "100"), ("w2", "AMR", "-0.01", "100")]
     docs = {}
     for name, table in (("in", rows), ("all", rows + wild)):
         _write_scored(tmp_path / f"{name}.csv", table)
@@ -695,7 +695,7 @@ def test_raw_point_fit_needs_points_not_bins(tmp_path, capsys):
     # fits.  Their 3 bin points are too few for a binned exponential fit.
     xs = np.linspace(0.0, 0.2, 30)
     rows = [(f"f{i}", "AMR", repr(float(x)), repr(float(exp_curve(x) + i % 3))) for i, x in enumerate(xs)]
-    _write_scored(tmp_path / "scored.csv", rows + [("w", "AMR", "0.5", "-400")])
+    _write_scored(tmp_path / "scored.csv", rows + [("w", "AMR", "0.5", "0")])
     in_range = np.array([[float(x), float(r)] for _, _, x, r in rows])
     expected = {"exponential": cli._fit_doc(cli.fit_exponential(in_range)),
                 "linear": cli._fit_doc(cli.fit_linear(in_range))}
@@ -1002,6 +1002,8 @@ def _write_rows(path: Path, rows):
         ("report", "max_jitter_ms", "abc", "max_jitter_ms not a number"),
         ("report", "max_jitter_ms", "inf", "max_jitter_ms not finite"),
         ("report", "r_factor", "-inf", "r_factor not finite"),
+        ("fit", "r_factor", "-0.5", "r_factor out of range"),
+        ("report", "r_factor", "100.5", "r_factor out of range"),
     ],
 )
 def test_malformed_scored_cell_is_a_counted_skip(tmp_path, capsys, command, column, value, reason):
@@ -1034,6 +1036,43 @@ def test_blank_cells_read_as_empty(tmp_path, capsys):
     _write_rows(tmp_path / "blank.csv", _scored_rows()[2:] + rows)
     assert run("fit", "--input", tmp_path / "blank.csv", "--output", tmp_path / "o.json") == 0
     assert "skipped rows: r_factor_computed empty=2\n" in capsys.readouterr().err
+
+
+def test_quality_off_its_codec_scale_is_a_counted_skip(tmp_path, capsys):
+    # score refuses R off the codec's scale, but a foreign or hand-made
+    # scored file can hold it: fit and report skip and count such a row,
+    # and no output holds a figure that overflowed.
+    good = _scored_rows()
+    huge = [dict(good[0], flow_id=f"h{i}", p_loss=repr(i * 0.005), r_factor=repr(1e200 + i * 2.5e198))
+            for i in range(40)]
+    # An AMR-WB row whose quality comes from r_factor_computed, just off 129.
+    computed = dict(good[1], flow_id="wb", codec="AMR-WB", r_factor="", r_factor_computed="129.5")
+    _write_rows(tmp_path / "clean.csv", good)
+    _write_rows(tmp_path / "dirty.csv", good + huge + [computed])
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    docs = {}
+    for stem in ("clean", "dirty"):
+        assert run("fit", "--input", tmp_path / f"{stem}.csv", "--output", tmp_path / f"{stem}.json") == 0
+        docs[stem] = json.loads((tmp_path / f"{stem}.json").read_text(encoding="utf-8"), parse_constant=refuse)
+    assert capsys.readouterr().err == (
+        f"warning: {tmp_path / 'dirty.csv'}: skipped rows: "
+        "r_factor out of range=40, r_factor_computed out of range=1\n"
+    )
+    assert docs["dirty"] == docs["clean"]
+
+    # Six R beyond half the largest float would overflow a cell's sum.
+    wild = [dict(good[0], flow_id=f"w{i}", r_factor="1.5e308") for i in range(6)]
+    wild.append(dict(good[0], flow_id="wb", codec="AMR-WB", r_factor="-40"))
+    _write_rows(tmp_path / "wild.csv", good + wild)
+    for stem in ("clean", "wild"):
+        assert run("report", "--input", tmp_path / f"{stem}.csv", "--output", tmp_path / f"{stem}.grid.csv") == 0
+    assert capsys.readouterr().err == f"warning: {tmp_path / 'wild.csv'}: skipped rows: r_factor out of range=7\n"
+    means = [float(row["mean_r"]) for row in read_rows(tmp_path / "wild.grid.csv") if row["mean_r"]]
+    assert means and all(0.0 <= mean <= Codec.AMR.r_max for mean in means)
+    assert (tmp_path / "wild.grid.csv").read_bytes() == (tmp_path / "clean.grid.csv").read_bytes()
 
 
 @pytest.mark.parametrize("path", ["split", "csv_reader"])
