@@ -558,8 +558,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     p_bins, j_bins = _bin_count(args.bins, "--bins"), _bin_count(args.j_bins, "--j-bins")
     cells = _bin_count(p_bins * j_bins, "--bins x --j-bins")
     _check_edges(p_bins, lo, hi, "--bins", "--range")
-    if j_range is not None:
-        _check_edges(j_bins, *j_range, "--j-bins", "--j-range")
+    # A range taken from the data is checked after the read; 0:1 stands in
+    # for it here, so that edges too many to allocate end the command first.
+    _check_edges(j_bins, *(j_range or (0.0, 1.0)), "--j-bins", "--j-range")
     _check_writable(Path(args.output), input=args.input)
     groups = _read_samples(args.input, _codec_filter(args.codec), ("p_loss", "max_jitter_ms"))
     # Cells aggregate sorted values, so sample order does not matter.  The

@@ -11,6 +11,7 @@ replayed together as a block, one array column per flow.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,8 @@ class PacketTimeline:
     send_ms: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.ptime_ms) and self.ptime_ms > 0):
+        # A comparison, not math.isfinite, which overflows on an int beyond the float range.
+        if not 0 < self.ptime_ms <= sys.float_info.max:
             raise ValueError(f"ptime_ms must be positive and finite, got {self.ptime_ms}")
         arrival = np.array(self.arrival_ms, dtype=np.float64)
         if arrival.ndim == 1:
@@ -49,9 +51,9 @@ class PacketTimeline:
         for name, column in (("send_ms", send), ("arrival_ms", arrival)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        _first_failure(np.isinf(arrival).any(axis=1), "arrival time infinite")
+        _first_failure(np.isinf(arrival), "arrival time infinite")
         # NaN (lost) compares false, so only received packets can fail.
-        _first_failure((arrival < send[:, None]).any(axis=1), "arrival before send")
+        _first_failure(arrival < send[:, None], "arrival before send")
 
     @property
     def tx_count(self) -> int:
@@ -61,7 +63,13 @@ class PacketTimeline:
 
 def _first_failure(failed: np.ndarray, message: str) -> None:
     if failed.any():
-        raise ValueError(f"{message} at packet {np.argmax(failed)}")
+        raise ValueError(f"{message} at packet {np.argmax(failed.any(axis=1))}")
+
+
+def _column_totals(x: np.ndarray) -> np.ndarray:
+    """Each column's sum of a C-ordered (packets, flows) array, added top to
+    bottom: numpy sums pairwise only along the fast axis, which holds the flows."""
+    return np.add.reduce(x, axis=0) if x.shape[1] > 1 else np.add.accumulate(x, axis=0)[-1]
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,11 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
     flow's received packets are first moved to the front of its column;
     the rest of the column is padding that no figure reads.  Each step is
     element-wise arithmetic over the block, in the order of one flow's
-    scalar loop, so every figure keeps that loop's rounding.  The window
+    scalar loop, so every figure keeps that loop's rounding.  The jitter
+    and play-out delay means add each column top to bottom, as that loop
+    does: ``np.add.reduce`` down a block of two flows or more, whose fast
+    axis holds the flows, so that numpy's pairwise summation runs across
+    them, and ``np.add.accumulate`` down a block of one flow.  The window
     sum is the plain definition: the last ``window`` samples added oldest
     first, one pass over the block per position in the window, so its
     rounding is bounded by ``window`` additions.  The last held play-out
@@ -188,10 +200,10 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
             sums[lag:] += jitter[: packets - lag]
 
         max_jitter = jitter.max(axis=0)
-        # Means add left to right (np.add.accumulate), not pairwise (np.sum)
-        # or compensated (sum() on Python >= 3.12): datasets depend on the
+        # Means add left to right, not pairwise (np.sum of a column) or
+        # compensated (sum() on Python >= 3.12): datasets depend on the
         # rounding.  Padding adds 0.0, which is exact.
-        jitter_total = np.add.accumulate(jitter, axis=0, out=jitter)[-1].copy()
+        jitter_total = _column_totals(jitter)
 
         # Received packet k >= 2 sees the k - 1 samples taken before it;
         # its headroom goes to its own row in the timeline's layout.
@@ -220,7 +232,7 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
         delays = sums
         delays.fill(0.0)
         np.subtract(playout, send_ms, out=delays, where=received)
-        delay_total = np.add.accumulate(delays, axis=0, out=delays)[-1]
+        delay_total = _column_totals(delays)
 
     late_counts = np.count_nonzero(late, axis=0)
     lost_counts = packets - received_counts

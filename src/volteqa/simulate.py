@@ -5,7 +5,7 @@ two-state Gilbert-Elliott Markov chain; network delay is a base value
 plus an optional jitter distribution.  All randomness flows from one
 seed through numpy's PCG64 generator.  Flow i draws from child i of
 ``SeedSequence(seed)``, so flows are reproducible independently of
-generation order.  The seed words of a block of flows' children are
+generation order.  The seed words of a chunk of flows' children are
 derived in bulk with array arithmetic (:func:`child_words`), and PCG64
 seeded with them matches ``SeedSequence.spawn`` plus ``PCG64`` bit for bit.
 """
@@ -111,23 +111,31 @@ class GilbertElliottLoss:
         draws, one column per flow."""
         n = len(uniforms) // 2
         transitions, emissions = uniforms[:n], uniforms[n : 2 * n]
-        bad = uniforms[2 * n] < self.stationary_bad_probability()
         # Packet i emits in the state before transition draw i.  A draw
         # below both thresholds toggles the state, a draw below exactly one
         # forces it (bad below p_good_to_bad, good below p_bad_to_good) and
         # any other draw keeps it.  So the state after a step is the state
-        # set at the last force (the start counting as one), flipped once
-        # per toggle since then.
-        to_bad = transitions < self.p_good_to_bad
+        # set at the last force (the start counting as one), flipped by the
+        # parity of the toggles since then.  Row 0 is the start.
+        forced, set_bad, parity = np.empty((3, n + 1, uniforms.shape[1]), dtype=bool)
+        forced[0], parity[0] = True, False
+        np.less(uniforms[2 * n], self.stationary_bad_probability(), out=set_bad[0])
+        to_bad = np.less(transitions, self.p_good_to_bad, out=set_bad[1:])
         to_good = transitions < self.p_bad_to_good
-        start = np.ones((1, uniforms.shape[1]), dtype=bool)
-        forced = np.concatenate((start, to_bad != to_good))
-        set_bad = np.concatenate((bad[None], to_bad))
-        toggles = np.cumsum(np.concatenate((~start, to_bad & to_good)), axis=0)
-        last_force = np.maximum.accumulate(np.where(forced, np.arange(n + 1)[:, None], 0), axis=0)
-        flipped = (toggles - np.take_along_axis(toggles, last_force, axis=0)) % 2 == 1
-        state_bad = np.take_along_axis(set_bad, last_force, axis=0) ^ flipped
-        return emissions < np.where(state_bad[:n], self.loss_bad, self.loss_good)
+        np.not_equal(to_bad, to_good, out=forced[1:])
+        np.logical_and(to_bad, to_good, out=parity[1:])
+        np.logical_xor.accumulate(parity, axis=0, out=parity)
+        # The flat index of each step's last force: row * flows + column
+        # rises with the row, so its running maximum is the last one.
+        last_force = np.where(forced[:n], np.arange(transitions.size).reshape(transitions.shape), 0)
+        np.maximum.accumulate(last_force, axis=0, out=last_force)
+        state_bad = set_bad.take(last_force)
+        state_bad ^= parity[:n]
+        state_bad ^= parity.take(last_force)
+        if self.loss_good == 0.0 and self.loss_bad == 1.0:
+            # Uniforms are below 1 and not below 0: the state is the flag.
+            return state_bad
+        return emissions < np.where(state_bad, self.loss_bad, self.loss_good)
 
 
 LossModel = Union[BernoulliLoss, GilbertElliottLoss]
@@ -390,10 +398,10 @@ def _seed_words() -> type:
 BLOCK_PACKETS = 32_768
 
 
-def _draw_block(spec: SimSpec, first: int, size: int) -> tuple[np.ndarray, PacketTimeline, np.ndarray]:
-    """Draw flows ``first`` to ``first + size - 1`` of the spec and build
-    their timeline: each flow's codec variate, the timeline, and the flags
-    of the flows in it (see :func:`synthesize_timeline`).
+def _draw_block(spec: SimSpec, first: int, words: np.ndarray) -> tuple[np.ndarray, PacketTimeline, np.ndarray]:
+    """Draw flow ``first`` of the spec and those after it, one per row of
+    seed ``words``, and build their timeline: each flow's codec variate, the
+    timeline, and the flags of the flows in it (see :func:`synthesize_timeline`).
 
     Each flow draws from a generator seeded with its child's words: its
     codec variate and its loss uniforms in one run, then its jitter
@@ -401,7 +409,7 @@ def _draw_block(spec: SimSpec, first: int, size: int) -> tuple[np.ndarray, Packe
     """
     packets = spec.packets_per_flow
     cells = spec.sweep_cells()
-    words = child_words(spec.seed, np.arange(first, first + size, dtype=np.uint64))
+    size = len(words)
     seed_words = _seed_words()
     codec_u = np.empty(size)
     lost = np.empty((packets, size), dtype=bool)
@@ -451,7 +459,7 @@ def synthesize_dataset(
     overflows.
 
     Flow i draws from child i of ``SeedSequence(spec.seed)``; the seed
-    words of each block's children are derived in bulk and seed PCG64 as
+    words of each chunk's children are derived in bulk and seed PCG64 as
     ``SeedSequence.spawn`` does, bit for bit.  The replay runs on blocks of
     up to ``BLOCK_PACKETS`` packets and the scoring on the accepted flows
     of each codec, element by element, so the dataset does not depend on
@@ -465,6 +473,7 @@ def synthesize_dataset(
     written, rejected = 0, []
     for start in range(0, spec.flows, per_chunk):
         size = min(per_chunk, spec.flows - start)
+        words = child_words(spec.seed, np.arange(start, start + size, dtype=np.uint64))
         # Per-flow figures; -1 received packets marks a flow left out of its
         # block's timeline.
         codec_u = np.empty(size)
@@ -474,8 +483,8 @@ def synthesize_dataset(
         # block's replace them, also across a chunk's end: freed there, the
         # heap they held would be given back and faulted in again.
         for first in range(0, size, per_block):
-            block = min(per_block, size - first)
-            codec_u[first : first + block], timeline, kept = _draw_block(spec, start + first, block)
+            block = slice(first, first + per_block)
+            codec_u[block], timeline, kept = _draw_block(spec, start + first, words[block])
             result = run_jbe(timeline, spec.jbe)
             flows = first + np.flatnonzero(kept)
             received[flows], p_loss[flows] = result.received_counts, result.p_loss

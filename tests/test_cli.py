@@ -1372,6 +1372,16 @@ def test_bad_input_is_a_coded_error(tmp_path, capsys, argv, code):
     assert "Traceback" not in err
 
 
+def test_report_checks_j_bins_before_it_reads(tmp_path, capsys):
+    # Edges too many to allocate end the command before the (missing) input
+    # is read, also when the jitter range would come from the data.
+    argv = ["report", "--input", str(tmp_path / "missing.csv"), "--output", str(tmp_path / "o.csv"),
+            "--j-bins", "100000000000000000"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: BAD_BINS: --j-bins: too many bins to allocate")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -27,8 +27,9 @@ def test_timeline_rejects_bad_structure():
         make_timeline([-1.0])
     with pytest.raises(ValueError, match="arrival before send at packet 1"):
         make_timeline([10.0, 19.0])  # packet 1 is sent at 20
-    for ptime_ms in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+    # 10**400 is an int beyond the float range.
+    for ptime_ms in (0.0, math.nan, math.inf, 10**400):
+        with pytest.raises(ValueError, match="ptime_ms must be positive and finite"):
             PacketTimeline(ptime_ms=ptime_ms, arrival_ms=[10.0])
     with pytest.raises(ValueError, match="1-D or 2-D"):
         PacketTimeline(ptime_ms=20.0, arrival_ms=np.zeros((2, 3, 4)))
@@ -343,6 +344,23 @@ def test_jbe_block_matches_scalar_reference_per_flow(packets):
             (result.received_count, result.received_counts),
         ):
             assert type(total) is int and total == int(per_flow.sum())
+
+
+@pytest.mark.parametrize("flows", [1, 2, 32])
+def test_jbe_means_add_each_column_left_to_right(flows):
+    # Columns long enough that a pairwise sum would round differently from
+    # the scalar loop's left-to-right sums, in blocks with the flows axis
+    # fast in memory and in a block of one flow, where the packets axis is.
+    rng = np.random.default_rng(flows)
+    send = np.arange(1000) * 20.0
+    arrival = send[:, None] + rng.uniform(5, 60, flows) + rng.gamma(2.0, 12.0, (1000, flows))
+    arrival[rng.random((1000, flows)) < 0.1] = np.nan
+    timeline = PacketTimeline(ptime_ms=20.0, arrival_ms=arrival)
+    result = run_jbe(timeline)
+    for flow in range(flows):
+        figures, expected = jbe_figures(result, flow), reference_run_jbe(timeline, flow=flow)
+        assert figures["avg_jitter_ms"] == expected["avg_jitter_ms"]
+        assert figures["mean_playout_delay_ms"] == expected["mean_playout_delay_ms"]
 
 
 @pytest.mark.parametrize("window", [2**63, 10**30], ids=["2**63", "10**30"])
