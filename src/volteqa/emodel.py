@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -43,7 +44,8 @@ class CodecProfile:
 
     def __post_init__(self) -> None:
         for name in ("ie", "bpl", "r0", "simultaneous", "advantage"):
-            if not math.isfinite(getattr(self, name)):
+            # A comparison, not math.isfinite, which overflows on an int beyond the float range.
+            if not -sys.float_info.max <= getattr(self, name) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         ceiling = LOSS_IMPAIRMENT_CEILING[self.codec.bandwidth]
         if not 0.0 <= self.ie < ceiling:

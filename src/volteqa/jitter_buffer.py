@@ -10,15 +10,10 @@ replayed together as a block, one array column per flow.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class EmptyFlowError(ValueError):
-    """Raised when a timeline carries no packets at all."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,6 +23,7 @@ class PacketTimeline:
     Packet k of every flow is sent at k * ``ptime_ms``, held in ``send_ms``.
     ``arrival_ms`` has shape (packets, flows): one column per flow, with NaN
     marking a lost packet.  A 1-D ``arrival_ms`` is a block of one flow.
+    A timeline holds at least one packet.
     Both columns are read-only float64 arrays, ``arrival_ms`` a copy.
     """
 
@@ -44,8 +40,10 @@ class PacketTimeline:
             arrival = arrival.reshape(-1, 1)
         if arrival.ndim != 2:
             raise ValueError(f"arrival_ms must be 1-D or 2-D, got shape {arrival.shape}")
+        if not len(arrival):
+            raise ValueError("timeline has no packets")
         # Sends rise with k, so the last is the first that can overflow.
-        if not math.isfinite((len(arrival) - 1) * self.ptime_ms):
+        if not (len(arrival) - 1) * self.ptime_ms <= sys.float_info.max:
             raise ValueError(f"send time not finite at packet {len(arrival) - 1}")
         send = np.arange(len(arrival), dtype=np.float64) * self.ptime_ms
         for name, column in (("send_ms", send), ("arrival_ms", arrival)):
@@ -81,11 +79,11 @@ class JbeConfig:
     safety_factor: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.initial_delay_ms) and self.initial_delay_ms > 0):
+        if not 0 < self.initial_delay_ms <= sys.float_info.max:
             raise ValueError("initial_delay_ms must be positive and finite")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if not (math.isfinite(self.safety_factor) and self.safety_factor > 0):
+        if not 0 < self.safety_factor <= sys.float_info.max:
             raise ValueError("safety_factor must be positive and finite")
 
 
@@ -164,8 +162,6 @@ def run_jbe(timeline: PacketTimeline, config: JbeConfig = JbeConfig()) -> JbeRes
     """
     arrival = timeline.arrival_ms
     packets, flows = arrival.shape
-    if not packets:
-        raise EmptyFlowError("timeline has no packets")
     send_ms = timeline.send_ms[:, None]
 
     received = ~np.isnan(arrival)

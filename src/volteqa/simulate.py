@@ -16,7 +16,11 @@ import configparser
 import functools
 import itertools
 import math
+import os
 import re
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -29,7 +33,7 @@ from volteqa.emodel import (
     profiles_from_parser,
 )
 from volteqa.ingest import CHUNK_ROWS, CdrTable, Codec, parse_float, parse_int
-from volteqa.jitter_buffer import JbeConfig, PacketTimeline, run_jbe
+from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketTimeline, run_jbe
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -148,7 +152,8 @@ class NoJitter:
     base_delay_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
+        # Comparisons, not math.isfinite, which overflows on an int beyond the float range.
+        if not 0 <= self.base_delay_ms <= sys.float_info.max:
             raise ValueError("base_delay_ms must be finite and >= 0")
 
     def draw(self, generator: np.random.Generator, out: np.ndarray) -> None:
@@ -168,9 +173,9 @@ class GaussianJitter:
     base_delay_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma_ms) and self.sigma_ms >= 0):
+        if not 0 <= self.sigma_ms <= sys.float_info.max:
             raise ValueError("sigma_ms must be finite and >= 0")
-        if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
+        if not 0 <= self.base_delay_ms <= sys.float_info.max:
             raise ValueError("base_delay_ms must be finite and >= 0")
 
     def draw(self, generator: np.random.Generator, out: np.ndarray) -> None:
@@ -195,9 +200,9 @@ class GammaJitter:
     base_delay_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) and v > 0 for v in (self.shape, self.scale_ms)):
+        if not all(0 < v <= sys.float_info.max for v in (self.shape, self.scale_ms)):
             raise ValueError("gamma shape and scale must be positive and finite")
-        if not (math.isfinite(self.base_delay_ms) and self.base_delay_ms >= 0):
+        if not 0 <= self.base_delay_ms <= sys.float_info.max:
             raise ValueError("base_delay_ms must be finite and >= 0")
 
     def draw(self, generator: np.random.Generator, out: np.ndarray) -> None:
@@ -235,8 +240,10 @@ def synthesize_timeline(
     # A lost packet neither arrives nor holds back the packets after it.
     arrival[lost] = -np.inf
     np.maximum.accumulate(arrival, axis=0, out=arrival)
+    # A received infinite arrival carries to the last row; a flow that
+    # receives nothing ends at -inf and is kept.
+    kept = arrival[-1] != np.inf
     arrival[lost] = np.nan
-    kept = ~np.isinf(arrival).any(axis=0)
     # The timeline copies what it is given: a selection of every flow would be one copy more.
     arrival = arrival if kept.all() else arrival[:, kept]
     timeline = PacketTimeline(ptime_ms=ptime_ms, arrival_ms=arrival)
@@ -261,12 +268,12 @@ class SimSpec:
             raise ValueError("flows must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.ptime_ms) and self.ptime_ms > 0):
+        if not 0 < self.ptime_ms <= sys.float_info.max:
             raise ValueError(f"ptime_ms must be positive and finite, got {self.ptime_ms}")
         # Arrays cannot hold more than 2**63 - 1 packets.
         if not 1 <= self.packets_per_flow <= np.iinfo(np.int64).max:
             raise ValueError(f"packets_per_flow must be in [1, 2**63 - 1], got {self.packets_per_flow}")
-        if not math.isfinite((self.packets_per_flow - 1) * self.ptime_ms):
+        if not (self.packets_per_flow - 1) * self.ptime_ms <= sys.float_info.max:
             raise ValueError(
                 f"last send time (packets_per_flow - 1) * ptime_ms is not finite: "
                 f"({self.packets_per_flow} - 1) * {self.ptime_ms:g}"
@@ -436,9 +443,157 @@ def _draw_block(spec: SimSpec, first: int, words: np.ndarray) -> tuple[np.ndarra
     return codec_u, timeline, kept
 
 
+def _replay_block(
+    spec: SimSpec, first: int, words: np.ndarray, figures: np.ndarray
+) -> tuple[PacketTimeline, JbeResult]:
+    """Replay flow ``first`` of the spec and those after it, one per row of
+    seed ``words``, and fill ``figures`` with their per-flow figures, one
+    column per flow and one row per figure: the codec variate, received
+    packets (as int64; -1 for a flow left out of the block's timeline),
+    p_loss, burst_r, mean and maximum jitter, and mean play-out delay (NaN
+    for a flow left out).  Returns the block's timeline and replay.
+    """
+    codec_u, timeline, kept = _draw_block(spec, first, words)
+    result = run_jbe(timeline, spec.jbe)
+    figures[0] = codec_u
+    received = figures[1].view(np.int64)
+    received.fill(-1)
+    received[kept] = result.received_counts
+    figures[2:] = np.nan
+    figures[2:, kept] = (
+        result.p_loss,
+        burst_ratio(result.effective_lost),
+        result.avg_jitter_ms,
+        result.max_jitter_ms,
+        result.mean_playout_delay_ms,
+    )
+    return timeline, result
+
+
+# Rows of a block's figures (see _replay_block).
+_FIGURES = 7
+
+
+def _chunks(spec: SimSpec, per_chunk: int):
+    """Each chunk's first flow and the seed words of its flows."""
+    for start in range(0, spec.flows, per_chunk):
+        flows = np.arange(start, min(start + per_chunk, spec.flows), dtype=np.uint64)
+        yield start, child_words(spec.seed, flows)
+
+
+class _Worker:
+    """A forked process that replays the odd-numbered blocks of each chunk
+    and writes each block's figures to a pipe as raw float64 bytes, in
+    block order."""
+
+    def __init__(self, spec: SimSpec, per_block: int, per_chunk: int):
+        read_fd, write_fd = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # CPython 3.12 and later warn on fork() in a process of more
+                # than one OS thread.  No Python thread runs beside this one,
+                # so only native pools such as OpenBLAS's can be counted; the
+                # child calls none of their routines and ends in os._exit.
+                warnings.filterwarnings(
+                    "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+                )
+                self.pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(read_fd)
+                # A warning ends the worker unprinted: the parent replays
+                # the block itself and warns as it would without a worker.
+                warnings.simplefilter("error")
+                self._send(spec, per_block, per_chunk, write_fd)
+            finally:
+                # Never back into the caller's frames, nor flushing the
+                # buffers of its files.
+                os._exit(0)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    @staticmethod
+    def _send(spec: SimSpec, per_block: int, per_chunk: int, fd: int) -> None:
+        for start, words in _chunks(spec, per_chunk):
+            for first in range(per_block, len(words), 2 * per_block):
+                block = words[first : first + per_block]
+                figures = np.empty((_FIGURES, len(block)))
+                _replay_block(spec, start + first, block, figures)
+                data = memoryview(figures).cast("B")
+                while data:
+                    data = data[os.write(fd, data) :]
+
+    def receive(self, figures: np.ndarray) -> bool:
+        """Read the worker's next block into ``figures``; False, with
+        nothing read into them, once the worker has ended without it."""
+        block = np.empty(figures.shape)
+        if self.pipe.readinto(block) < block.nbytes:
+            return False
+        figures[...] = block
+        return True
+
+    def close(self) -> None:
+        """Close the pipe, then end and reap the worker: nothing it makes
+        is read any more, so it is killed, also in the middle of a block."""
+        import signal  # here, not at the top: it loads on no command's path but this one
+
+        self.pipe.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _start_worker(spec: SimSpec, per_block: int, per_chunk: int) -> _Worker | None:
+    """A worker for the odd-numbered blocks, or None: without two CPUs to
+    run on, without a chunk of two blocks or more, beside another Python
+    thread (which a fork would leave out of the child, whatever locks it
+    holds), or when the fork fails."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or min(spec.flows, per_chunk) <= per_block or threading.active_count() > 1:
+        return None
+    try:
+        return _Worker(spec, per_block, per_chunk)
+    except OSError:
+        return None
+
+
 # Why a flow is rejected, by the code synthesize_dataset gives it; code 0
 # accepts the flow.
 _REJECT_REASONS = ("", "ARRIVAL_NOT_FINITE", "NOT_ENOUGH_PACKETS", "JITTER_NOT_FINITE", "PLAYOUT_NOT_FINITE")
+
+
+def _chunk_table(
+    spec: SimSpec, profiles: dict[Codec, CodecProfile], start: int, figures: np.ndarray
+) -> tuple[CdrTable, list[RejectedFlow]]:
+    """The scored table of the accepted flows of a chunk that starts at flow
+    ``start``, and its rejects, from the chunk's figures (see
+    :func:`_replay_block`)."""
+    codec_u, _, p_loss, burst_r, avg_jitter, max_jitter, delay = figures
+    received = figures[1].view(np.int64)
+    size = len(codec_u)
+    jitter_ok = np.isfinite(avg_jitter) & np.isfinite(max_jitter)
+    reason = np.select([received < 0, received < 2, ~jitter_ok, ~np.isfinite(delay)], [1, 2, 3, 4], 0)
+    good = reason == 0
+    codec_at = pick_codecs(spec.codec_mix, codec_u)
+    flow_ids = np.array([f"flow-{i:06d}" for i in range(start, start + size)], dtype=object)
+    rejected = [
+        RejectedFlow(flow_id, _REJECT_REASONS[code])
+        for flow_id, code in zip(flow_ids[~good].tolist(), reason[~good].tolist())
+    ]
+    r_factor = np.empty(size)
+    for index, (codec, _) in enumerate(spec.codec_mix):
+        flows = good & (codec_at == index)
+        if flows.any():
+            r_factor[flows] = compute_r_factor(
+                profiles[codec], 100.0 * p_loss[flows], burst_r[flows], delay[flows]
+            ).r_factor
+    codecs = np.array([codec for codec, _ in spec.codec_mix], dtype=object)
+    tx = np.full(size, spec.packets_per_flow, dtype=np.int64)
+    table = CdrTable(flow_ids, codecs[codec_at], tx, received, avg_jitter, max_jitter, r_factor)
+    return table.take(good), rejected
 
 
 def synthesize_dataset(
@@ -466,53 +621,42 @@ def synthesize_dataset(
     the block size.  A chunk is a run of whole blocks that holds at least
     ``CHUNK_ROWS`` flows, or the flows left: only one chunk's per-flow
     figures are held at a time.
+
+    With two CPUs or more to run on, a chunk of two blocks or more and no
+    other Python thread, one forked worker process replays the odd-numbered
+    blocks of each chunk while this one replays the others.  A block's
+    figures depend only on its flows, so the dataset does not depend on the
+    worker either: a block the worker does not deliver is replayed here,
+    which also raises any error or warning it meets.  The worker is ended
+    and reaped before this function returns or raises.
     """
     per_block = max(1, BLOCK_PACKETS // spec.packets_per_flow)
     per_chunk = per_block * -(-CHUNK_ROWS // per_block)
-    codecs = np.array([codec for codec, _ in spec.codec_mix], dtype=object)
     written, rejected = 0, []
-    for start in range(0, spec.flows, per_chunk):
-        size = min(per_chunk, spec.flows - start)
-        words = child_words(spec.seed, np.arange(start, start + size, dtype=np.uint64))
-        # Per-flow figures; -1 received packets marks a flow left out of its
-        # block's timeline.
-        codec_u = np.empty(size)
-        received = np.full(size, -1)
-        p_loss, burst_r, avg_jitter, max_jitter, delay = np.full((5, size), np.nan)
-        # A block's timeline and replay are let go only when the next
-        # block's replace them, also across a chunk's end: freed there, the
-        # heap they held would be given back and faulted in again.
-        for first in range(0, size, per_block):
-            block = slice(first, first + per_block)
-            codec_u[block], timeline, kept = _draw_block(spec, start + first, words[block])
-            result = run_jbe(timeline, spec.jbe)
-            flows = first + np.flatnonzero(kept)
-            received[flows], p_loss[flows] = result.received_counts, result.p_loss
-            burst_r[flows] = burst_ratio(result.effective_lost)
-            avg_jitter[flows], max_jitter[flows] = result.avg_jitter_ms, result.max_jitter_ms
-            delay[flows] = result.mean_playout_delay_ms
-
-        jitter_ok = np.isfinite(avg_jitter) & np.isfinite(max_jitter)
-        reason = np.select([received < 0, received < 2, ~jitter_ok, ~np.isfinite(delay)], [1, 2, 3, 4], 0)
-        good = reason == 0
-        codec_at = pick_codecs(spec.codec_mix, codec_u)
-        flow_ids = np.array([f"flow-{i:06d}" for i in range(start, start + size)], dtype=object)
-        rejected += [
-            RejectedFlow(flow_id, _REJECT_REASONS[code])
-            for flow_id, code in zip(flow_ids[~good].tolist(), reason[~good].tolist())
-        ]
-        r_factor = np.empty(size)
-        for index, (codec, _) in enumerate(spec.codec_mix):
-            flows = good & (codec_at == index)
-            if flows.any():
-                r_factor[flows] = compute_r_factor(
-                    profiles[codec], 100.0 * p_loss[flows], burst_r[flows], delay[flows]
-                ).r_factor
-        tx = np.full(size, spec.packets_per_flow, dtype=np.int64)
-        table = CdrTable(flow_ids, codecs[codec_at], tx, received, avg_jitter, max_jitter, r_factor).take(good)
-        written += len(table)
-        write(table)
-        del table  # not held while the next chunk is made
+    worker = _start_worker(spec, per_block, per_chunk)
+    try:
+        for start, words in _chunks(spec, per_chunk):
+            size = len(words)
+            figures = np.empty((_FIGURES, size))
+            for index, first in enumerate(range(0, size, per_block)):
+                block = slice(first, first + per_block)
+                if not (index % 2 and worker is not None and worker.receive(figures[:, block])):
+                    # Alone, a block's timeline and replay are let go only when the
+                    # next block's replace them, also across a chunk's end: freed,
+                    # the heap they held would be given back and faulted in again.
+                    # Beside a worker, holding them saves no time and raises the
+                    # peak memory by a block's arrays.
+                    if worker is not None:
+                        held = None
+                    held = _replay_block(spec, start + first, words[block], figures[:, block])
+            table, chunk_rejected = _chunk_table(spec, profiles, start, figures)
+            rejected += chunk_rejected
+            written += len(table)
+            write(table)
+            del table  # not held while the next chunk is made
+    finally:
+        if worker is not None:
+            worker.close()
     return written, rejected
 
 

@@ -273,10 +273,14 @@ def test_profile_validation():
 
 
 @pytest.mark.parametrize("name", ["ie", "bpl", "r0", "simultaneous", "advantage"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# 10**400 is an int beyond the float range.
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
+)
 def test_profile_rejects_non_finite_values(name, value):
     fields = dict(codec=Codec.AMR, ie=0.0, bpl=10.0, r0=90.0, simultaneous=0.0, advantage=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
         CodecProfile(**{**fields, name: value})
 
 

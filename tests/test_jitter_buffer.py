@@ -14,7 +14,6 @@ from conftest import (
     timeline_from_delays,
 )
 from volteqa.jitter_buffer import (
-    EmptyFlowError,
     JbeConfig,
     PacketTimeline,
     effective_loss,
@@ -46,6 +45,9 @@ def test_timeline_rejects_a_last_send_time_that_is_not_finite():
     with pytest.raises(ValueError, match="send time not finite at packet 2"):
         PacketTimeline(ptime_ms=1e308, arrival_ms=[1.0, 1e308, 1.7e308])
     assert PacketTimeline(ptime_ms=1e308, arrival_ms=[1.0, 1.7e308]).send_ms.tolist() == [0.0, 1e308]
+    # An int ptime: packet 2's send time is the int 2 * 10**308, beyond the float range.
+    with pytest.raises(ValueError, match="send time not finite at packet 2"):
+        PacketTimeline(ptime_ms=10**308, arrival_ms=[1.0, 1e308, 1.7e308])
 
 
 def test_timeline_nan_arrival_means_lost():
@@ -188,8 +190,8 @@ def test_jbe_on_time_packet_sets_the_play_out_head():
 
 
 def test_jbe_empty_timeline_raises():
-    with pytest.raises(EmptyFlowError):
-        run_jbe(PacketTimeline(ptime_ms=20.0, arrival_ms=[]))
+    with pytest.raises(ValueError, match="timeline has no packets"):
+        PacketTimeline(ptime_ms=20.0, arrival_ms=[])
 
 
 def test_jbe_fully_lost_flow():
@@ -241,9 +243,10 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("name", ["initial_delay_ms", "safety_factor"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+# 10**400 is an int beyond the float range.
+@pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_config_rejects_non_finite_values(name, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         JbeConfig(**{name: value})
 
 

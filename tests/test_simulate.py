@@ -3,6 +3,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +301,13 @@ def test_spec_validation():
         SimSpec(flows=1, packets_per_flow=10, seed=1, codec_mix=((Codec.AMR, 0.5),))
     with pytest.raises(ValueError):
         SimSpec(flows=-1, packets_per_flow=10, seed=1)
+    # 10**400 is an int beyond the float range.
+    for ptime_ms in (0.0, math.nan, math.inf, 10**400):
+        with pytest.raises(ValueError, match="ptime_ms must be positive and finite"):
+            SimSpec(flows=1, packets_per_flow=1, seed=0, ptime_ms=ptime_ms)
+    # The last send time is the int 2 * 10**308, beyond the float range.
+    with pytest.raises(ValueError, match="last send time"):
+        SimSpec(flows=1, packets_per_flow=3, seed=0, ptime_ms=10**308)
 
 
 def test_spec_rejects_codec_mix_fraction_outside_unit_interval():
@@ -319,9 +329,10 @@ def test_spec_rejects_codec_mix_fraction_outside_unit_interval():
     ],
     ids=["none-base", "gaussian-sigma", "gaussian-base", "gamma-shape", "gamma-scale", "gamma-base"],
 )
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+# 10**400 is an int beyond the float range.
+@pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_jitter_models_reject_non_finite_values(make, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
         make(value)
 
 
@@ -607,3 +618,144 @@ def test_overflowing_flows_are_rejected_with_reasons():
     assert np.isfinite([table.avg_jitter_ms, table.max_jitter_ms, table.r_factor]).all()
     # Only the no-jitter cell (the odd flows) writes rows.
     assert {int(flow_id[5:]) % 2 for flow_id in table.flow_id} == {1}
+
+
+# Specs of several blocks that reject flows, with each block's flow count:
+# a chunk of 11 blocks (an odd count) and one of 10, 2 blocks in each
+# chunk, and 9 blocks of one flow each.
+WORKER_SPECS = [
+    pytest.param(dataclasses.replace(OVERFLOW_SPEC, flows=2_100), 100, id="overflow-11-and-10-blocks"),
+    pytest.param(SimSpec(flows=2_100, packets_per_flow=3, seed=75, **LATE_SPEC), 525, id="3-packets-2-blocks"),
+    pytest.param(dataclasses.replace(OVERFLOW_SPEC, flows=9), 1, id="overflow-1-flow-blocks"),
+]
+
+
+def _expire(signum, frame):
+    raise TimeoutError("synthesize_dataset ran for over a minute: is it waiting on its worker?")
+
+
+def worker_run(monkeypatch, spec, per_block, cpus, write=None):
+    """synthesize_dataset on ``cpus`` CPUs with blocks of ``per_block``
+    flows, failing after a minute: its rows and rejects, and what each
+    read from the worker gave."""
+    monkeypatch.setattr(simulate, "BLOCK_PACKETS", per_block * spec.packets_per_flow)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    delivered = []
+
+    class Worker(simulate._Worker):
+        def receive(self, figures):
+            delivered.append(super().receive(figures))
+            return delivered[-1]
+
+    monkeypatch.setattr(simulate, "_Worker", Worker)
+    chunks = []
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(60)
+    try:
+        written, rejected = synthesize_dataset(spec, DEFAULT_PROFILES, write or chunks.append)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    table = joined_tables(chunks)
+    assert written == len(table)
+    return (table_rows(table), rejected), delivered
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def odd_blocks(spec, per_block):
+    """The blocks the worker replays: the odd-numbered ones of each chunk."""
+    per_chunk = per_block * -(-simulate.CHUNK_ROWS // per_block)
+    sizes = [min(per_chunk, spec.flows - start) for start in range(0, spec.flows, per_chunk)]
+    return sum(-(-size // per_block) // 2 for size in sizes)
+
+
+@pytest.mark.parametrize("spec,per_block", WORKER_SPECS)
+def test_worker_gives_the_dataset_of_one_process(monkeypatch, spec, per_block):
+    alone, delivered = worker_run(monkeypatch, spec, per_block, cpus=1)
+    assert delivered == []
+    assert alone == reference_synthesize_dataset(spec, DEFAULT_PROFILES)
+    assert alone[1]
+    shared, delivered = worker_run(monkeypatch, spec, per_block, cpus=2)
+    assert delivered == [True] * odd_blocks(spec, per_block)
+    assert shared == alone
+    assert_no_child_left()
+
+
+def test_no_worker_for_chunks_of_one_block(monkeypatch):
+    # 1,024 flows per block: each chunk is one block, so the worker would have none.
+    spec = SimSpec(flows=2_100, packets_per_flow=3, seed=75, **LATE_SPEC)
+    _, delivered = worker_run(monkeypatch, spec, 1_024, cpus=2)
+    assert delivered == []
+
+
+@pytest.mark.parametrize("exit_at", [0, 3])
+@pytest.mark.parametrize("spec,per_block", WORKER_SPECS)
+def test_blocks_a_worker_leaves_are_replayed_by_the_parent(monkeypatch, spec, per_block, exit_at):
+    alone, _ = worker_run(monkeypatch, spec, per_block, cpus=1)
+    parent, draw, calls = os.getpid(), simulate._draw_block, itertools.count()
+
+    def draw_or_exit(*args):
+        # Only in the worker, at its block exit_at.
+        if os.getpid() != parent and next(calls) == exit_at:
+            os._exit(3)
+        return draw(*args)
+
+    monkeypatch.setattr(simulate, "_draw_block", draw_or_exit)
+    shared, delivered = worker_run(monkeypatch, spec, per_block, cpus=2)
+    assert shared == alone
+    sent = min(exit_at, odd_blocks(spec, per_block))
+    assert delivered[:sent] == [True] * sent and not any(delivered[sent:])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()], ids=["OSError", "KeyboardInterrupt"])
+def test_worker_is_reaped_when_write_raises(monkeypatch, error):
+    # The first of two chunks fails to write while the worker replays the second.
+    spec = dataclasses.replace(OVERFLOW_SPEC, flows=2_100)
+
+    def write(table):
+        raise error
+
+    with pytest.raises(type(error)):
+        worker_run(monkeypatch, spec, 100, cpus=2, write=write)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("error", [MemoryError, RuntimeWarning])
+def test_errors_of_a_worker_block_are_raised_by_the_parent(monkeypatch, error, cpus):
+    # Block 1 is the worker's, when there is one.
+    spec, draw = SimSpec(flows=9, packets_per_flow=60, seed=71, **LATE_SPEC), simulate._draw_block
+
+    def draw_or_fail(spec, first, words):
+        if first == 1:
+            raise error("block 1")
+        return draw(spec, first, words)
+
+    monkeypatch.setattr(simulate, "_draw_block", draw_or_fail)
+    with pytest.raises(error, match="block 1"):
+        worker_run(monkeypatch, spec, 1, cpus=cpus)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_warnings_of_a_worker_block_are_given_once_by_the_parent(monkeypatch, cpus):
+    spec, draw = SimSpec(flows=9, packets_per_flow=60, seed=71, **LATE_SPEC), simulate._draw_block
+
+    def draw_and_warn(spec, first, words):
+        if first in (1, 2):
+            warnings.warn(f"block {first}", RuntimeWarning)
+        return draw(spec, first, words)
+
+    monkeypatch.setattr(simulate, "_draw_block", draw_and_warn)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows, _ = worker_run(monkeypatch, spec, 1, cpus=cpus)
+    # In block order, as one process gives them.
+    assert [str(w.message) for w in caught] == ["block 1", "block 2"]
+    assert rows == reference_synthesize_dataset(spec, DEFAULT_PROFILES)
+    assert_no_child_left()
