@@ -22,7 +22,7 @@ import sys
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -60,6 +60,9 @@ from volteqa.ingest import (
 )
 from volteqa.jitter_buffer import effective_loss
 from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
+
+if TYPE_CHECKING:
+    from volteqa.worker import Worker
 
 SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
 
@@ -214,7 +217,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     counts: Counter[Codec] = Counter()
     rejects: list[RejectedRow] = []
     # One pass: each block is parsed, scored and written before the next
-    # is read, so only the counts and the rejects outlive it.
+    # is read, so only the counts and the rejects outlive it.  A worker
+    # scores the odd-numbered blocks of a regular file whose first block
+    # is full; the command still reads each block, for its line numbers
+    # and errors, and scores any that the worker does not deliver.
     with _open(args.input, "INPUT") as source:
         try:
             blocks = cdr_blocks(source)
@@ -225,15 +231,67 @@ def cmd_score(args: argparse.Namespace) -> int:
         _check_writable(summary_path, input=args.input, config=args.config, output=output)
         with _open(output, "OUTPUT") as sink, _open(summary_path, "OUTPUT") as summary:
             sink.write(",".join(SCORED_COLUMNS) + "\n")
-            for first_line, block in blocks:
-                table, block_rejects = parse_cdr_csv(block, first_line)
-                rejects += block_rejects
-                if wanted is not None:
-                    table = table.take(table.codec == wanted)
-                counts.update(table.codec_counts())
-                sink.write(cdr_lines(table, *_score_records(table, profiles)))
+            worker = None
+            try:
+                for index, (first_line, block) in enumerate(blocks):
+                    if index == 0 and len(block) == CHUNK_ROWS:
+                        worker = _start_score_worker(source, wanted, profiles)
+                    scored = _receive_scores(worker, first_line) if index % 2 and worker is not None else None
+                    text, block_counts, block_rejects = scored or _score_block(block, first_line, wanted, profiles)
+                    rejects += block_rejects
+                    counts.update(block_counts)
+                    sink.write(text)
+            finally:
+                if worker is not None:
+                    worker.close()
             summarize_dataset(counts, rejects, summary)
     return 0
+
+
+def _score_block(
+    block: CsvBlock, first_line: int, wanted: Codec | None, profiles: dict[Codec, CodecProfile],
+) -> tuple[str, dict[Codec, int], list[RejectedRow]]:
+    """The scored CSV lines of a block of CDR rows, the first on line
+    ``first_line``, that are of codec ``wanted`` (any, if None), their
+    count per codec, and the block's rejects."""
+    table, rejects = parse_cdr_csv(block, first_line)
+    if wanted is not None:
+        table = table.take(table.codec == wanted)
+    return cdr_lines(table, *_score_records(table, profiles)), table.codec_counts(), rejects
+
+
+def _start_score_worker(
+    source: IO[str], wanted: Codec | None, profiles: dict[Codec, CodecProfile],
+) -> Worker | None:
+    """A worker that scores the odd-numbered blocks of a regular input
+    file and sends what ``_score_block`` gives for each as plain tuples,
+    or None."""
+    if not stat.S_ISREG(os.fstat(source.fileno()).st_mode):  # a pipe's data cannot be read twice
+        return None
+    from volteqa.worker import start_worker  # here, not at the top: only a forking run needs it
+
+    def send_scores(send) -> None:
+        # Its own open file description of the file: not the path, which
+        # may name another file by now, nor the descriptor, whose offset
+        # the command's reads move.
+        with open(f"/proc/self/fd/{source.fileno()}", encoding="utf-8", newline="") as own:
+            for index, (first_line, block) in enumerate(cdr_blocks(own)):
+                if index % 2:
+                    text, block_counts, rejects = _score_block(block, first_line, wanted, profiles)
+                    rows = [(row.line_no, row.reason.value, row.detail) for row in rejects]
+                    send((first_line, text, list(block_counts.values()), rows))
+
+    return start_worker(send_scores)
+
+
+def _receive_scores(worker: Worker, first_line: int) -> tuple[str, dict[Codec, int], list[RejectedRow]] | None:
+    """What ``_score_block`` gives for the worker's next block, or None if
+    the worker delivers no block that starts on line ``first_line``."""
+    scored = worker.receive()
+    if scored is None or scored[0] != first_line:
+        return None
+    _, text, block_counts, rows = scored
+    return text, dict(zip(Codec, block_counts)), [RejectedRow(n, RejectReason(r), d) for n, r, d in rows]
 
 
 # A reject row of the summary as json.dumps(indent=2, sort_keys=True) lays

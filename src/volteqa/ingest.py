@@ -165,6 +165,10 @@ class CsvBlock:
         self.lines = lines
         self._text, self._width, self._cells = text, width, cells
 
+    def __len__(self) -> int:
+        """The number of rows, blank ones too; a block of lines is not split for it."""
+        return len(self.fields) if self.lines is None else len(self.lines)
+
     @property
     def fields(self) -> np.ndarray:
         return self._split()[0]
@@ -261,9 +265,8 @@ def cdr_blocks(stream: IO[str]) -> Iterator[tuple[int, CsvBlock]]:
 def _numbered(blocks: Iterator[CsvBlock]) -> Iterator[tuple[int, CsvBlock]]:
     line_no = 2
     for block in blocks:
-        rows = len(block.fields)  # a block is split as it is read: every cell is parsed
         yield line_no, block
-        line_no += rows
+        line_no += len(block)
 
 
 _CODECS = tuple(Codec)

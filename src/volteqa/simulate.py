@@ -16,11 +16,8 @@ import configparser
 import functools
 import itertools
 import math
-import os
 import re
 import sys
-import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -481,83 +478,15 @@ def _chunks(spec: SimSpec, per_chunk: int):
         yield start, child_words(spec.seed, flows)
 
 
-class _Worker:
-    """A forked process that replays the odd-numbered blocks of each chunk
-    and writes each block's figures to a pipe as raw float64 bytes, in
-    block order."""
-
-    def __init__(self, spec: SimSpec, per_block: int, per_chunk: int):
-        read_fd, write_fd = os.pipe()
-        try:
-            with warnings.catch_warnings():
-                # CPython 3.12 and later warn on fork() in a process of more
-                # than one OS thread.  No Python thread runs beside this one,
-                # so only native pools such as OpenBLAS's can be counted; the
-                # child calls none of their routines and ends in os._exit.
-                warnings.filterwarnings(
-                    "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
-                )
-                self.pid = os.fork()
-        except BaseException:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            try:
-                os.close(read_fd)
-                # A warning ends the worker unprinted: the parent replays
-                # the block itself and warns as it would without a worker.
-                warnings.simplefilter("error")
-                self._send(spec, per_block, per_chunk, write_fd)
-            finally:
-                # Never back into the caller's frames, nor flushing the
-                # buffers of its files.
-                os._exit(0)
-        os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
-
-    @staticmethod
-    def _send(spec: SimSpec, per_block: int, per_chunk: int, fd: int) -> None:
-        for start, words in _chunks(spec, per_chunk):
-            for first in range(per_block, len(words), 2 * per_block):
-                block = words[first : first + per_block]
-                figures = np.empty((_FIGURES, len(block)))
-                _replay_block(spec, start + first, block, figures)
-                data = memoryview(figures).cast("B")
-                while data:
-                    data = data[os.write(fd, data) :]
-
-    def receive(self, figures: np.ndarray) -> bool:
-        """Read the worker's next block into ``figures``; False, with
-        nothing read into them, once the worker has ended without it."""
-        block = np.empty(figures.shape)
-        if self.pipe.readinto(block) < block.nbytes:
-            return False
-        figures[...] = block
-        return True
-
-    def close(self) -> None:
-        """Close the pipe, then end and reap the worker: nothing it makes
-        is read any more, so it is killed, also in the middle of a block."""
-        import signal  # here, not at the top: it loads on no command's path but this one
-
-        self.pipe.close()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-
-
-def _start_worker(spec: SimSpec, per_block: int, per_chunk: int) -> _Worker | None:
-    """A worker for the odd-numbered blocks, or None: without two CPUs to
-    run on, without a chunk of two blocks or more, beside another Python
-    thread (which a fork would leave out of the child, whatever locks it
-    holds), or when the fork fails."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus < 2 or min(spec.flows, per_chunk) <= per_block or threading.active_count() > 1:
-        return None
-    try:
-        return _Worker(spec, per_block, per_chunk)
-    except OSError:
-        return None
+def _send_blocks(spec: SimSpec, per_block: int, per_chunk: int, send) -> None:
+    """Replay the odd-numbered blocks of each chunk and ``send`` each
+    block's figures as raw float64 bytes, in block order."""
+    for start, words in _chunks(spec, per_chunk):
+        for first in range(per_block, len(words), 2 * per_block):
+            block = words[first : first + per_block]
+            figures = np.empty((_FIGURES, len(block)))
+            _replay_block(spec, start + first, block, figures)
+            send(figures.tobytes())
 
 
 # Why a flow is rejected, by the code synthesize_dataset gives it; code 0
@@ -633,14 +562,21 @@ def synthesize_dataset(
     per_block = max(1, BLOCK_PACKETS // spec.packets_per_flow)
     per_chunk = per_block * -(-CHUNK_ROWS // per_block)
     written, rejected = 0, []
-    worker = _start_worker(spec, per_block, per_chunk)
+    worker = None
+    if min(spec.flows, per_chunk) > per_block:  # a chunk of one block leaves the worker none
+        from volteqa.worker import start_worker  # here, not at the top: only a forking run needs it
+
+        worker = start_worker(functools.partial(_send_blocks, spec, per_block, per_chunk))
     try:
         for start, words in _chunks(spec, per_chunk):
             size = len(words)
             figures = np.empty((_FIGURES, size))
             for index, first in enumerate(range(0, size, per_block)):
                 block = slice(first, first + per_block)
-                if not (index % 2 and worker is not None and worker.receive(figures[:, block])):
+                payload = worker.receive() if index % 2 and worker is not None else None
+                if payload is not None:
+                    figures[:, block] = np.frombuffer(payload).reshape(_FIGURES, -1)
+                else:
                     # Alone, a block's timeline and replay are let go only when the
                     # next block's replace them, also across a chunk's end: freed,
                     # the heap they held would be given back and faulted in again.

@@ -3,17 +3,22 @@ scalar oracles of the array code."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import decimal
 import io
 import json
 import math
+import os
+import signal
 import sys
 from collections import Counter
 from typing import IO, Mapping, Sequence
 
 import numpy as np
+import pytest
 
+from volteqa import worker
 from volteqa.analytics import BinnedSeries, SurfaceGrid, uniform_edges
 from volteqa.cli import CliError, format_g6, summarize_dataset
 from volteqa.emodel import DEFAULT_PROFILES, CodecProfile
@@ -680,3 +685,44 @@ def _finite_cell(row: dict[str, str | None], column: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{column} not finite")
     return value
+
+
+# The class before any test patches it, so that recorders never stack.
+_WORKER = worker.Worker
+
+
+def recorded_worker(monkeypatch, cpus: int) -> list[bool]:
+    """Give the program ``cpus`` CPUs to run on; the list it returns gets,
+    in order, whether each read from a worker gave a payload."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    delivered: list[bool] = []
+
+    class Worker(_WORKER):
+        def receive(self):
+            payload = super().receive()
+            delivered.append(payload is not None)
+            return payload
+
+    monkeypatch.setattr(worker, "Worker", Worker)
+    return delivered
+
+
+@contextlib.contextmanager
+def within_a_minute(what: str):
+    """Fail with TimeoutError (by SIGALRM) if the body runs for over a minute."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{what} ran for over a minute: is it waiting on its worker?")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

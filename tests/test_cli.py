@@ -26,12 +26,15 @@ from conftest import (
     EXP_DECAY,
     WB_LINE_BURST_R,
     WB_LINE_PROFILE,
+    assert_no_child_left,
     burst_sweep,
     exp_curve,
     line_curve,
     reference_parse_cdr_csv,
     reference_read_samples,
+    recorded_worker,
     table_from_rows,
+    within_a_minute,
     written_summary,
 )
 from volteqa import cli, ingest, simulate
@@ -368,6 +371,128 @@ def test_score_memory_grows_by_little_more_than_a_rejected_row_per_reject(tmp_pa
 
     small, large = (_score_peak_bytes(tmp_path, f"evs{rows}", rejected(rows)) for rows in (2_000, 20_000))
     assert (large - small) / 18_000 < 300
+
+
+# ------------------------------------------------------- score's worker
+
+
+def _worker_score(monkeypatch, tmp_path: Path, source: Path, cpus: int, *flags) -> tuple[tuple, list[bool]]:
+    """score on ``cpus`` CPUs, failing after a minute: its exit code, its
+    stderr and the bytes of each file it leaves, and what each read from
+    the worker gave."""
+    out = tmp_path / f"cpus{cpus}"
+    out.mkdir()
+    delivered = recorded_worker(monkeypatch, cpus)
+    err = io.StringIO()
+    with within_a_minute("score"), contextlib.redirect_stderr(err):
+        code = run("score", "--input", source, "--output", out / "scored.csv", *flags)
+    return (code, err.getvalue().replace(str(out), "OUT"), {p.name: p.read_bytes() for p in out.iterdir()}), delivered
+
+
+def _worker_lines(kind: str) -> list[str]:
+    if kind == "rejects_and_blanks":  # 5,775 rows, six blocks
+        good = _cdr_lines(5200)
+        return [line for i in range(0, 5200, 100) for line in (*good[i : i + 100], *ODD_ROWS)]
+    if kind == "quoted_in_block_1":  # the quote hands blocks 1 to 4 to csv.reader
+        lines = _cdr_lines(4500)
+        lines[1500] = '"q,1"' + lines[1500][len("f0001500"):]
+        return lines
+    return _cdr_lines(int(kind))
+
+
+@pytest.mark.parametrize("codec", ["all", "AMR-WB"])
+@pytest.mark.parametrize(
+    "kind,blocks",
+    [("rejects_and_blanks", 6), ("quoted_in_block_1", 5),
+     (str(ingest.CHUNK_ROWS), 1), (str(ingest.CHUNK_ROWS + 1), 2)],
+)
+def test_score_worker_gives_the_outputs_of_one_process(tmp_path, monkeypatch, kind, blocks, codec):
+    source, config = tmp_path / "cdr.csv", tmp_path / "profile.ini"
+    source.write_text(",".join(CDR_COLUMNS) + "\n" + "".join(_worker_lines(kind)), encoding="utf-8")
+    config.write_text("[AMR-WB]\nie = 7\nbpl = 12\n", encoding="utf-8")
+    flags = ("--codec", codec) + (("--config", config) if codec != "all" else ())
+    alone, delivered = _worker_score(monkeypatch, tmp_path, source, 1, *flags)
+    assert delivered == []
+    assert alone[0] == 0 and alone[1] == ""
+    parent, score_block, scored_here = os.getpid(), cli._score_block, []
+
+    def counted(*args):
+        if os.getpid() == parent:
+            scored_here.append(args[1])
+        return score_block(*args)
+
+    monkeypatch.setattr(cli, "_score_block", counted)
+    shared, delivered = _worker_score(monkeypatch, tmp_path, source, 2, *flags)
+    # Every odd-numbered block is the worker's, and the command scores the others.
+    assert delivered == [True] * (blocks // 2)
+    assert len(scored_here) == blocks - blocks // 2
+    assert shared == alone
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exit_at", [0, 2])
+def test_blocks_a_score_worker_leaves_are_scored_by_the_command(tmp_path, monkeypatch, exit_at):
+    source = tmp_path / "cdr.csv"
+    source.write_text(",".join(CDR_COLUMNS) + "\n" + "".join(_worker_lines("rejects_and_blanks")), encoding="utf-8")
+    alone, _ = _worker_score(monkeypatch, tmp_path, source, 1)
+    parent, score_block, calls = os.getpid(), cli._score_block, itertools.count()
+
+    def score_or_exit(*args):
+        # Only in the worker, at its block exit_at: its first or third.
+        if os.getpid() != parent and next(calls) == exit_at:
+            os._exit(3)
+        return score_block(*args)
+
+    monkeypatch.setattr(cli, "_score_block", score_or_exit)
+    (tmp_path / "cpus1").rename(tmp_path / "alone")
+    shared, delivered = _worker_score(monkeypatch, tmp_path, source, 2)
+    assert shared == alone
+    assert delivered == [True] * exit_at + [False] * (3 - exit_at)
+    assert_no_child_left()
+
+
+def test_score_input_error_in_a_worker_block_is_the_commands(tmp_path, monkeypatch):
+    # Row 1,500 is in block 1, the worker's.
+    source = tmp_path / "cdr.csv"
+    lines = [line.encode() for line in _cdr_lines(3500)]
+    lines[1500] = b"f\xff" + lines[1500][2:]
+    source.write_bytes(",".join(CDR_COLUMNS).encode() + b"\n" + b"".join(lines))
+    alone, _ = _worker_score(monkeypatch, tmp_path, source, 1)
+    shared, _ = _worker_score(monkeypatch, tmp_path, source, 2)
+    assert shared == alone
+    code, err, files = alone
+    assert (code, files) == (1, {})
+    assert err.startswith(f"error: SCHEMA: {source}: 'utf-8' codec can't decode byte 0xff")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("kind", ["fifo", "one_block"])
+def test_score_forks_no_worker_for_a_pipe_or_one_block(tmp_path, monkeypatch, kind):
+    source = tmp_path / "cdr.csv"
+    rows = 3000 if kind == "fifo" else ingest.CHUNK_ROWS - 1
+    source.write_text(",".join(CDR_COLUMNS) + "\n" + "".join(_worker_lines(str(rows))), encoding="utf-8")
+    alone, _ = _worker_score(monkeypatch, tmp_path, source, 1)
+    (tmp_path / "cpus1").rename(tmp_path / "alone")
+
+    def no_fork():
+        raise AssertionError("score forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    if kind == "one_block":
+        shared, delivered = _worker_score(monkeypatch, tmp_path, source, 2)
+    else:
+        fifo = tmp_path / "cdr.fifo"
+        os.mkfifo(fifo)
+        # A process, not a thread, writes the pipe: beside a second thread
+        # no worker would be forked anyway.
+        writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', source, fifo])
+        try:
+            shared, delivered = _worker_score(monkeypatch, tmp_path, fifo, 2)
+        finally:
+            assert writer.wait(timeout=60) == 0
+    assert delivered == []
+    assert shared == alone
+    assert_no_child_left()
 
 
 # -------------------------------------------------------------- simulate

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -433,6 +434,22 @@ def test_short_and_long_rows_reject_with_their_own_field_count(chunk, path):
 
 
 # ------------------------------------------------------ block splitter
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_cdr_blocks_number_plain_blocks_without_splitting_them(chunk):
+    # Blank rows between and after the others, and no newline at the end.
+    lines = [f"f{i},AMR,10,9,1.0,2.0," if i % 4 else "" for i in range(25)] + ["", "g,AMR,1,1,0,0,"]
+    text = HEADER + "\n" + "\n".join(lines)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "CHUNK_ROWS", chunk)
+        patch.setattr(ingest, "_split_lines", None)  # splitting a block fails the test
+        numbered = list(ingest.cdr_blocks(io.StringIO(text, newline="")))
+    assert all(block.lines is not None for _, block in numbered)
+    # Each block starts where the rows of the one before, once split, end.
+    firsts = [first for first, _ in numbered]
+    assert firsts == list(itertools.accumulate((len(block.fields) for _, block in numbered[:-1]), initial=2))
+    assert firsts == list(range(2, 2 + len(lines), chunk))
 
 
 def block_rows(block: ingest.CsvBlock) -> list[tuple[int, list[str]]]:

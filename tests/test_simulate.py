@@ -4,22 +4,24 @@ import dataclasses
 import itertools
 import math
 import os
-import signal
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (
+    assert_no_child_left,
     joined_tables,
     parse_cdr_stream,
     reference_arrivals,
     reference_delays,
     reference_ge_sample,
     reference_pick_codec,
+    recorded_worker,
     reference_synthesize_dataset,
     synthesized,
     table_rows,
+    within_a_minute,
     written_cdr,
 )
 from volteqa import simulate
@@ -630,40 +632,18 @@ WORKER_SPECS = [
 ]
 
 
-def _expire(signum, frame):
-    raise TimeoutError("synthesize_dataset ran for over a minute: is it waiting on its worker?")
-
-
 def worker_run(monkeypatch, spec, per_block, cpus, write=None):
     """synthesize_dataset on ``cpus`` CPUs with blocks of ``per_block``
     flows, failing after a minute: its rows and rejects, and what each
     read from the worker gave."""
     monkeypatch.setattr(simulate, "BLOCK_PACKETS", per_block * spec.packets_per_flow)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    delivered = []
-
-    class Worker(simulate._Worker):
-        def receive(self, figures):
-            delivered.append(super().receive(figures))
-            return delivered[-1]
-
-    monkeypatch.setattr(simulate, "_Worker", Worker)
+    delivered = recorded_worker(monkeypatch, cpus)
     chunks = []
-    previous = signal.signal(signal.SIGALRM, _expire)
-    signal.alarm(60)
-    try:
+    with within_a_minute("synthesize_dataset"):
         written, rejected = synthesize_dataset(spec, DEFAULT_PROFILES, write or chunks.append)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     table = joined_tables(chunks)
     assert written == len(table)
     return (table_rows(table), rejected), delivered
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def odd_blocks(spec, per_block):
