@@ -135,9 +135,17 @@ def _by_cell(
     Sorted values keep every per-cell figure exactly permutation-invariant
     despite float rounding.  Each column is reordered once and the cells
     are views of it: a copy per cell would raise peak memory.
+
+    y is sorted first and the cells then by a stable sort, which is the
+    order of ``np.lexsort((y, cell))`` but for ties in y: their values
+    are equal, and the other columns' figures, such as a median, do not
+    depend on the order of their values.  The smallest integer type that
+    holds -1 to ``n_cells`` lets numpy radix-sort up to 32,767 cells.
     """
-    order = np.lexsort((y, cell))
-    starts = np.searchsorted(cell[order], np.arange(n_cells + 1)).tolist()
+    cell = cell.astype(np.min_scalar_type(-n_cells - 1), copy=False)
+    order = np.argsort(y)
+    order = order[np.argsort(cell[order], kind="stable")]
+    starts = np.searchsorted(cell[order], np.arange(n_cells + 1, dtype=cell.dtype)).tolist()
     slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
     return starts[0], slices, [column[order] for column in (y, *others)]
 

@@ -187,21 +187,26 @@ def csv_blocks(stream: IO[str]) -> tuple[list[str] | None, Iterator[CsvBlock]]:
     """The header row of a CSV text stream, None if the stream is empty,
     and the rows after it in blocks of up to ``CHUNK_ROWS``.
 
-    A block of lines that holds no quote, CR or NUL and no line longer
-    than ``csv.field_size_limit()`` keeps its lines, and is split on
-    commas in one pass when its cells are first read.  From the first
-    block that does, ``csv.reader`` reads the rest of the stream: a quoted
-    field may span lines.
+    A plain block of lines, one that holds no quote, CR or NUL and no
+    line longer than ``csv.field_size_limit()``, keeps its lines, and is
+    split on commas in one pass when its cells are first read.  From the
+    first block that is not plain, ``csv.reader`` reads the rest of the
+    stream: a quoted field may span lines.
     """
     lines = iter(stream)
     # csv.reader takes only the lines of the header row, however many.
     header = next(csv.reader(lines), None)
-    return header, _line_blocks(lines, len(header or ()))
+    return header, line_blocks(lines, len(header or ()))
 
 
-def _line_blocks(lines: Iterator[str], width: int) -> Iterator[CsvBlock]:
+def line_blocks(lines: Iterator[str], width: int, count: int | None = None) -> Iterator[CsvBlock]:
+    """The rows of ``lines``, which follow a header of ``width`` cells, in
+    the blocks of ``csv_blocks``.  With ``count``, only the rows of its
+    first ``count`` lines, unless one of their blocks is not plain:
+    ``csv.reader`` then reads the rest of ``lines``."""
     limit = csv.field_size_limit()
-    while block := list(itertools.islice(lines, CHUNK_ROWS)):
+    head = lines if count is None else itertools.islice(lines, count)
+    while block := list(itertools.islice(head, CHUNK_ROWS)):
         text = "".join(block)
         # No field of a line within the limit is beyond it, and no line is
         # longer than the block.

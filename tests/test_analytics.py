@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from volteqa import analytics
 from conftest import (
     BIN_MEDIANS,
     EXP_AMPLITUDE,
@@ -192,6 +193,44 @@ def test_bin_median_equals_np_median_bit_for_bit(x):
         if inside.size:
             series = bin_series(zip(inside, -inside), bins=1, lo=-1.0, hi=1.0)
             assert bits(series.median_x[0]) == bits(np.median(inside))
+
+
+def _lexsort_by_cell(cell, n_cells, y, *others):
+    """``analytics._by_cell`` as it was, with one ``np.lexsort``."""
+    order = np.lexsort((y, cell))
+    starts = np.searchsorted(cell[order], np.arange(n_cells + 1)).tolist()
+    slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    return starts[0], slices, [column[order] for column in (y, *others)]
+
+
+def _same(a, b) -> bool:
+    """Equal, field by field and item by item, with NaN equal to NaN (and
+    0.0 to -0.0, as == has it)."""
+    if hasattr(a, "__dataclass_fields__"):
+        return type(a) is type(b) and all(_same(getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b or (a != a and b != b)
+
+
+# Few values, so that ties are common: signed zeros, NaN, and values off
+# both ends of the [0, 1] range, on its edges and inside it.
+SORT_VALUES = st.sampled_from([0.0, -0.0, math.nan, -0.5, 1.5, 1.0, 0.25, 0.5, 0.75, 0.3, 1e-300])
+
+
+# 127 cells sort as int8, 128 as int16 (the cell index must also hold
+# 128, the end of the last cell) and 40,000 as int32.
+@pytest.mark.parametrize("bins,j_bins", [(1, 1), (7, 3), (127, 1), (128, 1), (200, 200)])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(SORT_VALUES, SORT_VALUES, SORT_VALUES), max_size=300))
+def test_binning_matches_the_lexsort_order(bins, j_bins, rows):
+    samples = np.array(rows, dtype=float).reshape(-1, 3)
+    grid = dict(p_bins=bins, p_range=(0.0, 1.0), j_bins=j_bins, j_range=(0.0, 1.0))
+    got = bin_series(samples[:, ::2], bins=bins, lo=0.0, hi=1.0), surface_grid(samples, **grid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytics, "_by_cell", _lexsort_by_cell)
+        expected = bin_series(samples[:, ::2], bins=bins, lo=0.0, hi=1.0), surface_grid(samples, **grid)
+    assert _same(got, expected)
 
 
 def test_binning_rejects_points_of_the_wrong_width():

@@ -37,7 +37,7 @@ from conftest import (
     within_a_minute,
     written_summary,
 )
-from volteqa import cli, ingest, simulate
+from volteqa import cli, ingest, simulate, worker
 from volteqa.cli import CliError, main
 from volteqa.ingest import CDR_COLUMNS, Codec, RejectedRow, RejectReason
 from volteqa.simulate import load_sim_config
@@ -492,6 +492,194 @@ def test_score_forks_no_worker_for_a_pipe_or_one_block(tmp_path, monkeypatch, ki
             assert writer.wait(timeout=60) == 0
     assert delivered == []
     assert shared == alone
+    assert_no_child_left()
+
+
+# ---------------------------------------------- fit and report's worker
+
+
+def _scored_lines(rows: int) -> list[str]:
+    """``rows`` scored lines of both codecs whose loss spans the fit range."""
+    lines = []
+    for i in range(rows):
+        x = i % 41 / 200
+        codec, r = ("AMR", 90 - 150 * x) if i % 3 else ("AMR-WB", 120 - 200 * x)
+        r += i % 7 / 10
+        lines.append(f"f{i:07d},{codec},100,{100 - i % 9},1.0,{1 + i % 13}.5,{r:.4f},{x!r},4.0,{r:.4f}\n")
+    return lines
+
+
+# fit, also on raw points and on one codec, and report, each with its outputs.
+SPLIT_COMMANDS = [
+    ("fit", "--output", "fit.json"),
+    ("fit", "--output", "raw.json", "--raw-points"),
+    ("fit", "--output", "wb.json", "--codec", "AMR-WB"),
+    ("report", "--output", "grid.csv"),
+]
+
+
+def _worker_fit_report(monkeypatch, tmp_path: Path, source: Path, cpus: int) -> tuple[list[tuple], list[bool]]:
+    """Each of SPLIT_COMMANDS on ``cpus`` CPUs, failing after a minute: its
+    exit code, its stderr and the bytes of each file it leaves, and what
+    each read from a worker gave."""
+    out = tmp_path / f"cpus{cpus}"
+    out.mkdir()
+    delivered = recorded_worker(monkeypatch, cpus)
+    results = []
+    for command, flag, name, *flags in SPLIT_COMMANDS:
+        err = io.StringIO()
+        with within_a_minute(command), contextlib.redirect_stderr(err):
+            code = run(command, "--input", source, flag, out / name, *flags)
+        results.append((code, err.getvalue().replace(str(out), "OUT")))
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    return [*results, files], delivered
+
+
+def _split_input(kind: str) -> bytes:
+    """A scored file of 3,000 rows (three blocks in each half) with the
+    feature ``kind`` before, at or after the middle line end; of 50 rows
+    after a long header for ``header_past_split``."""
+    header = SCORED_HEADER + {
+        "header_on_two_lines": ',"two\nlines"\n',
+        # The stream ends a line at a lone CR, and csv.reader reads "x" as a
+        # short row of its own: the lines before the split are one more
+        # than their LFs.
+        "cr_in_header": "\rx\n",
+        # Half of the file's bytes lie within the header.
+        "header_past_split": ',"' + "\n" * 5000 + '"\n',
+    }.get(kind, "\n")
+    lines = _scored_lines(50 if kind == "header_past_split" else 3000)
+    if kind == "quote_after_split":
+        lines[2500] = '"q,1"' + lines[2500][len("f0002500"):]
+    elif kind == "cr_after_split":
+        lines[2500] = lines[2500].replace("\n", "\r\n")
+    elif kind == "bad_cells_after_split":  # and an unknown codec before it
+        for row, column, cell in [(100, 1, "EVS"), (2200, 7, "abc"), (2300, 6, "150.0")]:
+            cells = lines[row].split(",")
+            cells[column] = cell
+            lines[row] = ",".join(cells)
+    # Lines inserted at the middle line end, so that the split comes among them.
+    middle = {
+        "blank_and_short_at_split": ["\n", "f,AMR,100\n", "\n", "f,AMR-WB\n"] * 12,
+        # A quoted field whose newlines span the split: csv.reader must read
+        # on past it, to the end.
+        "quote_in_first_half": ['"q' + "\n" * 400 + '",AMR,100,99,1.0,2.5,80.0,0.1,4.0,80.0\n'],
+    }.get(kind, [])
+    size = len(header) + sum(map(len, lines))
+    at = np.searchsorted(np.cumsum([len(header)] + list(map(len, lines))), size // 2)
+    text = header + "".join(lines[:at] + middle + lines[at:])
+    if kind == "no_final_newline":
+        text = text[:-1]
+    data = text.encode()
+    if kind == "non_utf8_after_split":
+        data = data.replace(b"f0002700", b"f\xff002700")
+    return data
+
+
+SPLIT_KINDS = {  # what each read from the worker gives, for each of SPLIT_COMMANDS
+    "plain": True,
+    "header_on_two_lines": True,
+    "blank_and_short_at_split": True,
+    "bad_cells_after_split": True,
+    "no_final_newline": True,
+    "quote_in_first_half": None,  # the command reads on alone
+    "cr_in_header": None,
+    "header_past_split": None,
+    "quote_after_split": False,
+    "cr_after_split": False,
+    "non_utf8_after_split": False,
+}
+
+
+@pytest.mark.parametrize("kind", SPLIT_KINDS)
+def test_fit_and_report_workers_give_the_outputs_of_one_process(tmp_path, monkeypatch, kind):
+    source = tmp_path / "scored.csv"
+    source.write_bytes(_split_input(kind))
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
+    if kind in ("blank_and_short_at_split", "quote_in_first_half"):
+        # The split comes among the lines put in at the middle.
+        with source.open("rb") as handle:
+            split = cli._split_point(handle.fileno())
+        data = source.read_bytes()
+        assert {data[:split].split(b"\n")[-2], data[split:].split(b"\n")[0]} <= {b"", b"f,AMR,100", b"f,AMR-WB"}
+    alone, delivered = _worker_fit_report(monkeypatch, tmp_path, source, 1)
+    assert delivered == []
+    assert [result[0] for result in alone[:-1]] == [1 if kind == "non_utf8_after_split" else 0] * 4
+    shared, delivered = _worker_fit_report(monkeypatch, tmp_path, source, 2)
+    assert shared == alone
+    assert delivered == ([] if SPLIT_KINDS[kind] is None else [SPLIT_KINDS[kind]] * 4)
+    assert_no_child_left()
+    if kind == "bad_cells_after_split":
+        assert alone[3][1] == (
+            f"warning: {source}: skipped rows: p_loss not a number=1, r_factor out of range=1, unknown codec=1\n"
+        )
+    if kind == "non_utf8_after_split":
+        assert alone[-1] == {}
+        assert alone[0][1].startswith(f"error: SCHEMA: {source}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("failure", ["exit_before_send", "fork_fails"])
+def test_fit_and_report_read_on_alone_without_a_worker_result(tmp_path, monkeypatch, failure):
+    source = tmp_path / "scored.csv"
+    source.write_bytes(_split_input("bad_cells_after_split"))
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
+    alone, _ = _worker_fit_report(monkeypatch, tmp_path, source, 1)
+
+    def no_fork():
+        raise BlockingIOError("no fork")
+
+    if failure == "exit_before_send":
+        monkeypatch.setattr(worker, "_write", lambda fd, result: os._exit(3))  # only a worker sends
+    else:
+        monkeypatch.setattr(os, "fork", no_fork)
+    shared, delivered = _worker_fit_report(monkeypatch, tmp_path, source, 2)
+    assert shared == alone
+    assert delivered == ([False] * 4 if failure == "exit_before_send" else [])
+    assert_no_child_left()
+
+
+def test_fit_reaps_its_worker_on_ctrl_c(tmp_path, monkeypatch):
+    source = tmp_path / "scored.csv"
+    source.write_bytes(_split_input("plain"))
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
+    recorded_worker(monkeypatch, 2)
+    parent, loadtxt_samples = os.getpid(), cli._loadtxt_samples
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return loadtxt_samples(*args)
+
+    monkeypatch.setattr(cli, "_loadtxt_samples", interrupted)
+    with within_a_minute("fit"), pytest.raises(KeyboardInterrupt):
+        run("fit", "--input", source, "--output", tmp_path / "fit.json")
+    assert_no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scored.csv"]
+
+
+@pytest.mark.parametrize("size", ["under", "at"])
+def test_fit_and_report_fork_only_for_a_file_of_the_split_size(tmp_path, monkeypatch, size):
+    target = cli._SPLIT_BYTES - 1 if size == "under" else cli._SPLIT_BYTES
+    header = SCORED_HEADER + "\n"
+    lines = _scored_lines(target // 50)
+    # The lines that leave 200 bytes or more, then one padded to the size.
+    rows = int(np.searchsorted(np.cumsum(list(map(len, lines))), target - len(header) - 200))
+    text = header + "".join(lines[:rows])
+    last = ",AMR,100,99,1.0,2.5,80.0,0.1,4.0,80.0\n"
+    text += "f" * (target - len(text) - len(last)) + last
+    source = tmp_path / "scored.csv"
+    source.write_text(text, encoding="utf-8")
+    assert source.stat().st_size == target
+    alone, _ = _worker_fit_report(monkeypatch, tmp_path, source, 1)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    if size == "under":
+        monkeypatch.setattr(os, "fork", no_fork)
+    shared, delivered = _worker_fit_report(monkeypatch, tmp_path, source, 2)
+    assert shared == alone
+    assert delivered == ([] if size == "under" else [True] * 4)
     assert_no_child_left()
 
 
@@ -1317,6 +1505,27 @@ def test_read_samples_matches_per_row_oracle(chunk, plain, data, wanted, columns
         path = str(Path(tmp) / "scored.csv")
         Path(path).write_text(text, encoding="utf-8")
         _assert_read_samples_match_oracle(path, wanted, columns, chunk, **patches)
+
+
+@pytest.mark.parametrize("chunk", (1, 2))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    plain=st.booleans(),
+    data=st.data(),
+    wanted=st.sampled_from([None, Codec.AMR, Codec.AMR_WB]),
+    columns=st.sampled_from([("p_loss",), ("p_loss", "max_jitter_ms")]),
+)
+def test_read_samples_split_with_a_worker_matches_per_row_oracle(chunk, plain, data, wanted, columns):
+    text = data.draw(scored_csv(plain), label="text")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        # Every file is split, on two CPUs.
+        patch.setattr(cli, "_SPLIT_BYTES", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        path = str(Path(tmp) / "scored.csv")
+        Path(path).write_text(text, encoding="utf-8")
+        with within_a_minute("_read_samples"):
+            _assert_read_samples_match_oracle(path, wanted, columns, chunk)
+    assert_no_child_left()
 
 
 def _counting(calls: list, function):
