@@ -15,6 +15,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import sys
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -61,9 +62,6 @@ from volteqa.ingest import (
 )
 from volteqa.jitter_buffer import effective_loss
 from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
-
-if TYPE_CHECKING:
-    from volteqa.worker import Worker
 
 SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
 
@@ -215,13 +213,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     profiles = DEFAULT_PROFILES if args.config is None else _load_config(args.config, load_profiles)[1]
     wanted = _codec_filter(args.codec)
     output = Path(args.output)
-    counts: Counter[Codec] = Counter()
+    counts = [0] * len(Codec)
     rejects: list[RejectedRow] = []
-    # One pass: each block is parsed, scored and written before the next
-    # is read, so only the counts and the rejects outlive it.  A worker
-    # scores the odd-numbered blocks of a regular file whose first block
-    # is full; the command still reads each block, for its line numbers
-    # and errors, and scores any that the worker does not deliver.
     with _open(args.input, "INPUT") as source:
         try:
             blocks = cdr_blocks(source)
@@ -232,54 +225,59 @@ def cmd_score(args: argparse.Namespace) -> int:
         _check_writable(summary_path, input=args.input, config=args.config, output=output)
         with _open(output, "OUTPUT") as sink, _open(summary_path, "OUTPUT") as summary:
             sink.write(",".join(SCORED_COLUMNS) + "\n")
-            worker = None
+
+            def make(job: tuple[int, CsvBlock]) -> tuple[str, list[int], list[tuple[int, str, str]]]:
+                return _score_block(job[1], job[0], wanted, profiles)
+
+            def worker_jobs() -> Iterator[tuple[int, CsvBlock]]:
+                with _own_stream(source.fileno()) as own:
+                    yield from cdr_blocks(own)
+
+            # One pass: each block is parsed, scored and written before the
+            # next is read, so only the counts and the rejects outlive it.
+            # Once two blocks are read, a regular file is scored through
+            # volteqa.worker.shared; the command still reads every block.
+            ahead = list(itertools.islice(blocks, 2))
+            fork = len(ahead) == 2 and stat.S_ISREG(os.fstat(source.fileno()).st_mode)  # a pipe's data cannot be read twice
+
+            def jobs() -> Iterator[tuple[int, CsvBlock]]:
+                while ahead:  # each block read ahead is let go once it is handed on
+                    yield ahead.pop(0)
+                yield from blocks
+
+            if fork:
+                from volteqa.worker import shared  # here, not at the top: only a forking run needs it
+
+                made = shared(jobs(), make, worker_jobs)
+            else:
+                made = (make(job) for job in jobs())
             try:
-                for index, (first_line, block) in enumerate(blocks):
-                    if index == 0 and len(block) == CHUNK_ROWS:
-                        worker = _start_score_worker(source, wanted, profiles)
-                    scored = _receive_scores(worker, first_line) if index % 2 and worker is not None else None
-                    text, block_counts, block_rejects = scored or _score_block(block, first_line, wanted, profiles)
-                    rejects += block_rejects
-                    counts.update(block_counts)
+                for text, block_counts, rows in made:
+                    rejects += [RejectedRow(n, _REASONS[r], d) for n, r, d in rows]
+                    counts = [total + n for total, n in zip(counts, block_counts)]
                     sink.write(text)
             finally:
-                if worker is not None:
-                    worker.close()
-            summarize_dataset(counts, rejects, summary)
+                made.close()
+            summarize_dataset(dict(zip(Codec, counts)), rejects, summary)
     return 0
 
 
 def _score_block(
     block: CsvBlock, first_line: int, wanted: Codec | None, profiles: dict[Codec, CodecProfile],
-) -> tuple[str, dict[Codec, int], list[RejectedRow]]:
+) -> tuple[str, list[int], list[tuple[int, str, str]]]:
     """The scored CSV lines of a block of CDR rows, the first on line
     ``first_line``, that are of codec ``wanted`` (any, if None), their
-    count per codec, and the block's rejects."""
+    count for each codec of Codec, and the block's rejects as (line_no,
+    reason, detail) tuples."""
     table, rejects = parse_cdr_csv(block, first_line)
     if wanted is not None:
         table = table.take(table.codec == wanted)
-    return cdr_lines(table, *_score_records(table, profiles)), table.codec_counts(), rejects
+    rows = [(row.line_no, row.reason.value, row.detail) for row in rejects]
+    return cdr_lines(table, *_score_records(table, profiles)), list(table.codec_counts().values()), rows
 
 
-def _start_score_worker(
-    source: IO[str], wanted: Codec | None, profiles: dict[Codec, CodecProfile],
-) -> Worker | None:
-    """A worker that scores the odd-numbered blocks of a regular input
-    file and sends what ``_score_block`` gives for each as plain tuples,
-    or None."""
-    if not stat.S_ISREG(os.fstat(source.fileno()).st_mode):  # a pipe's data cannot be read twice
-        return None
-    from volteqa.worker import start_worker  # here, not at the top: only a forking run needs it
-
-    def send_scores(send) -> None:
-        with _own_stream(source.fileno()) as own:
-            for index, (first_line, block) in enumerate(cdr_blocks(own)):
-                if index % 2:
-                    text, block_counts, rejects = _score_block(block, first_line, wanted, profiles)
-                    rows = [(row.line_no, row.reason.value, row.detail) for row in rejects]
-                    send((first_line, text, list(block_counts.values()), rows))
-
-    return start_worker(send_scores)
+# Each reject reason by its value.
+_REASONS = {reason.value: reason for reason in RejectReason}
 
 
 def _own_stream(fd: int, offset: int = 0) -> IO[str]:
@@ -290,16 +288,6 @@ def _own_stream(fd: int, offset: int = 0) -> IO[str]:
     raw = open(f"/proc/self/fd/{fd}", "rb")
     raw.seek(offset)
     return io.TextIOWrapper(raw, encoding="utf-8", newline="")
-
-
-def _receive_scores(worker: Worker, first_line: int) -> tuple[str, dict[Codec, int], list[RejectedRow]] | None:
-    """What ``_score_block`` gives for the worker's next block, or None if
-    the worker delivers no block that starts on line ``first_line``."""
-    scored = worker.receive()
-    if scored is None or scored[0] != first_line:
-        return None
-    _, text, block_counts, rows = scored
-    return text, dict(zip(Codec, block_counts)), [RejectedRow(n, RejectReason(r), d) for n, r, d in rows]
 
 
 # A reject row of the summary as json.dumps(indent=2, sort_keys=True) lays
@@ -427,11 +415,11 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
     numpy's C text reader reads a block of plain lines; a block it refuses
     is split into cells and read cell by cell.
 
-    A worker reads the rows after the split of a regular file of at least
-    ``_SPLIT_BYTES`` (``_split_point``) while the command reads those
-    before it.  The command takes the worker's samples only if no CR comes
-    before the split and each of its own blocks was plain, so that the
-    split is a row boundary, and otherwise reads on alone.
+    A regular file of at least ``_SPLIT_BYTES`` is read in two jobs of
+    ``volteqa.worker.shared``: the rows before the split (``_split_point``)
+    and, if no CR comes before it and each block before it was plain, so
+    that the split is a row boundary, the rows after it, which the worker,
+    if one starts, reads.
     """
     groups: dict[Codec, list[np.ndarray]] = {codec: [] for codec in Codec}
     skipped: Counter[str] = Counter()
@@ -449,48 +437,60 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
         if not quality:
             raise CliError("SCHEMA", "scored CSV needs an r_factor or r_factor_computed column")
         read = [index[c] for c in ("codec", *columns, *quality)]
+        plain = True
 
-        def take(block: CsvBlock, groups: dict[Codec, list[np.ndarray]], skipped: Counter[str]) -> None:
-            code, samples, failed = (
-                _loadtxt_samples(block.lines, read[: len(columns) + 2])
-                or _cell_samples(block, read, columns, quality)
-            )
-            unknown = int(np.count_nonzero(code < 0))
-            if unknown:
-                skipped["unknown codec"] += unknown
-            kept = code >= 0 if wanted is None else code == CODEC_INDEX[wanted.value]
-            skipped.update(reason for row, reason in failed.items() if kept[row])
-            kept[list(failed)] = False
-            for i, codec in enumerate(Codec):
-                part = samples[kept & (code == i)]
-                if len(part):
-                    groups[codec].append(part)
+        def make(job: tuple[int, Iterator[str], int | None]) -> tuple[list[list[np.ndarray]], dict[str, int]]:
+            """The samples of the rows of the first ``count`` of the job's lines
+            (all, if None), as arrays (bytes, when sent) per codec, and their skips."""
+            nonlocal plain
+            _, job_lines, count = job
+            parts: list[list[np.ndarray]] = [[] for _ in Codec]
+            skips: Counter[str] = Counter()
+            for block in line_blocks(job_lines, len(header), count):
+                plain = plain and block.lines is not None
+                code, samples, failed = (
+                    _loadtxt_samples(block.lines, read[: len(columns) + 2])
+                    or _cell_samples(block, read, columns, quality)
+                )
+                unknown = int(np.count_nonzero(code < 0))
+                if unknown:
+                    skips["unknown codec"] += unknown
+                kept = code >= 0 if wanted is None else code == CODEC_INDEX[wanted.value]
+                skips.update(reason for row, reason in failed.items() if kept[row])
+                kept[list(failed)] = False
+                for i, codec_parts in enumerate(parts):
+                    part = samples[kept & (code == i)]
+                    if len(part):
+                        codec_parts.append(part)
+            return parts, dict(skips)
 
         fd = handle.fileno()
         split = _split_point(fd)
-        worker = None if split is None else _start_samples_worker(fd, split, len(header), take)
+
+        def jobs() -> Iterator[tuple[int, Iterator[str], int | None]]:
+            stop = None if split is None else _lines_before(fd, split, reader.line_num)
+            yield 0, lines, stop
+            if stop is not None and plain:  # else csv.reader has read on to the end
+                yield split, lines, None
+
+        def worker_jobs() -> Iterator[tuple[int, Iterator[str] | None, None]]:
+            with _own_stream(fd, split) as own:
+                yield 0, None, None
+                yield split, own, None
+
+        if split is not None:
+            from volteqa.worker import shared  # here, not at the top: only a forking run needs it
+
+            made = shared(jobs(), make, worker_jobs)
+        else:
+            made = (make(job) for job in jobs())
         try:
-            # The data lines before the split; None reads them all.
-            stop = None if worker is None else _lines_before(fd, split, reader.line_num)
-            plain = True
-            for block in line_blocks(lines, len(header), stop):
-                plain = plain and block.lines is not None
-                take(block, groups, skipped)
-            # Else csv.reader has read on to the end.
-            if stop is not None and plain:
-                received = worker.receive()
-                if received is None:  # the command reads on alone
-                    for block in line_blocks(lines, len(header)):
-                        take(block, groups, skipped)
-                else:
-                    arrays, worker_skipped = received
-                    for codec, data in zip(Codec, arrays):
-                        if data:
-                            groups[codec].append(np.frombuffer(data).reshape(-1, len(columns) + 1))
-                    skipped.update(worker_skipped)
+            for arrays, job_skips in made:
+                for codec, parts in zip(Codec, arrays):
+                    groups[codec] += [np.frombuffer(part).reshape(-1, len(columns) + 1) for part in parts]
+                skipped.update(job_skips)
         finally:
-            if worker is not None:
-                worker.close()
+            made.close()
     if skipped:
         reasons = ", ".join(f"{reason}={n}" for reason, n in sorted(skipped.items()))
         print(f"warning: {path}: skipped rows: {reasons}", file=sys.stderr)
@@ -538,29 +538,6 @@ def _lines_before(fd: int, split: int, header_lines: int) -> int | None:
             return None
         ends += chunk.count(b"\n")
     return ends - header_lines if ends >= header_lines else None
-
-
-def _start_samples_worker(
-    fd: int, split: int, width: int, take: Callable[[CsvBlock, dict, Counter], None],
-) -> Worker | None:
-    """A worker that reads the rows from byte ``split`` to the end of the
-    file open on ``fd``, whose header has ``width`` cells, with ``take``,
-    and sends its samples, as the bytes of one array per codec, and its
-    skips, or None.  It ends without a result at a block that is not
-    plain."""
-    from volteqa.worker import start_worker  # here, not at the top: only a forking run needs it
-
-    def send_samples(send) -> None:
-        groups: dict[Codec, list[np.ndarray]] = {codec: [] for codec in Codec}
-        skipped: Counter[str] = Counter()
-        with _own_stream(fd, split) as own:
-            for block in line_blocks(own, width):
-                if block.lines is None:
-                    return
-                take(block, groups, skipped)
-        send(([np.concatenate(parts).tobytes() if parts else b"" for parts in groups.values()], dict(skipped)))
-
-    return start_worker(send_samples)
 
 
 # One character longer than the longest codec name: a longer cell is cut

@@ -471,22 +471,13 @@ def _replay_block(
 _FIGURES = 7
 
 
-def _chunks(spec: SimSpec, per_chunk: int):
-    """Each chunk's first flow and the seed words of its flows."""
+def _blocks(spec: SimSpec, per_block: int, per_chunk: int):
+    """Each block's first flow and the seed words of its flows, in flow
+    order; the words are derived a chunk at a time."""
     for start in range(0, spec.flows, per_chunk):
-        flows = np.arange(start, min(start + per_chunk, spec.flows), dtype=np.uint64)
-        yield start, child_words(spec.seed, flows)
-
-
-def _send_blocks(spec: SimSpec, per_block: int, per_chunk: int, send) -> None:
-    """Replay the odd-numbered blocks of each chunk and ``send`` each
-    block's figures as raw float64 bytes, in block order."""
-    for start, words in _chunks(spec, per_chunk):
-        for first in range(per_block, len(words), 2 * per_block):
-            block = words[first : first + per_block]
-            figures = np.empty((_FIGURES, len(block)))
-            _replay_block(spec, start + first, block, figures)
-            send(figures.tobytes())
+        words = child_words(spec.seed, np.arange(start, min(start + per_chunk, spec.flows), dtype=np.uint64))
+        for first in range(0, len(words), per_block):
+            yield start + first, words[first : first + per_block]
 
 
 # Why a flow is rejected, by the code synthesize_dataset gives it; code 0
@@ -551,48 +542,49 @@ def synthesize_dataset(
     ``CHUNK_ROWS`` flows, or the flows left: only one chunk's per-flow
     figures are held at a time.
 
-    With two CPUs or more to run on, a chunk of two blocks or more and no
-    other Python thread, one forked worker process replays the odd-numbered
-    blocks of each chunk while this one replays the others.  A block's
-    figures depend only on its flows, so the dataset does not depend on the
-    worker either: a block the worker does not deliver is replayed here,
-    which also raises any error or warning it meets.  The worker is ended
-    and reaped before this function returns or raises.
+    When a chunk holds two blocks or more, ``volteqa.worker.shared`` may
+    replay every other block in a worker; a block's figures depend only on
+    its flows, so the dataset does not depend on the worker either.
     """
     per_block = max(1, BLOCK_PACKETS // spec.packets_per_flow)
     per_chunk = per_block * -(-CHUNK_ROWS // per_block)
-    written, rejected = 0, []
-    worker = None
-    if min(spec.flows, per_chunk) > per_block:  # a chunk of one block leaves the worker none
-        from volteqa.worker import start_worker  # here, not at the top: only a forking run needs it
+    held, after = None, 0
 
-        worker = start_worker(functools.partial(_send_blocks, spec, per_block, per_chunk))
+    def make(block: tuple[int, np.ndarray]) -> np.ndarray:
+        """The figures of a block (their bytes, when sent)."""
+        nonlocal held, after
+        first, words = block
+        # Alone, a block's timeline and replay are let go only when the next
+        # block's replace them, also across a chunk's end: freed, the heap
+        # they held would be given back and faulted in again.  When a worker
+        # made the block before, holding them saves no time and raises the
+        # peak memory by a block's arrays.
+        if first != after:
+            held = None
+        figures = np.empty((_FIGURES, len(words)))
+        held = _replay_block(spec, first, words, figures)
+        after = first + len(words)
+        return figures
+
+    blocks = functools.partial(_blocks, spec, per_block, per_chunk)
+    if min(spec.flows, per_chunk) > per_block:  # a chunk of one block leaves the worker none
+        from volteqa.worker import shared  # here, not at the top: only a forking run needs it
+
+        made = shared(blocks(), make, blocks)
+    else:
+        made = (make(block) for block in blocks())
+    written, rejected = 0, []
     try:
-        for start, words in _chunks(spec, per_chunk):
-            size = len(words)
-            figures = np.empty((_FIGURES, size))
-            for index, first in enumerate(range(0, size, per_block)):
-                block = slice(first, first + per_block)
-                payload = worker.receive() if index % 2 and worker is not None else None
-                if payload is not None:
-                    figures[:, block] = np.frombuffer(payload).reshape(_FIGURES, -1)
-                else:
-                    # Alone, a block's timeline and replay are let go only when the
-                    # next block's replace them, also across a chunk's end: freed,
-                    # the heap they held would be given back and faulted in again.
-                    # Beside a worker, holding them saves no time and raises the
-                    # peak memory by a block's arrays.
-                    if worker is not None:
-                        held = None
-                    held = _replay_block(spec, start + first, words[block], figures[:, block])
+        for start in range(0, spec.flows, per_chunk):
+            chunk_blocks = itertools.islice(made, -(-min(per_chunk, spec.flows - start) // per_block))
+            figures = np.hstack([np.frombuffer(payload).reshape(_FIGURES, -1) for payload in chunk_blocks])
             table, chunk_rejected = _chunk_table(spec, profiles, start, figures)
             rejected += chunk_rejected
             written += len(table)
             write(table)
             del table  # not held while the next chunk is made
     finally:
-        if worker is not None:
-            worker.close()
+        made.close()
     return written, rejected
 
 

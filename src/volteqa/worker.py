@@ -1,11 +1,13 @@
-"""One forked worker process that sends a command its results through a pipe.
+"""One forked worker process that makes every other job of a command.
 
-A command hands the worker a share of its blocks, such as every other
-one, and reads each result back in block order; a block whose result
-the pipe does not deliver, because the worker ended early or met an
-error or warning, the command makes itself.  So no output depends on
-the worker, and every error or warning comes from the command, as a
-single process gives it.
+simulate, score, fit and report each hand ``shared`` their jobs, such as
+blocks of flows or of rows, and the function that makes one.  A worker
+forked beside the command makes the odd-numbered jobs and sends each
+result back with its job's key; the command makes the others, and any
+job whose result the worker does not deliver, because it ended early or
+met an error or warning, or delivers under another key.  So no output
+depends on the worker, and every error or warning comes from the
+command, as a single process gives it.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import marshal
 import os
 import threading
 import warnings
-from typing import Callable
+from typing import Callable, Iterable, Iterator, TypeVar
 
 # Bytes of the length prefix of each payload.
 _PREFIX = 8
 
 Send = Callable[[object], None]
+Result = TypeVar("Result")
 
 
 class Worker:
@@ -94,3 +97,28 @@ def start_worker(job: Callable[[Send], object]) -> Worker | None:
         return Worker(job)
     except OSError:
         return None
+
+
+def shared(
+    jobs: Iterable[tuple], make: Callable[[tuple], Result], worker_jobs: Callable[[], Iterable[tuple]] | None,
+) -> Iterator[Result]:
+    """Yield ``make(job)`` for each of ``jobs``, tuples whose first item is
+    the job's key, in order.  Unless ``worker_jobs`` is None, the worker
+    that ``start_worker`` may start makes the odd-numbered jobs of
+    ``worker_jobs()``, its own list of the same jobs, and an odd-numbered
+    job here takes its next result if the key is the job's.  The worker is
+    ended and reaped when the iteration ends, raises or is closed."""
+
+    def make_odd(send: Send) -> None:
+        for index, job in enumerate(worker_jobs()):
+            if index % 2:
+                send((job[0], make(job)))
+
+    worker = None if worker_jobs is None else start_worker(make_odd)
+    try:
+        for index, job in enumerate(jobs):
+            received = worker.receive() if index % 2 and worker is not None else None
+            yield received[1] if received is not None and received[0] == job[0] else make(job)
+    finally:
+        if worker is not None:
+            worker.close()

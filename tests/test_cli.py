@@ -466,10 +466,10 @@ def test_score_input_error_in_a_worker_block_is_the_commands(tmp_path, monkeypat
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("kind", ["fifo", "one_block"])
+@pytest.mark.parametrize("kind", ["fifo", "one_block", "one_full_block"])
 def test_score_forks_no_worker_for_a_pipe_or_one_block(tmp_path, monkeypatch, kind):
     source = tmp_path / "cdr.csv"
-    rows = 3000 if kind == "fifo" else ingest.CHUNK_ROWS - 1
+    rows = {"fifo": 3000, "one_block": ingest.CHUNK_ROWS - 1, "one_full_block": ingest.CHUNK_ROWS}[kind]
     source.write_text(",".join(CDR_COLUMNS) + "\n" + "".join(_worker_lines(str(rows))), encoding="utf-8")
     alone, _ = _worker_score(monkeypatch, tmp_path, source, 1)
     (tmp_path / "cpus1").rename(tmp_path / "alone")
@@ -478,7 +478,7 @@ def test_score_forks_no_worker_for_a_pipe_or_one_block(tmp_path, monkeypatch, ki
         raise AssertionError("score forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    if kind == "one_block":
+    if kind != "fifo":
         shared, delivered = _worker_score(monkeypatch, tmp_path, source, 2)
     else:
         fifo = tmp_path / "cdr.fifo"
@@ -585,8 +585,9 @@ SPLIT_KINDS = {  # what each read from the worker gives, for each of SPLIT_COMMA
     "quote_in_first_half": None,  # the command reads on alone
     "cr_in_header": None,
     "header_past_split": None,
-    "quote_after_split": False,
-    "cr_after_split": False,
+    # The worker reads on from the split as the command would.
+    "quote_after_split": True,
+    "cr_after_split": True,
     "non_utf8_after_split": False,
 }
 

@@ -647,10 +647,10 @@ def worker_run(monkeypatch, spec, per_block, cpus, write=None):
 
 
 def odd_blocks(spec, per_block):
-    """The blocks the worker replays: the odd-numbered ones of each chunk."""
+    """The blocks the worker replays: the odd-numbered ones, numbered across chunks."""
     per_chunk = per_block * -(-simulate.CHUNK_ROWS // per_block)
     sizes = [min(per_chunk, spec.flows - start) for start in range(0, spec.flows, per_chunk)]
-    return sum(-(-size // per_block) // 2 for size in sizes)
+    return sum(-(-size // per_block) for size in sizes) // 2
 
 
 @pytest.mark.parametrize("spec,per_block", WORKER_SPECS)
