@@ -62,6 +62,7 @@ from volteqa.ingest import (
 )
 from volteqa.jitter_buffer import effective_loss
 from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
+from volteqa.worker import can_fork, shared
 
 SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
 
@@ -235,8 +236,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
             # One pass: each block is parsed, scored and written before the
             # next is read, so only the counts and the rejects outlive it.
-            # Once two blocks are read, a regular file is scored through
-            # volteqa.worker.shared; the command still reads every block.
+            # Once two blocks are read, the worker may score every other
+            # block of a regular file; the command still reads every block.
             ahead = list(itertools.islice(blocks, 2))
             fork = len(ahead) == 2 and stat.S_ISREG(os.fstat(source.fileno()).st_mode)  # a pipe's data cannot be read twice
 
@@ -245,19 +246,11 @@ def cmd_score(args: argparse.Namespace) -> int:
                     yield ahead.pop(0)
                 yield from blocks
 
-            if fork:
-                from volteqa.worker import shared  # here, not at the top: only a forking run needs it
-
-                made = shared(jobs(), make, worker_jobs)
-            else:
-                made = (make(job) for job in jobs())
-            try:
+            with contextlib.closing(shared(jobs(), make, worker_jobs if fork else None)) as made:
                 for text, block_counts, rows in made:
                     rejects += [RejectedRow(n, _REASONS[r], d) for n, r, d in rows]
                     counts = [total + n for total, n in zip(counts, block_counts)]
                     sink.write(text)
-            finally:
-                made.close()
             summarize_dataset(dict(zip(Codec, counts)), rejects, summary)
     return 0
 
@@ -415,11 +408,12 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
     numpy's C text reader reads a block of plain lines; a block it refuses
     is split into cells and read cell by cell.
 
-    A regular file of at least ``_SPLIT_BYTES`` is read in two jobs of
-    ``volteqa.worker.shared``: the rows before the split (``_split_point``)
-    and, if no CR comes before it and each block before it was plain, so
-    that the split is a row boundary, the rows after it, which the worker,
-    if one starts, reads.
+    The rows are read in jobs of ``volteqa.worker.shared``.  Where
+    ``can_fork`` allows a worker, a regular file of at least
+    ``_SPLIT_BYTES`` is read in two: the rows before the split
+    (``_split_point``) and, if no CR comes before it and each block before
+    it was plain, so that the split is a row boundary, the rows after it,
+    which the worker, if one starts, reads.  Any other input is one job.
     """
     groups: dict[Codec, list[np.ndarray]] = {codec: [] for codec in Codec}
     skipped: Counter[str] = Counter()
@@ -465,7 +459,7 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
             return parts, dict(skips)
 
         fd = handle.fileno()
-        split = _split_point(fd)
+        split = _split_point(fd) if can_fork() else None  # with no worker to read on from it, no split
 
         def jobs() -> Iterator[tuple[int, Iterator[str], int | None]]:
             stop = None if split is None else _lines_before(fd, split, reader.line_num)
@@ -478,19 +472,11 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
                 yield 0, None, None
                 yield split, own, None
 
-        if split is not None:
-            from volteqa.worker import shared  # here, not at the top: only a forking run needs it
-
-            made = shared(jobs(), make, worker_jobs)
-        else:
-            made = (make(job) for job in jobs())
-        try:
+        with contextlib.closing(shared(jobs(), make, None if split is None else worker_jobs)) as made:
             for arrays, job_skips in made:
                 for codec, parts in zip(Codec, arrays):
                     groups[codec] += [np.frombuffer(part).reshape(-1, len(columns) + 1) for part in parts]
                 skipped.update(job_skips)
-        finally:
-            made.close()
     if skipped:
         reasons = ", ".join(f"{reason}={n}" for reason, n in sorted(skipped.items()))
         print(f"warning: {path}: skipped rows: {reasons}", file=sys.stderr)
@@ -657,16 +643,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
             fit_points = points[(points[:, 0] >= lo) & (points[:, 0] <= hi)]
 
         fits: dict[str, dict] = {}
-        if args.model in ("exp", "both"):
-            try:
-                fits["exponential"] = _fit_doc(fit_exponential(fit_points))
-            except ValueError as exc:
-                raise CliError("FIT", f"exponential fit for {codec.value}: {exc}") from None
-        if args.model in ("linear", "both"):
-            try:
-                fits["linear"] = _fit_doc(fit_linear(fit_points))
-            except ValueError as exc:
-                raise CliError("FIT", f"linear fit for {codec.value}: {exc}") from None
+        for model, fit_model in (("exponential", fit_exponential), ("linear", fit_linear)):
+            if args.model == "both" or model.startswith(args.model):
+                try:
+                    fits[model] = _fit_doc(fit_model(fit_points))
+                except ValueError as exc:
+                    raise CliError("FIT", f"{model} fit for {codec.value}: {exc}") from None
 
         doc["codecs"][codec.value] = {
             "points": [[round_g6(x), round_g6(y)] for x, y in binned_points],

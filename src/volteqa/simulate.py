@@ -13,6 +13,7 @@ seeded with them matches ``SeedSequence.spawn`` plus ``PCG64`` bit for bit.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import functools
 import itertools
 import math
@@ -31,6 +32,7 @@ from volteqa.emodel import (
 )
 from volteqa.ingest import CHUNK_ROWS, CdrTable, Codec, parse_float, parse_int
 from volteqa.jitter_buffer import JbeConfig, JbeResult, PacketTimeline, run_jbe
+from volteqa.worker import shared
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -542,9 +544,10 @@ def synthesize_dataset(
     ``CHUNK_ROWS`` flows, or the flows left: only one chunk's per-flow
     figures are held at a time.
 
-    When a chunk holds two blocks or more, ``volteqa.worker.shared`` may
-    replay every other block in a worker; a block's figures depend only on
-    its flows, so the dataset does not depend on the worker either.
+    The blocks are made through ``volteqa.worker.shared``.  When a chunk
+    holds two blocks or more, its worker may replay every other block,
+    numbered across chunks; a block's figures depend only on its flows, so
+    the dataset does not depend on the worker either.
     """
     per_block = max(1, BLOCK_PACKETS // spec.packets_per_flow)
     per_chunk = per_block * -(-CHUNK_ROWS // per_block)
@@ -567,14 +570,12 @@ def synthesize_dataset(
         return figures
 
     blocks = functools.partial(_blocks, spec, per_block, per_chunk)
-    if min(spec.flows, per_chunk) > per_block:  # a chunk of one block leaves the worker none
-        from volteqa.worker import shared  # here, not at the top: only a forking run needs it
-
-        made = shared(blocks(), make, blocks)
-    else:
-        made = (make(block) for block in blocks())
+    # No worker for one block per chunk.  It would get blocks 1, 3, ..., as
+    # blocks are numbered across chunks, but no benchmark workload has
+    # chunks of one block, so whether it pays there is unmeasured.
+    worker_blocks = blocks if min(spec.flows, per_chunk) > per_block else None
     written, rejected = 0, []
-    try:
+    with contextlib.closing(shared(blocks(), make, worker_blocks)) as made:
         for start in range(0, spec.flows, per_chunk):
             chunk_blocks = itertools.islice(made, -(-min(per_chunk, spec.flows - start) // per_block))
             figures = np.hstack([np.frombuffer(payload).reshape(_FIGURES, -1) for payload in chunk_blocks])
@@ -583,8 +584,6 @@ def synthesize_dataset(
             written += len(table)
             write(table)
             del table  # not held while the next chunk is made
-    finally:
-        made.close()
     return written, rejected
 
 

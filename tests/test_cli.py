@@ -658,6 +658,24 @@ def test_fit_reaps_its_worker_on_ctrl_c(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scored.csv"]
 
 
+def test_fit_and_report_on_one_cpu_read_a_file_of_the_split_size_in_one_job(tmp_path, monkeypatch):
+    source = tmp_path / "scored.csv"
+    source.write_bytes(_split_input("bad_cells_after_split"))
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
+    shared, _ = _worker_fit_report(monkeypatch, tmp_path, source, 2)
+
+    def not_counted(*args):
+        raise AssertionError("counted the lines before the split")
+
+    # On one CPU no worker can take the rows after the split, so no line
+    # before it is counted.
+    monkeypatch.setattr(cli, "_lines_before", not_counted)
+    alone, delivered = _worker_fit_report(monkeypatch, tmp_path, source, 1)
+    assert delivered == []
+    assert alone == shared
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("size", ["under", "at"])
 def test_fit_and_report_fork_only_for_a_file_of_the_split_size(tmp_path, monkeypatch, size):
     target = cli._SPLIT_BYTES - 1 if size == "under" else cli._SPLIT_BYTES

@@ -666,7 +666,8 @@ def test_worker_gives_the_dataset_of_one_process(monkeypatch, spec, per_block):
 
 
 def test_no_worker_for_chunks_of_one_block(monkeypatch):
-    # 1,024 flows per block: each chunk is one block, so the worker would have none.
+    # 1,024 flows per block: each chunk is one block.  The worker would get
+    # blocks 1, 3, ..., but that case is unmeasured, so it forks none.
     spec = SimSpec(flows=2_100, packets_per_flow=3, seed=75, **LATE_SPEC)
     _, delivered = worker_run(monkeypatch, spec, 1_024, cpus=2)
     assert delivered == []
