@@ -19,13 +19,13 @@ def test_bench_pairs_appends_one_entry_per_call(tmp_path):
         "--seed", "1", "--seconds", "0.1", "--pairs", "1", "--output", str(record),
     ]
     record.write_text("[]\n", encoding="utf-8")
-    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    done = subprocess.run(argv, capture_output=True, encoding="utf-8", timeout=300)
     assert done.returncode == 0, done.stderr
     [entry] = json.loads(record.read_text(encoding="utf-8"))
     assert entry["base"]["commit"] == entry["head"]["commit"]
     assert (entry["workload"], entry["seed"], entry["seconds"], entry["pairs"]) == ("long_bursty", 1, 0.1, 1)
     assert set(entry["host"]) == {"cpus", "python", "numpy"}
-    names = [metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    names = [metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
     for side in ("base", "head"):
         [run] = entry["runs"][side]
         assert sorted(run) == sorted(names)

@@ -40,7 +40,7 @@ SIDES = ("base", "head")
 
 
 def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True).stdout.strip()
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, encoding="utf-8").stdout.strip()
 
 
 def extract(commit: str, tree: Path) -> None:
@@ -63,7 +63,7 @@ def bench_run(tree: Path, args: argparse.Namespace) -> dict:
         sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
         "--seconds", str(args.seconds), "--trace", "0",
     ]
-    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, encoding="utf-8")
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
         raise SystemExit(f"error: {tree.name}: perfbench/run.py exited {done.returncode}\n{done.stderr}")
