@@ -14,7 +14,6 @@ import configparser
 import contextlib
 import csv
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -54,15 +53,15 @@ from volteqa.ingest import (
     cdr_blocks,
     cdr_lines,
     codec_codes,
+    csv_blocks,
     finite_floats,
     finite_number,
-    line_blocks,
     parse_cdr_csv,
     write_cdr_csv,
 )
 from volteqa.jitter_buffer import effective_loss
 from volteqa.simulate import GENERATOR_NAME, load_sim_config, synthesize_dataset
-from volteqa.worker import can_fork, shared
+from volteqa.worker import shared
 
 SCORED_COLUMNS = CDR_COLUMNS + ("p_loss", "mos", "r_factor_computed")
 
@@ -273,14 +272,12 @@ def _score_block(
 _REASONS = {reason.value: reason for reason in RejectReason}
 
 
-def _own_stream(fd: int, offset: int = 0) -> IO[str]:
-    """The file open on ``fd`` as a text stream from byte ``offset``, as
+def _own_stream(fd: int) -> IO[str]:
+    """The file open on ``fd`` as a text stream from its start, as
     ``_open`` reads an input, on an open file description of its own: not
     the path, which may name another file by now, nor the descriptor,
     whose offset the command's reads move."""
-    raw = open(f"/proc/self/fd/{fd}", "rb")
-    raw.seek(offset)
-    return io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    return open(f"/proc/self/fd/{fd}", encoding="utf-8", newline="")
 
 
 # A reject row of the summary as json.dumps(indent=2, sort_keys=True) lays
@@ -408,19 +405,15 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
     numpy's C text reader reads a block of plain lines; a block it refuses
     is split into cells and read cell by cell.
 
-    The rows are read in jobs of ``volteqa.worker.shared``.  Where
-    ``can_fork`` allows a worker, a regular file of at least
-    ``_SPLIT_BYTES`` is read in two: the rows before the split
-    (``_split_point``) and, if no CR comes before it and each block before
-    it was plain, so that the split is a row boundary, the rows after it,
-    which the worker, if one starts, reads.  Any other input is one job.
+    Each block of ``csv_blocks`` is a job of ``volteqa.worker.shared``,
+    keyed by its index.  A regular file of at least ``_SPLIT_BYTES`` is
+    shared with the worker, which reads the same blocks on a stream of its
+    own and makes every other one.
     """
-    groups: dict[Codec, list[np.ndarray]] = {codec: [] for codec in Codec}
+    groups = {codec: bytearray() for codec in Codec}  # each codec's float64 samples
     skipped: Counter[str] = Counter()
     with _open(path, "INPUT") as handle:
-        lines = iter(handle)
-        reader = csv.reader(lines)  # it takes only the lines of the header row, however many
-        header = next(reader, None)
+        header, blocks = csv_blocks(handle)
         index = {name: i for i, name in enumerate(header or ())}
         missing = {"codec", *columns} - set(index)
         if missing:
@@ -431,99 +424,52 @@ def _read_samples(path: str, wanted: Codec | None, columns: tuple[str, ...]) -> 
         if not quality:
             raise CliError("SCHEMA", "scored CSV needs an r_factor or r_factor_computed column")
         read = [index[c] for c in ("codec", *columns, *quality)]
-        plain = True
 
-        def make(job: tuple[int, Iterator[str], int | None]) -> tuple[list[list[np.ndarray]], dict[str, int]]:
-            """The samples of the rows of the first ``count`` of the job's lines
-            (all, if None), as arrays (bytes, when sent) per codec, and their skips."""
-            nonlocal plain
-            _, job_lines, count = job
-            parts: list[list[np.ndarray]] = [[] for _ in Codec]
+        def make(job: tuple[int, CsvBlock]) -> tuple[list[np.ndarray], dict[str, int]]:
+            """The samples of the block's rows as one array (bytes, when
+            sent) per codec of Codec, and their skips."""
+            block = job[1]
+            code, samples, failed = (
+                _loadtxt_samples(block.lines, read[: len(columns) + 2]) or _cell_samples(block, read, columns, quality)
+            )
             skips: Counter[str] = Counter()
-            for block in line_blocks(job_lines, len(header), count):
-                plain = plain and block.lines is not None
-                code, samples, failed = (
-                    _loadtxt_samples(block.lines, read[: len(columns) + 2])
-                    or _cell_samples(block, read, columns, quality)
-                )
-                unknown = int(np.count_nonzero(code < 0))
-                if unknown:
-                    skips["unknown codec"] += unknown
-                kept = code >= 0 if wanted is None else code == CODEC_INDEX[wanted.value]
-                skips.update(reason for row, reason in failed.items() if kept[row])
-                kept[list(failed)] = False
-                for i, codec_parts in enumerate(parts):
-                    part = samples[kept & (code == i)]
-                    if len(part):
-                        codec_parts.append(part)
-            return parts, dict(skips)
+            unknown = int(np.count_nonzero(code < 0))
+            if unknown:
+                skips["unknown codec"] += unknown
+            kept = code >= 0 if wanted is None else code == CODEC_INDEX[wanted.value]
+            skips.update(reason for row, reason in failed.items() if kept[row])
+            kept[list(failed)] = False
+            return [samples[kept & (code == i)] for i in range(len(Codec))], dict(skips)
 
-        fd = handle.fileno()
-        split = _split_point(fd) if can_fork() else None  # with no worker to read on from it, no split
+        def worker_jobs() -> Iterator[tuple[int, CsvBlock]]:
+            with _own_stream(handle.fileno()) as own:
+                yield from enumerate(csv_blocks(own)[1])
 
-        def jobs() -> Iterator[tuple[int, Iterator[str], int | None]]:
-            stop = None if split is None else _lines_before(fd, split, reader.line_num)
-            yield 0, lines, stop
-            if stop is not None and plain:  # else csv.reader has read on to the end
-                yield split, lines, None
-
-        def worker_jobs() -> Iterator[tuple[int, Iterator[str] | None, None]]:
-            with _own_stream(fd, split) as own:
-                yield 0, None, None
-                yield split, own, None
-
-        with contextlib.closing(shared(jobs(), make, None if split is None else worker_jobs)) as made:
-            for arrays, job_skips in made:
-                for codec, parts in zip(Codec, arrays):
-                    groups[codec] += [np.frombuffer(part).reshape(-1, len(columns) + 1) for part in parts]
-                skipped.update(job_skips)
+        info = os.fstat(handle.fileno())
+        fork = stat.S_ISREG(info.st_mode) and info.st_size >= _SPLIT_BYTES  # a pipe's data cannot be read twice
+        # Each block's samples go onto one buffer per codec, so no array of a
+        # block outlives it among the heap chunks of the lines read after it.
+        with contextlib.closing(shared(enumerate(blocks), make, worker_jobs if fork else None)) as made:
+            for parts, block_skips in made:
+                for codec, part in zip(Codec, parts):
+                    groups[codec].extend(part)
+                skipped.update(block_skips)
     if skipped:
         reasons = ", ".join(f"{reason}={n}" for reason, n in sorted(skipped.items()))
         print(f"warning: {path}: skipped rows: {reasons}", file=sys.stderr)
-    return {codec: np.concatenate(parts) for codec, parts in groups.items() if parts}
+    return {codec: np.frombuffer(data).reshape(-1, len(columns) + 1) for codec, data in groups.items() if data}
 
 
-# The smallest input file that _read_samples splits with a worker.  A fork
+# The smallest input file that _read_samples shares with a worker.  A fork
 # costs the command 1,000 or so copy-on-write page faults besides the fork
 # and the reaping.  fit --raw-points plus report on the head of a 100k-row
 # scored file, forking at any size against never, in-process medians of 25
-# alternating runs on a shared two-CPU host: 0.66 MB 36.9 against 42.2 ms,
-# 1.49 MB 44.5 against 51.9 ms, 2.23 MB 67.4 against 69.7 ms, 2.97 MB 84.2
-# against 75.0 ms; the whole 6.99 MB file 188 against 171 ms.
+# alternating runs on a shared two-CPU host: 0.66 MB 37.5 against 20.1 ms,
+# 1.49 MB 49.7 against 41.1 ms, 2.23 MB 55.9 against 59.3 ms (the fork
+# faster in 6 of 25 runs), 2.97 MB 72.3 against 76.7 ms (22 of 25), 3.50 MB
+# 98.1 against 106.0 ms (19 of 25); the whole 6.99 MB file 171.5 against
+# 180.5 ms (19 of 25).
 _SPLIT_BYTES = 3 << 20
-# Bytes read at a time to find the split and count the lines before it.
-_PREAD_BYTES = 1 << 16
-
-
-def _split_point(fd: int) -> int | None:
-    """The offset just past the first line end at or after half of the
-    regular file open on ``fd``, if the file holds ``_SPLIT_BYTES`` or
-    more and goes on past that line end; None otherwise.  ``os.pread``
-    leaves the offset of the descriptor where it was."""
-    info = os.fstat(fd)
-    if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_BYTES:  # a pipe's data cannot be read twice
-        return None
-    offset = info.st_size // 2
-    while chunk := os.pread(fd, _PREAD_BYTES, offset):
-        end = chunk.find(b"\n")
-        if end >= 0:
-            return offset + end + 1 if offset + end + 1 < info.st_size else None
-        offset += len(chunk)
-    return None
-
-
-def _lines_before(fd: int, split: int, header_lines: int) -> int | None:
-    """The number of data lines before byte ``split`` of the file open on
-    ``fd``, whose header took ``header_lines`` lines; None if a CR comes
-    before it, where the text stream ends a line too, or if the header
-    ends after it."""
-    ends = 0
-    for offset in range(0, split, _PREAD_BYTES):
-        chunk = os.pread(fd, min(_PREAD_BYTES, split - offset), offset)
-        if b"\r" in chunk:
-            return None
-        ends += chunk.count(b"\n")
-    return ends - header_lines if ends >= header_lines else None
 
 
 # One character longer than the longest codec name: a longer cell is cut
@@ -751,7 +697,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="Bin a scored CSV and fit quality-versus-loss models")
     fit.add_argument("--input", required=True, help="Scored CSV (needs p_loss and r_factor)")
     fit.add_argument("--output", required=True, help="Fit JSON output path")
-    fit.add_argument("--bins-output", help="Binned-series CSV path (default: <output>.bins.csv)")
+    fit.add_argument(
+        "--bins-output", help="Binned-series CSV path (default: <output> with its suffix replaced by .bins.csv)"
+    )
     fit.add_argument("--model", choices=["exp", "linear", "both"], default="both")
     fit.add_argument("--codec", choices=codecs, default="all")
     fit.add_argument("--bins", type=int, default=10, help="Number of uniform loss bins")

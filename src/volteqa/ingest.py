@@ -196,17 +196,12 @@ def csv_blocks(stream: IO[str]) -> tuple[list[str] | None, Iterator[CsvBlock]]:
     lines = iter(stream)
     # csv.reader takes only the lines of the header row, however many.
     header = next(csv.reader(lines), None)
-    return header, line_blocks(lines, len(header or ()))
+    return header, _line_blocks(lines, len(header or ()))
 
 
-def line_blocks(lines: Iterator[str], width: int, count: int | None = None) -> Iterator[CsvBlock]:
-    """The rows of ``lines``, which follow a header of ``width`` cells, in
-    the blocks of ``csv_blocks``.  With ``count``, only the rows of its
-    first ``count`` lines, unless one of their blocks is not plain:
-    ``csv.reader`` then reads the rest of ``lines``."""
+def _line_blocks(lines: Iterator[str], width: int) -> Iterator[CsvBlock]:
     limit = csv.field_size_limit()
-    head = lines if count is None else itertools.islice(lines, count)
-    while block := list(itertools.islice(head, CHUNK_ROWS)):
+    while block := list(itertools.islice(lines, CHUNK_ROWS)):
         text = "".join(block)
         # No field of a line within the limit is beyond it, and no line is
         # longer than the block.

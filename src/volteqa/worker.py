@@ -7,9 +7,7 @@ result back with its job's key; the command makes the others, and any
 job whose result the worker does not deliver, because it ended early or
 met an error or warning, or delivers under another key.  So no output
 depends on the worker, and every error or warning comes from the
-command, as a single process gives it.  ``can_fork`` holds the rule for
-when a worker may start; a command that would split its work only for a
-worker asks it first.
+command, as a single process gives it.
 """
 
 from __future__ import annotations
@@ -88,18 +86,12 @@ def _write(fd: int, result: object) -> None:
         data = data[os.write(fd, data) :]
 
 
-def can_fork() -> bool:
-    """Whether a worker may start: with two CPUs or more to run on, and
-    beside no other Python thread, which a fork would leave out of the
-    child, whatever locks it holds."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return cpus >= 2 and threading.active_count() == 1
-
-
 def start_worker(job: Callable[[Send], object]) -> Worker | None:
-    """A worker that runs ``job``, or None: when ``can_fork`` says no, or
-    when the fork fails."""
-    if not can_fork():
+    """A worker that runs ``job``, or None: with fewer than two CPUs to run
+    on, beside another Python thread, which a fork would leave out of the
+    child whatever locks it holds, or when the fork fails."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or threading.active_count() > 1:
         return None
     try:
         return Worker(job)

@@ -510,7 +510,7 @@ def _scored_lines(rows: int) -> list[str]:
 
 
 # fit, also on raw points and on one codec, and report, each with its outputs.
-SPLIT_COMMANDS = [
+FIT_AND_REPORT = [
     ("fit", "--output", "fit.json"),
     ("fit", "--output", "raw.json", "--raw-points"),
     ("fit", "--output", "wb.json", "--codec", "AMR-WB"),
@@ -519,14 +519,14 @@ SPLIT_COMMANDS = [
 
 
 def _worker_fit_report(monkeypatch, tmp_path: Path, source: Path, cpus: int) -> tuple[list[tuple], list[bool]]:
-    """Each of SPLIT_COMMANDS on ``cpus`` CPUs, failing after a minute: its
+    """Each of FIT_AND_REPORT on ``cpus`` CPUs, failing after a minute: its
     exit code, its stderr and the bytes of each file it leaves, and what
     each read from a worker gave."""
     out = tmp_path / f"cpus{cpus}"
     out.mkdir()
     delivered = recorded_worker(monkeypatch, cpus)
     results = []
-    for command, flag, name, *flags in SPLIT_COMMANDS:
+    for command, flag, name, *flags in FIT_AND_REPORT:
         err = io.StringIO()
         with within_a_minute(command), contextlib.redirect_stderr(err):
             code = run(command, "--input", source, flag, out / name, *flags)
@@ -535,94 +535,116 @@ def _worker_fit_report(monkeypatch, tmp_path: Path, source: Path, cpus: int) -> 
     return [*results, files], delivered
 
 
-def _split_input(kind: str) -> bytes:
-    """A scored file of 3,000 rows (three blocks in each half) with the
-    feature ``kind`` before, at or after the middle line end; of 50 rows
-    after a long header for ``header_past_split``."""
+def _block_input(kind: str) -> bytes:
+    """A scored file of 3,000 rows, three blocks of which the worker reads
+    block 1, with the feature ``kind`` in its header or in a block."""
     header = SCORED_HEADER + {
         "header_on_two_lines": ',"two\nlines"\n',
         # The stream ends a line at a lone CR, and csv.reader reads "x" as a
-        # short row of its own: the lines before the split are one more
-        # than their LFs.
+        # short row of its own.
         "cr_in_header": "\rx\n",
-        # Half of the file's bytes lie within the header.
-        "header_past_split": ',"' + "\n" * 5000 + '"\n',
+        "header_of_5000_lines": ',"' + "\n" * 5000 + '"\n',
     }.get(kind, "\n")
-    lines = _scored_lines(50 if kind == "header_past_split" else 3000)
-    if kind == "quote_after_split":
+    lines = _scored_lines(3000)
+    if kind == "quote_in_block_2":
         lines[2500] = '"q,1"' + lines[2500][len("f0002500"):]
-    elif kind == "cr_after_split":
+    elif kind == "cr_in_block_2":
         lines[2500] = lines[2500].replace("\n", "\r\n")
-    elif kind == "bad_cells_after_split":  # and an unknown codec before it
-        for row, column, cell in [(100, 1, "EVS"), (2200, 7, "abc"), (2300, 6, "150.0")]:
+    elif kind == "bad_cells":  # one in each block
+        for row, column, cell in [(100, 1, "EVS"), (1500, 7, "abc"), (2300, 6, "150.0")]:
             cells = lines[row].split(",")
             cells[column] = cell
             lines[row] = ",".join(cells)
-    # Lines inserted at the middle line end, so that the split comes among them.
+    # Lines put in among the rows of block 1.
     middle = {
-        "blank_and_short_at_split": ["\n", "f,AMR,100\n", "\n", "f,AMR-WB\n"] * 12,
-        # A quoted field whose newlines span the split: csv.reader must read
-        # on past it, to the end.
-        "quote_in_first_half": ['"q' + "\n" * 400 + '",AMR,100,99,1.0,2.5,80.0,0.1,4.0,80.0\n'],
+        "blank_and_short_rows_in_block_1": ["\n", "f,AMR,100\n", "\n", "f,AMR-WB\n"] * 12,
+        # A quoted field whose newlines span 400 lines: csv.reader reads
+        # from block 1 to the end.
+        "quote_across_lines_in_block_1": ['"q' + "\n" * 400 + '",AMR,100,99,1.0,2.5,80.0,0.1,4.0,80.0\n'],
     }.get(kind, [])
-    size = len(header) + sum(map(len, lines))
-    at = np.searchsorted(np.cumsum([len(header)] + list(map(len, lines))), size // 2)
-    text = header + "".join(lines[:at] + middle + lines[at:])
+    text = header + "".join(lines[:1500] + middle + lines[1500:])
     if kind == "no_final_newline":
         text = text[:-1]
     data = text.encode()
-    if kind == "non_utf8_after_split":
+    if kind == "non_utf8_in_block_2":
         data = data.replace(b"f0002700", b"f\xff002700")
     return data
 
 
-SPLIT_KINDS = {  # what each read from the worker gives, for each of SPLIT_COMMANDS
-    "plain": True,
-    "header_on_two_lines": True,
-    "blank_and_short_at_split": True,
-    "bad_cells_after_split": True,
-    "no_final_newline": True,
-    "quote_in_first_half": None,  # the command reads on alone
-    "cr_in_header": None,
-    "header_past_split": None,
-    # The worker reads on from the split as the command would.
-    "quote_after_split": True,
-    "cr_after_split": True,
-    "non_utf8_after_split": False,
-}
+BLOCK_KINDS = [
+    "plain",
+    "header_on_two_lines",
+    "cr_in_header",
+    "header_of_5000_lines",
+    "blank_and_short_rows_in_block_1",
+    "bad_cells",
+    "no_final_newline",
+    # csv.reader takes over in the worker's block, or in the one after it.
+    "quote_across_lines_in_block_1",
+    "quote_in_block_2",
+    "cr_in_block_2",
+    # The worker gives block 1; the command fails on block 2.
+    "non_utf8_in_block_2",
+]
 
 
-@pytest.mark.parametrize("kind", SPLIT_KINDS)
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
 def test_fit_and_report_workers_give_the_outputs_of_one_process(tmp_path, monkeypatch, kind):
     source = tmp_path / "scored.csv"
-    source.write_bytes(_split_input(kind))
+    source.write_bytes(_block_input(kind))
     monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
-    if kind in ("blank_and_short_at_split", "quote_in_first_half"):
-        # The split comes among the lines put in at the middle.
-        with source.open("rb") as handle:
-            split = cli._split_point(handle.fileno())
-        data = source.read_bytes()
-        assert {data[:split].split(b"\n")[-2], data[split:].split(b"\n")[0]} <= {b"", b"f,AMR,100", b"f,AMR-WB"}
     alone, delivered = _worker_fit_report(monkeypatch, tmp_path, source, 1)
     assert delivered == []
-    assert [result[0] for result in alone[:-1]] == [1 if kind == "non_utf8_after_split" else 0] * 4
+    assert [result[0] for result in alone[:-1]] == [1 if kind == "non_utf8_in_block_2" else 0] * 4
+    parent, loadtxt_samples, read_here = os.getpid(), cli._loadtxt_samples, []
+
+    def counted(*args):
+        if os.getpid() == parent:
+            read_here.append(args)
+        return loadtxt_samples(*args)
+
+    monkeypatch.setattr(cli, "_loadtxt_samples", counted)
     shared, delivered = _worker_fit_report(monkeypatch, tmp_path, source, 2)
     assert shared == alone
-    assert delivered == ([] if SPLIT_KINDS[kind] is None else [SPLIT_KINDS[kind]] * 4)
+    # Block 1 is the worker's, once per command; the command reads blocks 0
+    # and 2, or only block 0 before its input error.
+    assert delivered == [True] * 4
+    assert len(read_here) == (1 if kind == "non_utf8_in_block_2" else 2) * 4
     assert_no_child_left()
-    if kind == "bad_cells_after_split":
+    if kind == "bad_cells":
         assert alone[3][1] == (
             f"warning: {source}: skipped rows: p_loss not a number=1, r_factor out of range=1, unknown codec=1\n"
         )
-    if kind == "non_utf8_after_split":
+    if kind == "non_utf8_in_block_2":
         assert alone[-1] == {}
         assert alone[0][1].startswith(f"error: SCHEMA: {source}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("exit_at", [0, 2])
+def test_blocks_a_fit_or_report_worker_leaves_are_read_by_the_command(tmp_path, monkeypatch, exit_at):
+    source = tmp_path / "scored.csv"
+    source.write_text(SCORED_HEADER + "\n" + "".join(_scored_lines(6000)), encoding="utf-8")  # six blocks
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
+    alone, _ = _worker_fit_report(monkeypatch, tmp_path, source, 1)
+    parent, loadtxt_samples, calls = os.getpid(), cli._loadtxt_samples, itertools.count()
+
+    def read_or_exit(*args):
+        # Only in the worker, at its block exit_at: its first or third.
+        if os.getpid() != parent and next(calls) == exit_at:
+            os._exit(3)
+        return loadtxt_samples(*args)
+
+    monkeypatch.setattr(cli, "_loadtxt_samples", read_or_exit)
+    shared, delivered = _worker_fit_report(monkeypatch, tmp_path, source, 2)
+    assert shared == alone
+    assert delivered == ([True] * exit_at + [False] * (3 - exit_at)) * 4
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("failure", ["exit_before_send", "fork_fails"])
 def test_fit_and_report_read_on_alone_without_a_worker_result(tmp_path, monkeypatch, failure):
     source = tmp_path / "scored.csv"
-    source.write_bytes(_split_input("bad_cells_after_split"))
+    source.write_bytes(_block_input("bad_cells"))
     monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
     alone, _ = _worker_fit_report(monkeypatch, tmp_path, source, 1)
 
@@ -641,7 +663,7 @@ def test_fit_and_report_read_on_alone_without_a_worker_result(tmp_path, monkeypa
 
 def test_fit_reaps_its_worker_on_ctrl_c(tmp_path, monkeypatch):
     source = tmp_path / "scored.csv"
-    source.write_bytes(_split_input("plain"))
+    source.write_bytes(_block_input("plain"))
     monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
     recorded_worker(monkeypatch, 2)
     parent, loadtxt_samples = os.getpid(), cli._loadtxt_samples
@@ -656,24 +678,6 @@ def test_fit_reaps_its_worker_on_ctrl_c(tmp_path, monkeypatch):
         run("fit", "--input", source, "--output", tmp_path / "fit.json")
     assert_no_child_left()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scored.csv"]
-
-
-def test_fit_and_report_on_one_cpu_read_a_file_of_the_split_size_in_one_job(tmp_path, monkeypatch):
-    source = tmp_path / "scored.csv"
-    source.write_bytes(_split_input("bad_cells_after_split"))
-    monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
-    shared, _ = _worker_fit_report(monkeypatch, tmp_path, source, 2)
-
-    def not_counted(*args):
-        raise AssertionError("counted the lines before the split")
-
-    # On one CPU no worker can take the rows after the split, so no line
-    # before it is counted.
-    monkeypatch.setattr(cli, "_lines_before", not_counted)
-    alone, delivered = _worker_fit_report(monkeypatch, tmp_path, source, 1)
-    assert delivered == []
-    assert alone == shared
-    assert_no_child_left()
 
 
 @pytest.mark.parametrize("size", ["under", "at"])
@@ -698,7 +702,8 @@ def test_fit_and_report_fork_only_for_a_file_of_the_split_size(tmp_path, monkeyp
         monkeypatch.setattr(os, "fork", no_fork)
     shared, delivered = _worker_fit_report(monkeypatch, tmp_path, source, 2)
     assert shared == alone
-    assert delivered == ([] if size == "under" else [True] * 4)
+    blocks = -(-(rows + 1) // ingest.CHUNK_ROWS)
+    assert delivered == ([] if size == "under" else [True] * (blocks // 2) * 4)  # each odd-numbered block
     assert_no_child_left()
 
 
@@ -1537,7 +1542,7 @@ def test_read_samples_matches_per_row_oracle(chunk, plain, data, wanted, columns
 def test_read_samples_split_with_a_worker_matches_per_row_oracle(chunk, plain, data, wanted, columns):
     text = data.draw(scored_csv(plain), label="text")
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        # Every file is split, on two CPUs.
+        # Every file is shared with a worker, on two CPUs.
         patch.setattr(cli, "_SPLIT_BYTES", 1)
         patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         path = str(Path(tmp) / "scored.csv")

@@ -50,26 +50,27 @@ def test_no_worker_on_one_cpu_beside_a_thread_or_when_fork_fails(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert not worker.can_fork()
     assert worker.start_worker(lambda send: None) is None
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert not worker.can_fork()
         assert worker.start_worker(lambda send: None) is None
     finally:
         stop.set()
         thread.join()
 
+    forks = []
+
     def fork_fails():
+        forks.append(True)
         raise BlockingIOError("no more processes")
 
     monkeypatch.setattr(os, "fork", fork_fails)
-    assert worker.can_fork()
     fds = len(os.listdir("/proc/self/fd"))
     assert worker.start_worker(lambda send: None) is None
+    assert forks == [True]  # on two CPUs and beside no thread, a fork is tried
     assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
     assert_no_child_left()
 
